@@ -170,7 +170,10 @@ def cmd_saturate(args):
 def cmd_verify_proper(args):
     C, spans, records = _parasite_input(args)
     saturated = projective.saturate(C, spans, records)
-    report = projective.verify_proper(C, spans, saturated)
+    try:
+        report = projective.verify_proper(C, spans, saturated)
+    except ValueError as e:
+        raise VerificationFailure(str(e))
     _write(args.out, _report("verify-proper", report))
     print("verify-proper: %s (%d records, %d violations)"
           % ("pass" if report["passed"] else "FAIL",

@@ -7,7 +7,6 @@ the ordered simplices of a complex.
 
 from dataclasses import dataclass
 
-from .rationals import QQ
 from . import linalg
 from .simplicial import SimplicialComplex, simplex_key
 
@@ -35,12 +34,6 @@ def mat_mul(A, B):
     return out
 
 
-def int_det_pm1(M):
-    """Exact determinant, for unimodularity certificates."""
-    d = linalg.det([[QQ(x) for x in row] for row in M])
-    return int(d)
-
-
 @dataclass
 class SmithForm:
     diagonal: list          # full diagonal matrix U M V
@@ -52,9 +45,9 @@ class SmithForm:
         prod = mat_mul(mat_mul(self.U, M), self.V)
         if prod != self.diagonal and not (not prod and not self.diagonal):
             return False
-        if self.U and abs(int_det_pm1(self.U)) != 1:
+        if self.U and abs(linalg.int_det(self.U)) != 1:
             return False
-        if self.V and abs(int_det_pm1(self.V)) != 1:
+        if self.V and abs(linalg.int_det(self.V)) != 1:
             return False
         return True
 
@@ -138,9 +131,7 @@ def smith_normal_form(M):
 
 
 def int_rank(M):
-    if not M or not M[0]:
-        return 0
-    return linalg.rank([[QQ(x) for x in row] for row in M])
+    return linalg.int_rank(M)
 
 
 # -- chain complexes ----------------------------------------------------------------
@@ -207,6 +198,8 @@ def homology(K, ring="Z"):
         M = cc.boundaries[k]
         if ring == "Z":
             snf_d[k] = smith_normal_form(M)
+            if not snf_d[k].certify(M):
+                raise AssertionError("Smith form of boundary %d failed certification" % k)
             rank_d[k] = len(snf_d[k].invariant_factors)
         else:
             rank_d[k] = int_rank(M)

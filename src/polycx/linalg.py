@@ -1,9 +1,14 @@
-"""Dense exact linear algebra over Q.
+"""Dense exact linear algebra over Q on a fraction-free integer kernel.
 
-Small matrices only (the complexes we handle have at most a few hundred
-faces), so plain Gaussian elimination with rational pivots is both exact
-and fast enough.  Matrices are lists/tuples of equal-length rows of QQ.
+Matrices are lists/tuples of equal-length rows of QQ (ints are accepted
+too).  Each row is scaled by the lcm of its denominators and all
+elimination runs on Python ints: Bareiss elimination (Sylvester's identity,
+Bareiss 1968) for rank and determinant, where every division is exact, and
+a Gauss-Jordan reduction whose combined rows are divided by their content
+for the RREF.  QQ values are built only when a result is written out.
 """
+
+from math import gcd, lcm
 
 from .rationals import QQ, ZERO, ONE
 
@@ -12,54 +17,108 @@ def dot(u, v):
     return sum((a * b for a, b in zip(u, v)), ZERO)
 
 
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c, u):
-    return tuple(c * a for a in u)
-
-
 def is_zero_vec(u):
     return all(a == 0 for a in u)
 
 
+def _int_row(row):
+    """(integer row, lcm of the denominators): the row times that lcm."""
+    dens = [x.denominator for x in row]
+    scale = lcm(*dens)
+    return [x.numerator * (scale // d) for x, d in zip(row, dens)], scale
+
+
+def _bareiss(rows):
+    """Bareiss elimination of integer rows, in place.
+
+    Returns (rank, signed last pivot).  A negative pivot row is negated and
+    the sign flipped.  By Sylvester's identity every entry still to be
+    eliminated after a step is a minor of the input with its rows so
+    permuted and negated, so each `// prev` below is exact.  For square rows
+    of full rank the signed last pivot is the determinant.
+    """
+    n = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    sign, prev, r = 1, 1, 0
+    for c in range(ncols):
+        k = next((i for i in range(r, n) if rows[i][c]), None)
+        if k is None:
+            continue
+        if k != r:
+            rows[r], rows[k] = rows[k], rows[r]
+            sign = -sign
+        prow = rows[r]
+        p = prow[c]
+        if p < 0:
+            p = -p
+            prow = rows[r] = [-x for x in prow]
+            sign = -sign
+        tail = prow[c + 1:]
+        # columns <= c of rows below r are never read again, so only the
+        # tail is rewritten; a row with a zero in column c is scaled by
+        # p / prev, which leaves it as it is when the two pivots agree
+        for i in range(r + 1, n):
+            row = rows[i]
+            a = row[c]
+            if a:
+                row[c + 1:] = [(p * x - a * y) // prev for x, y in zip(row[c + 1:], tail)]
+            elif p != prev:
+                row[c + 1:] = [p * x // prev for x in row[c + 1:]]
+        prev = p
+        r += 1
+    return r, sign * prev
+
+
+def int_rank(M):
+    """Rank of an integer matrix."""
+    return _bareiss([list(row) for row in M])[0]
+
+
+def int_det(M):
+    """Determinant of a square integer matrix (1 for the empty matrix)."""
+    n = len(M)
+    r, d = _bareiss([list(row) for row in M])
+    return d if r == n else 0
+
+
 def rref(rows):
     """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    m = [list(QQ(x) for x in row) for row in rows]
+    m = [_int_row(row)[0] for row in rows]
     if not m:
         return [], []
+    n = len(m)
     ncols = len(m[0])
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
+        k = next((i for i in range(r, n) if m[i][c]), None)
+        if k is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        m[r], m[k] = m[k], m[r]
+        prow = m[r]
+        p = prow[c]
+        for i in range(n):
+            a = m[i][c]
+            if a and i != r:
+                g = gcd(p, a)
+                pg, ag = p // g, a // g
+                row = [pg * x - ag * y for x, y in zip(m[i], prow)]
+                h = gcd(*row)
+                m[i] = [x // h for x in row] if h > 1 else row
         pivots.append(c)
         r += 1
-        if r == len(m):
+        if r == n:
             break
-    return [tuple(row) for row in m[:r]], pivots
+    out = []
+    for row, c in zip(m, pivots):
+        p = row[c]
+        out.append(tuple(ONE if j == c else ZERO if not x else QQ(x, p)
+                         for j, x in enumerate(row)))
+    return out, pivots
 
 
 def rank(rows):
-    return len(rref(rows)[0])
+    return int_rank([_int_row(row)[0] for row in rows])
 
 
 def nullspace(rows):
@@ -103,28 +162,13 @@ def solve(rows, rhs):
 
 
 def det(rows):
-    m = [list(QQ(x) for x in row) for row in rows]
-    n = len(m)
-    sign = ONE
-    result = ONE
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        result *= m[c][c]
-        inv = ONE / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return sign * result
+    m = []
+    scale = 1
+    for row in rows:
+        ints, s = _int_row(row)
+        m.append(ints)
+        scale *= s
+    return QQ(int_det(m), scale)
 
 
 def in_row_space(rows, v):

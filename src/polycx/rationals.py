@@ -24,8 +24,10 @@ def rat(value, den=None):
     if isinstance(value, str):
         value = value.strip()
         if "/" in value:
-            p, q = value.split("/")
-            return QQ(int(p), int(q))
+            p, q = map(int, value.split("/"))
+            if q == 0:
+                raise ValueError("zero denominator in %r" % value)
+            return QQ(p, q)
         return QQ(int(value))
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass an int, string or rational")
@@ -42,7 +44,3 @@ def rat_str(q):
 
 def vec(values):
     return tuple(rat(v) for v in values)
-
-
-def vec_str(v):
-    return " ".join(rat_str(x) for x in v)

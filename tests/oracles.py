@@ -121,6 +121,51 @@ def rational_rank(rows):
     return rank
 
 
+def rational_rref(rows):
+    """Reduced row echelon form by Gauss-Jordan elimination with rational
+    pivots.  Returns (rows, pivot_columns)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return [tuple(row) for row in m[:r]], pivots
+
+
+def rational_det(rows):
+    """Determinant by Gaussian elimination with rational pivots."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    result = Fraction(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            result = -result
+        result *= m[c][c]
+        for i in range(c + 1, n):
+            f = m[i][c] / m[c][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return result
+
+
 def betti_numbers(maximal_simplices):
     """Rational Betti numbers from scratch: closure, ordered boundary
     matrices, Gaussian ranks."""

@@ -89,6 +89,18 @@ def test_parasite_pipeline(tmp_path):
     assert len(sat["records"]) == 6
 
 
+def test_non_simple_complex_is_verification_failure(tmp_path):
+    from polycx import RationalPolyhedron, PolyhedralComplex, format_cplx
+    grid = PolyhedralComplex.from_subdivision(
+        [RationalPolyhedron.from_box([i, j], [i + 1, j + 1])
+         for i in range(2) for j in range(2)])
+    cplx = write(tmp_path / "grid.cplx", format_cplx(grid))
+    assert run(["check-simple", "--complex", cplx]) == 1
+    for cmd in ("verify-proper", "blowup-plan"):
+        assert run([cmd, "--complex", cplx,
+                    "--out", str(tmp_path / "out")]) == 1
+
+
 def test_nerve_homology_pi1(tmp_path):
     from polycx import RationalPolyhedron, PolyhedralComplex, format_cplx
     C = PolyhedralComplex.from_subdivision(
@@ -153,6 +165,16 @@ def test_input_errors_exit_2(tmp_path):
     assert run(["voronoi", "--points", bad,
                 "--out", str(tmp_path / "v.cplx")]) == 2
     assert run(["frobnicate"]) == 2
+
+
+def test_zero_denominator_is_input_error(tmp_path, capsys):
+    pts = write(tmp_path / "z.pts", "2 2\n0 0\n1/0 1\n")
+    assert run(["check-simple", "--points", pts]) == 2
+    assert "1/0" in capsys.readouterr().err
+    good = write(tmp_path / "g.pts", "2 3\n0 0\n2 0\n0 2\n")
+    rgn = write(tmp_path / "z.rgn", BOX_REGION.replace("<= 2\n", "<= 1/0\n", 1))
+    assert run(["clip", "--points", good, "--region", rgn,
+                "--out", str(tmp_path / "c.cplx")]) == 2
 
 
 def test_byte_identical_reports(tmp_path):

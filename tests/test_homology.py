@@ -1,10 +1,11 @@
+import importlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polycx import SimplicialComplex, homology, smith_normal_form
-from polycx.homology import ChainComplex, int_rank, mat_mul
+from polycx.homology import ChainComplex, SmithForm, int_rank, mat_mul
 
 from oracles import snf_invariant_factors, betti_numbers
 from _corpus import circle, sphere2, torus, projective_plane
@@ -33,6 +34,24 @@ class TestSmithNormalForm:
         snf = smith_normal_form(M)
         f = snf.invariant_factors
         assert all(f[i + 1] % f[i] == 0 for i in range(len(f) - 1))
+
+    def test_certify_rejects_wrong_diagonal(self):
+        M = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
+        snf = smith_normal_form(M)
+        D = [row[:] for row in snf.diagonal]
+        D[0][0] += 1
+        assert not SmithForm(D, snf.invariant_factors, snf.U, snf.V).certify(M)
+
+    def test_certify_rejects_non_unimodular_transforms(self):
+        # (2U) M V = U M (2V) = 2D still hold, but |det 2U| = |det 2V| != 1
+        M = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
+        snf = smith_normal_form(M)
+        U2 = [[2 * x for x in row] for row in snf.U]
+        V2 = [[2 * x for x in row] for row in snf.V]
+        D2 = [[2 * x for x in row] for row in snf.diagonal]
+        for U, V in ((U2, snf.V), (snf.U, V2)):
+            assert mat_mul(mat_mul(U, M), V) == D2
+            assert not SmithForm(D2, snf.invariant_factors, U, V).certify(M)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(st.integers(-30, 30), min_size=3, max_size=3),
@@ -81,6 +100,18 @@ class TestHomology:
         assert prof.torsion[1] == (2,)
         # over Q the torsion is invisible
         assert homology(projective_plane(), "Q").betti == (1, 0, 0)
+
+    def test_z_homology_certifies_smith_forms(self, monkeypatch):
+        def doubled(M):
+            snf = smith_normal_form(M)
+            return SmithForm([[2 * x for x in row] for row in snf.diagonal],
+                             snf.invariant_factors,
+                             [[2 * x for x in row] for row in snf.U], snf.V)
+        # the package exports the function `homology` under the module's name
+        module = importlib.import_module("polycx.homology")
+        monkeypatch.setattr(module, "smith_normal_form", doubled)
+        with pytest.raises(AssertionError, match="boundary 1"):
+            homology(circle(4), "Z")
 
     def test_two_components(self):
         K = SimplicialComplex([(0, 1), (2, 3)])
