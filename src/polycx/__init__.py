@@ -12,7 +12,7 @@ from .polyhedra import (
     format_poly,
     parse_poly,
 )
-from .complexes import PolyhedralComplex, FacePoset, format_cplx, parse_cplx
+from .complexes import PolyhedralComplex, format_cplx, parse_cplx
 from .simplicial import SimplicialComplex, format_scx, parse_scx
 from .voronoi import (
     SiteSet,

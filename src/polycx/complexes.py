@@ -8,21 +8,10 @@ computation on top of the exact polyhedron layer.
 
 import itertools
 import json
-from dataclasses import dataclass
 
 from .rationals import rat_str
-from . import linalg
 from .polyhedra import LinearInequality, RationalPolyhedron, format_poly, parse_poly
 from .simplicial import SimplicialComplex
-
-
-@dataclass(frozen=True)
-class FacePoset:
-    elements: tuple
-    relation: frozenset  # proper pairs (a, b) with a < b
-
-    def leq(self, a, b):
-        return a == b or (a, b) in self.relation
 
 
 class PolyhedralComplex:
@@ -50,10 +39,14 @@ class PolyhedralComplex:
 
         for a in list(succ):
             close(a)
-        self._above = frozenset((a, b) for a, bs in reach.items() for b in bs)
-        for a, b in self._above:
-            if a not in self.faces or b not in self.faces:
-                raise ValueError("incidence pair references unknown face id")
+        if not reach.keys() <= self.faces.keys():
+            raise ValueError("incidence pair references unknown face id")
+        # the closure and its inverse: strict up-set and down-set of each face
+        self._above = {i: reach.get(i, set()) for i in self.faces}
+        self._below = {i: set() for i in self.faces}
+        for a, bs in self._above.items():
+            for b in bs:
+                self._below[b].add(a)
         self._dim_of = {i: p.dimension() for i, p in self.faces.items()}
         self._key_to_id = None
 
@@ -63,24 +56,27 @@ class PolyhedralComplex:
         return sorted(self.faces)
 
     def leq(self, a, b):
-        return a == b or (a, b) in self._above
+        return a == b or b in self._above.get(a, ())
 
     def above_of(self, c):
         if c not in self.faces:
             raise KeyError("unknown face id: %r" % (c,))
-        return {c} | {b for a, b in self._above if a == c}
+        return {c} | self._above[c]
 
     def below_of(self, c):
         if c not in self.faces:
             raise KeyError("unknown face id: %r" % (c,))
-        return {c} | {a for a, b in self._above if b == c}
+        return {c} | self._below[c]
+
+    def incidences(self):
+        """Sorted strict incidence pairs (a, b): a is a proper face of b."""
+        return sorted((a, b) for a, bs in self._above.items() for b in bs)
 
     def face_dim(self, c):
         return self._dim_of[c]
 
     def facets(self):
-        tops = {a for a, b in self._above}
-        return sorted(i for i in self.faces if i not in tops)
+        return sorted(i for i in self.faces if not self._above[i])
 
     def dim(self):
         return max(self._dim_of.values()) if self.faces else -1
@@ -89,14 +85,11 @@ class PolyhedralComplex:
         n = self.dim()
         return all(self._dim_of[f] == n for f in self.facets())
 
-    def poset(self):
-        return FacePoset(tuple(self.ids()), self._above)
-
     def restricted(self, ids):
         """Full sub-poset on the given face ids (no closure performed)."""
         ids = set(ids)
         faces = {i: self.faces[i] for i in ids}
-        above = {(a, b) for a, b in self._above if a in ids and b in ids}
+        above = {(a, b) for a in ids for b in self._above[a] if b in ids}
         return PolyhedralComplex(self.ambient_dim, faces, above)
 
     def residue(self, c):
@@ -105,7 +98,7 @@ class PolyhedralComplex:
 
     def is_downward_closed(self, ids):
         ids = set(ids)
-        return all(a in ids for a, b in self._above if b in ids)
+        return all(ids.issuperset(self._below.get(b, ())) for b in ids)
 
     def downward_closure(self, ids):
         out = set(ids)
@@ -131,15 +124,6 @@ class PolyhedralComplex:
                 for s in itertools.combinations(over, k + 1):
                     simplices.append(s)
         return SimplicialComplex(simplices)
-
-    def dual_simplices_of(self, c):
-        """Nerve simplices dual to face c (spanned via c itself)."""
-        n = self.dim()
-        k = n - self._dim_of[c]
-        over = sorted(self.above_of(c) & set(self.facets()))
-        nerve = self.nerve()
-        return [frozenset(s) for s in itertools.combinations(over, k + 1)
-                if frozenset(s) in nerve]
 
     def is_simple(self):
         """(flag, witness): every residue's nerve is a full simplex boundary
@@ -185,7 +169,8 @@ class PolyhedralComplex:
                                           poly.inequalities + tuple(cuts),
                                           poly.tightened)
             new_faces[c] = poly
-        above = {(a, b) for a, b in self._above if a in new_faces and b in new_faces}
+        above = {(a, b) for a, b in self.incidences()
+                 if a in new_faces and b in new_faces}
         return PolyhedralComplex(self.ambient_dim, new_faces, above)
 
     # -- triangulation -------------------------------------------------------------
@@ -302,20 +287,37 @@ def format_cplx(C):
         "schema_version": "CPLX/1",
         "ambient_dim": C.ambient_dim,
         "faces": [{"id": i, "poly": format_poly(C.faces[i])} for i in C.ids()],
-        "morphisms": [{"src": a, "dst": b} for a, b in sorted(C._above)],
+        "morphisms": [{"src": a, "dst": b} for a, b in C.incidences()],
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def parse_cplx(text):
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("CPLX/1: the top level must be a JSON object")
     if data.get("schema_version") != "CPLX/1":
         raise ValueError("CPLX/1: bad or missing schema_version")
+    n = data.get("ambient_dim")
+    if type(n) is not int or n < 0:
+        raise ValueError("CPLX/1: ambient_dim must be a non-negative integer")
+    if not isinstance(data.get("faces"), list) or not isinstance(data.get("morphisms"), list):
+        raise ValueError("CPLX/1: faces and morphisms must be lists")
     faces = {}
     for item in data["faces"]:
+        if not (isinstance(item, dict) and type(item.get("id")) is int
+                and isinstance(item.get("poly"), str)):
+            raise ValueError("CPLX/1: a face needs an integer id and a POLY/1 string poly")
+        if item["id"] in faces:
+            raise ValueError("CPLX/1: duplicate face id %d" % item["id"])
         poly = parse_poly(item["poly"])
-        if poly.ambient_dim != data["ambient_dim"]:
-            raise ValueError("CPLX/1: face %r has wrong ambient dimension" % item["id"])
-        faces[int(item["id"])] = poly
-    above = {(int(m["src"]), int(m["dst"])) for m in data["morphisms"]}
-    return PolyhedralComplex(data["ambient_dim"], faces, above)
+        if poly.ambient_dim != n:
+            raise ValueError("CPLX/1: face %d has wrong ambient dimension" % item["id"])
+        faces[item["id"]] = poly
+    above = set()
+    for m in data["morphisms"]:
+        if not (isinstance(m, dict) and type(m.get("src")) is int
+                and type(m.get("dst")) is int):
+            raise ValueError("CPLX/1: a morphism needs integer src and dst")
+        above.add((m["src"], m["dst"]))
+    return PolyhedralComplex(n, faces, above)

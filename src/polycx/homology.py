@@ -181,9 +181,6 @@ class HomologyProfile:
     def betti_at(self, k):
         return self.betti[k] if 0 <= k < len(self.betti) else 0
 
-    def torsion_at(self, k):
-        return self.torsion[k] if 0 <= k < len(self.torsion) else ()
-
 
 def homology(K, ring="Z"):
     if ring not in ("Z", "Q"):

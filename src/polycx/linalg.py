@@ -6,6 +6,10 @@ elimination runs on Python ints: Bareiss elimination (Sylvester's identity,
 Bareiss 1968) for rank and determinant, where every division is exact, and
 a Gauss-Jordan reduction whose combined rows are divided by their content
 for the RREF.  QQ values are built only when a result is written out.
+
+Each row-space operation is one elimination: containment compares two
+ranks, and an intersection is read off one RREF of the Zassenhaus block
+matrix.
 """
 
 from math import gcd, lcm
@@ -173,31 +177,27 @@ def det(rows):
 
 def in_row_space(rows, v):
     """True iff v lies in the row space of `rows`."""
-    base, _ = rref(rows)
-    return rank(list(base) + [tuple(v)]) == len(base)
+    return row_space_contained([v], rows)
 
 
 def row_space_contained(inner, outer):
-    return all(in_row_space(outer, v) for v in inner)
+    """True iff rowspace(inner) ⊆ rowspace(outer): adding the inner rows
+    leaves the rank as it is."""
+    return rank(list(outer) + list(inner)) == rank(outer)
 
 
 def intersect_row_spaces(a_rows, b_rows):
-    """Basis of rowspace(A) ∩ rowspace(B)."""
-    a, _ = rref(a_rows)
-    b, _ = rref(b_rows)
-    if not a or not b:
+    """RREF basis of rowspace(A) ∩ rowspace(B) (Zassenhaus).
+
+    The rows of [[A, A], [B, 0]] span {(a + b, a)}; its vectors with a zero
+    left half are exactly {(0, a) : a ∈ A ∩ B}.  In the RREF of the block
+    matrix these are spanned by the rows whose pivot lies in the right half,
+    and those rows' right halves are themselves in RREF.
+    """
+    rows = [tuple(a) * 2 for a in a_rows]
+    if not rows:
         return []
-    # x = y A = z B  <=>  (y, z) in kernel of [A^T | -B^T]
-    ncols = len(a[0])
-    stacked = []
-    for c in range(ncols):
-        stacked.append(tuple(row[c] for row in a) + tuple(-row[c] for row in b))
-    combos = nullspace(stacked)
-    vectors = []
-    for combo in combos:
-        y = combo[: len(a)]
-        v = tuple(dot(y, tuple(row[c] for row in a)) for c in range(ncols))
-        if not is_zero_vec(v):
-            vectors.append(v)
-    base, _ = rref(vectors)
-    return list(base)
+    n = len(rows[0]) // 2
+    rows += [tuple(b) + (ZERO,) * n for b in b_rows]
+    red, pivots = rref(rows)
+    return [row[n:] for row, c in zip(red, pivots) if c >= n]

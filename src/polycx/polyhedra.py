@@ -51,10 +51,6 @@ class LinearInequality:
         n, b = _primitive(self.normal, self.offset)
         return LinearInequality(n, b, self.strict)
 
-    def satisfied_by(self, x):
-        v = linalg.dot(self.normal, x)
-        return v < self.offset if self.strict else v <= self.offset
-
     def negation(self):
         """The complementary halfspace: not(a·x <= b) is -a·x < -b, etc."""
         neg = tuple(-c for c in self.normal)
@@ -213,19 +209,6 @@ class AffineSubspace:
     @property
     def dim(self):
         return -1 if self.basepoint is None else len(self.directions)
-
-    def coordinates_of(self, point):
-        """Parameters t with basepoint + directions·t = point, or None."""
-        rows = [tuple(d[i] for d in self.directions) for i in range(self.ambient_dim)]
-        rhs = tuple(point[i] - self.basepoint[i] for i in range(self.ambient_dim))
-        t = linalg.solve(rows, rhs) if self.directions else (None if any(r != 0 for r in rhs) else ())
-        if t is None:
-            return None
-        # verify (solve() ignores inconsistencies only via None already)
-        for i in range(self.ambient_dim):
-            if self.basepoint[i] + sum((d[i] * t[k] for k, d in enumerate(self.directions)), ZERO) != point[i]:
-                return None
-        return t
 
 
 class RationalPolyhedron:
@@ -398,20 +381,6 @@ class RationalPolyhedron:
         faces = [self.face(t) for t in order]
         self._cache["faces"] = faces
         return faces
-
-    def interior(self):
-        """Relative interior (interior within the affine span)."""
-        if self.is_empty():
-            raise ValueError("empty polyhedron has no interior")
-        implicit, _ = self._implicit()
-        keep_eq = self.tightened | implicit
-        ineqs = []
-        for i, q in enumerate(self.inequalities):
-            if i in keep_eq or q.strict:
-                ineqs.append(q)
-            else:
-                ineqs.append(LinearInequality(q.normal, q.offset, True))
-        return RationalPolyhedron(self.ambient_dim, ineqs, keep_eq)
 
     # -- combination / comparison ------------------------------------------------
 

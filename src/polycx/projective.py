@@ -74,7 +74,7 @@ def span_assignment(C):
     spans = {}
     for i in C.ids():
         spans[i] = ProjectiveSubspace.from_affine(C.faces[i].affine_span())
-    for a, b in C._above:
+    for a, b in C.incidences():
         if not spans[b].contains(spans[a]):
             raise AssertionError("span assignment is not functorial at %r <= %r" % (a, b))
     return spans
@@ -92,16 +92,16 @@ class ParasiticRecord:
 
 
 def _intersection_lattice(subspaces):
-    """Closure of a set of subspaces under pairwise intersection."""
+    """Closure of a set of subspaces under pairwise intersection.  Each
+    element meets every earlier one once; new ones join the end."""
     seen = set(subspaces)
-    work = list(seen)
-    while work:
-        s = work.pop()
-        for t in list(seen):
+    lattice = list(seen)
+    for j, t in enumerate(lattice):
+        for s in lattice[:j]:
             inter = s.intersect(t)
             if inter is not None and inter not in seen:
                 seen.add(inter)
-                work.append(inter)
+                lattice.append(inter)
     return seen
 
 

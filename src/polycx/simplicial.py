@@ -85,10 +85,6 @@ class SimplicialComplex:
             out[len(s) - 1] += 1
         return tuple(out)
 
-    def is_complete(self):
-        """True iff this is the full face complex of a simplex."""
-        return frozenset(self._vertices) in self._simplices or not self._vertices
-
     def is_connected(self):
         verts = self.vertices
         if not verts:
@@ -135,9 +131,6 @@ class SimplicialComplex:
         keep = [t for t in self._simplices if not any(r <= t for r in removed)]
         return SimplicialComplex(keep)
 
-    def union(self, extra_simplices):
-        return SimplicialComplex(list(self._simplices) + list(extra_simplices))
-
     def relabeled(self, mapping):
         return SimplicialComplex([frozenset(mapping[v] for v in s) for s in self._simplices],
                                  vertices=[mapping[v] for v in self._vertices])
@@ -159,10 +152,22 @@ def format_scx(K):
 
 def parse_scx(text):
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("SCX/1: the top level must be a JSON object")
     if data.get("schema_version") != "SCX/1":
         raise ValueError("SCX/1: bad or missing schema_version")
-    labels = data["labels"]
-    if len(labels) != data["vertex_count"]:
+    labels = data.get("labels")
+    if not (isinstance(labels, list)
+            and all(type(v) is int or isinstance(v, str) for v in labels)):
+        raise ValueError("SCX/1: labels must be a list of integers and strings")
+    if len(set(labels)) != len(labels):
+        raise ValueError("SCX/1: duplicate vertex label")
+    if data.get("vertex_count") != len(labels) or type(data["vertex_count"]) is not int:
         raise ValueError("SCX/1: vertex_count does not match labels")
-    simplices = [[labels[i] for i in s] for s in data["maximal_simplices"]]
-    return SimplicialComplex(simplices, vertices=labels)
+    simplices = data.get("maximal_simplices")
+    if not (isinstance(simplices, list) and all(
+            isinstance(s, list) and all(type(i) is int and 0 <= i < len(labels) for i in s)
+            for s in simplices)):
+        raise ValueError("SCX/1: maximal_simplices must be lists of vertex indices "
+                         "in 0..%d" % (len(labels) - 1))
+    return SimplicialComplex([[labels[i] for i in s] for s in simplices], vertices=labels)

@@ -213,3 +213,33 @@ def circumcenter_2d(p, q, r):
     ux = (by * a2 - ay * b2) / d
     uy = (ax * b2 - bx * a2) / d
     return (p[0] + ux, p[1] + uy), ux * ux + uy * uy
+
+
+def rational_in_row_space(rows, v):
+    """Membership by reducing the rows and comparing ranks with v added."""
+    base, _ = rational_rref(rows)
+    return rational_rank(list(base) + [list(v)]) == len(base)
+
+
+def rational_intersect_row_spaces(a_rows, b_rows):
+    """RREF basis of rowspace(A) ∩ rowspace(B) from the kernel of
+    [A^T | -B^T]: every kernel vector (y, z) gives y A = z B."""
+    a, _ = rational_rref(a_rows)
+    b, _ = rational_rref(b_rows)
+    if not a or not b:
+        return []
+    ncols = len(a[0])
+    stacked = [[row[c] for row in a] + [-row[c] for row in b] for c in range(ncols)]
+    red, pivots = rational_rref(stacked)
+    vectors = []
+    for free in range(len(a) + len(b)):
+        if free in pivots:
+            continue
+        combo = [Fraction(0)] * (len(a) + len(b))
+        combo[free] = Fraction(1)
+        for r, p in enumerate(pivots):
+            combo[p] = -red[r][free]
+        v = [sum((y * row[c] for y, row in zip(combo, a)), Fraction(0)) for c in range(ncols)]
+        if any(v):
+            vectors.append(v)
+    return rational_rref(vectors)[0]

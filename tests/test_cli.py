@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polycx.cli import run
 from polycx import (
@@ -184,3 +185,103 @@ def test_byte_identical_reports(tmp_path):
         assert run(["perturb", "--points", pts, "--bound", "1/100",
                     "--seed", "42", "--out", out]) == 0
     assert (tmp_path / "a.pts").read_bytes() == (tmp_path / "b.pts").read_bytes()
+
+
+SEGMENT = "1 2\n1 <= 1\n-1 <= 0\n"
+CPLX = {"schema_version": "CPLX/1", "ambient_dim": 1, "morphisms": [],
+        "faces": [{"id": 0, "poly": SEGMENT}]}
+SCX = {"schema_version": "SCX/1", "vertex_count": 2, "labels": [0, 1],
+       "maximal_simplices": [[0, 1]]}
+
+BAD_CPLX = {
+    "faces-not-a-list": dict(CPLX, faces=5),
+    "top-level-array": [CPLX],
+    "poly-not-a-string": dict(CPLX, faces=[{"id": 0, "poly": 5}]),
+    "id-not-an-integer": dict(CPLX, faces=[{"id": "0", "poly": SEGMENT}]),
+    "duplicate-id": dict(CPLX, faces=[{"id": 0, "poly": SEGMENT}] * 2),
+    "ambient-dim-missing": {k: v for k, v in CPLX.items() if k != "ambient_dim"},
+    "morphism-not-an-object": dict(CPLX, morphisms=[[0, 1]]),
+    "morphism-unknown-face": dict(CPLX, morphisms=[{"src": 0, "dst": 7}]),
+}
+BAD_SCX = {
+    "index-out-of-range": dict(SCX, maximal_simplices=[[0, 2]]),
+    "negative-index": dict(SCX, maximal_simplices=[[0, -1]]),
+    "top-level-array": [SCX],
+    "simplices-not-lists": dict(SCX, maximal_simplices=[0, 1]),
+    "label-not-int-or-string": dict(SCX, labels=[0, [1]]),
+    "duplicate-label": dict(SCX, labels=[0, 0]),
+    "vertex-count-mismatch": dict(SCX, vertex_count=3),
+}
+
+
+def test_well_formed_cplx_and_scx_pass(tmp_path):
+    cplx = write(tmp_path / "c.cplx", json.dumps(CPLX))
+    scx = write(tmp_path / "k.scx", json.dumps(SCX))
+    assert run(["nerve", "--complex", cplx, "--out", str(tmp_path / "n.scx")]) == 0
+    for cmd in ("homology", "pi1"):
+        assert run([cmd, "--scx", scx, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CPLX))
+def test_malformed_cplx_exits_2(tmp_path, capsys, case):
+    cplx = write(tmp_path / "bad.cplx", json.dumps(BAD_CPLX[case]))
+    for argv in (["nerve", "--complex", cplx, "--out", str(tmp_path / "n.scx")],
+                 ["parasites", "--complex", cplx, "--out", str(tmp_path / "p.json")]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCX))
+def test_malformed_scx_exits_2(tmp_path, capsys, case):
+    scx = write(tmp_path / "bad.scx", json.dumps(BAD_SCX[case]))
+    for cmd in ("homology", "pi1"):
+        assert run([cmd, "--scx", scx, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: SCX/1: ") and err.count("\n") == 1
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                               max_size=2),
+    max_leaves=6)
+indices = st.lists(st.lists(st.integers(-3, 4) | json_values, max_size=3) | json_values,
+                   max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.fixed_dictionaries({
+    "schema_version": st.just("SCX/1"),
+    "vertex_count": st.integers(0, 4) | json_values,
+    "labels": st.lists(st.integers(0, 3) | st.sampled_from("ab") | json_values,
+                       max_size=4) | json_values,
+    "maximal_simplices": indices,
+}))
+def test_scx_fuzz_is_parsed_or_rejected(data):
+    try:
+        K = parse_scx(json.dumps(data))
+    except ValueError:
+        return
+    assert set(K.vertices) == set(data["labels"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.fixed_dictionaries({
+    "schema_version": st.just("CPLX/1"),
+    "ambient_dim": st.integers(0, 2) | json_values,
+    "faces": st.lists(st.fixed_dictionaries({
+        "id": st.integers(0, 3) | json_values,
+        "poly": st.sampled_from([SEGMENT, "1 0\n", "2 0\n", "x"]) | json_values,
+    }), max_size=3) | json_values,
+    "morphisms": st.lists(st.fixed_dictionaries({
+        "src": st.integers(0, 3) | json_values,
+        "dst": st.integers(0, 3) | json_values,
+    }), max_size=3) | json_values,
+}))
+def test_cplx_fuzz_is_parsed_or_rejected(data):
+    try:
+        C = parse_cplx(json.dumps(data))
+    except ValueError:
+        return
+    assert sorted(C.ids()) == sorted(f["id"] for f in data["faces"])

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polycx import QQ, rat, rat_str
-from polycx.linalg import rref, rank, nullspace, solve, det, dot, int_rank, int_det
+from polycx.linalg import (rref, rank, nullspace, solve, det, dot, int_rank, int_det,
+                           in_row_space, row_space_contained, intersect_row_spaces)
 
-from oracles import rational_rank, rational_rref, rational_det, _int_det
+from oracles import (rational_rank, rational_rref, rational_det, _int_det,
+                     rational_in_row_space, rational_intersect_row_spaces)
 
 entries = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 matrices = st.lists(st.lists(entries, min_size=3, max_size=3),
@@ -32,6 +34,21 @@ integer_matrices = st.integers(1, 6).flatmap(
     lambda w: st.lists(rows_of(w, ints), min_size=0, max_size=6))
 square_integer = st.integers(0, 6).flatmap(
     lambda n: st.lists(rows_of(n, ints), min_size=n, max_size=n))
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def row_space_pairs(draw):
+    """(A, B) of one width, not in RREF: random and zero rows, and rows of B
+    that are combinations of A's rows, so intersections are often proper."""
+    w = draw(st.integers(1, 5))
+    a = draw(st.lists(rows_of(w, mixed), max_size=4))
+    b = draw(st.lists(rows_of(w, mixed), max_size=3))
+    for coeffs in draw(st.lists(st.lists(small, min_size=len(a), max_size=len(a)),
+                                max_size=3)):
+        b.append([sum((c * row[j] for c, row in zip(coeffs, a)), Fraction(0))
+                  for j in range(w)])
+    return a, draw(st.permutations(b))
 
 
 def qq(M):
@@ -102,3 +119,41 @@ def test_rref_idempotent(M):
     again, pivots2 = rref(rows)
     assert list(again) == list(rows)
     assert pivots2 == pivots
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_space_pairs())
+def test_intersect_row_spaces_matches_oracle(pair):
+    A, B = pair
+    got = intersect_row_spaces(qq(A), qq(B))
+    assert got == rational_intersect_row_spaces(A, B)
+    assert got == intersect_row_spaces(qq(B), qq(A))
+    assert rref(got)[0] == got
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_space_pairs())
+def test_containment_matches_oracle(pair):
+    A, B = pair
+    assert row_space_contained(qq(B), qq(A)) == all(rational_in_row_space(A, v) for v in B)
+    assert row_space_contained(qq(A), qq(B)) == all(rational_in_row_space(B, v) for v in A)
+    for v in B:
+        assert in_row_space(qq(A), qq([v])[0]) == rational_in_row_space(A, v)
+
+
+def test_row_space_edge_cases():
+    e1, e2, e3 = (tuple(row) for row in qq([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    assert intersect_row_spaces([], [e1]) == []
+    assert intersect_row_spaces([e1], []) == []
+    assert intersect_row_spaces([], []) == []
+    assert intersect_row_spaces([e1], [e2, e3]) == []  # trivial intersection
+    plane = qq([[2, 4, 0], [1, 1, 0]])
+    assert intersect_row_spaces(plane, qq([[3, 3, 1], [1, 1, 1]])) == [(1, 1, 0)]
+    assert intersect_row_spaces(plane, plane + plane) == [e1, e2]
+    assert row_space_contained([], [])
+    assert row_space_contained([(0, 0, 0)], [])
+    assert not row_space_contained([e1], [])
+    assert row_space_contained([e1, e2], plane)
+    assert not row_space_contained([e1, e3], plane)
+    assert in_row_space(plane, qq([[5, -7, 0]])[0])
+    assert not in_row_space(plane, e3)

@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polycx import (
     rat,
@@ -14,7 +17,10 @@ from polycx import (
     parse_ledger,
 )
 
+from polycx.projective import _intersection_lattice
+
 from _corpus import box, cube_tower
+from oracles import rational_intersect_row_spaces
 
 
 def square_complex():
@@ -55,6 +61,23 @@ class TestSubspaces:
         p = ProjectiveSubspace(2, [(1, 0, 0)])
         q = ProjectiveSubspace(2, [(0, 1, 0)])
         assert p.intersect(q) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.lists(st.integers(-1, 1), min_size=4, max_size=4),
+                             min_size=1, max_size=3), min_size=1, max_size=5))
+    def test_lattice_is_the_fixpoint_closure(self, gens):
+        subs = {ProjectiveSubspace(3, g) for g in gens if any(any(row) for row in g)}
+        closure = set(subs)
+        while True:
+            new = set()
+            for s, t in itertools.product(closure, repeat=2):
+                rows = rational_intersect_row_spaces(s.generators, t.generators)
+                if rows:
+                    new.add(ProjectiveSubspace(3, rows))
+            if new <= closure:
+                break
+            closure |= new
+        assert _intersection_lattice(subs) == closure
 
 
 class TestParasites:
