@@ -251,13 +251,23 @@ def cmd_dual_move(args):
           % (args.kind, list(target), K.f_vector(), out.f_vector()))
 
 
+def _is_label_list(value):
+    return isinstance(value, list) and all(type(c) is int or isinstance(c, str) for c in value)
+
+
 def cmd_dual_complex(args):
     data = json.loads(_read(args.strata))
-    components = [_label(str(c)) if not isinstance(c, int) else c
-                  for c in data["components"]]
-    strata = {frozenset(_label(str(c)) if not isinstance(c, int) else c
-                        for c in entry["components"]): entry["count"]
-              for entry in data["strata"]}
+    if not (isinstance(data, dict) and _is_label_list(data.get("components"))):
+        raise ValueError("strata: expected an object with a components list "
+                         "of integers or strings")
+    entries = data.get("strata")
+    if not (isinstance(entries, list) and all(
+            isinstance(e, dict) and _is_label_list(e.get("components"))
+            and type(e.get("count")) is int for e in entries)):
+        raise ValueError("strata: strata must be a list of objects, each with a "
+                         "components list of integers or strings and an integer count")
+    components = [_label(c) for c in data["components"]]
+    strata = {frozenset(map(_label, e["components"])): e["count"] for e in entries}
     K = moves.dual_complex(components, strata)
     _write(args.out, simplicial.format_scx(K))
     print("dual-complex: %d components, f-vector %s"

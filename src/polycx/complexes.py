@@ -28,8 +28,10 @@ class PolyhedralComplex:
 
         def close(a):
             if a in reach:
+                if reach[a] is None:  # reached again while its closure is open
+                    raise ValueError("incidences form a cycle through face %r" % (a,))
                 return reach[a]
-            reach[a] = set()  # break cycles defensively; posets have none
+            reach[a] = None
             out = set()
             for b in succ.get(a, ()):
                 out.add(b)
@@ -210,7 +212,6 @@ class PolyhedralComplex:
             if not c.is_closed_system():
                 raise ValueError("cells must be closed polyhedra")
         by_key = {}
-        cell_keys = []
         cell_faces = []  # per cell: list of (key, tight-set) pairs
         for cell in cells:
             entries = []
@@ -219,7 +220,6 @@ class PolyhedralComplex:
                 by_key.setdefault(k, f)
                 entries.append((k, f.tightened | f._implicit()[0]))
             cell_faces.append(entries)
-            cell_keys.append(entries[0][0])
         face_keys_per_cell = [{k for k, _ in entries} for entries in cell_faces]
         for i, j in itertools.combinations(range(len(cells)), 2):
             inter = cells[i].intersect(cells[j])

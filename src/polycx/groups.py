@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 
 from .homology import smith_normal_form, homology
-from .simplicial import SimplicialComplex
+from .simplicial import SimplicialComplex, label_key
 
 
 def free_reduce(word):
@@ -158,7 +158,7 @@ def fundamental_group(K):
         raise ValueError("empty complex")
     if not K.is_connected():
         raise ValueError("complex must be connected")
-    edges = [tuple(sorted(s, key=lambda v: (v.__class__.__name__, v)))
+    edges = [tuple(sorted(s, key=label_key))
              for s in K.simplices(1)]
     adj = {v: [] for v in verts}
     for a, b in edges:
@@ -173,7 +173,7 @@ def fundamental_group(K):
         for w in adj[v]:
             if w not in seen:
                 seen.add(w)
-                tree.add(tuple(sorted((v, w), key=lambda x: (x.__class__.__name__, x))))
+                tree.add(tuple(sorted((v, w), key=label_key)))
                 frontier.append(w)
     gen_of = {}
     for e in edges:
@@ -181,14 +181,14 @@ def fundamental_group(K):
             gen_of[e] = len(gen_of) + 1
 
     def letter(a, b):
-        e = tuple(sorted((a, b), key=lambda x: (x.__class__.__name__, x)))
+        e = tuple(sorted((a, b), key=label_key))
         if e in tree:
             return 0
         return gen_of[e] if e == (a, b) else -gen_of[e]
 
     relators = []
     for s in K.simplices(2):
-        u, v, w = tuple(sorted(s, key=lambda x: (x.__class__.__name__, x)))
+        u, v, w = tuple(sorted(s, key=label_key))
         word = tuple(x for x in (letter(u, v), letter(v, w), letter(w, u)) if x != 0)
         word = free_reduce(word)
         if word:

@@ -8,7 +8,7 @@ the ordered simplices of a complex.
 from dataclasses import dataclass
 
 from . import linalg
-from .simplicial import SimplicialComplex, simplex_key
+from .simplicial import label_key
 
 
 # -- integer matrices -------------------------------------------------------------
@@ -151,7 +151,7 @@ class ChainComplex:
     @staticmethod
     def of_complex(K):
         dim = K.dim()
-        simplices = {k: [tuple(sorted(s, key=lambda v: (v.__class__.__name__, v)))
+        simplices = {k: [tuple(sorted(s, key=label_key))
                          for s in K.simplices(k)] for k in range(dim + 1)}
         index = {k: {s: i for i, s in enumerate(simplices[k])} for k in simplices}
         ranks = [len(simplices[k]) for k in range(dim + 1)]

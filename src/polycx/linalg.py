@@ -25,11 +25,17 @@ def is_zero_vec(u):
     return all(a == 0 for a in u)
 
 
-def _int_row(row):
+def int_row(row):
     """(integer row, lcm of the denominators): the row times that lcm."""
     dens = [x.denominator for x in row]
     scale = lcm(*dens)
     return [x.numerator * (scale // d) for x, d in zip(row, dens)], scale
+
+
+def primitive_row(row):
+    """Integer row divided by the gcd of its entries (a zero row as it is)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def _bareiss(rows):
@@ -85,13 +91,12 @@ def int_det(M):
     return d if r == n else 0
 
 
-def rref(rows):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    m = [_int_row(row)[0] for row in rows]
-    if not m:
-        return [], []
+def int_rref(m):
+    """Gauss-Jordan elimination of integer rows in place, dividing each
+    combined row by its content.  Returns the pivot columns; row i is then
+    nonzero in column pivots[i] and zero in the other pivot columns."""
     n = len(m)
-    ncols = len(m[0])
+    ncols = len(m[0]) if m else 0
     pivots = []
     r = 0
     for c in range(ncols):
@@ -106,13 +111,18 @@ def rref(rows):
             if a and i != r:
                 g = gcd(p, a)
                 pg, ag = p // g, a // g
-                row = [pg * x - ag * y for x, y in zip(m[i], prow)]
-                h = gcd(*row)
-                m[i] = [x // h for x in row] if h > 1 else row
+                m[i] = primitive_row([pg * x - ag * y for x, y in zip(m[i], prow)])
         pivots.append(c)
         r += 1
         if r == n:
             break
+    return pivots
+
+
+def rref(rows):
+    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
+    m = [int_row(row)[0] for row in rows]
+    pivots = int_rref(m)
     out = []
     for row, c in zip(m, pivots):
         p = row[c]
@@ -122,7 +132,7 @@ def rref(rows):
 
 
 def rank(rows):
-    return int_rank([_int_row(row)[0] for row in rows])
+    return int_rank([int_row(row)[0] for row in rows])
 
 
 def nullspace(rows):
@@ -169,7 +179,7 @@ def det(rows):
     m = []
     scale = 1
     for row in rows:
-        ints, s = _int_row(row)
+        ints, s = int_row(row)
         m.append(ints)
         scale *= s
     return QQ(int_det(m), scale)

@@ -90,7 +90,7 @@ def dual_complex(components, strata):
     for J, m in strata.items():
         J = frozenset(J)
         if not J <= comp_set:
-            raise ValueError("stratum %r uses unknown components" % (sorted(J),))
+            raise ValueError("stratum %r uses unknown components" % (sorted(J, key=label_key),))
         if not J:
             raise ValueError("empty stratum")
         m = int(m)

@@ -14,17 +14,10 @@ third chart coordinate weight 2), so it splits into small independent
 blocks, one per weight.
 """
 
+from math import comb
+
 from .rationals import QQ, ZERO, ONE
 from . import linalg
-
-
-def _binom(n, k):
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for t in range(k):
-        out = out * (n - t) // (t + 1)
-    return out
 
 
 def _block_variables(D, w):
@@ -67,7 +60,7 @@ def _block_equations(D, w, variables, shear):
                     q = j - (p - i) - 2 * r
                     v = ("d", p, q, r)
                     if v in pos:
-                        row[pos[v]] -= QQ(_binom(p, i))
+                        row[pos[v]] -= QQ(comb(p, i))
                         nonzero = True
         else:
             # control: (x,z) -> (x, z, z^2), no shear

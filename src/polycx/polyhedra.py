@@ -4,35 +4,23 @@ A polyhedron is stored purely in H-representation: a list of linear
 inequalities normal·x <= offset (or < for strict ones) together with a set
 of "tightened" indices that have been converted to equalities.  Faces are
 tightenings, the affine span comes from the implicit equalities, and
-emptiness is decided by exact Fourier-Motzkin elimination.  Everything is
+emptiness is decided by exact Fourier-Motzkin elimination on primitive
+integer rows; only its witness point is rational.  Everything is
 immutable; derived data is cached per instance.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from math import factorial
+from dataclasses import dataclass
 
-from .rationals import QQ, ZERO, ONE, rat, rat_str
+from .rationals import ZERO, ONE, rat, rat_str
 from . import linalg
 
 
 def _primitive(coeffs, offset):
-    """Scale (coeffs, offset) by a positive rational to primitive integers."""
-    den = 1
-    for c in tuple(coeffs) + (offset,):
-        den = den * c.denominator // _gcd(den, c.denominator)
-    nums = [int(c * den) for c in coeffs] + [int(offset * den)]
-    g = 0
-    for n in nums:
-        g = _gcd(g, abs(n))
-    if g > 1:
-        nums = [n // g for n in nums]
-    return tuple(QQ(n) for n in nums[:-1]), QQ(nums[-1])
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    """(coeffs, offset) scaled by a positive rational to primitive integers."""
+    *nums, b = linalg.primitive_row(linalg.int_row(tuple(coeffs) + (offset,))[0])
+    return tuple(nums), b
 
 
 @dataclass(frozen=True)
@@ -47,18 +35,13 @@ class LinearInequality:
     def make(normal, offset, strict=False):
         return LinearInequality(tuple(rat(c) for c in normal), rat(offset), bool(strict))
 
-    def normalized(self):
-        n, b = _primitive(self.normal, self.offset)
-        return LinearInequality(n, b, self.strict)
-
     def negation(self):
         """The complementary halfspace: not(a·x <= b) is -a·x < -b, etc."""
         neg = tuple(-c for c in self.normal)
         return LinearInequality(neg, -self.offset, not self.strict)
 
     def key(self):
-        n = self.normalized()
-        return (n.normal, n.offset, n.strict)
+        return _primitive(self.normal, self.offset) + (self.strict,)
 
 
 def _solve_constraints(eqs, ineqs):
@@ -66,7 +49,8 @@ def _solve_constraints(eqs, ineqs):
 
     eqs: list of (coeffs, rhs); ineqs: list of (coeffs, offset, strict).
     Exact: equalities are removed by substitution, the rest by
-    Fourier-Motzkin with back-substitution for the witness point.
+    Fourier-Motzkin on primitive integer rows, with rational
+    back-substitution for the witness point.
     """
     if eqs:
         nvars = len(eqs[0][0])
@@ -133,15 +117,15 @@ def _solve_constraints(eqs, ineqs):
             for (ch, bh, sh) in highs:
                 a = ch[v]  # > 0
                 d = cl[v]  # < 0
-                coeffs = tuple(a * x - d * y for x, y in zip(cl, ch))
+                row = [a * x - d * y for x, y in zip(cl, ch)]
                 b = a * bl - d * bh
                 s = sl or sh
-                if linalg.is_zero_vec(coeffs):
+                if not any(row):
                     if b < 0 or (b == 0 and s):
                         return None
                     continue
-                coeffs, b = _primitive(coeffs, b)
-                new.append((coeffs, b, s))
+                *coeffs, b = linalg.primitive_row(row + [b])
+                new.append((tuple(coeffs), b, s))
         work = _dedupe(passed + new)
 
     # back-substitute a witness, newest stage first
@@ -553,12 +537,7 @@ def simplex_volume(points):
     """Volume of the simplex on d+1 points in Q^d."""
     base = points[0]
     rows = [tuple(p[i] - base[i] for i in range(len(base))) for p in points[1:]]
-    d = len(rows)
-    v = linalg.det(rows)
-    fact = 1
-    for k in range(2, d + 1):
-        fact *= k
-    return abs(v) / fact
+    return abs(linalg.det(rows)) / factorial(len(rows))
 
 
 def polytope_volume(poly):
@@ -599,7 +578,7 @@ def convex_hull_inequalities(points):
         n, b = _primitive(normal, offset)
         if n not in seen or b < seen[n]:
             seen[n] = b
-    ineqs = [LinearInequality(n, b, False) for n, b in sorted(seen.items())]
+    ineqs = [LinearInequality.make(n, b) for n, b in sorted(seen.items())]
     return RationalPolyhedron(d, ineqs)
 
 

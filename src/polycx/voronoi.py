@@ -3,13 +3,15 @@
 Cells come straight from the bisector inequalities 2(y'-y)·x <= y'·y'-y·y,
 with redundant bisectors filtered incrementally (nearest sites first).  The
 complex itself is the face/intersection closure of the cells.  Genericity
-("simple configuration") is a rank condition on equidistance systems; the
-Delaunay nerve is certified exactly: affine independence, pairwise disjoint
-open simplices, and volume additivity against the convex hull.
+("simple configuration") is decided on integer sites by one elimination of
+each small equidistance system; the Delaunay nerve is certified exactly:
+affine independence, pairwise disjoint open simplices, and volume
+additivity against the convex hull.
 """
 
 import itertools
 import random
+from math import lcm
 from dataclasses import dataclass
 
 from .rationals import QQ, ZERO, ONE, rat, rat_str, vec
@@ -77,22 +79,12 @@ def voronoi_complex(Y):
     cx = PolyhedralComplex.from_subdivision(cells)
     cell_of = {}
     for i, cell in enumerate(cells):
-        fid = cx.id_of_polyhedron(cell)
+        # a cell is its own first face, whose key from_subdivision computed
+        fid = cx.id_of_polyhedron(cell.enumerate_faces()[0])
         if fid is None:
             raise AssertionError("cell disappeared during closure")
         cell_of[i] = fid
     return VoronoiComplex(cx, cell_of)
-
-
-def equidistance_system(Y, indices):
-    """Equations d(x,y_0)=d(x,y_j) for the given site indices."""
-    base = Y.sites[indices[0]]
-    rows, rhs = [], []
-    for j in indices[1:]:
-        q = bisector(base, Y.sites[j])
-        rows.append(q.normal)
-        rhs.append(q.offset)
-    return rows, rhs
 
 
 def is_simple_configuration(Y):
@@ -104,30 +96,43 @@ def is_simple_configuration(Y):
     exactly when its points share a circumsphere, so instead of sweeping
     all N+2 subsets we hash circumcenters of the N+1 subsets and look for
     a collision (same center and radius).
+
+    The sites are scaled by their common denominator L to integer points,
+    which keeps affine independence and maps (center, radius^2) to
+    (L center, L^2 radius^2).  One integer RREF of an (N+1)-subset's
+    equidistance system gives its rank and its circumcenter.  A collision
+    is reported only when no subset fails the rank test.
     """
     if len(Y) < 2:
         raise ValueError("need at least two sites")
     N = Y.ambient_dim
     k = len(Y)
-    for size in range(3, min(k, N + 1) + 1):
+    flat, _ = linalg.int_row([c for p in Y.sites for c in p])
+    Z = [flat[i:i + N] for i in range(0, len(flat), N)]
+    sq = [sum(x * x for x in z) for z in Z]
+    for size in range(3, min(k, N) + 1):
         for W in itertools.combinations(range(k), size):
-            rows, _ = equidistance_system(Y, W)
-            if linalg.rank(rows) != size - 1:
+            z0 = Z[W[0]]
+            if linalg.int_rank([[a - b for a, b in zip(Z[j], z0)] for j in W[1:]]) != size - 1:
                 return False, W
-    if k >= N + 2:
-        spheres = {}
-        for W in itertools.combinations(range(k), N + 1):
-            rows, rhs = equidistance_system(Y, W)
-            center = linalg.solve(rows, rhs)  # unique: rank N from the stage above
-            p0 = Y.sites[W[0]]
-            radius2 = _sq(tuple(c - a for c, a in zip(center, p0)))
-            key = (tuple(center), radius2)
-            other = spheres.get(key)
-            if other is not None:
-                union = sorted(set(other) | set(W))
-                return False, tuple(union[:N + 2])
+    spheres = {}
+    collision = None
+    for W in itertools.combinations(range(k), N + 1):
+        z0, s0 = Z[W[0]], sq[W[0]]
+        m = [[2 * (a - b) for a, b in zip(Z[j], z0)] + [sq[j] - s0] for j in W[1:]]
+        pivots = linalg.int_rref(m)
+        if len(pivots) != N or pivots[-1] == N:
+            return False, W
+        if collision is None:
+            # the circumcenter (q_i / p_i) as nums / den in lowest terms
+            den = lcm(*(row[i] for i, row in enumerate(m)))
+            den, *nums = linalg.primitive_row(
+                [den] + [row[N] * (den // row[i]) for i, row in enumerate(m)])
+            key = (den, *nums, sum((x - den * a) ** 2 for x, a in zip(nums, z0)))
+            if key in spheres:
+                collision = tuple(sorted(set(spheres[key]) | set(W))[:N + 2])
             spheres[key] = W
-    return True, None
+    return (False, collision) if collision else (True, None)
 
 
 def perturb_to_simple(Y, bound, seed, retries=8):
@@ -191,14 +196,14 @@ def delaunay(Y):
     eta = {i: Y.sites[i] for i in range(len(Y))}
 
     # (a) injectivity: affine independence per simplex
-    for s in nerve.simplices():
+    simps = nerve.simplices()
+    for s in simps:
         pts = [Y.sites[i] for i in sorted(s)]
         rows = [tuple(p[i] - pts[0][i] for i in range(Y.ambient_dim)) for p in pts[1:]]
         if linalg.rank(rows) != len(rows):
             raise ValueError("Delaunay simplex %r is affinely degenerate" % (sorted(s),))
 
     # (a) injectivity: open simplex images pairwise disjoint
-    simps = nerve.simplices()
     for s, t in itertools.combinations(simps, 2):
         if _open_simplices_meet([Y.sites[i] for i in sorted(s)],
                                 [Y.sites[i] for i in sorted(t)]):

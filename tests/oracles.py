@@ -243,3 +243,36 @@ def rational_intersect_row_spaces(a_rows, b_rows):
         if any(v):
             vectors.append(v)
     return rational_rref(vectors)[0]
+
+
+def simple_configuration(sites):
+    """(flag, witness) of the genericity test on Fraction sites.
+
+    Every subset of 3..N+1 sites must have an equidistance system
+    2(y_j - y_0)·x = |y_j|^2 - |y_0|^2 of full rank (first failure in
+    combination order); then two (N+1)-subsets with the same circumcenter
+    and radius give the sorted first N+2 sites of their union.
+    """
+    pts = [[Fraction(c) for c in p] for p in sites]
+    N, k = len(pts[0]), len(pts)
+
+    def system(W):
+        base = pts[W[0]]
+        return [[2 * (b - a) for a, b in zip(base, pts[j])]
+                + [sum(b * b for b in pts[j]) - sum(a * a for a in base)]
+                for j in W[1:]]
+
+    for size in range(3, min(k, N + 1) + 1):
+        for W in itertools.combinations(range(k), size):
+            if rational_rank([row[:N] for row in system(W)]) != size - 1:
+                return False, W
+    spheres = {}
+    for W in itertools.combinations(range(k), N + 1) if k >= N + 2 else ():
+        red, _ = rational_rref(system(W))
+        center = tuple(row[N] for row in red)
+        radius2 = sum((c - a) ** 2 for c, a in zip(center, pts[W[0]]))
+        other = spheres.get((center, radius2))
+        if other is not None:
+            return False, tuple(sorted(set(other) | set(W))[:N + 2])
+        spheres[(center, radius2)] = W
+    return True, None

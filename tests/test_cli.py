@@ -285,3 +285,78 @@ def test_cplx_fuzz_is_parsed_or_rejected(data):
     except ValueError:
         return
     assert sorted(C.ids()) == sorted(f["id"] for f in data["faces"])
+
+
+def test_cyclic_incidences_exit_2(tmp_path, capsys):
+    cycle = dict(CPLX, faces=[{"id": 0, "poly": SEGMENT}, {"id": 1, "poly": SEGMENT}],
+                 morphisms=[{"src": 0, "dst": 1}, {"src": 1, "dst": 0}])
+    cplx = write(tmp_path / "cycle.cplx", json.dumps(cycle))
+    for argv in (["nerve", "--complex", cplx, "--out", str(tmp_path / "n.scx")],
+                 ["parasites", "--complex", cplx, "--out", str(tmp_path / "p.json")],
+                 ["check-simple", "--complex", cplx]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: incidences form a cycle through face ")
+        assert err.count("\n") == 1
+    assert not (tmp_path / "n.scx").exists() and not (tmp_path / "p.json").exists()
+
+
+STRATA = {"components": ["A", 2],
+          "strata": [{"components": ["A"], "count": 1}, {"components": [2], "count": 1},
+                     {"components": ["A", 2], "count": 2}]}
+BAD_STRATA = {
+    "top-level-array": [1],
+    "components-missing": {"strata": STRATA["strata"]},
+    "components-not-a-list": dict(STRATA, components="A2"),
+    "component-not-a-label": dict(STRATA, components=["A", [2]]),
+    "component-is-a-boolean": dict(STRATA, components=["A", True]),
+    "strata-not-a-list": dict(STRATA, strata={"A": 1}),
+    "stratum-not-an-object": dict(STRATA, strata=[["A"]]),
+    "stratum-without-components": dict(STRATA, strata=[{"count": 1}]),
+    "stratum-component-not-a-label": dict(STRATA, strata=[{"components": [None], "count": 1}]),
+    "count-not-an-integer": dict(STRATA, strata=[{"components": ["A"], "count": "1"}]),
+}
+
+
+def test_well_formed_strata_pass(tmp_path):
+    strata = write(tmp_path / "s.json", json.dumps(STRATA))
+    assert run(["dual-complex", "--strata", strata, "--out", str(tmp_path / "k.scx")]) == 0
+    assert parse_scx((tmp_path / "k.scx").read_text()).f_vector() == (4, 4)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STRATA))
+def test_malformed_strata_exits_2(tmp_path, capsys, case):
+    strata = write(tmp_path / "s.json", json.dumps(BAD_STRATA[case]))
+    assert run(["dual-complex", "--strata", strata, "--out", str(tmp_path / "k.scx")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: strata: ") and err.count("\n") == 1
+
+
+def _label_list(value):
+    return isinstance(value, list) and all(type(c) is int or isinstance(c, str) for c in value)
+
+
+def _well_shaped(data):
+    return (isinstance(data, dict) and _label_list(data.get("components"))
+            and isinstance(data.get("strata"), list)
+            and all(isinstance(e, dict) and _label_list(e.get("components"))
+                    and type(e.get("count")) is int for e in data["strata"]))
+
+
+labels = st.lists(st.sampled_from(["A", "B", 1]) | json_values, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_values | st.fixed_dictionaries({
+    "components": labels | json_values,
+    "strata": st.lists(st.fixed_dictionaries({
+        "components": labels | json_values,
+        "count": st.integers(0, 2) | json_values,
+    }) | json_values, max_size=3) | json_values,
+}))
+def test_strata_fuzz_exits_2_unless_well_shaped(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz-strata.json"
+    path.write_text(json.dumps(data))
+    code = run(["dual-complex", "--strata", str(path),
+                "--out", str(tmp_path_factory.getbasetemp() / "fuzz.scx")])
+    assert code == 2 if not _well_shaped(data) else code in (0, 2)

@@ -174,3 +174,14 @@ class TestCplxFormat:
     def test_bad_schema_rejected(self):
         with pytest.raises(ValueError):
             parse_cplx('{"schema_version":"CPLX/9"}')
+
+
+def test_cyclic_incidences_rejected():
+    seg = RationalPolyhedron.from_box([0], [1])
+    faces = {0: seg, 1: seg, 2: seg}
+    with pytest.raises(ValueError, match="cycle through face"):
+        PolyhedralComplex(1, faces, {(0, 1), (1, 0)})
+    with pytest.raises(ValueError, match="cycle through face"):
+        PolyhedralComplex(1, faces, {(0, 1), (1, 2), (2, 0)})
+    # a chain closes transitively and is accepted
+    assert PolyhedralComplex(1, faces, {(0, 1), (1, 2)}).above_of(0) == {0, 1, 2}

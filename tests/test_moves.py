@@ -98,3 +98,5 @@ class TestDualComplex:
     def test_unknown_component_rejected(self):
         with pytest.raises(ValueError):
             dual_complex("A", {frozenset("AZ"): 1})
+        with pytest.raises(ValueError, match="unknown components"):
+            dual_complex([], {frozenset(["A", 1]): 0})  # mixed labels

@@ -14,7 +14,7 @@ from polycx import (
     format_poly,
     parse_poly,
 )
-from polycx.polyhedra import _solve_constraints
+from polycx.polyhedra import _primitive, _solve_constraints
 
 from oracles import feasible
 
@@ -72,17 +72,29 @@ class TestFeasibility:
         expected = feasible([], [(a, b, s) for a, b, s in rows], 2)
         assert (not p.is_empty()) == expected
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(
-        st.tuples(st.lists(rationals, min_size=3, max_size=3), rationals),
-        min_size=1, max_size=4))
-    def test_witness_satisfies_system(self, rows):
-        ineqs = [(tuple(rat(str(c)) for c in a), rat(str(b)), False)
-                 for a, b in rows]
-        x = _solve_constraints([], ineqs)
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.lists(rationals, min_size=3, max_size=3), rationals),
+                    max_size=2),
+           st.lists(st.tuples(st.lists(rationals, min_size=3, max_size=3), rationals,
+                              st.booleans()),
+                    min_size=1, max_size=4))
+    def test_witness_satisfies_system(self, eq_rows, rows):
+        eqs = [(tuple(rat(str(c)) for c in a), rat(str(b))) for a, b in eq_rows]
+        ineqs = [(tuple(rat(str(c)) for c in a), rat(str(b)), s) for a, b, s in rows]
+        x = _solve_constraints(eqs, ineqs)
+        assert (x is not None) == feasible(eqs, ineqs, 3)
         if x is not None:
-            for a, b, _ in ineqs:
-                assert sum(c * v for c, v in zip(a, x)) <= b
+            for a, b in eqs:
+                assert sum(c * v for c, v in zip(a, x)) == b
+            for a, b, s in ineqs:
+                lhs = sum(c * v for c, v in zip(a, x))
+                assert lhs < b if s else lhs <= b
+
+    def test_primitive_rows_are_ints(self):
+        coeffs, offset = _primitive((QQ(1, 2), QQ(-3, 4)), QQ(5, 6))
+        assert (coeffs, offset) == ((6, -9), 10)
+        assert all(type(x) is int for x in coeffs + (offset,))
+        assert _primitive((QQ(0), QQ(0)), QQ(-7, 3)) == ((0, 0), -1)
 
 
 class TestFaces:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,10 +20,14 @@ from polycx import (
     format_rgn,
     parse_rgn,
 )
-from polycx.voronoi import bisector, equidistance_system
+from polycx.voronoi import bisector
 
-from oracles import circumcenter_2d
+from oracles import circumcenter_2d, simple_configuration
 from _corpus import box, random_sites
+
+# a small lattice with mixed denominators, so that collinear and cocircular
+# subsets are common
+LATTICE_COORDS = [QQ(a, d) for a in range(-2, 3) for d in (1, 2, 3)]
 
 
 class TestVoronoi:
@@ -45,16 +51,6 @@ class TestVoronoi:
         for i, p in enumerate(Y.sites):
             assert V.complex.faces[V.cell_of[i]].contains(p)
 
-    def test_equidistance_center_matches_circumcenter(self):
-        Y = SiteSet(2, [(0, 0), (2, 0), (0, 2)])
-        rows, rhs = equidistance_system(Y, (0, 1, 2))
-        from polycx import linalg  # noqa: F401
-        from polycx.linalg import solve
-        center = solve(rows, rhs)
-        expected, _ = circumcenter_2d((0, 0), (2, 0), (0, 2))
-        assert tuple(center) == tuple(QQ(c.numerator, c.denominator)
-                                      for c in expected)
-
 
 class TestSimpleConfiguration:
 
@@ -77,6 +73,40 @@ class TestSimpleConfiguration:
     def test_distinct_line_sites_simple(self):
         Y = SiteSet(1, [(0,), (1,), (rat("7/2"),)])
         assert is_simple_configuration(Y)[0]
+
+    def test_cocircular_witness_matches_circumcenter(self):
+        # four points on the circle of radius 5/6 about (1/2, 1/3), listed
+        # after a fifth site that lies off it
+        c, r = (QQ(1, 2), QQ(1, 3)), QQ(5, 6)
+        on = [(c[0] + r * u, c[1] + r * v) for u, v in
+              ((QQ(3, 5), QQ(4, 5)), (QQ(-4, 5), QQ(3, 5)), (-1, 0), (0, -1))]
+        Y = SiteSet(2, [(3, 3)] + on)
+        flag, witness = is_simple_configuration(Y)
+        assert (flag, witness) == simple_configuration(Y.sites) == (False, (1, 2, 3, 4))
+        centers = {circumcenter_2d(*(Y.sites[i] for i in W))
+                   for W in itertools.combinations(witness, 3)}
+        assert centers == {(c, r * r)}
+
+    @pytest.mark.parametrize("sites, expected", [
+        # four cocircular corners, then a collinear triple: the rank failure
+        # is reported, although the collision comes first in subset order
+        ([(0, 0), (2, 0), (0, 2), (2, 2), (5, 0), (6, 0)], (False, (0, 1, 4))),
+        # a shared circle whose subsets' eliminations end in differently
+        # scaled rows, so the center must be hashed in lowest terms
+        ([(1, 1), (1, "-1/3"), ("-2/3", "-1/3"), ("-1/3", 2), ("-2/3", 1), (-1, "1/3")],
+         (False, (0, 1, 2, 4))),
+    ])
+    def test_witness_matches_oracle(self, sites, expected):
+        Y = SiteSet(2, sites)
+        assert is_simple_configuration(Y) == simple_configuration(Y.sites) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.tuples(*[st.sampled_from(LATTICE_COORDS)] * n),
+        min_size=2, max_size=7, unique=True)))
+    def test_matches_fraction_oracle(self, sites):
+        Y = SiteSet(len(sites[0]), sites)
+        assert is_simple_configuration(Y) == simple_configuration(Y.sites)
 
 
 class TestPerturb:
