@@ -131,6 +131,9 @@ def cmd_delaunay(args):
 def cmd_clip(args):
     Y = voronoi.parse_pts(_read(args.points))
     region = voronoi.parse_rgn(_read(args.region))
+    if region.ambient_dim != Y.ambient_dim:
+        raise ValueError("clip: the region lies in dimension %d but the sites in dimension %d"
+                         % (region.ambient_dim, Y.ambient_dim))
     try:
         C = voronoi.clipped_complex(Y, region)
     except ValueError as e:

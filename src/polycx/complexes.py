@@ -218,7 +218,7 @@ class PolyhedralComplex:
             for f in cell.enumerate_faces():
                 k = f.canonical_key()
                 by_key.setdefault(k, f)
-                entries.append((k, f.tightened | f._implicit()[0]))
+                entries.append((k, f.tightened | f._implicit()))
             cell_faces.append(entries)
         face_keys_per_cell = [{k for k, _ in entries} for entries in cell_faces]
         for i, j in itertools.combinations(range(len(cells)), 2):

@@ -257,6 +257,8 @@ def parse_grp(text):
     if not lines or not lines[0].startswith("gens "):
         raise ValueError("GRP/1: first line must be 'gens g'")
     g = int(lines[0].split()[1])
+    if g < 0:
+        raise ValueError("GRP/1: generator count %d is negative (line 1)" % g)
     relators = []
     for lineno, ln in enumerate(lines[1:], start=2):
         word = []

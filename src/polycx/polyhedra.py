@@ -1,19 +1,29 @@
 """Convex rational polyhedra given by mixed strict/non-strict inequalities.
 
-A polyhedron is stored purely in H-representation: a list of linear
-inequalities normal·x <= offset (or < for strict ones) together with a set
-of "tightened" indices that have been converted to equalities.  Faces are
-tightenings, the affine span comes from the implicit equalities, and
-emptiness is decided by exact Fourier-Motzkin elimination on primitive
-integer rows; only its witness point is rational.  Everything is
-immutable; derived data is cached per instance.
+A polyhedron is stored in H-representation: a list of linear inequalities
+normal·x <= offset (or < for strict ones) together with a set of
+"tightened" indices that have been converted to equalities.
+
+Its face structure is read off one cached record of its closed relaxation
+Q, where every strict row is relaxed to <=: the vertices of Q modulo its
+lineality space L, its extreme rays, an integer basis of L, and the rows
+each of these generators makes tight (the V-side of the double
+description).  The record is built by integer elimination of row subsets
+and certified exactly on every build.  A face is a tightening; its
+implicit equalities are the rows tight on all of its generators, its
+dimension is read from those rows, and its facets are the rows whose faces
+have one dimension less.  Fourier-Motzkin elimination on primitive integer
+rows stays the general feasibility test, for systems without a record.
+Everything is immutable; derived data is cached per instance.
 """
 
 import itertools
-from math import factorial
+from collections import deque
+from math import factorial, gcd, lcm
+from operator import mul
 from dataclasses import dataclass
 
-from .rationals import ZERO, ONE, rat, rat_str
+from .rationals import QQ, ZERO, ONE, rat, rat_str
 from . import linalg
 
 
@@ -21,6 +31,10 @@ def _primitive(coeffs, offset):
     """(coeffs, offset) scaled by a positive rational to primitive integers."""
     *nums, b = linalg.primitive_row(linalg.int_row(tuple(coeffs) + (offset,))[0])
     return tuple(nums), b
+
+
+def _dot(u, v):
+    return sum(map(mul, u, v))
 
 
 @dataclass(frozen=True)
@@ -48,9 +62,12 @@ def _solve_constraints(eqs, ineqs):
     """Feasible point of {A x = b} ∧ {c·x <= / < d}, or None.
 
     eqs: list of (coeffs, rhs); ineqs: list of (coeffs, offset, strict).
-    Exact: equalities are removed by substitution, the rest by
-    Fourier-Motzkin on primitive integer rows, with rational
-    back-substitution for the witness point.
+    Exact: every row is scaled to integers once; the equalities are
+    eliminated by one integer RREF and substituted into the inequalities,
+    the rest goes by Fourier-Motzkin on primitive integer rows, with
+    rational back-substitution for the witness point.  The witness is
+    checked against the caller's rows as integers over its common
+    denominator.
     """
     if eqs:
         nvars = len(eqs[0][0])
@@ -58,41 +75,35 @@ def _solve_constraints(eqs, ineqs):
         nvars = len(ineqs[0][0])
     else:
         return ()
-    aug = [tuple(c) + (r,) for c, r in eqs]
-    red, pivots = linalg.rref(aug)
-    for row in red:
-        if linalg.is_zero_vec(row[:nvars]) and row[nvars] != 0:
-            return None
+    eq_rows = [linalg.int_row(tuple(c) + (r,))[0] for c, r in eqs]
+    ineq_rows = [linalg.int_row(tuple(c) + (d,))[0] for c, d, _ in ineqs]
+    red = [list(row) for row in eq_rows]
+    pivots = linalg.int_rref(red)
     if pivots and pivots[-1] == nvars:
         return None
+    # each pivot row with a positive pivot, so substituting keeps the sense
+    red = [row if row[p] > 0 else [-x for x in row] for row, p in zip(red, pivots)]
     free = [j for j in range(nvars) if j not in set(pivots)]
-    pos_of = {j: k for k, j in enumerate(free)}
 
-    def reduce_ineq(coeffs, offset, strict):
-        # substitute pivot variables x_p = red[r][n] - sum_f red[r][f] x_f
-        new = [ZERO] * len(free)
-        b = offset
-        for j, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            if j in pos_of:
-                new[pos_of[j]] += c
-            else:
-                r = pivots.index(j)
-                b -= c * red[r][nvars]
-                for f in free:
-                    new[pos_of[f]] -= c * red[r][f]
-        return tuple(new), b, strict
+    def reduce_ineq(row):
+        # x_p = (red[k][n] - sum_f red[k][f] x_f) / red[k][p] for each pivot p
+        for prow, p in zip(red, pivots):
+            c = row[p]
+            if c:
+                g = gcd(prow[p], c)
+                q, c = prow[p] // g, c // g
+                row = [q * x - c * y for x, y in zip(row, prow)]
+        return [row[j] for j in free], row[nvars]
 
     work = []
-    for coeffs, offset, strict in ineqs:
-        c, b, s = reduce_ineq(coeffs, offset, strict)
-        if linalg.is_zero_vec(c):
-            if b < 0 or (b == 0 and s):
+    for row, (_, _, strict) in zip(ineq_rows, ineqs):
+        c, b = reduce_ineq(row)
+        if not any(c):
+            if b < 0 or (b == 0 and strict):
                 return None
             continue
-        c, b = _primitive(c, b)
-        work.append((c, b, s))
+        *c, b = linalg.primitive_row(c + [b])
+        work.append((tuple(c), b, strict))
     work = _dedupe(work)
 
     remaining = list(range(len(free)))
@@ -159,16 +170,17 @@ def _solve_constraints(eqs, ineqs):
     point = [None] * nvars
     for k, j in enumerate(free):
         point[j] = assign[k]
-    for r, p in enumerate(pivots):
-        point[p] = red[r][nvars] - sum(
-            (red[r][f] * point[f] for f in free if red[r][f] != 0), ZERO)
+    for prow, p in zip(red, pivots):
+        point[p] = (prow[nvars] - sum((prow[f] * point[f] for f in free if prow[f]), ZERO)) / prow[p]
     point = tuple(point)
-    for coeffs, rhs in eqs:
-        if linalg.dot(coeffs, point) != rhs:
+    den = lcm(*(x.denominator for x in point))
+    nums = [x.numerator * (den // x.denominator) for x in point]
+    for *a, b in eq_rows:
+        if _dot(a, nums) != b * den:
             raise AssertionError("back-substitution produced a bad witness")
-    for coeffs, offset, strict in ineqs:
-        v = linalg.dot(coeffs, point)
-        if not (v < offset if strict else v <= offset):
+    for (*a, b), (_, _, strict) in zip(ineq_rows, ineqs):
+        v = _dot(a, nums)
+        if not (v < b * den if strict else v <= b * den):
             raise AssertionError("back-substitution produced a bad witness")
     return point
 
@@ -180,6 +192,253 @@ def _dedupe(constraints):
         if cur is None or b < cur[0] or (b == cur[0] and s and not cur[1]):
             best[coeffs] = (b, s)
     return [(c, b, s) for c, (b, s) in best.items()]
+
+
+# -- the face record ----------------------------------------------------------------
+
+def _solve_int(aug, n):
+    """Solutions of integer rows a·x = b, each given as a + [b], in n unknowns.
+
+    Returns (nums, den, kernel): x = nums/den is the solution whose free
+    variables are 0, and kernel is a primitive integer basis of the
+    homogeneous solutions, one vector per free column.  None if the rows
+    are inconsistent.
+    """
+    m = [list(row) for row in aug]
+    pivots = linalg.int_rref(m)
+    if pivots and pivots[-1] == n:
+        return None
+    den = lcm(*(abs(m[k][c]) for k, c in enumerate(pivots)))
+    scale = [den // m[k][c] for k, c in enumerate(pivots)]
+    nums = [0] * n
+    for k, c in enumerate(pivots):
+        nums[c] = m[k][n] * scale[k]
+    kernel = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [0] * n
+        v[f] = den
+        for k, c in enumerate(pivots):
+            v[c] = -m[k][f] * scale[k]
+        kernel.append(tuple(linalg.primitive_row(v)))
+    return nums, den, kernel
+
+
+def _section(cons, base, den, d):
+    """The parameters u for which (base + u·d)/den satisfies every a·x <= b
+    in `cons`: (lo, hi), each a fraction (p, q) with q > 0 or None where
+    unbounded.  None when no u qualifies."""
+    lo = hi = None
+    for a, b in cons:
+        alpha = _dot(a, d)
+        beta = b * den - _dot(a, base)
+        if alpha > 0:
+            if hi is None or beta * hi[1] < hi[0] * alpha:
+                hi = (beta, alpha)
+                if lo is not None and lo[0] * alpha > beta * lo[1]:
+                    return None
+        elif alpha < 0:
+            if lo is None or beta * lo[1] < lo[0] * alpha:
+                lo = (-beta, -alpha)
+                if hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
+                    return None
+        elif beta < 0:
+            return None
+    return lo, hi
+
+
+def _at(base, den, d, u):
+    """The point (base + u·d)/den as (nums, den) in lowest terms."""
+    p, q = u
+    nums = [q * x + p * y for x, y in zip(base, d)]
+    den *= q
+    g = gcd(*nums, den)
+    return tuple(x // g for x in nums), den // g
+
+
+def _planes(rows, indices):
+    """One row of `indices` per distinct hyperplane a·x = b, zero normals left out."""
+    planes = {}
+    for i in indices:
+        a, b = rows[i]
+        if any(a):
+            key = (a, b) if next(x for x in a if x) > 0 else (tuple(-x for x in a), -b)
+            planes.setdefault(key, (a, b))
+    return list(planes.values())
+
+
+class FaceRecord:
+    """Generators of the closed relaxation Q of an inequality system, and
+    the rows each one makes tight.
+
+    rows: (normal, offset) of every inequality as primitive integers; eq:
+    the indices held as equalities.  lineality: an integer basis of the
+    lineality space L.  points: ((nums, den), tight) for every vertex of Q
+    modulo L, written as the point of that minimal face orthogonal to L,
+    nums/den in lowest terms.  rays: (ray, tight) for every extreme ray,
+    a primitive integer vector orthogonal to L.  Every face of Q is
+    conv(its points) + cone(its rays) + L, so each face fact is a
+    set operation on the tight sets.  dims caches face dimensions by tight
+    set; the records of all faces of one polyhedron share it.
+    """
+
+    def __init__(self, ambient_dim, rows, eq, lineality, points, rays, dims=None):
+        self.ambient_dim = ambient_dim
+        self.rows = rows
+        self.eq = frozenset(eq)
+        self.lineality = lineality
+        self.points = points
+        self.rays = rays
+        self.dims = {} if dims is None else dims
+
+    @staticmethod
+    def build(ambient_dim, rows, eq):
+        """Record of {a·x <= b for (a, b) in rows, with equality on eq}.
+
+        Each independent set of r - 1 hyperplanes (r = N - dim L), together
+        with L's basis, cuts out a line; its section by Q is found in one
+        pass over the rows.  Every endpoint is a vertex (r independent
+        tight rows) and every unbounded side an extreme ray.  Every vertex
+        lies on such a line as an endpoint, and every extreme ray is the
+        direction of an unbounded edge, so nothing is missed.  The record
+        is certified before it is returned.
+        """
+        n = ambient_dim
+        lineality = tuple(_solve_int([list(a) + [0] for a, _ in rows], n)[2])
+        r = n - len(lineality)
+        cons = FaceRecord._constraints(rows, eq)
+        points, rays = set(), set()
+        if r == 0:
+            if all(b >= 0 for _, b in cons):
+                points.add(((0,) * n, 1))
+        else:
+            lin_rows = [list(v) + [0] for v in lineality]
+            for subset in itertools.combinations(_planes(rows, range(len(rows))), r - 1):
+                sol = _solve_int([list(a) + [b] for a, b in subset] + lin_rows, n)
+                if sol is None or len(sol[2]) != 1:
+                    continue
+                base, den, (d,) = sol
+                section = _section(cons, base, den, d)
+                if section is None:
+                    continue
+                for end, ray in zip(section, (tuple(-x for x in d), d)):
+                    if end is None:
+                        rays.add(ray)
+                    else:
+                        points.add(_at(base, den, d, end))
+        points = tuple((pt, frozenset(i for i, (a, b) in enumerate(rows)
+                                      if _dot(a, pt[0]) == b * pt[1]))
+                       for pt in sorted(points))
+        rays = tuple((ray, frozenset(i for i, (a, _) in enumerate(rows) if not _dot(a, ray)))
+                     for ray in sorted(rays))
+        record = FaceRecord(n, rows, eq, lineality, points, rays)
+        record.certify()
+        return record
+
+    @staticmethod
+    def _constraints(rows, eq):
+        """The rows as a·x <= b, each equality also as -a·x <= -b."""
+        cons = list(rows)
+        cons.extend((tuple(-x for x in rows[i][0]), -rows[i][1]) for i in eq)
+        return cons
+
+    def certify(self):
+        """Check the record by exact integer arithmetic; AssertionError if not.
+
+        Every generator satisfies every row (equalities with equality,
+        lineality vectors at zero on every normal) and carries its exact
+        tight set; every point has r independent tight rows and every ray
+        r - 1.  Edge walk: from each point, each independent (r - 1)-subset
+        of its tight rows spans, with L, a line through it; each feasible
+        direction on it must end at a recorded point, or be a recorded ray
+        where no row blocks it.  The graph of the pointed polyhedron Q ∩ L⊥
+        is connected, so a non-empty point set closed under the walk holds
+        every vertex, and every extreme ray is the direction of an
+        unbounded edge.  A record without points is confirmed empty by
+        Fourier-Motzkin.
+        """
+        n, rows, lineality = self.ambient_dim, self.rows, self.lineality
+        normals = [a for a, _ in rows]
+        r = n - len(lineality)
+        if linalg.int_rank(normals) != r or linalg.int_rank(lineality) != len(lineality):
+            raise AssertionError("lineality basis has the wrong dimension")
+        for v in lineality:
+            if any(_dot(a, v) for a in normals):
+                raise AssertionError("lineality vector %r is not orthogonal to every normal" % (v,))
+        for (nums, den), tight in self.points:
+            slack = [b * den - _dot(a, nums) for a, b in rows]
+            if (den <= 0 or gcd(*nums, den) != 1 or any(_dot(v, nums) for v in lineality)
+                    or min(slack, default=0) < 0 or any(slack[i] for i in self.eq)
+                    or tight != frozenset(i for i, s in enumerate(slack) if not s)):
+                raise AssertionError("record point %r/%d violates a row or has a wrong "
+                                     "tight set" % (nums, den))
+            if linalg.int_rank([normals[i] for i in tight]) != r:
+                raise AssertionError("record point %r/%d is not a vertex" % (nums, den))
+        for ray, tight in self.rays:
+            dots = [_dot(a, ray) for a in normals]
+            if (not any(ray) or gcd(*ray) != 1 or any(_dot(v, ray) for v in lineality)
+                    or max(dots, default=0) > 0 or any(dots[i] for i in self.eq)
+                    or tight != frozenset(i for i, s in enumerate(dots) if not s)):
+                raise AssertionError("record ray %r violates a row or has a wrong tight set"
+                                     % (ray,))
+            if linalg.int_rank([normals[i] for i in tight]) != r - 1:
+                raise AssertionError("record ray %r is not extreme" % (ray,))
+        vertices = {pt for pt, _ in self.points}
+        ray_set = {ray for ray, _ in self.rays}
+        if len(vertices) != len(self.points) or len(ray_set) != len(self.rays):
+            raise AssertionError("record lists a generator twice")
+        if not self.points:
+            eqs = [rows[i] for i in self.eq]
+            ineqs = [(a, b, False) for i, (a, b) in enumerate(rows) if i not in self.eq]
+            if self.rays or _solve_constraints(eqs, ineqs) is not None:
+                raise AssertionError("record has no vertex but the system is feasible")
+            return
+        if r == 0:
+            return
+        cons = self._constraints(rows, self.eq)
+        lin_rows = [list(v) + [0] for v in lineality]
+        for (nums, den), tight in self.points:
+            for subset in itertools.combinations(_planes(rows, sorted(tight)), r - 1):
+                kernel = _solve_int([list(a) + [0] for a, _ in subset] + lin_rows, n)[2]
+                if len(kernel) != 1:
+                    continue
+                d = kernel[0]
+                section = _section(cons, nums, den, d)
+                for end, ray in zip(section, (tuple(-x for x in d), d)):
+                    if end is None:
+                        if ray not in ray_set:
+                            raise AssertionError("edge walk from %r/%d: unbounded direction "
+                                                 "%r is not a recorded ray" % (nums, den, ray))
+                    elif end[0]:
+                        far = _at(nums, den, d, end)
+                        if far not in vertices:
+                            raise AssertionError("edge walk from %r/%d ends at %r/%d, which is "
+                                                 "not a recorded vertex" % ((nums, den) + far))
+
+    def closure(self, tight):
+        """Rows tight on the whole face where `tight` holds with equality:
+        the intersection of the tight sets of its generators.  None when
+        that face is empty (no point qualifies)."""
+        sets = [t for _, t in self.points if tight <= t]
+        if not sets:
+            return None
+        sets.extend(t for _, t in self.rays if tight <= t)
+        return frozenset.intersection(*sets)
+
+    def restrict(self, tight):
+        """The record of the face where `tight` holds with equality."""
+        return FaceRecord(self.ambient_dim, self.rows, self.eq | tight, self.lineality,
+                          tuple(g for g in self.points if tight <= g[1]),
+                          tuple(g for g in self.rays if tight <= g[1]), self.dims)
+
+    def dim(self, tight):
+        """Dimension of a non-empty face, given its full tight set."""
+        d = self.dims.get(tight)
+        if d is None:
+            d = self.dims[tight] = self.ambient_dim - linalg.int_rank(
+                [self.rows[i][0] for i in tight])
+        return d
 
 
 @dataclass(frozen=True)
@@ -204,9 +463,9 @@ class RationalPolyhedron:
             ineq if isinstance(ineq, LinearInequality) else LinearInequality.make(*ineq)
             for ineq in inequalities)
         self.tightened = frozenset(tightened)
-        for i in self.tightened:
-            if self.inequalities[i].strict:
-                raise ValueError("cannot tighten a strict inequality")
+        self._strict = frozenset(i for i, q in enumerate(self.inequalities) if q.strict)
+        if self.tightened & self._strict:
+            raise ValueError("cannot tighten a strict inequality")
         for ineq in self.inequalities:
             if len(ineq.normal) != self.ambient_dim:
                 raise ValueError("inequality arity does not match ambient dimension")
@@ -228,8 +487,12 @@ class RationalPolyhedron:
         return RationalPolyhedron(n, ineqs)
 
     def with_tightened(self, extra):
-        return RationalPolyhedron(self.ambient_dim, self.inequalities,
+        face = RationalPolyhedron(self.ambient_dim, self.inequalities,
                                   self.tightened | frozenset(extra))
+        record = self._cache.get("record")
+        if record is not None:
+            face._cache["record"] = record.restrict(face.tightened)
+        return face
 
     # -- raw system view ------------------------------------------------------
 
@@ -255,6 +518,27 @@ class RationalPolyhedron:
                 return False
         return True
 
+    # -- the face record ---------------------------------------------------------
+
+    def _record(self):
+        """The certified face record of the closed relaxation, built once."""
+        if "record" not in self._cache:
+            rows = [_primitive(q.normal, q.offset) for q in self.inequalities]
+            self._cache["record"] = FaceRecord.build(self.ambient_dim, rows, self.tightened)
+        return self._cache["record"]
+
+    def _root(self):
+        """Tight set of the polyhedron itself, or None when it is empty.
+
+        It is empty iff its closed relaxation Q is, or a strict row is tight
+        on all of Q: otherwise the relative interior of Q satisfies every
+        strict row and lies in the polyhedron.
+        """
+        if "root" not in self._cache:
+            tight = self._record().closure(self.tightened)
+            self._cache["root"] = None if tight is None or tight & self._strict else tight
+        return self._cache["root"]
+
     # -- basic predicates ------------------------------------------------------
 
     def feasible_point(self):
@@ -267,52 +551,25 @@ class RationalPolyhedron:
         return self._cache["point"]
 
     def is_empty(self):
+        # a record is not built just for this: most emptiness tests are on
+        # throwaway intersections, where one Fourier-Motzkin run is cheaper
+        if "record" in self._cache:
+            return self._root() is None
         return self.feasible_point() is None
 
     def _implicit(self):
-        """(indices of implicit equalities, relative interior point)."""
-        if "implicit" in self._cache:
-            return self._cache["implicit"]
-        if self.is_empty():
+        """Indices of the implicit equalities that are not tightened."""
+        root = self._root()
+        if root is None:
             raise ValueError("empty polyhedron has no relative interior")
-        eqs, _ = self.system()
-        eqs = list(eqs)
-        candidates = [i for i in range(len(self.inequalities))
-                      if i not in self.tightened and not self.inequalities[i].strict]
-        others = [(q.normal, q.offset, True) for i, q in enumerate(self.inequalities)
-                  if q.strict and i not in self.tightened]
-        implicit = set()
-
-        def strictified():
-            out = list(others)
-            for i in candidates:
-                if i not in implicit:
-                    q = self.inequalities[i]
-                    out.append((q.normal, q.offset, True))
-            return out
-
-        point = _solve_constraints(eqs, strictified())
-        if point is None:
-            for i in candidates:
-                q = self.inequalities[i]
-                test = [(self.inequalities[j].normal, self.inequalities[j].offset, False)
-                        for j in candidates if j != i] + others
-                test.append((q.normal, q.offset, True))
-                if _solve_constraints(eqs, test) is None:
-                    implicit.add(i)
-                    eqs.append((q.normal, q.offset))
-            point = _solve_constraints(eqs, strictified())
-            if point is None:
-                raise AssertionError("relative interior should be non-empty")
-        self._cache["implicit"] = (frozenset(implicit), point)
-        return self._cache["implicit"]
+        return root - self.tightened
 
     def affine_span(self):
-        if self.is_empty():
+        root = self._root()
+        if root is None:
             return AffineSubspace(self.ambient_dim, None, ())
-        implicit, _ = self._implicit()
         rows, rhs = [], []
-        for i in sorted(self.tightened | implicit):
+        for i in sorted(root):
             q = self.inequalities[i]
             rows.append(q.normal)
             rhs.append(q.offset)
@@ -325,44 +582,50 @@ class RationalPolyhedron:
         return AffineSubspace(self.ambient_dim, base, dirs)
 
     def dimension(self):
-        if "dim" not in self._cache:
-            self._cache["dim"] = self.affine_span().dim
-        return self._cache["dim"]
+        root = self._root()
+        return -1 if root is None else self._record().dim(root)
 
     # -- faces ------------------------------------------------------------------
 
     def tight_closure(self, extra=()):
         """Canonical tight index set of the face with `extra` tightened, or None."""
-        face = self.with_tightened(extra)
-        if face.is_empty():
-            return None
-        implicit, _ = face._implicit()
-        return face.tightened | implicit
-
-    def face(self, tight):
-        return self.with_tightened(frozenset(tight))
+        tight = self.tightened | frozenset(extra)
+        if tight & self._strict:
+            raise ValueError("cannot tighten a strict inequality")
+        closure = self._record().closure(tight)
+        return None if closure is None or closure & self._strict else closure
 
     def enumerate_faces(self):
-        """All non-empty faces (tightenings of non-strict inequalities), P first."""
-        if self.is_empty():
-            raise ValueError("cannot enumerate faces of an empty polyhedron")
+        """All non-empty faces (tightenings of non-strict inequalities), P first.
+
+        Breadth first from P, each face's children in row order; every
+        face carries its part of this polyhedron's record.
+        """
         if "faces" in self._cache:
             return self._cache["faces"]
-        root = self.tight_closure()
-        seen = {root}
+        root = self._root()
+        if root is None:
+            raise ValueError("cannot enumerate faces of an empty polyhedron")
+        rows = [i for i in range(len(self.inequalities)) if i not in self._strict]
+        records = {root: self._record().restrict(root)}
         order = [root]
-        queue = [root]
+        queue = deque(order)
         while queue:
-            tight = queue.pop(0)
-            for i in range(len(self.inequalities)):
-                if i in tight or self.inequalities[i].strict:
+            tight = queue.popleft()
+            for i in rows:
+                if i in tight:
                     continue
-                child = self.tight_closure(tight | {i})
-                if child is not None and child not in seen:
-                    seen.add(child)
-                    order.append(child)
-                    queue.append(child)
-        faces = [self.face(t) for t in order]
+                child = records[tight].closure(tight | {i})
+                if child is None or child & self._strict or child in records:
+                    continue
+                records[child] = records[tight].restrict(child)
+                order.append(child)
+                queue.append(child)
+        faces = []
+        for tight in order:
+            face = RationalPolyhedron(self.ambient_dim, self.inequalities, tight)
+            face._cache["record"] = records[tight]
+            faces.append(face)
         self._cache["faces"] = faces
         return faces
 
@@ -386,7 +649,19 @@ class RationalPolyhedron:
         return RationalPolyhedron(self.ambient_dim, ineqs, tight)
 
     def entails(self, constraint):
-        """True iff every point of self satisfies the constraint."""
+        """True iff every point of self satisfies the constraint.
+
+        A non-strict constraint on a polyhedron that has a record is
+        checked on every generator; otherwise by Fourier-Motzkin.
+        """
+        record = self._cache.get("record")
+        if record is not None and not constraint.strict:
+            if self._root() is None:
+                return True
+            *c, d = linalg.int_row(tuple(constraint.normal) + (constraint.offset,))[0]
+            return (all(_dot(c, nums) <= d * den for (nums, den), _ in record.points)
+                    and all(_dot(c, ray) <= 0 for ray, _ in record.rays)
+                    and not any(_dot(c, v) for v in record.lineality))
         eqs, ineqs = self.system()
         neg = constraint.negation()
         return _solve_constraints(eqs, ineqs + [(neg.normal, neg.offset, neg.strict)]) is None
@@ -412,20 +687,26 @@ class RationalPolyhedron:
                 and all(other.entails(c) for c in self._as_constraints()))
 
     def is_closed_system(self):
-        return all(not q.strict for q in self.inequalities)
+        return not self._strict
 
     def canonical_key(self):
-        """Hashable key identifying the solution set (closed systems only)."""
+        """Hashable key identifying the solution set (closed systems only).
+
+        The equalities in RREF, and the facets: each row whose face has
+        one dimension less, reduced modulo the equalities and made
+        primitive.  The facets are the irredundant system modulo the
+        affine span, which is unique up to positive scaling.
+        """
         if "key" in self._cache:
             return self._cache["key"]
         if not self.is_closed_system():
             raise ValueError("canonical keys are defined for closed systems only")
-        if self.is_empty():
+        root = self._root()
+        if root is None:
             key = (self.ambient_dim, "empty")
             self._cache["key"] = key
             return key
-        implicit, _ = self._implicit()
-        eq_idx = sorted(self.tightened | implicit)
+        eq_idx = sorted(root)
         aug = [self.inequalities[i].normal + (self.inequalities[i].offset,) for i in eq_idx]
         eq_rows, pivots = linalg.rref(aug)
         eq_rows = tuple(eq_rows)
@@ -438,62 +719,41 @@ class RationalPolyhedron:
                     row = [a - f * b for a, b in zip(row, eq_rows[r])]
             return tuple(row[:-1]), row[-1]
 
-        cand = {}
+        record = self._record()
+        facet_dim = record.dim(root) - 1
+        facets = {}
         for i, q in enumerate(self.inequalities):
-            if i in eq_idx:
+            if i in root:
                 continue
-            n, b = reduce_mod(q.normal, q.offset)
-            if linalg.is_zero_vec(n):
-                continue
-            n, b = _primitive(n, b)
-            if n not in cand or b < cand[n]:
-                cand[n] = b
-        eqs = [(self.inequalities[i].normal, self.inequalities[i].offset) for i in eq_idx]
-        kept = dict(cand)
-        for n in list(cand):
-            if n not in kept:
-                continue
-            b = kept[n]
-            rest = [(m, c, False) for m, c in kept.items() if m != n]
-            neg = (tuple(-x for x in n), -b, True)
-            if _solve_constraints(eqs, rest + [neg]) is None:
-                del kept[n]
-        key = (self.ambient_dim, eq_rows, frozenset(kept.items()))
+            tight = record.closure(root | {i})
+            if tight is not None and record.dim(tight) == facet_dim:
+                n, b = _primitive(*reduce_mod(q.normal, q.offset))
+                facets[n] = b
+        key = (self.ambient_dim, eq_rows, frozenset(facets.items()))
         self._cache["key"] = key
         return key
 
     # -- vertices / boundedness / volume -----------------------------------------
 
+    def _vertex_map(self):
+        """{tight set: vertex} for the vertices of the polyhedron itself."""
+        record = self._record()
+        if record.lineality:
+            return {}
+        return {tight: tuple(QQ(x, den) for x in nums)
+                for (nums, den), tight in record.points if not tight & self._strict}
+
     def vertices(self):
         """Vertex points (0-dimensional faces); internal helper."""
-        pts = []
-        for f in self.enumerate_faces():
-            if f.dimension() == 0:
-                pts.append(f.affine_span().basepoint)
-        return sorted(set(pts))
+        if self._root() is None:
+            raise ValueError("cannot enumerate faces of an empty polyhedron")
+        return sorted(self._vertex_map().values())
 
     def is_bounded(self):
-        if "bounded" in self._cache:
-            return self._cache["bounded"]
-        if self.is_empty():
-            self._cache["bounded"] = True
+        if self._root() is None:
             return True
-        eqs, ineqs = self.system()
-        rec_eqs = [(c, ZERO) for c, _ in eqs]
-        rec_ineqs = [(c, ZERO, False) for c, _, _ in ineqs]
-        bounded = True
-        for j in range(self.ambient_dim):
-            for sign in (ONE, -ONE):
-                e = [ZERO] * self.ambient_dim
-                e[j] = sign
-                probe = rec_eqs + [(tuple(e), ONE)]
-                if _solve_constraints(probe, rec_ineqs) is not None:
-                    bounded = False
-                    break
-            if not bounded:
-                break
-        self._cache["bounded"] = bounded
-        return bounded
+        record = self._record()
+        return not record.rays and not record.lineality
 
     def triangulate(self):
         """Fan triangulation of a bounded polytope via its face lattice.
@@ -501,19 +761,12 @@ class RationalPolyhedron:
         Returns a list of simplices, each a tuple of vertex points with
         dim(P)+1 affinely independent entries.
         """
-        if self.is_empty():
+        if self._root() is None:
             return []
         if not self.is_bounded():
             raise ValueError("triangulation requires a bounded polyhedron")
-        faces = self.enumerate_faces()
-        info = []
-        for f in faces:
-            span = f.affine_span()
-            info.append((f.tightened | f._implicit()[0], f.dimension(), span))
-        vert_of = {}
-        for tight, d, span in info:
-            if d == 0:
-                vert_of[tight] = span.basepoint
+        info = [(f.tightened, f.dimension()) for f in self.enumerate_faces()]
+        vert_of = self._vertex_map()
 
         def verts_in(tight):
             return sorted(p for t, p in vert_of.items() if t >= tight)
@@ -523,13 +776,13 @@ class RationalPolyhedron:
                 return [(vert_of[tight],)]
             v0 = verts_in(tight)[0]
             out = []
-            for t2, d2, _ in info:
+            for t2, d2 in info:
                 if d2 == d - 1 and t2 > tight and v0 not in verts_in(t2):
                     for s in tri(t2, d2):
                         out.append(s + (v0,))
             return out
 
-        root, d, _ = info[0]
+        root, d = info[0]
         return tri(root, d)
 
 

@@ -276,3 +276,139 @@ def simple_configuration(sites):
             return False, tuple(sorted(set(other) | set(W))[:N + 2])
         spheres[(center, radius2)] = W
     return True, None
+
+
+class FMFaces:
+    """Face structure of a mixed strict/non-strict system decided by
+    feasibility tests alone: the Fourier-Motzkin face code the polyhedron
+    layer used before it kept a generator record.
+
+    rows: (normal, offset, strict) meaning normal·x <= offset (or <);
+    tightened: indices held as equalities.
+    """
+
+    def __init__(self, dim, rows, tightened=()):
+        self.dim = dim
+        self.rows = [([Fraction(c) for c in a], Fraction(b), bool(s)) for a, b, s in rows]
+        self.tightened = frozenset(tightened)
+
+    def closure(self, extra=()):
+        """Tightened rows plus the implicit equalities of the face with
+        `extra` tightened, or None if that face is empty.  A non-strict row
+        is implicit iff making it strict leaves nothing."""
+        tight = self.tightened | frozenset(extra)
+        eqs = [(self.rows[j][0], self.rows[j][1]) for j in sorted(tight)]
+        if not feasible(eqs, [r for j, r in enumerate(self.rows) if j not in tight], self.dim):
+            return None
+        strictified = [(a, b, True) for i, (a, b, _) in enumerate(self.rows) if i not in tight]
+        if feasible(eqs, strictified, self.dim):
+            return tight
+        implicit = set()
+        for i, (a, b, s) in enumerate(self.rows):
+            if i not in tight and not s:
+                rest = [r for j, r in enumerate(self.rows) if j not in tight and j != i]
+                if not feasible(eqs, rest + [(a, b, True)], self.dim):
+                    implicit.add(i)
+        return tight | implicit
+
+    def faces(self):
+        """Tight sets of all non-empty faces, breadth first from the root."""
+        root = self.closure()
+        order, queue = [root], [root]
+        while queue:
+            tight = queue.pop(0)
+            for i, (_, _, s) in enumerate(self.rows):
+                if i in tight or s:
+                    continue
+                child = self.closure(tight | {i})
+                if child is not None and child not in order:
+                    order.append(child)
+                    queue.append(child)
+        return order
+
+    def dimension(self, tight):
+        return self.dim - rational_rank([self.rows[i][0] for i in tight])
+
+    def key(self, tight):
+        """Canonical key of a closed face: equalities in RREF and the
+        irredundant inequalities reduced modulo them, made primitive."""
+        eq_rows, pivots = rational_rref([self.rows[i][0] + [self.rows[i][1]] for i in sorted(tight)])
+
+        def reduce_mod(row):
+            row = list(row)
+            for r, p in enumerate(pivots):
+                if row[p] != 0:
+                    f = row[p]
+                    row = [x - f * y for x, y in zip(row, eq_rows[r])]
+            return row
+
+        cand = {}
+        for i, (a, b, _) in enumerate(self.rows):
+            if i in tight:
+                continue
+            row = reduce_mod(a + [b])
+            if not any(row[:-1]):
+                continue
+            scale = _lcm_all(x.denominator for x in row)
+            ints = [int(x * scale) for x in row]
+            g = 0
+            for x in ints:
+                g = gcd(g, x)
+            n, c = tuple(x // g for x in ints[:-1]), ints[-1] // g
+            if n not in cand or c < cand[n]:
+                cand[n] = c
+        eqs = [(self.rows[i][0], self.rows[i][1]) for i in sorted(tight)]
+        kept = dict(cand)
+        for n in list(cand):
+            rest = [(list(m), c, False) for m, c in kept.items() if m != n]
+            if not feasible(eqs, rest + [([-x for x in n], -kept[n], True)], self.dim):
+                del kept[n]
+        return (self.dim, tuple(eq_rows), frozenset(kept.items()))
+
+    def is_bounded(self):
+        """No unit coordinate direction is a recession direction."""
+        rec = [(a, Fraction(0), False) for a, _, _ in self.rows]
+        eqs = [(self.rows[i][0], Fraction(0)) for i in sorted(self.tightened)]
+        for j in range(self.dim):
+            for sign in (1, -1):
+                e = [Fraction(0)] * self.dim
+                e[j] = Fraction(sign)
+                rest = [r for i, r in enumerate(rec) if i not in self.tightened]
+                if feasible(eqs + [(e, Fraction(1))], rest, self.dim):
+                    return False
+        return True
+
+    def vertices(self):
+        """{tight set: point} of the 0-dimensional faces."""
+        out = {}
+        for tight in self.faces():
+            if self.dimension(tight) == 0:
+                red, _ = rational_rref([self.rows[i][0] + [self.rows[i][1]] for i in sorted(tight)])
+                out[tight] = tuple(row[-1] for row in red)
+        return out
+
+    def triangulate(self):
+        """Fan triangulation over the face lattice, as the polyhedron layer did."""
+        info = [(t, self.dimension(t)) for t in self.faces()]
+        vert_of = self.vertices()
+
+        def verts_in(tight):
+            return sorted(p for t, p in vert_of.items() if t >= tight)
+
+        def tri(tight, d):
+            if d == 0:
+                return [(vert_of[tight],)]
+            v0 = verts_in(tight)[0]
+            return [s + (v0,) for t2, d2 in info
+                    if d2 == d - 1 and t2 > tight and v0 not in verts_in(t2)
+                    for s in tri(t2, d2)]
+
+        root, d = info[0]
+        return tri(root, d)
+
+
+def _lcm_all(values):
+    out = 1
+    for v in values:
+        out = out * v // gcd(out, v)
+    return out

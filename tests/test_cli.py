@@ -178,6 +178,34 @@ def test_zero_denominator_is_input_error(tmp_path, capsys):
                 "--out", str(tmp_path / "c.cplx")]) == 2
 
 
+def test_negative_generator_count_is_input_error(tmp_path, capsys):
+    grp = write(tmp_path / "neg.grp", "gens -1\n")
+    rep = tmp_path / "sp.json"
+    assert run(["superperfect", "--presentation", grp, "--out", str(rep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert not rep.exists()
+
+
+def test_clip_dimension_mismatch_is_input_error(tmp_path, capsys):
+    good = write(tmp_path / "g.pts", "2 3\n0 0\n2 0\n0 2\n")
+    for piece in ("1\n1 2\n1 <= 1\n-1 <= 1\n", "1\n0 0\n"):
+        rgn = write(tmp_path / "r.rgn", piece)
+        out = tmp_path / "c.cplx"
+        assert run(["clip", "--points", good, "--region", rgn, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "dimension" in err
+        assert not out.exists()
+
+
+def test_clip_non_simple_sites_is_verification_failure(tmp_path, capsys):
+    pts = write(tmp_path / "sq.pts", SQUARE)
+    rgn = write(tmp_path / "r.rgn", BOX_REGION)
+    assert run(["clip", "--points", pts, "--region", rgn,
+                "--out", str(tmp_path / "c.cplx")]) == 1
+    assert capsys.readouterr().err.startswith("verification failure:")
+
+
 def test_byte_identical_reports(tmp_path):
     pts = write(tmp_path / "p.pts", SQUARE)
     a, b = str(tmp_path / "a.pts"), str(tmp_path / "b.pts")

@@ -14,9 +14,10 @@ from polycx import (
     format_poly,
     parse_poly,
 )
-from polycx.polyhedra import _primitive, _solve_constraints
+from polycx.complexes import PolyhedralComplex
+from polycx.polyhedra import FaceRecord, _primitive, _solve_constraints
 
-from oracles import feasible
+from oracles import FMFaces, feasible
 
 
 def box(lo, hi):
@@ -130,6 +131,153 @@ class TestFaces:
             LinearInequality.make([1, 1], 5, False)])  # redundant
         assert a.same_solution_set(b)
         assert a.canonical_key() == b.canonical_key()
+
+
+@st.composite
+def systems(draw):
+    """A small system in N = 1..3: random rows, sometimes all free of the
+    last coordinate (a lineality direction), sometimes boxed in, with
+    duplicate and scaled rows, tightened rows and strict rows."""
+    n = draw(st.integers(1, 3))
+    coeff = st.integers(-2, 2)
+    flat = n > 1 and draw(st.booleans())
+    boxed = draw(st.booleans())
+    rows = []
+    for a, b in draw(st.lists(st.tuples(st.lists(coeff, min_size=n, max_size=n),
+                                        st.integers(-3, 3)),
+                              min_size=1, max_size=3 if boxed else 5)):
+        if flat:
+            a[-1] = 0
+        rows.append((a, Fraction(b)))
+    if boxed:
+        for i in range(n):
+            e = [0] * n
+            e[i] = 1
+            rows.append((e, Fraction(2)))
+            rows.append(([-x for x in e], Fraction(2)))
+    for k, scale in draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                            st.sampled_from([1, 2, Fraction(1, 3)])),
+                                  max_size=2)):
+        a, b = rows[k]
+        rows.append(([x * scale for x in a], b * scale))
+    strict = draw(st.lists(st.sampled_from([False, False, False, True]),
+                           min_size=len(rows), max_size=len(rows)))
+    tightened = draw(st.sets(st.integers(0, len(rows) - 1), max_size=2))
+    tightened = frozenset(i for i in tightened if not strict[i])
+    return n, [(a, b, s) for (a, b), s in zip(rows, strict)], tightened
+
+
+def make(n, rows, tightened=()):
+    return RationalPolyhedron(n, [LinearInequality.make(a, b, s) for a, b, s in rows],
+                              tightened)
+
+
+class TestFaceRecord:
+    """The record-based face structure against the Fourier-Motzkin oracle."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(systems())
+    def test_matches_fourier_motzkin_faces(self, system):
+        n, rows, tightened = system
+        oracle = FMFaces(n, rows, tightened)
+        assert make(n, rows, tightened).is_empty() == (oracle.closure() is None)
+        P = make(n, rows, tightened)
+        root = oracle.closure()
+        assert P.tight_closure() == root
+        assert P.is_empty() == (root is None)  # now read off the record
+        for i, (_, _, s) in enumerate(rows):
+            if not s:
+                assert P.tight_closure({i}) == oracle.closure({i})
+        if root is None:
+            return
+        faces = P.enumerate_faces()
+        assert [f.tightened for f in faces] == oracle.faces()
+        assert [f.dimension() for f in faces] == [oracle.dimension(t) for t in oracle.faces()]
+        if P.is_closed_system():
+            assert [f.canonical_key() for f in faces] == [oracle.key(t) for t in oracle.faces()]
+        assert P.is_bounded() == oracle.is_bounded()
+        assert P.vertices() == sorted(oracle.vertices().values())
+        if P.is_bounded() and P.is_closed_system():
+            assert P.triangulate() == oracle.triangulate()
+
+    @settings(max_examples=60, deadline=None)
+    @given(systems(), st.lists(rationals, min_size=3, max_size=3), rationals)
+    def test_entails_on_generators_matches_fourier_motzkin(self, system, normal, offset):
+        n, rows, tightened = system
+        P = make(n, rows, tightened)
+        if not P.is_empty():
+            P.enumerate_faces()  # builds the record
+        q = LinearInequality.make(normal[:n], offset)
+        eqs = [(rows[i][0], rows[i][1]) for i in sorted(tightened)]
+        rest = [r for i, r in enumerate(rows) if i not in tightened]
+        neg = ([-x for x in normal[:n]], -offset, True)
+        assert P.entails(q) == (not feasible(eqs, rest + [neg], n))
+
+    def test_vertices_with_equal_numerators_stay_apart(self):
+        # 3/8 and 3/2 share their lowest-terms numerator
+        cell = RationalPolyhedron(1, [LinearInequality.make([1], QQ(3, 2)),
+                                      LinearInequality.make([-1], QQ(-3, 8))])
+        assert cell.vertices() == [(QQ(3, 8),), (QQ(3, 2),)]
+        assert sorted(f.dimension() for f in cell.enumerate_faces()) == [0, 0, 1]
+        assert len({f.canonical_key() for f in cell.enumerate_faces()}) == 3
+        right = RationalPolyhedron(1, [LinearInequality.make([1], 3),
+                                       LinearInequality.make([-1], QQ(-3, 2))])
+        C = PolyhedralComplex.from_subdivision([cell, right])
+        assert sorted(C.face_dim(i) for i in C.ids()) == [0, 0, 0, 1, 1]
+
+    def test_record_of_a_cone_with_lineality(self):
+        # x >= 0, y >= 0 in Q^3: one vertex, two rays, the z-axis as lineality
+        P = make(3, [([-1, 0, 0], 0, False), ([0, -1, 0], 0, False)])
+        record = P._record()
+        assert [pt for pt, _ in record.points] == [((0, 0, 0), 1)]
+        assert sorted(ray for ray, _ in record.rays) == [(0, 1, 0), (1, 0, 0)]
+        assert record.lineality == ((0, 0, 1),)
+        assert not P.is_bounded() and P.vertices() == []
+        assert P.dimension() == 3
+
+    def test_certificate_rejects_a_missing_vertex(self):
+        record = box([0, 0, 0], [1, 1, 1])._record()
+        broken = FaceRecord(3, record.rows, record.eq, record.lineality,
+                            record.points[1:], record.rays)
+        with pytest.raises(AssertionError, match="edge walk"):
+            broken.certify()
+
+    def test_certificate_rejects_a_missing_ray(self):
+        record = make(2, [([-1, 0], 0, False), ([0, -1], 0, False)])._record()
+        broken = FaceRecord(2, record.rows, record.eq, record.lineality,
+                            record.points, record.rays[1:])
+        with pytest.raises(AssertionError, match="not a recorded ray"):
+            broken.certify()
+
+    def test_certificate_rejects_a_violating_generator(self):
+        record = box([0, 0], [1, 1])._record()
+        (_, tight), *rest = record.points
+        bad = (((2, 0), 1), tight)  # (2, 0) lies outside the square
+        broken = FaceRecord(2, record.rows, record.eq, record.lineality,
+                            (bad,) + tuple(rest), record.rays)
+        with pytest.raises(AssertionError, match="violates a row"):
+            broken.certify()
+
+    def test_certificate_rejects_a_feasible_system_without_points(self):
+        record = box([0], [1])._record()
+        broken = FaceRecord(1, record.rows, record.eq, record.lineality, (), ())
+        with pytest.raises(AssertionError, match="no vertex"):
+            broken.certify()
+
+    def test_face_structure_makes_no_feasibility_call(self, monkeypatch):
+        P = box([0, 0, 0], [1, 1, 1])
+        P._record()
+        from polycx import polyhedra
+
+        def forbidden(*args):
+            raise AssertionError("Fourier-Motzkin called")
+
+        monkeypatch.setattr(polyhedra, "_solve_constraints", forbidden)
+        for f in P.enumerate_faces():
+            f.canonical_key()
+            f.dimension()
+        assert P.is_bounded() and len(P.vertices()) == 8
+        assert polytope_volume(P) == 1
 
 
 class TestVolume:
