@@ -200,6 +200,8 @@ class PolyhedralComplex:
 
     @staticmethod
     def from_subdivision(cells):
+        """The complex of closed cells and all their faces.  Every pair of
+        cells is checked to meet in a common face or not at all."""
         cells = list(cells)
         if not cells:
             raise ValueError("need at least one cell")
@@ -211,26 +213,31 @@ class PolyhedralComplex:
                 raise ValueError("empty cell")
             if not c.is_closed_system():
                 raise ValueError("cells must be closed polyhedra")
-        by_key = {}
-        cell_faces = []  # per cell: list of (key, tight-set) pairs
-        for cell in cells:
-            entries = []
-            for f in cell.enumerate_faces():
-                k = f.canonical_key()
-                by_key.setdefault(k, f)
-                entries.append((k, f.tightened | f._implicit()))
-            cell_faces.append(entries)
-        face_keys_per_cell = [{k for k, _ in entries} for entries in cell_faces]
+        face_keys = [{f.canonical_key() for f in c.enumerate_faces()} for c in cells]
         for i, j in itertools.combinations(range(len(cells)), 2):
             inter = cells[i].intersect(cells[j])
             if inter.is_empty():
                 continue
             k = inter.canonical_key()
-            if k not in face_keys_per_cell[i] or k not in face_keys_per_cell[j]:
+            if k not in face_keys[i] or k not in face_keys[j]:
                 raise ValueError(
                     "intersection of cells %d and %d is not a common face" % (i, j))
+        return PolyhedralComplex._of_cells(cells)
+
+    @staticmethod
+    def _of_cells(cells):
+        """The complex of non-empty closed cells in one ambient space, any
+        two of which meet in a common face or not at all (not checked
+        here).  A face shared by several cells is represented by its copy
+        in the first of them."""
+        by_key = {}
         relation_keys = set()
-        for entries in cell_faces:
+        for cell in cells:
+            entries = []  # (key, tight set) of each face
+            for f in cell.enumerate_faces():
+                k = f.canonical_key()
+                by_key.setdefault(k, f)
+                entries.append((k, f.tightened | f._implicit()))
             for (ka, ta), (kb, tb) in itertools.permutations(entries, 2):
                 if ta > tb:  # more tightenings = smaller face
                     relation_keys.add((ka, kb))
@@ -238,7 +245,7 @@ class PolyhedralComplex:
         idx = {k: i for i, k in enumerate(ordered)}
         faces = {idx[k]: by_key[k] for k in ordered}
         above = {(idx[a], idx[b]) for a, b in relation_keys}
-        cx = PolyhedralComplex(ambient, faces, above)
+        cx = PolyhedralComplex(cells[0].ambient_dim, faces, above)
         cx._key_to_id = idx
         return cx
 

@@ -761,6 +761,8 @@ class RationalPolyhedron:
         Returns a list of simplices, each a tuple of vertex points with
         dim(P)+1 affinely independent entries.
         """
+        if not self.is_closed_system():
+            raise ValueError("triangulation requires a closed system")
         if self._root() is None:
             return []
         if not self.is_bounded():
@@ -794,7 +796,10 @@ def simplex_volume(points):
 
 
 def polytope_volume(poly):
-    """Exact volume of a bounded full-dimensional polytope."""
+    """Exact volume of a bounded polytope given by a closed system (0 unless
+    it is full-dimensional)."""
+    if not poly.is_closed_system():
+        raise ValueError("volume requires a closed system")
     if poly.is_empty():
         return ZERO
     if poly.dimension() != poly.ambient_dim:

@@ -30,6 +30,14 @@ class ProjectiveSubspace:
             raise ValueError("empty projective subspace")
         self.generators = tuple(basis)
 
+    @classmethod
+    def _of_basis(cls, ambient_dim, basis):
+        """The subspace whose canonical RREF basis is `basis`, taken as it is."""
+        out = cls.__new__(cls)
+        out.ambient_dim = ambient_dim
+        out.generators = tuple(basis)
+        return out
+
     @property
     def dim(self):
         return len(self.generators) - 1
@@ -53,7 +61,7 @@ class ProjectiveSubspace:
         rows = linalg.intersect_row_spaces(self.generators, other.generators)
         if not rows:
             return None
-        return ProjectiveSubspace(self.ambient_dim, rows)
+        return ProjectiveSubspace._of_basis(self.ambient_dim, rows)
 
     def sort_token(self):
         return (self.dim, tuple(tuple(rat_str(c) for c in g) for g in self.generators))

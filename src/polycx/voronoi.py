@@ -4,9 +4,13 @@ Cells come straight from the bisector inequalities 2(y'-y)·x <= y'·y'-y·y,
 with redundant bisectors filtered incrementally (nearest sites first).  The
 complex itself is the face/intersection closure of the cells.  Genericity
 ("simple configuration") is decided on integer sites by one elimination of
-each small equidistance system; the Delaunay nerve is certified exactly:
-affine independence, pairwise disjoint open simplices, and volume
-additivity against the convex hull.
+each small equidistance system.  Each cell is certified to be the exact
+Voronoi region of its site, so the cells meet in common faces without a
+pairwise check.  The Delaunay nerve is certified exactly and locally:
+affine independence, the ridge conditions of a triangulation (each ridge
+between two top simplices on opposite sides, or on a hull facet), and
+volume additivity against the convex hull, which together make its open
+simplices pairwise disjoint.
 """
 
 import itertools
@@ -51,10 +55,14 @@ def bisector(y, y2):
 
 
 def _cell_inequalities(Y, i):
+    """(kept, dropped): the bisectors of site i against every other site,
+    nearest sites first, split by whether the bisectors kept before them
+    entail them (decided by Fourier-Motzkin).  The cell of site i is the
+    polyhedron of the kept rows."""
     y = Y.sites[i]
     others = sorted((j for j in range(len(Y)) if j != i),
                     key=lambda j: (_sq(tuple(a - b for a, b in zip(Y.sites[j], y))), j))
-    kept = []
+    kept, dropped = [], []
     for j in others:
         q = bisector(y, Y.sites[j])
         if kept:
@@ -62,9 +70,10 @@ def _cell_inequalities(Y, i):
             probe = [(w.normal, w.offset, w.strict) for w in kept]
             probe.append((neg.normal, neg.offset, neg.strict))
             if _solve_constraints([], probe) is None:
-                continue  # already entailed by nearer bisectors
+                dropped.append(q)
+                continue
         kept.append(q)
-    return kept
+    return kept, dropped
 
 
 @dataclass
@@ -74,12 +83,32 @@ class VoronoiComplex:
 
 
 def voronoi_complex(Y):
-    cells = [RationalPolyhedron(Y.ambient_dim, _cell_inequalities(Y, i))
-             for i in range(len(Y))]
-    cx = PolyhedralComplex.from_subdivision(cells)
+    """The Voronoi complex: the cells, their faces and the incidences.
+
+    Each cell is certified to be the exact Voronoi region of its site:
+    every bisector that `_cell_inequalities` dropped holds on every
+    generator of the cell's face record.  So cell i lies in every halfspace
+    H_ij of points at least as close to site i as to site j, and
+    cell_i ∩ cell_j = cell_i ∩ {equality in H_ij} = cell_j ∩ {equality in
+    H_ij}: a face of both cells, exposed by a valid inequality, which face
+    enumeration lists in both under the same canonical key.  The pairwise
+    common-face check of `from_subdivision` is therefore not needed.
+    """
+    cells = []
+    for i in range(len(Y)):
+        kept, dropped = _cell_inequalities(Y, i)
+        cell = RationalPolyhedron(Y.ambient_dim, kept)
+        cell.enumerate_faces()  # builds the cell's certified face record
+        for q in dropped:
+            if not cell.entails(q):
+                raise AssertionError(
+                    "cell %d is not its Voronoi region: it violates the dropped bisector %s <= %s"
+                    % (i, " ".join(rat_str(c) for c in q.normal), rat_str(q.offset)))
+        cells.append(cell)
+    cx = PolyhedralComplex._of_cells(cells)
     cell_of = {}
     for i, cell in enumerate(cells):
-        # a cell is its own first face, whose key from_subdivision computed
+        # a cell is its own first face, whose key _of_cells computed
         fid = cx.id_of_polyhedron(cell.enumerate_faces()[0])
         if fid is None:
             raise AssertionError("cell disappeared during closure")
@@ -203,40 +232,103 @@ def delaunay(Y):
         if linalg.rank(rows) != len(rows):
             raise ValueError("Delaunay simplex %r is affinely degenerate" % (sorted(s),))
 
-    # (a) injectivity: open simplex images pairwise disjoint
-    for s, t in itertools.combinations(simps, 2):
-        if _open_simplices_meet([Y.sites[i] for i in sorted(s)],
-                                [Y.sites[i] for i in sorted(t)]):
-            raise ValueError("open Delaunay simplices %r and %r overlap"
-                             % (sorted(s), sorted(t)))
-
-    # (b) surjectivity onto the hull: exact volume additivity in span coordinates
+    # (a) injectivity (open simplices pairwise disjoint) and (b) surjectivity
+    # onto the hull: the top simplices triangulate it, in span coordinates
     base, dirs = _site_span(Y)
     d = len(dirs)
     params = {i: _param_coords(base, dirs, Y.sites[i]) for i in range(len(Y))}
     if d == 0:
         hull_vol = ZERO
-        tops = []
+        volumes = []
     else:
-        hull = convex_hull_inequalities([params[i] for i in range(len(Y))])
-        hull_vol = polytope_volume(hull)
+        hull_vol = polytope_volume(convex_hull_inequalities([params[i] for i in range(len(Y))]))
         tops = []
         for s in nerve.maximal_simplices():
             if len(s) != d + 1:
                 raise ValueError("Delaunay facet %r has wrong dimension" % (sorted(s),))
-            v = simplex_volume([params[i] for i in sorted(s)])
-            if v <= 0:
-                raise ValueError("degenerate top simplex %r" % (sorted(s),))
-            tops.append((tuple(sorted(s)), v))
-        total = sum((v for _, v in tops), ZERO)
-        if total != hull_vol:
-            raise ValueError("simplex volumes %s do not add up to hull volume %s"
-                             % (rat_str(total), rat_str(hull_vol)))
-    return DelaunayRealization(nerve, eta, d, hull_vol, tops)
+            tops.append(tuple(sorted(s)))
+        volumes = _certify_triangulation(params, tops, hull_vol)
+    return DelaunayRealization(nerve, eta, d, hull_vol, volumes)
+
+
+def _certify_triangulation(params, tops, hull_volume):
+    """Check that the d-simplices `tops` (tuples of keys of `params`, which
+    maps each key to a point of Q^d, d >= 1) triangulate the convex hull H
+    of all the points, with volume `hull_volume`; [(top, volume)] if so,
+    ValueError if not.
+
+    The local certificate of Mehlhorn, Näher, Seel, Seidel, Schilz,
+    Schirra and Uhrig ("Checking geometric programs or verification of
+    geometric structures", CGTA 1999), with volume additivity in place of
+    their point-location step.  Every top has positive volume.  Every
+    ridge (a top minus one vertex) lies either in exactly two tops, whose
+    opposite vertices lie strictly on opposite sides of it, or in exactly
+    one top, with every point weakly on that top's side: then the ridge
+    lies on the boundary of H.  And the volumes add up to vol(H).
+
+    Why this suffices.  Walking through H in general position, one crosses
+    only ridges between two tops, leaving one and entering the other, so
+    almost every point of H lies in the same number k of tops; then
+    sum(volumes) = k vol(H), and additivity forces k = 1: the tops cover H
+    and have disjoint interiors.  Near any point x, the tops containing x
+    cover H and are linked through shared ridges that contain x; a ridge
+    holding x contains the face of either top whose relative interior
+    holds x, so that face is the same in every top containing x.  Hence
+    the relative interiors of distinct faces of the tops are disjoint.
+    """
+    out = []
+    for top in tops:
+        v = simplex_volume([params[i] for i in top])
+        if v <= 0:
+            raise ValueError("degenerate top simplex %r" % (list(top),))
+        out.append((top, v))
+    # the points scaled to integers: sides of hyperplanes are unchanged
+    den = lcm(*(x.denominator for p in params.values() for x in p))
+    pts = {i: [x.numerator * (den // x.denominator) for x in p] for i, p in params.items()}
+    opposite = {}
+    for top in tops:
+        for k, v in enumerate(top):
+            opposite.setdefault(top[:k] + top[k + 1:], []).append(v)
+    for ridge, vs in opposite.items():
+        origin = pts[ridge[0]]
+        normal = _normal([[a - b for a, b in zip(pts[r], origin)] for r in ridge[1:]])
+
+        def side(i):
+            return sum(n * (a - b) for n, a, b in zip(normal, pts[i], origin))
+
+        if len(vs) == 2:
+            if side(vs[0]) * side(vs[1]) >= 0:
+                raise ValueError("Delaunay simplices %r and %r lie on one side of their "
+                                 "common ridge %r" % (sorted(ridge + (vs[0],)),
+                                                      sorted(ridge + (vs[1],)), list(ridge)))
+        elif len(vs) == 1:
+            inner = side(vs[0])
+            beyond = next((i for i in pts if side(i) * inner < 0), None)
+            if beyond is not None:
+                raise ValueError("ridge %r lies in the single Delaunay simplex %r but site %r "
+                                 "lies beyond it" % (list(ridge), sorted(ridge + (vs[0],)), beyond))
+        else:
+            raise ValueError("ridge %r lies in %d Delaunay simplices" % (list(ridge), len(vs)))
+    total = sum((v for _, v in out), ZERO)
+    if total != hull_volume:
+        raise ValueError("simplex volumes %s do not add up to hull volume %s"
+                         % (rat_str(total), rat_str(hull_volume)))
+    return out
+
+
+def _normal(rows):
+    """Integer normal of the hyperplane spanned by d - 1 integer rows in
+    Z^d: n·x = det(rows + [x]), by cofactors along the last row."""
+    d = len(rows) + 1
+    return [(-1) ** (d - 1 + c) * linalg.int_det([r[:c] + r[c + 1:] for r in rows])
+            for c in range(d)]
 
 
 def _open_simplices_meet(pts_a, pts_b):
-    """Exact test: do the relative interiors of two simplices intersect?"""
+    """Exact test: do the relative interiors of two simplices intersect?
+
+    `delaunay` no longer runs it pair by pair (`_certify_triangulation`
+    implies the answer); the tests keep it as the pairwise oracle."""
     N = len(pts_a[0])
     na, nb = len(pts_a), len(pts_b)
     nvars = na + nb

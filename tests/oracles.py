@@ -6,7 +6,7 @@ naive algorithms, sharing no code with the package under test.
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 
 def feasible(eqs, ineqs, dim):
@@ -164,6 +164,40 @@ def rational_det(rows):
             f = m[i][c] / m[c][c]
             m[i] = [a - f * b for a, b in zip(m[i], m[c])]
     return result
+
+
+def open_simplices_meet(pts_a, pts_b):
+    """Do the relative interiors of two simplices meet?  One system in the
+    barycentric coordinates of both: each set sums to 1, all are positive,
+    and the two combinations are the same point."""
+    na, nb = len(pts_a), len(pts_b)
+    eqs = [([1] * na + [0] * nb, 1), ([0] * na + [1] * nb, 1)]
+    for k in range(len(pts_a[0])):
+        eqs.append(([p[k] for p in pts_a] + [-q[k] for q in pts_b], 0))
+    ineqs = [([-1 if j == v else 0 for j in range(na + nb)], 0, True)
+             for v in range(na + nb)]
+    return feasible(eqs, ineqs, na + nb)
+
+
+def pairwise_triangulation(points, tops, hull_volume):
+    """The Delaunay certificate checked pair by pair: every top (a tuple of
+    d + 1 keys of `points`) has positive volume, the relative interiors of
+    any two distinct faces of the tops are disjoint, and the volumes add up
+    to hull_volume."""
+    total = Fraction(0)
+    for t in tops:
+        base = points[t[0]]
+        v = abs(rational_det([[Fraction(a) - b for a, b in zip(points[i], base)]
+                              for i in t[1:]])) / factorial(len(t) - 1)
+        if v == 0:
+            return False
+        total += v
+    faces = sorted({f for t in tops for k in range(1, len(t) + 1)
+                    for f in itertools.combinations(t, k)})
+    for f, g in itertools.combinations(faces, 2):
+        if open_simplices_meet([points[i] for i in f], [points[i] for i in g]):
+            return False
+    return total == hull_volume
 
 
 def betti_numbers(maximal_simplices):

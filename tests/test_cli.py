@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import pytest
@@ -388,3 +390,82 @@ def test_strata_fuzz_exits_2_unless_well_shaped(tmp_path_factory, data):
     code = run(["dual-complex", "--strata", str(path),
                 "--out", str(tmp_path_factory.getbasetemp() / "fuzz.scx")])
     assert code == 2 if not _well_shaped(data) else code in (0, 2)
+
+
+PTS_FILES = [SQUARE, "2 4\n0 0\n2 1/2\n-1 3\n3/2 -2\n", "1 3\n0\n1\n7/2\n",
+             "3 4\n0 0 0\n2 0 0\n0 3 0\n0 0 5\n"]
+RGN_FILES = [BOX_REGION, "2\n2 3\n-1 0 <= 0\n0 -1 <= 0\n1 1 <= 1\n2 4\n1 0 <= 3\n-1 0 <= -2\n"
+                         "0 1 <= 1\n0 -1 <= 0\n"]
+GRP_FILES = ["gens 2\nx1 x2 x1^-1 x2^-1\n", "gens 1\nx1 x1\n",
+             "gens 2\nx1 x2 x1^-1 x2^-1 x2^-1\nx2 x1 x2^-1 x1^-1 x1^-1\n"]
+
+
+@st.composite
+def mutated(draw, texts):
+    """One of `texts` after one or two edits: a character inserted, deleted
+    or replaced, or a line duplicated or deleted."""
+    text = draw(st.sampled_from(texts))
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["insert", "delete", "replace", "dup-line", "drop-line"]))
+        lines = text.split("\n")
+        if kind in ("dup-line", "drop-line"):
+            k = draw(st.integers(0, len(lines) - 1))
+            lines[k:k + 1] = [lines[k]] * (2 if kind == "dup-line" else 0)
+            text = "\n".join(lines)
+            continue
+        pos = draw(st.integers(0, max(len(text) - 1, 0)))
+        char = draw(st.sampled_from("0123456789-/ \nx^<=."))
+        if kind == "insert":
+            text = text[:pos] + char + text[pos:]
+        elif kind == "delete":
+            text = text[:pos] + text[pos + 1:]
+        else:
+            text = text[:pos] + char + text[pos + 1:]
+    return text
+
+
+def run_by_contract(argv):
+    """Run the CLI; it must exit 0, 1 or 2, and a failure must leave
+    exactly one line on stderr that names its kind."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2)
+    message = err.getvalue()
+    if code == 0:
+        assert message == ""
+    else:
+        prefix = "verification failure: " if code == 1 else "input error: "
+        assert message.startswith(prefix) and message.count("\n") == 1, message
+
+
+@settings(max_examples=120, deadline=None)
+@given(mutated(PTS_FILES), st.sampled_from(["check-simple", "delaunay", "clip"]))
+def test_pts_fuzz_exits_by_contract(tmp_path_factory, text, command):
+    base = tmp_path_factory.getbasetemp()
+    pts = write(base / "fuzz.pts", text)
+    out = ["--out", str(base / "fuzz.out")]
+    if command == "check-simple":
+        run_by_contract(["check-simple", "--points", pts])
+    elif command == "delaunay":
+        run_by_contract(["delaunay", "--points", pts] + out)
+    else:
+        rgn = write(base / "fuzz.rgn", BOX_REGION)
+        run_by_contract(["clip", "--points", pts, "--region", rgn] + out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mutated(RGN_FILES))
+def test_rgn_fuzz_exits_by_contract(tmp_path_factory, text):
+    base = tmp_path_factory.getbasetemp()
+    pts = write(base / "fuzz.pts", "2 3\n0 0\n2 0\n1/2 3/2\n")
+    rgn = write(base / "fuzz.rgn", text)
+    run_by_contract(["clip", "--points", pts, "--region", rgn, "--out", str(base / "fuzz.out")])
+
+
+@settings(max_examples=80, deadline=None)
+@given(mutated(GRP_FILES))
+def test_grp_fuzz_exits_by_contract(tmp_path_factory, text):
+    base = tmp_path_factory.getbasetemp()
+    grp = write(base / "fuzz.grp", text)
+    run_by_contract(["superperfect", "--presentation", grp, "--out", str(base / "fuzz.out")])

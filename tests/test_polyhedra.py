@@ -303,6 +303,19 @@ class TestVolume:
         for p in pts:
             assert hull.contains(p)
 
+    def test_strict_system_is_not_triangulated(self):
+        # 0 < y < 2, -2 <= x <= 2: every vertex of the closure lies on a strict row
+        P = make(2, [([0, -1], 0, True), ([0, 1], 2, True),
+                     ([1, 0], 2, False), ([-1, 0], 2, False)])
+        with pytest.raises(ValueError, match="closed system"):
+            P.triangulate()
+
+    def test_strict_system_has_no_volume(self):
+        # x in [0, 1): a half-open interval, whose volume once read 0
+        P = make(1, [([-1], 0, False), ([1], 1, True)])
+        with pytest.raises(ValueError, match="closed system"):
+            polytope_volume(P)
+
 
 class TestPolyFormat:
 

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from polycx import (
     rat,
@@ -78,6 +78,22 @@ class TestSubspaces:
                 break
             closure |= new
         assert _intersection_lattice(subs) == closure
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), min_size=1, max_size=3),
+           st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), min_size=1, max_size=3))
+    def test_intersection_is_built_from_its_canonical_basis(self, a, b):
+        assume(any(any(row) for row in a) and any(any(row) for row in b))
+        s, t = ProjectiveSubspace(3, a), ProjectiveSubspace(3, b)
+        meet = s.intersect(t)
+        rows = rational_intersect_row_spaces(s.generators, t.generators)
+        if not rows:
+            assert meet is None
+            return
+        again = ProjectiveSubspace(3, meet.generators)
+        assert meet == again == ProjectiveSubspace(3, rows)
+        assert meet.generators == again.generators and hash(meet) == hash(again)
+        assert meet.ambient_dim == 3 and meet.dim == len(rows) - 1
 
 
 class TestParasites:

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from polycx import (
     QQ,
@@ -19,10 +19,17 @@ from polycx import (
     parse_pts,
     format_rgn,
     parse_rgn,
+    PolyhedralComplex,
+    format_cplx,
+    convex_hull_inequalities,
+    polytope_volume,
 )
-from polycx.voronoi import bisector
+from polycx import voronoi
+from polycx.voronoi import (bisector, _cell_inequalities, _certify_triangulation,
+                            _open_simplices_meet)
 
-from oracles import circumcenter_2d, simple_configuration
+from oracles import (circumcenter_2d, simple_configuration, open_simplices_meet,
+                     pairwise_triangulation)
 from _corpus import box, random_sites
 
 # a small lattice with mixed denominators, so that collinear and cocircular
@@ -207,3 +214,140 @@ class TestFormats:
         assert len(back.pieces) == 2
         for a, b in zip(region.pieces, back.pieces):
             assert a.same_solution_set(b)
+
+
+@st.composite
+def simple_sites(draw, dims=(1, 2, 3), max_sites=6):
+    n = draw(st.sampled_from(dims))
+    pts = draw(st.lists(st.tuples(*[st.integers(-9, 9)] * n),
+                        min_size=2, max_size=max_sites if n < 3 else 5, unique=True))
+    Y = SiteSet(n, pts)
+    assume(is_simple_configuration(Y)[0])
+    return Y
+
+
+def certified(points, tops, hull_volume):
+    try:
+        _certify_triangulation(points, tops, hull_volume)
+    except ValueError:
+        return False
+    return True
+
+
+class TestLocalCertificates:
+    """The local certificates of the Voronoi complex and the Delaunay nerve
+    against the pairwise checks they replace."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.tuples(*[st.sampled_from(LATTICE_COORDS)] * n),
+        min_size=1, max_size=6, unique=True)))
+    def test_voronoi_complex_matches_pairwise_subdivision(self, sites):
+        Y = SiteSet(len(sites[0]), sites)
+        cells = [RationalPolyhedron(Y.ambient_dim, _cell_inequalities(Y, i)[0])
+                 for i in range(len(Y))]
+        assert (format_cplx(voronoi_complex(Y).complex)
+                == format_cplx(PolyhedralComplex.from_subdivision(cells)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(simple_sites())
+    def test_delaunay_matches_pairwise_oracle(self, Y):
+        D = delaunay(Y)
+        simplices = [sorted(s) for s in D.complex.simplices()]
+        for s, t in itertools.combinations(simplices, 2):
+            a, b = [Y.sites[i] for i in s], [Y.sites[i] for i in t]
+            assert not _open_simplices_meet(a, b) and not open_simplices_meet(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(simple_sites(dims=(1, 2)), st.sampled_from(["keep", "drop", "add", "swap"]),
+           st.randoms(use_true_random=False))
+    def test_certificate_matches_pairwise_oracle(self, Y, mutation, rng):
+        n = Y.ambient_dim
+        assume(len(Y) > n)
+        points = dict(enumerate(Y.sites))
+        hull = polytope_volume(convex_hull_inequalities(Y.sites))
+        tops = [top for top, _ in delaunay(Y).simplex_volumes]
+        others = [t for t in itertools.combinations(range(len(Y)), n + 1) if t not in tops]
+        if mutation in ("drop", "swap"):
+            tops.pop(rng.randrange(len(tops)))
+        if mutation in ("add", "swap") and others:
+            tops.append(rng.choice(others))
+        assert certified(points, tops, hull) == pairwise_triangulation(points, tops, hull)
+
+    # corners of the square [0, 2]^2 and its center
+    SQUARE = {"a": (0, 0), "b": (2, 0), "c": (2, 2), "d": (0, 2), "e": (1, 1)}
+    FAN = [("a", "b", "e"), ("b", "c", "e"), ("c", "d", "e"), ("a", "d", "e")]
+
+    def square(self, tops):
+        points = {k: tuple(QQ(x) for x in p) for k, p in self.SQUARE.items()}
+        return points, [tuple(sorted(t)) for t in tops], QQ(4)
+
+    def test_certificate_accepts_a_triangulation(self):
+        points, tops, hull = self.square(self.FAN)
+        assert [v for _, v in _certify_triangulation(points, tops, hull)] == [1, 1, 1, 1]
+        assert pairwise_triangulation(points, tops, hull)
+
+    @pytest.mark.parametrize("tops, message", [
+        # the fan without one of its tops
+        (FAN[:3], "lies beyond it"),
+        # the fan with one of its tops twice
+        (FAN + [("b", "e", "c")], "lies in 3 Delaunay simplices"),
+    ], ids=["missing", "three-on-a-ridge"])
+    def test_certificate_rejects_square(self, tops, message):
+        points, tops, hull = self.square(tops)
+        with pytest.raises(ValueError, match=message):
+            _certify_triangulation(points, tops, hull)
+        assert not pairwise_triangulation(points, tops, hull)
+
+    def test_certificate_rejects_a_flipped_triangle(self):
+        # abd is folded over its ridge ab onto the side of abc
+        points = {"a": (0, 0), "b": (2, 0), "c": (1, 2), "d": (1, 1)}
+        points = {k: tuple(QQ(x) for x in p) for k, p in points.items()}
+        tops = [("a", "b", "c"), ("a", "b", "d")]
+        with pytest.raises(ValueError, match="lie on one side of their common ridge"):
+            _certify_triangulation(points, tops, QQ(2))
+        assert not pairwise_triangulation(points, tops, QQ(2))
+
+    def test_certificate_rejects_an_overlapping_pair(self):
+        # two triangles that overlap near their common vertex a; the ridge
+        # ae of the first has the site c beyond it
+        points = {"a": (0, 0), "b": (4, 0), "c": (0, 4), "d": (3, 1), "e": (1, 3)}
+        points = {k: tuple(QQ(x) for x in p) for k, p in points.items()}
+        tops = [("a", "b", "e"), ("a", "c", "d")]
+        with pytest.raises(ValueError, match="lies beyond it"):
+            _certify_triangulation(points, tops, QQ(8))
+        assert not pairwise_triangulation(points, tops, QQ(8))
+
+    def test_certificate_rejects_a_t_junction(self):
+        # m lies inside the edge ab of the lower top: the interiors are
+        # disjoint and the volumes add up, but am and mb are no hull facets
+        points = {"a": (0, 0), "b": (2, 0), "c": (1, 2), "d": (1, -2), "m": (1, 0)}
+        points = {k: tuple(QQ(x) for x in p) for k, p in points.items()}
+        tops = [("a", "c", "m"), ("b", "c", "m"), ("a", "b", "d")]
+        with pytest.raises(ValueError, match="lies beyond it"):
+            _certify_triangulation(points, tops, QQ(4))
+        assert not pairwise_triangulation(points, tops, QQ(4))
+
+    def test_certificate_needs_volume_additivity(self):
+        # two fans over the square, from different centers and with the
+        # boundary split differently, cover it twice: every ridge condition
+        # holds and only the volumes tell
+        points = {"a": (0, 0), "b": (2, 0), "c": (2, 2), "d": (0, 2), "e": (1, 1),
+                  "f": (1, QQ(1, 2)), "m1": (1, 0), "m2": (2, 1), "m3": (1, 2), "m4": (0, 1)}
+        points = {k: tuple(QQ(x) for x in p) for k, p in points.items()}
+        ring = ["a", "m1", "b", "m2", "c", "m3", "d", "m4"]
+        tops = [tuple(sorted(t)) for t in self.FAN]
+        tops += [tuple(sorted((u, v, "f"))) for u, v in zip(ring, ring[1:] + ring[:1])]
+        with pytest.raises(ValueError, match="do not add up"):
+            _certify_triangulation(points, tops, QQ(4))
+
+    def test_dropped_bisector_check_rejects_a_cell_with_too_few_rows(self, monkeypatch):
+        real = voronoi._cell_inequalities
+
+        def short(Y, i):
+            kept, dropped = real(Y, i)
+            return kept[:-1], dropped + kept[-1:]
+
+        monkeypatch.setattr(voronoi, "_cell_inequalities", short)
+        with pytest.raises(AssertionError, match="violates the dropped bisector"):
+            voronoi_complex(SiteSet(1, [(0,), (1,), (2,)]))
