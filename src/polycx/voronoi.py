@@ -327,8 +327,8 @@ def _normal(rows):
 def _open_simplices_meet(pts_a, pts_b):
     """Exact test: do the relative interiors of two simplices intersect?
 
-    `delaunay` no longer runs it pair by pair (`_certify_triangulation`
-    implies the answer); the tests keep it as the pairwise oracle."""
+    `delaunay` settles this for its nerve locally, by
+    `_certify_triangulation`; this pairwise test is the tests' oracle."""
     N = len(pts_a[0])
     na, nb = len(pts_a), len(pts_b)
     nvars = na + nb
