@@ -3,7 +3,8 @@
 One subcommand per pipeline stage.  Machine artifacts (CPLX/1, SCX/1,
 PTS/1, GRP/1, LEDGER/1, JSON reports) go to files named by --out; a short
 human summary goes to stdout.  Exit codes: 0 success, 1 verification
-failure, 2 input error.  All randomness flows through --seed.
+failure, 2 input error, 3 internal error (a certificate of the program's
+own work failed an invariant check).  All randomness flows through --seed.
 """
 
 import argparse
@@ -39,15 +40,11 @@ def _report(command, payload):
     return json.dumps(body, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _subspace_rows(s):
-    return [[rat_str(c) for c in g] for g in s.generators]
-
-
 def _records_payload(records):
     return [{
         "ambient": r.ambient,
         "tuple": list(r.tuple_ids),
-        "subspace": _subspace_rows(r.subspace),
+        "subspace": r.subspace.row_strings(),
         "subspace_dim": r.subspace.dim,
         "saturated": r.saturated,
     } for r in records]
@@ -396,6 +393,9 @@ def run(argv):
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
         print("input error: %s" % e, file=sys.stderr)
         return 2
+    except AssertionError as e:
+        print("internal error: %s" % e, file=sys.stderr)
+        return 3
     return 0
 
 

@@ -7,12 +7,20 @@ Bareiss 1968) for rank and determinant, where every division is exact, and
 a Gauss-Jordan reduction whose combined rows are divided by their content
 for the RREF.  QQ values are built only when a result is written out.
 
-Each row-space operation is one elimination: containment compares two
-ranks, and an intersection is read off one RREF of the Zassenhaus block
-matrix.
+Row spaces have an integer form of their own.  A row space is held as its
+canonical rows: the RREF rows, each times the lcm of its denominators,
+which makes it primitive with a positive pivot (`int_row_space`).  This
+form and the QQ RREF determine each other, since dividing a canonical row
+by its pivot gives back the RREF row (`rational_rows`).  On it, an
+intersection is one integer reduction of the Zassenhaus block matrix
+(`int_intersect_row_spaces`), and containment is a check that the integer
+annihilator of the outer space (`int_kernel`) kills the inner rows
+(`annihilates`).  `intersect_row_spaces`, `row_space_contained` and
+`in_row_space` are the same operations on QQ rows.
 """
 
 from math import gcd, lcm
+from operator import mul
 
 from .rationals import QQ, ZERO, ONE
 
@@ -119,16 +127,89 @@ def int_rref(m):
     return pivots
 
 
-def rref(rows):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    m = [int_row(row)[0] for row in rows]
+def canonical_rows(m, pivots):
+    """The rows of an `int_rref` result that carry the pivots, each divided
+    by its content and signed so that its pivot is positive.  `int_rref`
+    leaves rows it never combines as they came, so this also makes those
+    primitive."""
+    out = []
+    for row, c in zip(m, pivots):
+        g = gcd(*row)
+        if row[c] < 0:
+            g = -g
+        out.append(tuple(row) if g == 1 else tuple(x // g for x in row))
+    return out
+
+
+def int_row_space(rows):
+    """(canonical rows, pivot columns) of the row space of integer rows:
+    the RREF rows, each scaled to a primitive integer row with a positive
+    pivot.  Equal row spaces give equal canonical rows."""
+    m = [list(row) for row in rows]
     pivots = int_rref(m)
+    return canonical_rows(m, pivots), pivots
+
+
+def rational_rows(m, pivots):
+    """The QQ RREF rows of integer rows reduced by `int_rref` (or canonical
+    rows): each row divided by its pivot."""
     out = []
     for row, c in zip(m, pivots):
         p = row[c]
         out.append(tuple(ONE if j == c else ZERO if not x else QQ(x, p)
                          for j, x in enumerate(row)))
-    return out, pivots
+    return out
+
+
+def rref(rows):
+    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
+    m = [int_row(row)[0] for row in rows]
+    pivots = int_rref(m)
+    return rational_rows(m, pivots), pivots
+
+
+def int_kernel(m, pivots, ncols):
+    """Primitive integer basis of {x : m x = 0} in the first `ncols`
+    columns, for rows m reduced by `int_rref` (or canonical rows), one
+    vector per free column."""
+    den = lcm(*(abs(m[k][c]) for k, c in enumerate(pivots)))
+    scale = [den // m[k][c] for k, c in enumerate(pivots)]
+    kernel = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = den
+        for k, c in enumerate(pivots):
+            v[c] = -m[k][f] * scale[k]
+        kernel.append(tuple(primitive_row(v)))
+    return kernel
+
+
+def annihilates(kernel, rows):
+    """True iff every vector of `kernel` has a zero dot product with every
+    row of `rows` (integer vectors)."""
+    return all(not sum(map(mul, v, row)) for v in kernel for row in rows)
+
+
+def int_intersect_row_spaces(a_rows, b_rows):
+    """(canonical rows, pivot columns) of rowspace(A) ∩ rowspace(B) for
+    integer rows (Zassenhaus).
+
+    The rows of [[A, A], [B, 0]] span {(a + b, a)}; its vectors with a zero
+    left half are exactly {(0, a) : a ∈ A ∩ B}.  After `int_rref` of the
+    block matrix these are spanned by the rows whose pivot lies in the
+    right half, and those rows' right halves are reduced rows of A ∩ B.
+    """
+    if not a_rows:
+        return [], []
+    n = len(a_rows[0])
+    m = [list(a) * 2 for a in a_rows]
+    m += [list(b) + [0] * n for b in b_rows]
+    pivots = int_rref(m)
+    k = next((i for i, c in enumerate(pivots) if c >= n), len(pivots))
+    right = [c - n for c in pivots[k:]]
+    return canonical_rows([row[n:] for row in m[k:len(pivots)]], right), right
 
 
 def rank(rows):
@@ -191,23 +272,19 @@ def in_row_space(rows, v):
 
 
 def row_space_contained(inner, outer):
-    """True iff rowspace(inner) ⊆ rowspace(outer): adding the inner rows
-    leaves the rank as it is."""
-    return rank(list(outer) + list(inner)) == rank(outer)
+    """True iff rowspace(inner) ⊆ rowspace(outer): the integer annihilator
+    of the outer rows kills every inner row."""
+    inner = [int_row(row)[0] for row in inner]
+    if not outer:
+        return not any(any(row) for row in inner)
+    m = [int_row(row)[0] for row in outer]
+    pivots = int_rref(m)
+    return annihilates(int_kernel(m, pivots, len(m[0])), inner)
 
 
 def intersect_row_spaces(a_rows, b_rows):
-    """RREF basis of rowspace(A) ∩ rowspace(B) (Zassenhaus).
-
-    The rows of [[A, A], [B, 0]] span {(a + b, a)}; its vectors with a zero
-    left half are exactly {(0, a) : a ∈ A ∩ B}.  In the RREF of the block
-    matrix these are spanned by the rows whose pivot lies in the right half,
-    and those rows' right halves are themselves in RREF.
-    """
-    rows = [tuple(a) * 2 for a in a_rows]
-    if not rows:
-        return []
-    n = len(rows[0]) // 2
-    rows += [tuple(b) + (ZERO,) * n for b in b_rows]
-    red, pivots = rref(rows)
-    return [row[n:] for row, c in zip(red, pivots) if c >= n]
+    """QQ RREF basis of rowspace(A) ∩ rowspace(B) (Zassenhaus, on the
+    integer rows; see `int_intersect_row_spaces`)."""
+    rows, pivots = int_intersect_row_spaces([int_row(a)[0] for a in a_rows],
+                                            [int_row(b)[0] for b in b_rows])
+    return rational_rows(rows, pivots)

@@ -209,20 +209,10 @@ def _solve_int(aug, n):
     if pivots and pivots[-1] == n:
         return None
     den = lcm(*(abs(m[k][c]) for k, c in enumerate(pivots)))
-    scale = [den // m[k][c] for k, c in enumerate(pivots)]
     nums = [0] * n
     for k, c in enumerate(pivots):
-        nums[c] = m[k][n] * scale[k]
-    kernel = []
-    for f in range(n):
-        if f in pivots:
-            continue
-        v = [0] * n
-        v[f] = den
-        for k, c in enumerate(pivots):
-            v[c] = -m[k][f] * scale[k]
-        kernel.append(tuple(linalg.primitive_row(v)))
-    return nums, den, kernel
+        nums[c] = m[k][n] * (den // m[k][c])
+    return nums, den, linalg.int_kernel(m, pivots, n)
 
 
 def _section(cons, base, den, d):

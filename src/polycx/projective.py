@@ -5,66 +5,116 @@ Everything stays at the level of rational linear subspaces of P^N in
 homogeneous coordinates (last coordinate = affine chart coordinate): the
 blow-ups themselves are tracked as scheduled centers plus separation
 certificates, never as varieties.
+
+A subspace is held in integer form: the canonical rows of its homogeneous
+span in Q^{N+1} (each RREF row times the lcm of its denominators, so
+primitive with a positive pivot) and their pivot columns.  Equality,
+hashing, containment (the subspace's integer annihilator kills the other's
+rows) and intersection (Zassenhaus on the integer rows, or one containment
+test when a side is a point) never leave the integers.  The QQ RREF basis
+(`generators`) and the strings that records and the ledger are sorted and
+written by (`row_strings`) are read off the canonical rows once per
+subspace, when first asked for.
 """
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import gcd
 
-from .rationals import QQ, ZERO, ONE, rat, rat_str
+from .rationals import ZERO, ONE, rat
 from . import linalg
 
 
+def _ratio_str(x, p):
+    """rat_str of x/p for a positive p, from the integers."""
+    g = gcd(x, p)
+    return str(x // g) if g == p else "%d/%d" % (x // g, p // g)
+
+
 class ProjectiveSubspace:
-    """Linear subspace of P^N, stored as the canonical RREF row basis of its
-    homogeneous span in Q^{N+1}."""
+    """Linear subspace of P^N, stored as the canonical integer rows of its
+    homogeneous span in Q^{N+1} (see `linalg.int_row_space`)."""
+
+    __slots__ = ("ambient_dim", "rows", "pivots", "_generators", "_strings", "_ann")
 
     def __init__(self, ambient_dim, generators):
-        self.ambient_dim = int(ambient_dim)
-        rows = [tuple(rat(c) for c in g) for g in generators]
-        for g in rows:
-            if len(g) != self.ambient_dim + 1:
+        n = int(ambient_dim)
+        rows = []
+        for g in generators:
+            g = [rat(c) for c in g]
+            if len(g) != n + 1:
                 raise ValueError("generator arity must be ambient_dim + 1")
-        basis, _ = linalg.rref(rows)
-        if not basis:
+            rows.append(linalg.int_row(g)[0])
+        rows, pivots = linalg.int_row_space(rows)
+        if not rows:
             raise ValueError("empty projective subspace")
-        self.generators = tuple(basis)
+        self._set(n, rows, pivots)
 
     @classmethod
-    def _of_basis(cls, ambient_dim, basis):
-        """The subspace whose canonical RREF basis is `basis`, taken as it is."""
+    def _of_rows(cls, ambient_dim, rows, pivots):
+        """The subspace whose canonical rows are `rows`, taken as they are."""
         out = cls.__new__(cls)
-        out.ambient_dim = ambient_dim
-        out.generators = tuple(basis)
+        out._set(ambient_dim, rows, pivots)
         return out
+
+    def _set(self, ambient_dim, rows, pivots):
+        self.ambient_dim = ambient_dim
+        self.rows = tuple(rows)
+        self.pivots = tuple(pivots)
+        self._generators = self._strings = self._ann = None
 
     @property
     def dim(self):
-        return len(self.generators) - 1
+        return len(self.rows) - 1
+
+    @property
+    def generators(self):
+        """The canonical RREF basis over QQ: each row divided by its pivot."""
+        if self._generators is None:
+            self._generators = tuple(linalg.rational_rows(self.rows, self.pivots))
+        return self._generators
+
+    def row_strings(self):
+        """`rat_str` of every entry of `generators`, row by row."""
+        if self._strings is None:
+            self._strings = tuple(tuple(_ratio_str(x, row[c]) for x in row)
+                                  for row, c in zip(self.rows, self.pivots))
+        return self._strings
 
     def __eq__(self, other):
         return (isinstance(other, ProjectiveSubspace)
                 and self.ambient_dim == other.ambient_dim
-                and self.generators == other.generators)
+                and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.generators))
+        return hash((self.ambient_dim, self.rows))
 
     def __repr__(self):
         return "ProjectiveSubspace(dim=%d, %s)" % (
-            self.dim, [[rat_str(c) for c in g] for g in self.generators])
+            self.dim, [list(g) for g in self.row_strings()])
 
     def contains(self, other):
-        return linalg.row_space_contained(other.generators, self.generators)
+        """other ⊆ self: the annihilator of self kills every row of other."""
+        if self._ann is None:
+            self._ann = linalg.int_kernel(self.rows, self.pivots, self.ambient_dim + 1)
+        return linalg.annihilates(self._ann, other.rows)
 
     def intersect(self, other):
-        rows = linalg.intersect_row_spaces(self.generators, other.generators)
+        """self ∩ other, or None if it is empty.  A point meets a subspace in
+        itself or not at all, so that case is one containment test; every
+        other pair is one Zassenhaus reduction of the integer rows."""
+        if self.dim == 0:
+            return self if other.contains(self) else None
+        if other.dim == 0:
+            return other if self.contains(other) else None
+        rows, pivots = linalg.int_intersect_row_spaces(self.rows, other.rows)
         if not rows:
             return None
-        return ProjectiveSubspace._of_basis(self.ambient_dim, rows)
+        return ProjectiveSubspace._of_rows(self.ambient_dim, rows, pivots)
 
     def sort_token(self):
-        return (self.dim, tuple(tuple(rat_str(c) for c in g) for g in self.generators))
+        return (self.dim, self.row_strings())
 
     @staticmethod
     def from_affine(span):
@@ -78,13 +128,18 @@ class ProjectiveSubspace:
 
 
 def span_assignment(C):
-    """FaceId -> projective completion of the affine span; functorial."""
+    """FaceId -> projective completion of the affine span; functorial.
+
+    A face lies in the affine span of every face above it, so an incidence
+    whose spans are not nested is not geometric: malformed input, reported
+    as a ValueError naming both faces."""
     spans = {}
     for i in C.ids():
         spans[i] = ProjectiveSubspace.from_affine(C.faces[i].affine_span())
     for a, b in C.incidences():
         if not spans[b].contains(spans[a]):
-            raise AssertionError("span assignment is not functorial at %r <= %r" % (a, b))
+            raise ValueError("span assignment is not functorial at %r <= %r: the span "
+                             "of face %r does not lie in the span of face %r" % (a, b, a, b))
     return spans
 
 
@@ -244,8 +299,7 @@ def format_ledger(ledger):
     for stage in ledger.stages:
         stages.append([
             {"ambient": ambient,
-             "centers": [[[rat_str(c) for c in g] for g in s.generators]
-                         for s in centers]}
+             "centers": [s.row_strings() for s in centers]}
             for ambient, centers in sorted(stage.items())
         ])
     payload = {
@@ -267,7 +321,7 @@ def parse_ledger(text):
             centers = []
             for gens in entry["centers"]:
                 n = len(gens[0]) - 1
-                centers.append(ProjectiveSubspace(n, [[rat(c) for c in g] for g in gens]))
+                centers.append(ProjectiveSubspace(n, gens))
             out[entry["ambient"]] = centers
         stages.append(out)
     return BlowUpLedger(stages, data["certificates"])

@@ -279,6 +279,54 @@ def rational_intersect_row_spaces(a_rows, b_rows):
     return rational_rref(vectors)[0]
 
 
+class RationalSubspace:
+    """The Fraction form of `polycx.ProjectiveSubspace`: a subspace of P^N
+    held as the RREF basis of its homogeneous span in Q^{N+1}, with
+    containment by rank and intersection from the kernel of [A^T | -B^T].
+    It offers what the parasite pipeline asks of a subspace, so the
+    pipeline can run on it in place of the integer form."""
+
+    def __init__(self, ambient_dim, generators):
+        self.ambient_dim = int(ambient_dim)
+        rows = [tuple(Fraction(c) for c in g) for g in generators]
+        if any(len(g) != self.ambient_dim + 1 for g in rows):
+            raise ValueError("generator arity must be ambient_dim + 1")
+        basis, _ = rational_rref(rows)
+        if not basis:
+            raise ValueError("empty projective subspace")
+        self.generators = tuple(basis)
+
+    @property
+    def dim(self):
+        return len(self.generators) - 1
+
+    def __eq__(self, other):
+        return (isinstance(other, RationalSubspace)
+                and self.ambient_dim == other.ambient_dim
+                and self.generators == other.generators)
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.generators))
+
+    def contains(self, other):
+        return all(rational_in_row_space(self.generators, g) for g in other.generators)
+
+    def intersect(self, other):
+        rows = rational_intersect_row_spaces(self.generators, other.generators)
+        return RationalSubspace(self.ambient_dim, rows) if rows else None
+
+    def row_strings(self):
+        return tuple(tuple(str(c) for c in g) for g in self.generators)
+
+    def sort_token(self):
+        return (self.dim, self.row_strings())
+
+    @staticmethod
+    def from_affine(span):
+        gens = [tuple(span.basepoint) + (1,)] + [tuple(d) + (0,) for d in span.directions]
+        return RationalSubspace(span.ambient_dim, gens)
+
+
 def simple_configuration(sites):
     """(flag, witness) of the genericity test on Fraction sites.
 

@@ -331,6 +331,46 @@ def test_cyclic_incidences_exit_2(tmp_path, capsys):
     assert not (tmp_path / "n.scx").exists() and not (tmp_path / "p.json").exists()
 
 
+def point_poly(x, y):
+    return "2 4\n1 0 <= %d\n-1 0 <= %d\n0 1 <= %d\n0 -1 <= %d\n" % (x, -x, y, -y)
+
+
+def test_non_geometric_incidence_exits_2(tmp_path, capsys):
+    # the point (0, 0) declared a face of the point (1, 1)
+    bad = dict(CPLX, ambient_dim=2,
+               faces=[{"id": 0, "poly": point_poly(0, 0)}, {"id": 1, "poly": point_poly(1, 1)}],
+               morphisms=[{"src": 0, "dst": 1}])
+    cplx = write(tmp_path / "bad.cplx", json.dumps(bad))
+    for cmd in ("parasites", "saturate", "verify-proper", "blowup-plan"):
+        out = tmp_path / (cmd + ".out")
+        assert run([cmd, "--complex", cplx, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: span assignment is not functorial at 0 <= 1")
+        assert "span of face 0 does not lie in the span of face 1" in err
+        assert err.count("\n") == 1 and not out.exists()
+
+
+def test_internal_invariant_failure_exits_3(tmp_path, capsys, monkeypatch):
+    import importlib
+    homology = importlib.import_module("polycx.homology")
+    real = homology.smith_normal_form
+
+    def mutated(M):
+        snf = real(M)
+        snf.diagonal = [[2 * x for x in row] for row in snf.diagonal]
+        return snf
+
+    scx = write(tmp_path / "seg.scx", json.dumps(SCX))
+    out = tmp_path / "h.json"
+    assert run(["homology", "--scx", scx, "--ring", "z", "--out", str(out)]) == 0
+    out.unlink()
+    monkeypatch.setattr(homology, "smith_normal_form", mutated)
+    assert run(["homology", "--scx", scx, "--ring", "z", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: Smith form of boundary 1 failed certification\n"
+    assert not out.exists()
+
+
 STRATA = {"components": ["A", 2],
           "strata": [{"components": ["A"], "count": 1}, {"components": [2], "count": 1},
                      {"components": ["A", 2], "count": 2}]}

@@ -4,8 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polycx import QQ, rat, rat_str
+from math import gcd
+
 from polycx.linalg import (rref, rank, nullspace, solve, det, dot, int_rank, int_det,
-                           in_row_space, row_space_contained, intersect_row_spaces)
+                           in_row_space, row_space_contained, intersect_row_spaces,
+                           int_row, int_row_space, rational_rows, int_kernel, annihilates,
+                           int_intersect_row_spaces)
 
 from oracles import (rational_rank, rational_rref, rational_det, _int_det,
                      rational_in_row_space, rational_intersect_row_spaces)
@@ -139,6 +143,28 @@ def test_containment_matches_oracle(pair):
     assert row_space_contained(qq(A), qq(B)) == all(rational_in_row_space(B, v) for v in A)
     for v in B:
         assert in_row_space(qq(A), qq([v])[0]) == rational_in_row_space(A, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_space_pairs())
+def test_integer_row_space_form(pair):
+    A, B = pair
+    ints = [int_row(row)[0] for row in qq(A)]
+    rows, pivots = int_row_space(ints)
+    expected, expected_pivots = rational_rref(A)
+    assert rational_rows(rows, pivots) == expected and pivots == expected_pivots
+    assert all(gcd(*row) == 1 and row[c] > 0 for row, c in zip(rows, pivots))
+    if not A:
+        return
+    w = len(A[0])
+    kernel = int_kernel(rows, pivots, w)
+    assert len(kernel) == w - len(rows) and int_rank(kernel) == len(kernel)
+    assert all(gcd(*v) == 1 for v in kernel)
+    assert annihilates(kernel, ints)
+    other = [int_row(row)[0] for row in qq(B)]
+    meet, meet_pivots = int_intersect_row_spaces(rows, int_row_space(other)[0])
+    assert rational_rows(meet, meet_pivots) == rational_intersect_row_spaces(A, B)
+    assert (meet, meet_pivots) == int_row_space(meet)
 
 
 def test_row_space_edge_cases():

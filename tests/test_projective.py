@@ -17,10 +17,12 @@ from polycx import (
     parse_ledger,
 )
 
+from polycx import projective
+from polycx.cli import _records_payload
 from polycx.projective import _intersection_lattice
 
-from _corpus import box, cube_tower
-from oracles import rational_intersect_row_spaces
+from _corpus import box, cube_tower, voronoi_fixture, clipped_fixture
+from oracles import RationalSubspace, rational_in_row_space, rational_intersect_row_spaces
 
 
 def square_complex():
@@ -94,6 +96,108 @@ class TestSubspaces:
         assert meet == again == ProjectiveSubspace(3, rows)
         assert meet.generators == again.generators and hash(meet) == hash(again)
         assert meet.ambient_dim == 3 and meet.dim == len(rows) - 1
+
+
+# generators of subspaces of P^3 with mixed denominators; at least one row
+# is nonzero, and zero rows, repeated and scaled rows are all likely
+coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+generator_lists = st.lists(st.lists(coeffs, min_size=4, max_size=4),
+                           min_size=1, max_size=3).filter(lambda g: any(any(r) for r in g))
+
+
+class TestIntegerForm:
+
+    def test_scaled_generators_share_one_canonical_form(self):
+        forms = [ProjectiveSubspace(2, [g]) for g in ((2, 4, 0), (1, 2, 0), (-3, -6, 0))]
+        assert forms[0] == forms[1] == forms[2]
+        assert len({hash(s) for s in forms}) == 1
+        assert len({s.generators for s in forms}) == 1
+        assert forms[0].generators == ((rat(1), rat(2), rat(0)),)
+        assert all(s.rows == ((1, 2, 0),) for s in forms)
+
+    def test_rows_never_combined_are_made_primitive(self):
+        # no elimination step touches either row, so only canonicalisation
+        # divides them by their content
+        s = ProjectiveSubspace(2, [(0, 0, 2), (0, 3, 0)])
+        t = ProjectiveSubspace(2, [(0, 1, 0), (0, 0, -1)])
+        assert s.rows == t.rows == ((0, 1, 0), (0, 0, 1)) and s.pivots == (1, 2)
+        assert s == t and hash(s) == hash(t) and s.generators == t.generators
+
+    def test_intersection_rows_are_canonical(self):
+        plane = ProjectiveSubspace(2, [(1, 0, 0), (0, 1, 0)])
+        other = ProjectiveSubspace(2, [(-2, 2, 3), (0, 0, 1)])
+        meet = plane.intersect(other)
+        assert meet.rows == ((1, -1, 0),) and meet.pivots == (0,)
+        assert meet == ProjectiveSubspace(2, [(-5, 5, 0)])
+        assert meet.row_strings() == (("1", "-1", "0"),)
+
+    def test_row_strings_are_rat_str_of_generators(self):
+        s = ProjectiveSubspace(3, [(2, 0, 3, -6), (0, 4, 0, 10)])
+        assert s.row_strings() == (("1", "0", "3/2", "-3"), ("0", "1", "0", "5/2"))
+        assert s.sort_token() == (1, s.row_strings())
+
+    @settings(max_examples=150, deadline=None)
+    @given(generator_lists, generator_lists, st.lists(st.integers(-2, 2), min_size=3, max_size=3))
+    def test_contains_matches_rational_oracle(self, a, b, combo):
+        s, t = ProjectiveSubspace(3, a), ProjectiveSubspace(3, b)
+        rs, rt = RationalSubspace(3, a), RationalSubspace(3, b)
+        assert s.generators == rs.generators and t.generators == rt.generators
+        assert s.contains(t) == all(rational_in_row_space(rs.generators, g) for g in rt.generators)
+        assert t.contains(s) == all(rational_in_row_space(rt.generators, g) for g in rs.generators)
+        # a combination of the generators of s lies in s
+        v = [sum((c * g[j] for c, g in zip(combo, rs.generators)), rat(0)) for j in range(4)]
+        assume(any(v))
+        point = ProjectiveSubspace(3, [v])
+        assert s.contains(point) and rational_in_row_space(rs.generators, v)
+        assert s.intersect(point) == point.intersect(s) == point
+
+    @settings(max_examples=150, deadline=None)
+    @given(generator_lists, generator_lists)
+    def test_intersect_matches_rational_oracle(self, a, b):
+        s, t = ProjectiveSubspace(3, a), ProjectiveSubspace(3, b)
+        rows = rational_intersect_row_spaces(RationalSubspace(3, a).generators,
+                                             RationalSubspace(3, b).generators)
+        meet = s.intersect(t)
+        if not rows:
+            assert meet is None and t.intersect(s) is None
+            return
+        assert meet.generators == tuple(rows) and meet == t.intersect(s)
+        assert meet.sort_token() == RationalSubspace(3, rows).sort_token()
+        assert s.contains(meet) and t.contains(meet)
+
+
+def parasite_outputs(C):
+    """What the parasites, saturate, verify-proper and blowup-plan
+    subcommands write for C, from the subspaces `span_assignment` makes."""
+    spans = span_assignment(C)
+    records = parasitic_intersections(C, spans)
+    saturated = saturate(C, spans, records)
+    report = verify_proper(C, spans, saturated)
+    ledger = format_ledger(blowup_plan(C, spans, saturated)) if report["passed"] else None
+    return _records_payload(records), _records_payload(saturated), report, ledger
+
+
+PIPELINE_CORPUS = [
+    ("tower-1", lambda: cube_tower(1)),
+    ("tower-2", lambda: cube_tower(2)),
+    ("tower-3", lambda: cube_tower(3)),
+    ("vor2-100", lambda: voronoi_fixture(2, 5, 100)),
+    ("vor2-101", lambda: voronoi_fixture(2, 5, 101)),
+    ("vor3-200", lambda: voronoi_fixture(3, 5, 200)),
+    ("vor3-202", lambda: voronoi_fixture(3, 6, 202)),
+    ("clipped-0", lambda: clipped_fixture(0)),
+]
+
+
+class TestAgainstRationalOracle:
+
+    @pytest.mark.parametrize("name, make", PIPELINE_CORPUS, ids=[n for n, _ in PIPELINE_CORPUS])
+    def test_pipeline_matches_rational_subspaces(self, name, make, monkeypatch):
+        C = make()
+        got = parasite_outputs(C)
+        assert got[0] and got[3] is not None
+        monkeypatch.setattr(projective, "ProjectiveSubspace", RationalSubspace)
+        assert parasite_outputs(C) == got
 
 
 class TestParasites:
