@@ -8,6 +8,7 @@ own work failed an invariant check).  All randomness flows through --seed.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -291,7 +292,10 @@ def cmd_no_limit_check(args):
 
 # -- argument parsing ---------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and reused: parsing
+    leaves it unchanged, so one parser serves every command."""
     p = argparse.ArgumentParser(prog="polycx",
                                 description="exact polyhedral complex toolkit")
     sub = p.add_subparsers(dest="command", required=True)
@@ -380,9 +384,8 @@ def _build_parser():
 
 
 def run(argv):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
     try:

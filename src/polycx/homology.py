@@ -2,10 +2,14 @@
 
 The SNF routine records the unimodular row/column transforms so results
 can be certified by re-multiplication; homology uses boundary matrices of
-the ordered simplices of a complex.
+the ordered simplices of a complex.  Boundary matrices are mostly zeros,
+so every routine here loops over nonzero entries only; a zero term adds
+nothing to a sum, so skipping it changes no value.
 """
 
 from dataclasses import dataclass
+from itertools import compress
+from math import gcd
 
 from . import linalg
 from .simplicial import label_key
@@ -14,23 +18,30 @@ from .simplicial import label_key
 # -- integer matrices -------------------------------------------------------------
 
 def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    I = [[0] * n for _ in range(n)]
+    for i in range(n):
+        I[i][i] = 1
+    return I
+
+
+def _nonzeros(row, start=0):
+    """Indices >= start of the nonzero entries of a row, in order."""
+    return list(compress(range(start, len(row)), row[start:]))
 
 
 def mat_mul(A, B):
-    if not A or not B:
-        return []
-    n, m, p = len(A), len(B), len(B[0])
-    out = [[0] * p for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for k in range(m):
+    """Product of integer matrices given as lists of rows.  A matrix with
+    no rows has no width, so B = [] is read as 0 x 0 and A B as n x 0."""
+    p = len(B[0]) if B else 0
+    nonzero = [[(j, Bk[j]) for j in _nonzeros(Bk)] for Bk in B]
+    out = []
+    for Ai in A:
+        row = [0] * p
+        for k in _nonzeros(Ai):
             a = Ai[k]
-            if a:
-                Bk = B[k]
-                row = out[i]
-                for j in range(p):
-                    row[j] += a * Bk[j]
+            for j, b in nonzero[k]:
+                row[j] += a * b
+        out.append(row)
     return out
 
 
@@ -42,8 +53,7 @@ class SmithForm:
     V: list
 
     def certify(self, M):
-        prod = mat_mul(mat_mul(self.U, M), self.V)
-        if prod != self.diagonal and not (not prod and not self.diagonal):
+        if mat_mul(mat_mul(self.U, M), self.V) != self.diagonal:
             return False
         if self.U and abs(linalg.int_det(self.U)) != 1:
             return False
@@ -53,39 +63,28 @@ class SmithForm:
 
 
 def smith_normal_form(M):
-    """Smith normal form with recorded unimodular transforms U M V = D."""
+    """Smith normal form with recorded unimodular transforms U M V = D.
+
+    The pivot is the first entry of least absolute value in row-major order
+    of the part of A not yet diagonalised.  Rows and columns before the
+    pivot position t are already zero off the diagonal, so in A only
+    columns >= t of rows >= t are ever read or changed."""
     A = [list(map(int, row)) for row in M]
     m = len(A)
     n = len(A[0]) if A else 0
     U = _identity(m)
     V = _identity(n)
 
-    def row_op(i, j, q):  # row_i -= q * row_j
-        A[i] = [a - q * b for a, b in zip(A[i], A[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for row in A:
-            row[i] -= q * row[j]
-        for row in V:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
     def min_entry(t):
-        best = None
+        best, least = None, 0
         for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
+            row = A[i]
+            for j in compress(range(t, n), row[t:]):
+                a = abs(row[j])
+                if best is None or a < least:
+                    best, least = (i, j), a
+                    if a == 1:  # nothing is smaller
+                        return best
         return best
 
     t = 0
@@ -94,44 +93,98 @@ def smith_normal_form(M):
         if pos is None:
             break
         # re-pick the smallest pivot after every pass: keeps entries small
-        swap_rows(t, pos[0])
-        swap_cols(t, pos[1])
+        i, j = pos
+        if i != t:
+            A[t], A[i] = A[i], A[t]
+            U[t], U[i] = U[i], U[t]
+        if j != t:
+            for row in A[t:]:
+                row[t], row[j] = row[j], row[t]
+            for row in V:
+                row[t], row[j] = row[j], row[t]
+        At, Ut = A[t], U[t]
+        p = At[t]
+        # row t is not changed by the row operations below it, nor column t
+        # by the column operations right of it
+        a_cols, u_cols = _nonzeros(At, t), _nonzeros(Ut)
         reduced_something = False
         for i in range(t + 1, m):
-            q = A[i][t] // A[t][t]
-            if q:
-                row_op(i, t, q)
-            if A[i][t] != 0:
-                reduced_something = True
-        for j in range(t + 1, n):
-            q = A[t][j] // A[t][t]
-            if q:
-                col_op(j, t, q)
-            if A[t][j] != 0:
+            Ai = A[i]
+            if Ai[t]:
+                q = Ai[t] // p
+                if q:  # row_i -= q * row_t
+                    for k in a_cols:
+                        Ai[k] -= q * At[k]
+                    Ui = U[i]
+                    for k in u_cols:
+                        Ui[k] -= q * Ut[k]
+                if Ai[t]:
+                    reduced_something = True
+        a_rows = [i for i in range(t, m) if A[i][t]]
+        v_rows = [r for r in range(n) if V[r][t]]
+        for j in a_cols[1:]:
+            q = At[j] // p
+            if q:  # col_j -= q * col_t
+                for i in a_rows:
+                    Ai = A[i]
+                    Ai[j] -= q * Ai[t]
+                for r in v_rows:
+                    Vr = V[r]
+                    Vr[j] -= q * Vr[t]
+            if At[j]:
                 reduced_something = True
         if reduced_something:
             continue  # leftover remainders are smaller; re-pivot on them
-        stray = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i][j] % A[t][t] != 0:
-                    stray = i
-                    break
-            if stray is not None:
-                break
-        if stray is not None:
-            row_op(t, stray, -1)  # fold the stray row into the pivot row
-            continue
-        if A[t][t] < 0:
-            A[t] = [-a for a in A[t]]
-            U[t] = [-a for a in U[t]]
+        if p not in (1, -1):  # a unit divides every entry
+            stray = next((i for i in range(t + 1, m)
+                          if any(a % p for a in A[i][t + 1:])), None)
+            if stray is not None:  # fold the stray row into the pivot row
+                As, Us = A[stray], U[stray]
+                for k in _nonzeros(As, t):
+                    At[k] += As[k]
+                for k in _nonzeros(Us):
+                    Ut[k] += Us[k]
+                continue
+        if p < 0:
+            A[t] = [-a for a in At]
+            U[t] = [-a for a in Ut]
         t += 1
     factors = [A[i][i] for i in range(t)]
     return SmithForm(A, factors, U, V)
 
 
 def int_rank(M):
-    return linalg.int_rank(M)
+    """Rank over Q of an integer matrix, by fraction-free elimination of
+    sparse rows.  Each row r is reduced against the pivot row p that leads
+    in r's leading column c: r <- b r - a p with a/b = r[c]/p[c] in lowest
+    terms and b > 0, then r is divided by the gcd of its entries.  A row
+    that does not vanish becomes the pivot row of its new leading column."""
+    pivots = {}  # leading column -> row, as {column: nonzero entry}
+    for row in M:
+        r = {j: row[j] for j in compress(range(len(row)), row)}
+        while r:
+            c = min(r)
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = r
+                break
+            a, b = r[c], p[c]
+            g = gcd(a, b) if b > 0 else -gcd(a, b)
+            a, b = a // g, b // g
+            if b != 1:
+                for j in r:
+                    r[j] *= b
+            for j, y in p.items():
+                x = r.get(j, 0) - a * y
+                if x:
+                    r[j] = x
+                else:
+                    del r[j]
+            g = gcd(*r.values())
+            if g > 1:
+                for j in r:
+                    r[j] //= g
+    return len(pivots)
 
 
 # -- chain complexes ----------------------------------------------------------------
@@ -144,8 +197,7 @@ class ChainComplex:
         self.boundaries = {k: [row[:] for row in M] for k, M in boundaries.items()}
         for k in sorted(self.boundaries):
             if k - 1 in self.boundaries:
-                prod = mat_mul(self.boundaries[k - 1], self.boundaries[k])
-                if any(any(x != 0 for x in row) for row in prod):
+                if any(map(any, mat_mul(self.boundaries[k - 1], self.boundaries[k]))):
                     raise AssertionError("boundary of boundary is nonzero")
 
     @staticmethod

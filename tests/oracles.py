@@ -494,3 +494,72 @@ def _lcm_all(values):
     for v in values:
         out = out * v // gcd(out, v)
     return out
+
+
+def mat_mul(A, B):
+    """Dense product of integer matrices given as lists of rows."""
+    p = len(B[0]) if B else 0
+    return [[sum(a * Bk[j] for a, Bk in zip(Ai, B)) for j in range(p)] for Ai in A]
+
+
+def smith_normal_form(M):
+    """Dense Smith normal form with transforms, (D, factors, U, V) with
+    U M V = D.  The pivot is the first entry of least absolute value in
+    row-major order of the part not yet diagonalised; every row and
+    column operation runs over whole rows and columns."""
+    A = [list(map(int, row)) for row in M]
+    m = len(A)
+    n = len(A[0]) if A else 0
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        A[i] = [a - q * b for a, b in zip(A[i], A[j])]
+        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+
+    def col_op(i, j, q):  # col_i -= q * col_j
+        for row in A + V:
+            row[i] -= q * row[j]
+
+    def min_entry(t):
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
+                    best = (i, j)
+        return best
+
+    t = 0
+    while True:
+        pos = min_entry(t)
+        if pos is None:
+            break
+        A[t], A[pos[0]] = A[pos[0]], A[t]
+        U[t], U[pos[0]] = U[pos[0]], U[t]
+        for row in A + V:
+            row[t], row[pos[1]] = row[pos[1]], row[t]
+        reduced_something = False
+        for i in range(t + 1, m):
+            q = A[i][t] // A[t][t]
+            if q:
+                row_op(i, t, q)
+            if A[i][t] != 0:
+                reduced_something = True
+        for j in range(t + 1, n):
+            q = A[t][j] // A[t][t]
+            if q:
+                col_op(j, t, q)
+            if A[t][j] != 0:
+                reduced_something = True
+        if reduced_something:
+            continue
+        stray = next((i for i in range(t + 1, m)
+                      if any(A[i][j] % A[t][t] != 0 for j in range(t + 1, n))), None)
+        if stray is not None:
+            row_op(t, stray, -1)  # fold the stray row into the pivot row
+            continue
+        if A[t][t] < 0:
+            A[t] = [-a for a in A[t]]
+            U[t] = [-a for a in U[t]]
+        t += 1
+    return A, [A[i][i] for i in range(t)], U, V

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polycx import cli
 from polycx.cli import run
 from polycx import (
     higman_presentation,
@@ -129,6 +130,18 @@ def test_superperfect_higman(tmp_path):
     assert data["h1_free_rank"] == 0 and data["h1_torsion"] == []
 
 
+def test_superperfect_scales_to_many_generators(tmp_path):
+    # 300 generators and one commutator: H1 has rank 300 and H2 rank 1, so
+    # the certificate fails (exit 1) after the report is written
+    text = "gens 300\nx1 x2 x1^-1 x2^-1\n"
+    grp = write(tmp_path / "g.grp", text)
+    rep = str(tmp_path / "sp.json")
+    assert run(["superperfect", "--presentation", grp, "--out", rep]) == 1
+    data = json.loads((tmp_path / "sp.json").read_text())
+    assert data["reduced_betti"] == [0, 300, 1]
+    assert data["certified"] is False
+
+
 def test_dual_complex_and_move(tmp_path):
     strata = write(tmp_path / "s.json", json.dumps({
         "components": ["A", "B", "C"],
@@ -168,6 +181,45 @@ def test_input_errors_exit_2(tmp_path):
     assert run(["voronoi", "--points", bad,
                 "--out", str(tmp_path / "v.cplx")]) == 2
     assert run(["frobnicate"]) == 2
+
+
+def test_one_parser_serves_many_commands(tmp_path, capsys, monkeypatch):
+    # one process runs a mix of subcommands, a usage error among them; the
+    # parser built once must give what a fresh parser gives each command
+    commands = [
+        ["voronoi", "--points", "p.pts", "--out", "v.cplx"],
+        ["check-simple", "--points", "p.pts"],
+        ["homology", "--scx"],
+        ["nerve", "--complex", "v.cplx", "--out", "n.scx"],
+        ["homology", "--scx", "n.scx", "--ring", "q", "--out", "h.json"],
+        ["frobnicate"],
+        ["pi1", "--scx", "n.scx", "--simplify", "--out", "pi.grp"],
+        ["parasites", "--complex", "v.cplx", "--out", "l.ledger"],
+        ["superperfect", "--presentation", "h.grp", "--out", "sp.json"],
+        ["no-limit-check", "--degree", "3", "--out", "nl.json"],
+    ]
+
+    def session(name, fresh):
+        work = tmp_path / name
+        work.mkdir()
+        write(work / "p.pts", SQUARE)
+        write(work / "h.grp", format_grp(higman_presentation()))
+        monkeypatch.chdir(work)
+        cli._build_parser.cache_clear()
+        seen = []
+        for argv in commands:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = run(argv)
+            out, err = capsys.readouterr()
+            seen.append((code, out, err))
+        if not fresh:
+            assert cli._build_parser.cache_info().misses == 1
+        return seen, {p.name: p.read_bytes() for p in sorted(work.iterdir())}
+
+    reused, fresh = session("reused", False), session("fresh", True)
+    assert [code for code, _, _ in reused[0]] == [0, 1, 2, 0, 0, 2, 0, 0, 0, 0]
+    assert reused == fresh
 
 
 def test_zero_denominator_is_input_error(tmp_path, capsys):

@@ -4,9 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polycx import SimplicialComplex, homology, smith_normal_form
+from polycx import SimplicialComplex, homology, linalg, smith_normal_form
 from polycx.homology import ChainComplex, SmithForm, int_rank, mat_mul
 
+import oracles
 from oracles import snf_invariant_factors, betti_numbers
 from _corpus import circle, sphere2, torus, projective_plane
 
@@ -60,6 +61,100 @@ class TestSmithNormalForm:
         snf = smith_normal_form(M)
         assert snf.invariant_factors == snf_invariant_factors(M)
         assert snf.certify(M)
+
+
+ENTRIES = st.one_of(st.sampled_from([0, 0, 0, 1, -1]), st.integers(-12, 12))
+
+
+@st.composite
+def int_matrices(draw, rows=None, cols=None):
+    """Integer matrices of 0-7 rows and 0-7 columns, mostly zeros and
+    units, sometimes with a whole zero row or column."""
+    m = draw(st.integers(0, 7)) if rows is None else rows
+    n = draw(st.integers(0, 7)) if cols is None else cols
+    M = draw(st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=m, max_size=m))
+    if m and draw(st.booleans()):
+        M[draw(st.integers(0, m - 1))] = [0] * n
+    if n and draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in M:
+            row[j] = 0
+    return M
+
+
+@st.composite
+def boundary_matrices(draw):
+    simplex = st.lists(st.integers(0, 6), min_size=2, max_size=4, unique=True)
+    simplices = draw(st.lists(simplex, min_size=1, max_size=6))
+    boundaries = ChainComplex.of_complex(SimplicialComplex(simplices)).boundaries
+    return boundaries[draw(st.sampled_from(sorted(boundaries)))]
+
+
+def assert_matches_dense_oracle(M):
+    snf = smith_normal_form(M)
+    D, factors, U, V = oracles.smith_normal_form(M)
+    assert snf.diagonal == D
+    assert snf.U == U
+    assert snf.V == V
+    assert snf.invariant_factors == factors
+    assert snf.certify(M)
+
+
+class TestSparseKernel:
+    """The zero-skipping Smith form, product and rank against the dense
+    versions they replace (oracles.smith_normal_form, oracles.mat_mul) and
+    against linalg.int_rank."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(int_matrices())
+    def test_smith_form_equals_dense_oracle(self, M):
+        assert_matches_dense_oracle(M)
+
+    @settings(max_examples=60, deadline=None)
+    @given(boundary_matrices())
+    def test_boundary_smith_form_equals_dense_oracle(self, M):
+        assert_matches_dense_oracle(M)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7), st.data())
+    def test_mat_mul_equals_dense_oracle(self, m, k, p, data):
+        A = data.draw(int_matrices(m, k))
+        B = data.draw(int_matrices(k, p))
+        assert mat_mul(A, B) == oracles.mat_mul(A, B)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(int_matrices(), boundary_matrices()))
+    def test_sparse_rank_equals_bareiss_rank(self, M):
+        assert int_rank(M) == linalg.int_rank(M)
+
+    def test_products_keep_the_shape_of_empty_factors(self):
+        assert mat_mul([[1, 0], [0, 1]], [[], []]) == [[], []]
+        assert mat_mul([[], []], []) == [[], []]
+        assert mat_mul([], [[1, 2]]) == []
+        assert smith_normal_form([[], []]).certify([[], []])
+
+    @settings(max_examples=100, deadline=None)
+    @given(int_matrices(), st.data())
+    def test_certify_rejects_one_changed_entry_of_d(self, M, data):
+        snf = smith_normal_form(M)
+        if not M or not M[0]:
+            return
+        i = data.draw(st.integers(0, len(M) - 1))
+        j = data.draw(st.integers(0, len(M[0]) - 1))
+        D = [row[:] for row in snf.diagonal]
+        D[i][j] += data.draw(st.sampled_from([1, -1, 2]))
+        assert not SmithForm(D, snf.invariant_factors, snf.U, snf.V).certify(M)
+
+    def test_certify_rejects_u_of_determinant_two(self):
+        M, U, V, D = [[1]], [[2]], [[1]], [[2]]
+        assert mat_mul(mat_mul(U, M), V) == D
+        assert not SmithForm(D, [2], U, V).certify(M)
+
+    def test_certify_rejects_singular_v(self):
+        # M V is the diagonal [[1, 0]] already; only det V = 0 is wrong
+        M, U, V, D = [[1, 1]], [[1]], [[1, 0], [0, 0]], [[1, 0]]
+        assert mat_mul(mat_mul(U, M), V) == D
+        assert not SmithForm(D, [1], U, V).certify(M)
 
 
 class TestChainComplex:
