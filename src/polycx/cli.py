@@ -295,14 +295,16 @@ def cmd_no_limit_check(args):
 @functools.cache
 def _build_parser():
     """The argument parser, built on the first call and reused: parsing
-    leaves it unchanged, so one parser serves every command."""
+    leaves it unchanged, so one parser serves every command.  It holds the
+    name of each subcommand's function, which `run` looks up when it is
+    called, so a function replaced after the parser is built still runs."""
     p = argparse.ArgumentParser(prog="polycx",
                                 description="exact polyhedral complex toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):
         sp = sub.add_parser(name, **kw)
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=fn.__name__)
         return sp
 
     sp = add("voronoi", cmd_voronoi, help="Voronoi complex of a site set")
@@ -389,7 +391,7 @@ def run(argv):
     except SystemExit as e:
         return 2 if e.code else 0
     try:
-        args.fn(args)
+        globals()[args.fn](args)
     except VerificationFailure as e:
         print("verification failure: %s" % e, file=sys.stderr)
         return 1

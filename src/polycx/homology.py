@@ -9,7 +9,6 @@ nothing to a sum, so skipping it changes no value.
 
 from dataclasses import dataclass
 from itertools import compress
-from math import gcd
 
 from . import linalg
 from .simplicial import label_key
@@ -154,37 +153,7 @@ def smith_normal_form(M):
 
 
 def int_rank(M):
-    """Rank over Q of an integer matrix, by fraction-free elimination of
-    sparse rows.  Each row r is reduced against the pivot row p that leads
-    in r's leading column c: r <- b r - a p with a/b = r[c]/p[c] in lowest
-    terms and b > 0, then r is divided by the gcd of its entries.  A row
-    that does not vanish becomes the pivot row of its new leading column."""
-    pivots = {}  # leading column -> row, as {column: nonzero entry}
-    for row in M:
-        r = {j: row[j] for j in compress(range(len(row)), row)}
-        while r:
-            c = min(r)
-            p = pivots.get(c)
-            if p is None:
-                pivots[c] = r
-                break
-            a, b = r[c], p[c]
-            g = gcd(a, b) if b > 0 else -gcd(a, b)
-            a, b = a // g, b // g
-            if b != 1:
-                for j in r:
-                    r[j] *= b
-            for j, y in p.items():
-                x = r.get(j, 0) - a * y
-                if x:
-                    r[j] = x
-                else:
-                    del r[j]
-            g = gcd(*r.values())
-            if g > 1:
-                for j in r:
-                    r[j] //= g
-    return len(pivots)
+    return linalg.int_rank(M)
 
 
 # -- chain complexes ----------------------------------------------------------------

@@ -3,9 +3,10 @@
 Matrices are lists/tuples of equal-length rows of QQ (ints are accepted
 too).  Each row is scaled by the lcm of its denominators and all
 elimination runs on Python ints: Bareiss elimination (Sylvester's identity,
-Bareiss 1968) for rank and determinant, where every division is exact, and
-a Gauss-Jordan reduction whose combined rows are divided by their content
-for the RREF.  QQ values are built only when a result is written out.
+Bareiss 1968) for the determinant, where every division is exact, a
+fraction-free reduction of rows held as {column: entry} dicts for the rank,
+and a Gauss-Jordan reduction whose combined rows are divided by their
+content for the RREF.  QQ values are built only when a result is written out.
 
 Row spaces have an integer form of their own.  A row space is held as its
 canonical rows: the RREF rows, each times the lcm of its denominators,
@@ -19,6 +20,7 @@ annihilator of the outer space (`int_kernel`) kills the inner rows
 `in_row_space` are the same operations on QQ rows.
 """
 
+from itertools import compress
 from math import gcd, lcm
 from operator import mul
 
@@ -88,8 +90,37 @@ def _bareiss(rows):
 
 
 def int_rank(M):
-    """Rank of an integer matrix."""
-    return _bareiss([list(row) for row in M])[0]
+    """Rank over Q of an integer matrix, by fraction-free elimination of
+    sparse rows.  Each row r is reduced against the pivot row p that leads
+    in r's leading column c: r <- b r - a p with a/b = r[c]/p[c] in lowest
+    terms and b > 0, then r is divided by the gcd of its entries.  A row
+    that does not vanish becomes the pivot row of its new leading column."""
+    pivots = {}  # leading column -> row, as {column: nonzero entry}
+    for row in M:
+        r = {j: row[j] for j in compress(range(len(row)), row)}
+        while r:
+            c = min(r)
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = r
+                break
+            a, b = r[c], p[c]
+            g = gcd(a, b) if b > 0 else -gcd(a, b)
+            a, b = a // g, b // g
+            if b != 1:
+                for j in r:
+                    r[j] *= b
+            for j, y in p.items():
+                x = r.get(j, 0) - a * y
+                if x:
+                    r[j] = x
+                else:
+                    del r[j]
+            g = gcd(*r.values())
+            if g > 1:
+                for j in r:
+                    r[j] //= g
+    return len(pivots)
 
 
 def int_det(M):

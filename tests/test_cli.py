@@ -222,6 +222,18 @@ def test_one_parser_serves_many_commands(tmp_path, capsys, monkeypatch):
     assert reused == fresh
 
 
+def test_subcommand_replaced_after_parser_is_built_still_runs(tmp_path, monkeypatch):
+    # the parser holds subcommand names, not functions, so a replacement
+    # made after the first run is the one that runs
+    pts = write(tmp_path / "p.pts", TWO_SITES)
+    assert run(["voronoi", "--points", pts, "--out", str(tmp_path / "v.cplx")]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_voronoi", calls.append)
+    assert run(["voronoi", "--points", pts, "--out", str(tmp_path / "w.cplx")]) == 0
+    assert [a.out for a in calls] == [str(tmp_path / "w.cplx")]
+    assert not (tmp_path / "w.cplx").exists()
+
+
 def test_zero_denominator_is_input_error(tmp_path, capsys):
     pts = write(tmp_path / "z.pts", "2 2\n0 0\n1/0 1\n")
     assert run(["check-simple", "--points", pts]) == 2
