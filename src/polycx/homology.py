@@ -52,7 +52,19 @@ class SmithForm:
     V: list
 
     def certify(self, M):
-        if mat_mul(mat_mul(self.U, M), self.V) != self.diagonal:
+        """True iff this is a Smith normal form of M: the invariant factors
+        are positive, each divides the next, D is the m x n diagonal matrix
+        of them padded with zeros, U M V = D, and |det U| = |det V| = 1."""
+        m, n = len(M), len(M[0]) if M else 0
+        factors = self.invariant_factors
+        if (len(factors) > min(m, n) or any(d <= 0 for d in factors)
+                or any(b % a for a, b in zip(factors, factors[1:]))):
+            return False
+        zero = [0] * n
+        D = [zero] * m  # rows past the factors share one zero row
+        for i, d in enumerate(factors):
+            D[i] = zero[:i] + [d] + zero[i + 1:]
+        if self.diagonal != D or mat_mul(mat_mul(self.U, M), self.V) != D:
             return False
         if self.U and abs(linalg.int_det(self.U)) != 1:
             return False

@@ -1,16 +1,20 @@
 """Voronoi complexes of rational site sets and their Delaunay nerves.
 
 Cells come straight from the bisector inequalities 2(y'-y)·x <= y'·y'-y·y,
-with redundant bisectors filtered incrementally (nearest sites first).  The
-complex itself is the face/intersection closure of the cells.  Genericity
-("simple configuration") is decided on integer sites by one elimination of
-each small equidistance system.  Each cell is certified to be the exact
-Voronoi region of its site, so the cells meet in common faces without a
-pairwise check.  The Delaunay nerve is certified exactly and locally:
+with redundant bisectors filtered incrementally (nearest sites first): the
+generators of the cone over the cell, kept by the double description
+method on integer sites, decide whether the rows kept so far entail a new
+one.  The complex itself is the face/intersection closure of the cells.
+Genericity ("simple configuration") is decided on integer sites by one
+elimination of each small equidistance system.  Each cell is certified to
+be the exact Voronoi region of its site, so the cells meet in common faces
+without a pairwise check.  The Delaunay nerve is certified exactly and locally:
 affine independence, the ridge conditions of a triangulation (each ridge
 between two top simplices on opposite sides, or on a hull facet), and
 volume additivity against the convex hull, which together make its open
-simplices pairwise disjoint.
+simplices pairwise disjoint.  Clipping keeps every face above a vertex
+inside the region and tests the other faces against the region by
+Fourier-Motzkin.
 """
 
 import itertools
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 from .rationals import QQ, ZERO, ONE, rat, rat_str, vec
 from . import linalg
-from .polyhedra import (LinearInequality, RationalPolyhedron, _solve_constraints,
+from .polyhedra import (LinearInequality, RationalPolyhedron, _dot, _solve_constraints,
                         convex_hull_inequalities, polytope_volume, simplex_volume,
                         format_poly, parse_poly)
 from .complexes import PolyhedralComplex
@@ -44,36 +48,130 @@ class SiteSet:
         return len(self.sites)
 
 
-def _sq(p):
-    return linalg.dot(p, p)
-
-
 def bisector(y, y2):
     """Halfspace of points at least as close to y as to y2."""
     normal = tuple(2 * (b - a) for a, b in zip(y, y2))
-    return LinearInequality(normal, _sq(y2) - _sq(y), False)
+    return LinearInequality(normal, linalg.dot(y2, y2) - linalg.dot(y, y), False)
+
+
+def _integer_sites(Y):
+    """(Z, L): the sites times L, the lcm of their denominators, as integer tuples."""
+    N = Y.ambient_dim
+    flat, L = linalg.int_row([c for p in Y.sites for c in p])
+    return [tuple(flat[i:i + N]) for i in range(0, len(flat), N)], L
+
+
+def _primitive(v):
+    return tuple(linalg.primitive_row(v))
+
+
+class _CellCone:
+    """Double description of the cone {g = (x, t) in Q^(N+1) : h·g <= 0 for
+    every row h cut so far, t >= 0}: an integer basis of its lineality space
+    and its extreme rays modulo that space, each ray with the bit mask of
+    the rows it makes tight (bit 0 is t >= 0, bit k the k-th row cut).
+    Motzkin, Raiffa, Thompson & Thrall 1953; Fukuda & Prodon, "Double
+    description method revisited", 1996."""
+
+    def __init__(self, n):
+        self.lineality = [tuple(int(i == j) for j in range(n + 1)) for i in range(n)]
+        self.rays = [((0,) * n + (1,), 0)]
+        self.rows = 1
+
+    def cut(self, h):
+        """A generator g with h·g > 0, after cutting the cone by h·g <= 0;
+        or None, changing nothing, when every ray satisfies the row and
+        every lineality vector is orthogonal to it.
+
+        A lineality vector w with h·w > 0 splits the lineality space: -w
+        becomes a ray, tight on every earlier row, and every other generator
+        moves along w onto the hyperplane h = 0.  Otherwise the rays on the
+        violating side go, and each adjacent pair of rays on opposite sides
+        gives the ray where their common 2-face crosses the hyperplane."""
+        bit = 1 << self.rows
+        for k, w in enumerate(self.lineality):
+            s = _dot(h, w)
+            if s:
+                if s < 0:
+                    w, s = tuple(-x for x in w), -s
+
+                def onto(v):  # s·v moved along w onto h = 0
+                    c = _dot(h, v)
+                    return _primitive([s * x - c * y for x, y in zip(v, w)])
+
+                self.lineality = [onto(v) for v in self.lineality[:k] + self.lineality[k + 1:]]
+                self.rays = [(onto(r), t | bit) for r, t in self.rays]
+                self.rays.append((tuple(-x for x in w), bit - 1))
+                self.rows += 1
+                return w
+        values = [_dot(h, r) for r, _ in self.rays]
+        plus = [k for k, v in enumerate(values) if v > 0]
+        if not plus:
+            return None
+        witness = self.rays[plus[0]][0]
+        masks = [t for _, t in self.rays]
+        # Two extreme rays of the pointed part, of dimension d, are adjacent
+        # iff no third ray is tight on every row tight on both; those rows
+        # then have rank d - 2, so there are at least d - 2 of them.
+        least = len(h) - len(self.lineality) - 2
+        rays = [(r, t | bit if not v else t) for (r, t), v in zip(self.rays, values) if v <= 0]
+        for p in plus:
+            rp, vp = self.rays[p][0], values[p]
+            for m, vm in enumerate(values):
+                if vm >= 0:
+                    continue
+                common = masks[p] & masks[m]
+                if common.bit_count() < least or any(
+                        t & common == common for k, t in enumerate(masks) if k != p and k != m):
+                    continue
+                rays.append((_primitive([vp * x - vm * y for x, y in zip(self.rays[m][0], rp)]),
+                             common | bit))
+        self.rays = rays
+        self.rows += 1
+        return witness
 
 
 def _cell_inequalities(Y, i):
     """(kept, dropped): the bisectors of site i against every other site,
     nearest sites first, split by whether the bisectors kept before them
-    entail them (decided by Fourier-Motzkin).  The cell of site i is the
-    polyhedron of the kept rows."""
-    y = Y.sites[i]
-    others = sorted((j for j in range(len(Y)) if j != i),
-                    key=lambda j: (_sq(tuple(a - b for a, b in zip(Y.sites[j], y))), j))
-    kept, dropped = [], []
-    for j in others:
-        q = bisector(y, Y.sites[j])
-        if kept:
-            neg = q.negation()
-            probe = [(w.normal, w.offset, w.strict) for w in kept]
-            probe.append((neg.normal, neg.offset, neg.strict))
-            if _solve_constraints([], probe) is None:
-                dropped.append(q)
-                continue
-        kept.append(q)
-    return kept, dropped
+    entail them.  The cell of site i is the polyhedron of the kept rows.
+
+    The test runs on the integer sites Z = L·Y moved so that z_i is the
+    origin, where the bisector against z_j is 2d·x <= d·d with d = z_j - z_i;
+    a change of coordinates keeps every entailment.  The kept rows cut out a
+    cell P holding the origin, so they entail a row iff its homogenisation
+    holds on the cone over P, that is on every generator of `_CellCone`.
+    Each keep is checked here: the generator that violates the new row
+    satisfies every kept row and t >= 0, so it lies in the cone over P and
+    P has a point beyond the new row.  Each drop is checked by
+    `voronoi_complex` on the cell's certified face record.
+    """
+    Z, L = _integer_sites(Y)
+    z = Z[i]
+    order = sorted((sum((a - b) ** 2 for a, b in zip(Z[j], z)), j)
+                   for j in range(len(Y)) if j != i)
+    cone = _CellCone(Y.ambient_dim)
+    rows, kept, dropped = [], [], []
+    for sq, j in order:
+        h = tuple(2 * (a - b) for a, b in zip(Z[j], z)) + (-sq,)
+        g = cone.cut(h)
+        if g is None:
+            dropped.append(j)
+            continue
+        if g[-1] < 0 or _dot(h, g) <= 0 or any(_dot(r, g) > 0 for r in rows):
+            raise AssertionError("the bisector of sites %d and %d is kept, but its witness "
+                                 "generator %r is not a point of the cone of the rows kept "
+                                 "before it beyond the new row" % (i, j, g))
+        rows.append(h)
+        kept.append(j)
+    norms = [sum(a * a for a in p) for p in Z]
+
+    def row(j):
+        # the bisector of the sites y_i = z_i / L and y_j = z_j / L
+        return LinearInequality(tuple(QQ(2 * (a - b), L) for a, b in zip(Z[j], z)),
+                                QQ(norms[j] - norms[i], L * L), False)
+
+    return [row(j) for j in kept], [row(j) for j in dropped]
 
 
 @dataclass
@@ -136,8 +234,7 @@ def is_simple_configuration(Y):
         raise ValueError("need at least two sites")
     N = Y.ambient_dim
     k = len(Y)
-    flat, _ = linalg.int_row([c for p in Y.sites for c in p])
-    Z = [flat[i:i + N] for i in range(0, len(flat), N)]
+    Z, _ = _integer_sites(Y)
     sq = [sum(x * x for x in z) for z in Z]
     for size in range(3, min(k, N) + 1):
         for W in itertools.combinations(range(k), size):
@@ -366,6 +463,9 @@ class PolyhedralRegion:
     def meets(self, poly):
         return any(not poly.intersect(p).is_empty() for p in self.pieces)
 
+    def contains(self, point):
+        return any(p.contains(point) for p in self.pieces)
+
     def bounding_box(self):
         los = [None] * self.ambient_dim
         his = [None] * self.ambient_dim
@@ -379,15 +479,24 @@ class PolyhedralRegion:
         return los, his
 
 
+def _faces_missing(cx, region):
+    """Ids of the faces of `cx` disjoint from the region.  A face holds its
+    vertices, so every face above a vertex inside the region meets it;
+    Fourier-Motzkin (`region.meets`) decides only the faces left over."""
+    meeting = set()
+    for c in cx.ids():
+        if cx.face_dim(c) == 0 and region.contains(cx.faces[c].vertices()[0]):
+            meeting |= cx.above_of(c)
+    return {c for c in cx.ids() if c not in meeting and not region.meets(cx.faces[c])}
+
+
 def clipped_complex(Y, region):
     ok, witness = is_simple_configuration(Y)
     if not ok:
         raise ValueError("site set is not simple (witness subset %r)" % (witness,))
-    V = voronoi_complex(Y)
-    cx = V.complex
-    removed = {c for c in cx.ids() if not region.meets(cx.faces[c])}
+    cx = voronoi_complex(Y).complex
     # faces disjoint from the region form a subcomplex automatically
-    clipped = cx.difference(removed)
+    clipped = cx.difference(_faces_missing(cx, region))
     flag, bad = clipped.is_simple()
     if not flag:
         raise AssertionError("clipped complex lost simplicity at face %r" % (bad,))

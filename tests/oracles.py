@@ -50,6 +50,29 @@ def feasible(eqs, ineqs, dim):
     return True
 
 
+def cell_inequalities(sites, i):
+    """(kept, dropped): the bisectors (normal, offset) of site i against
+    every other site, nearest sites first, each dropped when the rows kept
+    before it entail it, decided by Fourier-Motzkin: the filter of the
+    Voronoi cells before it kept a cone of generators."""
+    sites = [[Fraction(c) for c in p] for p in sites]
+    y = sites[i]
+
+    def sq(p):
+        return sum(c * c for c in p)
+
+    others = sorted((j for j in range(len(sites)) if j != i),
+                    key=lambda j: (sq([a - b for a, b in zip(sites[j], y)]), j))
+    kept, dropped = [], []
+    for j in others:
+        normal = tuple(2 * (b - a) for a, b in zip(y, sites[j]))
+        offset = sq(sites[j]) - sq(y)
+        # entailed iff the kept rows and the strict negation have no point
+        probe = [(a, b, False) for a, b in kept] + [([-c for c in normal], -offset, True)]
+        (kept if feasible([], probe, len(y)) else dropped).append((normal, offset))
+    return kept, dropped
+
+
 def snf_invariant_factors(M):
     """Invariant factors via gcds of k x k minors.  Exponential; fine for
     the small matrices it is used on."""

@@ -151,6 +151,27 @@ class TestSparseKernel:
         assert mat_mul(mat_mul(U, M), V) == D
         assert not SmithForm(D, [2], U, V).certify(M)
 
+    I2 = [[1, 0], [0, 1]]
+
+    def test_certify_rejects_a_non_diagonal_d(self):
+        # U M V = D holds with U = V = I, but D = M is no Smith form
+        M = [[2, 4], [6, 8]]
+        assert not SmithForm(M, [], self.I2, self.I2).certify(M)
+
+    def test_certify_rejects_factors_that_are_not_d(self):
+        M = [[1, 0], [0, 5]]
+        assert not SmithForm(M, [7], self.I2, self.I2).certify(M)
+        assert SmithForm(M, [1, 5], self.I2, self.I2).certify(M)
+
+    @pytest.mark.parametrize("M, factors", [
+        ([[2, 0], [0, 3]], [2, 3]),    # 2 does not divide 3
+        ([[-1, 0], [0, 0]], [-1]),     # a negative factor
+        ([[0, 0], [0, 0]], [0]),       # a zero factor
+        ([[1, 0], [0, 0]], [1, 0, 0]),  # more factors than the diagonal holds
+    ], ids=["chain", "negative", "zero", "too-many"])
+    def test_certify_rejects_bad_factors(self, M, factors):
+        assert not SmithForm(M, factors, self.I2, self.I2).certify(M)
+
     def test_certify_rejects_singular_v(self):
         # M V is the diagonal [[1, 0]] already; only det V = 0 is wrong
         M, U, V, D = [[1, 1]], [[1]], [[1, 0], [0, 0]], [[1, 0]]

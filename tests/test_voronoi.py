@@ -26,10 +26,10 @@ from polycx import (
 )
 from polycx import voronoi
 from polycx.voronoi import (bisector, _cell_inequalities, _certify_triangulation,
-                            _open_simplices_meet)
+                            _faces_missing, _open_simplices_meet)
 
-from oracles import (circumcenter_2d, simple_configuration, open_simplices_meet,
-                     pairwise_triangulation)
+from oracles import (cell_inequalities, circumcenter_2d, simple_configuration,
+                     open_simplices_meet, pairwise_triangulation)
 from _corpus import box, random_sites
 
 # a small lattice with mixed denominators, so that collinear and cocircular
@@ -351,3 +351,146 @@ class TestLocalCertificates:
         monkeypatch.setattr(voronoi, "_cell_inequalities", short)
         with pytest.raises(AssertionError, match="violates the dropped bisector"):
             voronoi_complex(SiteSet(1, [(0,), (1,), (2,)]))
+
+
+def as_pairs(rows):
+    return [(q.normal, q.offset) for q in rows]
+
+
+def corrupting(mode, when, index):
+    """A `_CellCone.cut` that, on its `when`-th call for a cell, first
+    removes or negates the ray at `index` (modulo the number of rays)."""
+    real = voronoi._CellCone.cut
+
+    def cut(self, h):
+        self.calls = getattr(self, "calls", 0) + 1
+        if self.calls == when and self.rays:
+            k = index % len(self.rays)
+            if mode == "remove":
+                del self.rays[k]
+            else:
+                ray, tight = self.rays[k]
+                self.rays[k] = (tuple(-x for x in ray), tight)
+        return real(self, h)
+
+    return cut
+
+
+class TestCellFilter:
+    """The bisector filter on a cone of generators against the
+    Fourier-Motzkin filter it replaced."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.lists(st.tuples(*[st.sampled_from(LATTICE_COORDS)] * n),
+                 min_size=1, max_size=8, unique=True),
+        st.booleans())))
+    def test_matches_fourier_motzkin(self, drawn):
+        sites, flat = drawn
+        if flat and len(sites[0]) == 3:  # coplanar: every cell has a lineality line
+            sites = sorted({(x, y, QQ(0)) for x, y, _ in sites})
+        Y = SiteSet(len(sites[0]), sites)
+        for i in range(len(Y)):
+            kept, dropped = _cell_inequalities(Y, i)
+            assert (as_pairs(kept), as_pairs(dropped)) == cell_inequalities(Y.sites, i)
+
+    @pytest.mark.parametrize("sites", [
+        [(0, 0, 0), (1, 2, 3)],                                      # two sites
+        [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 0)],    # coplanar
+        [(0, 0), (1, 1), (3, 3), (-2, -2)],                          # collinear
+        [(QQ(1, 2), 0), (0, QQ(1, 3)), (QQ(-2, 5), QQ(7, 4))],      # denominators
+    ], ids=["two-sites", "coplanar", "collinear", "fractions"])
+    def test_cells_with_lineality(self, sites):
+        Y = SiteSet(len(sites[0]), [tuple(QQ(c) for c in p) for p in sites])
+        for i in range(len(Y)):
+            kept, dropped = _cell_inequalities(Y, i)
+            assert (as_pairs(kept), as_pairs(dropped)) == cell_inequalities(Y.sites, i)
+
+    GRID = [(x, y) for x in range(3) for y in range(3)]
+
+    @pytest.mark.parametrize("mode, when, index, message", [
+        ("remove", 2, 1, "violates the dropped bisector"),
+        ("flip", 2, 0, "witness generator"),
+    ])
+    def test_corrupted_cone_is_rejected(self, monkeypatch, mode, when, index, message):
+        monkeypatch.setattr(voronoi._CellCone, "cut", corrupting(mode, when, index))
+        with pytest.raises(AssertionError, match=message):
+            voronoi_complex(SiteSet(2, self.GRID))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.tuples(*[st.sampled_from(LATTICE_COORDS)] * n),
+        min_size=2, max_size=7, unique=True)),
+        st.sampled_from(["remove", "flip"]), st.integers(2, 5), st.integers(0, 7))
+    def test_corruption_raises_or_changes_nothing(self, sites, mode, when, index):
+        Y = SiteSet(len(sites[0]), sites)
+        expected = format_cplx(voronoi_complex(Y).complex)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(voronoi._CellCone, "cut", corrupting(mode, when, index))
+            try:
+                got = format_cplx(voronoi_complex(Y).complex)
+            except AssertionError:
+                return
+        assert got == expected
+
+
+def annulus_case(seed):
+    """Perturbed lattice sites of a 5 x 4 rectangle around a hole that holds
+    two Voronoi vertices and the edge between them, and the ring region."""
+    F = QQ
+    sites = SiteSet(2, [(QQ(i), QQ(j)) for i in range(5) for j in range(4)])
+    Y = perturb_to_simple(sites, F(1, 20), seed)
+    ring = [box([0, 0], [4, F(5, 4)]), box([0, F(7, 4)], [4, 3]),
+            box([0, F(5, 4)], [F(5, 4), F(7, 4)]), box([F(11, 4), F(5, 4)], [4, F(7, 4)])]
+    return Y, PolyhedralRegion(ring)
+
+
+class TestClipAgainstFM:
+    """The faces clipping removes, against `region.meets` on every face."""
+
+    def removal(self, Y, region):
+        cx = voronoi_complex(Y).complex
+        fm = {c for c in cx.ids() if not region.meets(cx.faces[c])}
+        assert _faces_missing(cx, region) == fm
+        assert set(clipped_complex(Y, region).ids()) == set(cx.ids()) - fm
+        return cx, fm
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_annulus(self, seed):
+        Y, region = annulus_case(seed)
+        cx, removed = self.removal(Y, region)
+        # the edge inside the hole goes, the unbounded cells stay
+        assert any(cx.face_dim(c) == 1 for c in removed)
+        assert any(not cx.faces[c].is_bounded() for c in cx.ids() if c not in removed)
+
+    def test_box_across_an_edge(self):
+        # a small box around the middle of a bounded edge meets the edge and
+        # its two cells but none of their vertices, and misses every other cell
+        Y = random_sites(2, 7, seed=4)
+        cx = voronoi_complex(Y).complex
+        edge = next(c for c in cx.ids() if cx.face_dim(c) == 1 and cx.faces[c].is_bounded())
+        u, v = cx.faces[edge].vertices()
+        mid = [(a + b) / 2 for a, b in zip(u, v)]
+        eps = max(abs(a - b) for a, b in zip(u, v)) / 8
+        region = PolyhedralRegion([box([c - eps for c in mid], [c + eps for c in mid])])
+        cx, removed = self.removal(Y, region)
+        assert sorted(cx.face_dim(c) for c in cx.ids() if c not in removed) == [1, 2, 2]
+        assert not any(region.contains(cx.faces[c].vertices()[0])
+                       for c in cx.ids() if cx.face_dim(c) == 0)
+
+    def test_edge_without_vertices(self):
+        # two sites: one unbounded edge (a line), no vertex at all
+        Y = SiteSet(2, [(QQ(0), QQ(0)), (QQ(2), QQ(0))])
+        region = PolyhedralRegion([box([QQ(1, 2), 5], [QQ(3, 2), 6])])
+        cx, removed = self.removal(Y, region)
+        assert not removed
+
+    @settings(max_examples=40, deadline=None)
+    @given(simple_sites(dims=(2,), max_sites=7),
+           st.lists(st.tuples(st.integers(-9, 8), st.integers(-9, 8),
+                              st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=3))
+    def test_random_boxes(self, Y, boxes):
+        region = PolyhedralRegion([box([x, y], [x + w, y + h]) for x, y, w, h in boxes])
+        cx = voronoi_complex(Y).complex
+        assert _faces_missing(cx, region) == {c for c in cx.ids()
+                                              if not region.meets(cx.faces[c])}
