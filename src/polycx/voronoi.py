@@ -55,14 +55,10 @@ def bisector(y, y2):
 
 
 def _integer_sites(Y):
-    """(Z, L): the sites times L, the lcm of their denominators, as integer tuples."""
+    """(Z, L): the sites times L, the lcm of their denominators, as integer rows."""
     N = Y.ambient_dim
     flat, L = linalg.int_row([c for p in Y.sites for c in p])
-    return [tuple(flat[i:i + N]) for i in range(0, len(flat), N)], L
-
-
-def _primitive(v):
-    return tuple(linalg.primitive_row(v))
+    return [flat[i:i + N] for i in range(0, len(flat), N)], L
 
 
 class _CellCone:
@@ -74,8 +70,8 @@ class _CellCone:
     description method revisited", 1996."""
 
     def __init__(self, n):
-        self.lineality = [tuple(int(i == j) for j in range(n + 1)) for i in range(n)]
-        self.rays = [((0,) * n + (1,), 0)]
+        self.lineality = [[int(i == j) for j in range(n + 1)] for i in range(n)]
+        self.rays = [([0] * n + [1], 0)]
         self.rows = 1
 
     def cut(self, h):
@@ -93,15 +89,15 @@ class _CellCone:
             s = _dot(h, w)
             if s:
                 if s < 0:
-                    w, s = tuple(-x for x in w), -s
+                    w, s = [-x for x in w], -s
 
                 def onto(v):  # s·v moved along w onto h = 0
                     c = _dot(h, v)
-                    return _primitive([s * x - c * y for x, y in zip(v, w)])
+                    return linalg.primitive_row([s * x - c * y for x, y in zip(v, w)])
 
                 self.lineality = [onto(v) for v in self.lineality[:k] + self.lineality[k + 1:]]
                 self.rays = [(onto(r), t | bit) for r, t in self.rays]
-                self.rays.append((tuple(-x for x in w), bit - 1))
+                self.rays.append(([-x for x in w], bit - 1))
                 self.rows += 1
                 return w
         values = [_dot(h, r) for r, _ in self.rays]
@@ -124,7 +120,8 @@ class _CellCone:
                 if common.bit_count() < least or any(
                         t & common == common for k, t in enumerate(masks) if k != p and k != m):
                     continue
-                rays.append((_primitive([vp * x - vm * y for x, y in zip(self.rays[m][0], rp)]),
+                rays.append((linalg.primitive_row([vp * x - vm * y
+                                                   for x, y in zip(self.rays[m][0], rp)]),
                              common | bit))
         self.rays = rays
         self.rows += 1
@@ -153,7 +150,7 @@ def _cell_inequalities(Y, i):
     cone = _CellCone(Y.ambient_dim)
     rows, kept, dropped = [], [], []
     for sq, j in order:
-        h = tuple(2 * (a - b) for a, b in zip(Z[j], z)) + (-sq,)
+        h = [2 * (a - b) for a, b in zip(Z[j], z)] + [-sq]
         g = cone.cut(h)
         if g is None:
             dropped.append(j)

@@ -370,7 +370,7 @@ def corrupting(mode, when, index):
                 del self.rays[k]
             else:
                 ray, tight = self.rays[k]
-                self.rays[k] = (tuple(-x for x in ray), tight)
+                self.rays[k] = ([-x for x in ray], tight)
         return real(self, h)
 
     return cut
