@@ -8,12 +8,12 @@ one.  The complex itself is the face/intersection closure of the cells.
 Genericity ("simple configuration") is decided on integer sites by one
 elimination of each small equidistance system.  Each cell is certified to
 be the exact Voronoi region of its site, so the cells meet in common faces
-without a pairwise check.  The Delaunay nerve is certified exactly and locally:
-affine independence, the ridge conditions of a triangulation (each ridge
-between two top simplices on opposite sides, or on a hull facet), and
-volume additivity against the convex hull, which together make its open
-simplices pairwise disjoint.  Clipping keeps every face above a vertex
-inside the region and tests the other faces against the region by
+without a pairwise check.  The Delaunay nerve is certified exactly and
+locally: affine independence, the ridge conditions of a triangulation
+(each ridge between two top simplices on opposite sides, or on a hull
+facet), and volume additivity against the convex hull, which together make
+its open simplices pairwise disjoint.  Clipping keeps every face above a
+vertex inside the region and tests the other faces against the region by
 Fourier-Motzkin.
 """
 

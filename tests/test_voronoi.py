@@ -24,7 +24,7 @@ from polycx import (
     convex_hull_inequalities,
     polytope_volume,
 )
-from polycx import voronoi
+from polycx import linalg, voronoi
 from polycx.voronoi import (bisector, _cell_inequalities, _certify_triangulation,
                             _faces_missing, _open_simplices_meet)
 
@@ -406,6 +406,51 @@ class TestCellFilter:
             kept, dropped = _cell_inequalities(Y, i)
             assert (as_pairs(kept), as_pairs(dropped)) == cell_inequalities(Y.sites, i)
 
+    @staticmethod
+    def assert_extreme(sites):
+        """Every cone `_cell_inequalities` ends with holds exactly the extreme
+        rays, each with the mask of its tight rows, and a lineality basis."""
+        n = len(sites[0])
+        cones = []
+        real = voronoi._CellCone.cut
+
+        def cut(self, h):
+            g = real(self, h)
+            if g is not None:
+                if not cones or cones[-1][0] is not self:
+                    cones.append((self, [[0] * n + [-1]]))
+                cones[-1][1].append(h)
+            return g
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(voronoi._CellCone, "cut", cut)
+            for i in range(len(sites)):
+                _cell_inequalities(SiteSet(n, sites), i)
+        for cone, rows in cones:
+            d = n + 1 - len(cone.lineality)
+            assert linalg.int_rank(cone.lineality) == len(cone.lineality)
+            assert len({tuple(r) for r, _ in cone.rays}) == len(cone.rays)
+            for ray, mask in cone.rays:
+                dots = [sum(a * b for a, b in zip(h, ray)) for h in rows]
+                assert max(dots) <= 0
+                assert mask == sum(1 << k for k, v in enumerate(dots) if not v)
+                assert linalg.int_rank([h for h, v in zip(rows, dots) if not v]) == d - 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.tuples(*[st.integers(-2, 2)] * n), min_size=2, max_size=9, unique=True)))
+    def test_rays_are_extreme_with_exact_tight_sets(self, sites):
+        self.assert_extreme(sites)
+
+    def test_rays_are_extreme_in_a_degenerate_4d_cell(self):
+        # here pairs of rays share d - 2 tight rows without being adjacent, so
+        # the count test alone would keep 117 rays for the 41 extreme ones
+        self.assert_extreme([
+            (0, 0, 0, 0), (0, 1, 1, -1), (1, 1, -1, 0), (1, 1, 0, 1), (1, 0, -1, -1),
+            (1, -1, 1, -1), (0, -1, 1, 1), (-1, 0, -1, 0), (1, 0, -1, 1), (0, -1, -1, -1),
+            (0, 1, -1, 1), (0, -1, 0, -1), (1, 0, 1, 1), (0, 1, 0, -1), (-1, 1, 0, 1),
+            (1, 0, 1, 0), (0, -1, -1, 0), (-1, 1, 1, 1), (0, 0, -1, 0)])
+
     GRID = [(x, y) for x in range(3) for y in range(3)]
 
     @pytest.mark.parametrize("mode, when, index, message", [
@@ -451,7 +496,17 @@ class TestClipAgainstFM:
     def removal(self, Y, region):
         cx = voronoi_complex(Y).complex
         fm = {c for c in cx.ids() if not region.meets(cx.faces[c])}
-        assert _faces_missing(cx, region) == fm
+        asked, meets = [], region.meets
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(region, "meets", lambda poly: asked.append(poly) or meets(poly))
+            assert _faces_missing(cx, region) == fm
+        # Fourier-Motzkin runs only on faces above no vertex inside the region
+        settled = set()
+        for c in cx.ids():
+            if cx.face_dim(c) == 0 and region.contains(cx.faces[c].vertices()[0]):
+                settled |= cx.above_of(c)
+        assert not any(cx.faces[c] is poly for c in settled for poly in asked)
+        assert len(asked) == len(cx.ids()) - len(settled)
         assert set(clipped_complex(Y, region).ids()) == set(cx.ids()) - fm
         return cx, fm
 
