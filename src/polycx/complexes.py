@@ -4,13 +4,25 @@ A complex stores a map FaceId -> RationalPolyhedron and the strict
 incidence relation (a, b) meaning "a is a proper face of b".  Everything
 downstream (facets, residues, nerves, simplicity, differences) is a poset
 computation on top of the exact polyhedron layer.
+
+Building a complex reads every face's dimension.  Faces are visited by
+increasing down-set, and each face's guess at a relative-interior point is
+the mean of those of the faces below it (a face with nothing below guesses
+the solution of its equalities).  A guess that passes the exact check of
+`RationalPolyhedron.relint_point` certifies the face's tight set,
+dimension and affine span without a face record; that is the usual case
+for a parsed CPLX/1, whose faces carry their equalities as row pairs.  A
+face whose guess fails (forged incidences, unbounded faces, equalities not
+written as pairs) builds its certified record, and an empty face is
+rejected.  The faces that `difference` cuts keep their parent's record,
+with the cut rows appended.
 """
 
 import itertools
 import json
 
 from .rationals import rat_str
-from .polyhedra import LinearInequality, RationalPolyhedron, format_poly, parse_poly
+from .polyhedra import LinearInequality, format_poly, parse_poly
 from .simplicial import SimplicialComplex
 
 
@@ -49,6 +61,13 @@ class PolyhedralComplex:
         for a, bs in self._above.items():
             for b in bs:
                 self._below[b].add(a)
+        # a face's faces lie in it, so the mean of their relative-interior
+        # points is its guess; a face the guess fails builds its record
+        relint = {}
+        for i in sorted(self.faces, key=lambda i: len(self._below[i])):
+            relint[i] = self.faces[i].relint_point([relint[b] for b in self._below[i]])
+            if relint[i] is None:
+                raise ValueError("face %r is empty" % (i,))
         self._dim_of = {i: p.dimension() for i, p in self.faces.items()}
         self._key_to_id = None
 
@@ -167,9 +186,8 @@ class PolyhedralComplex:
                        if not any(b != b2 and self.leq(b, b2) for b2 in below)]
             cuts = [_cut_inequality(poly, self.faces[b]) for b in maximal]
             if cuts:
-                poly = RationalPolyhedron(poly.ambient_dim,
-                                          poly.inequalities + tuple(cuts),
-                                          poly.tightened)
+                # a cut row is a sum of rows of poly, so it holds on poly
+                poly = poly.with_valid_rows(cuts)
             new_faces[c] = poly
         above = {(a, b) for a, b in self.incidences()
                  if a in new_faces and b in new_faces}

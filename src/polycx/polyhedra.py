@@ -14,7 +14,16 @@ implicit equalities are the rows tight on all of its generators, its
 dimension is read from those rows, and its facets are the rows whose faces
 have one dimension less.  Fourier-Motzkin elimination on primitive integer
 rows stays the general feasibility test, for systems without a record.
-Everything is immutable; derived data is cached per instance.
+
+A caller that needs only the tight set, the dimension and the affine span
+can skip the record: `relint_point` checks a guessed point against the
+rows written as equalities (tightened rows and opposite pairs), exactly,
+and a point that satisfies them with equality and every other row
+strictly lies in the relative interior and certifies all three.  A guess
+that fails falls back to the record.  A record also carries over to a
+system with rows appended that hold on it (`with_valid_rows`), each row
+checked on every generator.  Everything is immutable; derived data is
+cached per instance.
 """
 
 import itertools
@@ -195,6 +204,21 @@ def _dedupe(constraints):
 
 
 # -- the face record ----------------------------------------------------------------
+
+def _mean(points, rays=()):
+    """mean(points) + sum(rays) as (nums, den) in lowest terms; each point
+    is (nums, den) and each ray an integer vector."""
+    den = lcm(*(d for _, d in points))
+    total = [0] * len(points[0][0])
+    for nums, d in points:
+        f = den // d
+        total = [t + f * x for t, x in zip(total, nums)]
+    den *= len(points)
+    for ray in rays:
+        total = [t + den * x for t, x in zip(total, ray)]
+    g = gcd(*total, den)
+    return tuple(t // g for t in total), den // g
+
 
 def _solve_int(aug, n):
     """Solutions of integer rows a·x = b, each given as a + [b], in n unknowns.
@@ -416,6 +440,41 @@ class FaceRecord:
         sets.extend(t for _, t in self.rays if tight <= t)
         return frozenset.intersection(*sets)
 
+    def with_row(self, row):
+        """The record of this system with one more row (a, b) appended,
+        where a·x <= b holds on all of Q.
+
+        Each generator is checked against the row exactly (points at or
+        below it, rays not rising, lineality vectors orthogonal), so Q, its
+        lineality space and its generators are unchanged; a generator's
+        tight set gains the new index where the row is tight on it.
+        AssertionError when a generator violates the row.
+        """
+        a, b = row
+        k = len(self.rows)
+        if any(_dot(a, v) for v in self.lineality):
+            raise AssertionError("appended row is not constant on the lineality space")
+        points = []
+        for (nums, den), tight in self.points:
+            slack = b * den - _dot(a, nums)
+            if slack < 0:
+                raise AssertionError("record point %r/%d violates the appended row"
+                                     % (nums, den))
+            points.append(((nums, den), tight if slack else tight | {k}))
+        rays = []
+        for ray, tight in self.rays:
+            rise = _dot(a, ray)
+            if rise > 0:
+                raise AssertionError("record ray %r violates the appended row" % (ray,))
+            rays.append((ray, tight if rise else tight | {k}))
+        return FaceRecord(self.ambient_dim, list(self.rows) + [row], self.eq, self.lineality,
+                          tuple(points), tuple(rays))
+
+    def relint(self):
+        """mean(points) + sum(rays): a point of the relative interior of Q,
+        since every generator has a positive weight in it."""
+        return _mean([pt for pt, _ in self.points], [ray for ray, _ in self.rays])
+
     def restrict(self, tight):
         """The record of the face where `tight` holds with equality."""
         return FaceRecord(self.ambient_dim, self.rows, self.eq | tight, self.lineality,
@@ -484,6 +543,19 @@ class RationalPolyhedron:
             face._cache["record"] = record.restrict(face.tightened)
         return face
 
+    def with_valid_rows(self, extra):
+        """This system with the rows `extra` appended, each of which holds
+        (relaxed to <=) on the whole closed relaxation.  A record carries
+        over, each row checked on every generator (FaceRecord.with_row)."""
+        poly = RationalPolyhedron(self.ambient_dim, self.inequalities + tuple(extra),
+                                  self.tightened)
+        record = self._cache.get("record")
+        if record is not None:
+            for q in extra:
+                record = record.with_row(_primitive(q.normal, q.offset))
+            poly._cache["record"] = record
+        return poly
+
     # -- raw system view ------------------------------------------------------
 
     def system(self):
@@ -510,12 +582,62 @@ class RationalPolyhedron:
 
     # -- the face record ---------------------------------------------------------
 
+    def _rows(self):
+        """Every row as primitive integers (normal, offset)."""
+        if "rows" not in self._cache:
+            self._cache["rows"] = [_primitive(q.normal, q.offset) for q in self.inequalities]
+        return self._cache["rows"]
+
     def _record(self):
         """The certified face record of the closed relaxation, built once."""
         if "record" not in self._cache:
-            rows = [_primitive(q.normal, q.offset) for q in self.inequalities]
-            self._cache["record"] = FaceRecord.build(self.ambient_dim, rows, self.tightened)
+            self._cache["record"] = FaceRecord.build(self.ambient_dim, self._rows(),
+                                                     self.tightened)
         return self._cache["record"]
+
+    def relint_point(self, near=()):
+        """A point of the relative interior as (nums, den), or None when
+        the polyhedron is empty.  Without a record, the root tight set and
+        the dimension are certified by a witness where one is found.
+
+        Let E be the tightened rows and every non-strict row whose opposite
+        is also a non-strict row, or which equals a tightened row: all of
+        them hold with equality on P.  The guess x is the mean of `near`,
+        or without it the particular solution of E.  If x satisfies E with
+        equality and every other row strictly (one integer dot product per
+        row, over x's common denominator), then x lies in P and no row
+        outside E is tight at x, so no such row is an implicit equality.
+        Hence x lies in the relative interior, E is P's tight set, and the
+        affine hull is {E with equality}, of dimension N - rank E (the
+        affine hull is cut out by the implicit equalities; Schrijver,
+        Theory of Linear and Integer Programming, 1986, 8.1-8.2).  When x
+        fails, the record is built and gives mean(points) + sum(rays).
+        """
+        if "relint" in self._cache:
+            return self._cache["relint"]
+        if "record" not in self._cache:
+            rows = self._rows()
+            closed = {rows[i] for i in range(len(rows)) if i not in self._strict}
+            fixed = {rows[i] for i in self.tightened}
+            eq = frozenset(i for i, (a, b) in enumerate(rows) if i not in self._strict
+                           and (rows[i] in fixed or (tuple(-x for x in a), -b) in closed))
+            if near:
+                guess = _mean(near)
+            else:
+                sol = _solve_int([list(rows[i][0]) + [rows[i][1]] for i in eq],
+                                 self.ambient_dim)
+                guess = sol and (tuple(sol[0]), sol[1])
+            if guess and all((_dot(a, guess[0]) == b * guess[1]) if i in eq
+                             else (_dot(a, guess[0]) < b * guess[1])
+                             for i, (a, b) in enumerate(rows)):
+                self._cache["root"] = eq
+                self._cache["dim"] = self.ambient_dim - linalg.int_rank(
+                    [rows[i][0] for i in eq])
+                self._cache["relint"] = guess
+                return guess
+        point = None if self._root() is None else self._record().relint()
+        self._cache["relint"] = point
+        return point
 
     def _root(self):
         """Tight set of the polyhedron itself, or None when it is empty.
@@ -543,7 +665,7 @@ class RationalPolyhedron:
     def is_empty(self):
         # a record is not built just for this: most emptiness tests are on
         # throwaway intersections, where one Fourier-Motzkin run is cheaper
-        if "record" in self._cache:
+        if "root" in self._cache or "record" in self._cache:
             return self._root() is None
         return self.feasible_point() is None
 
@@ -572,8 +694,10 @@ class RationalPolyhedron:
         return AffineSubspace(self.ambient_dim, base, dirs)
 
     def dimension(self):
-        root = self._root()
-        return -1 if root is None else self._record().dim(root)
+        if "dim" not in self._cache:
+            root = self._root()
+            self._cache["dim"] = -1 if root is None else self._record().dim(root)
+        return self._cache["dim"]
 
     # -- faces ------------------------------------------------------------------
 
@@ -790,9 +914,7 @@ def polytope_volume(poly):
     it is full-dimensional)."""
     if not poly.is_closed_system():
         raise ValueError("volume requires a closed system")
-    if poly.is_empty():
-        return ZERO
-    if poly.dimension() != poly.ambient_dim:
+    if poly.dimension() != poly.ambient_dim:  # -1 when empty
         return ZERO
     return sum((simplex_volume(s) for s in poly.triangulate()), ZERO)
 

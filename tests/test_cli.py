@@ -395,6 +395,19 @@ def test_cyclic_incidences_exit_2(tmp_path, capsys):
     assert not (tmp_path / "n.scx").exists() and not (tmp_path / "p.json").exists()
 
 
+def test_empty_face_exits_2(tmp_path, capsys):
+    # x < 0 and -x < 0: a face no point satisfies
+    empty = dict(CPLX, faces=[{"id": 0, "poly": "1 2\n1 < 0\n-1 < 0\n"}])
+    cplx = write(tmp_path / "empty.cplx", json.dumps(empty))
+    for argv in (["nerve", "--complex", cplx, "--out", str(tmp_path / "n.scx")],
+                 ["check-simple", "--complex", cplx],
+                 ["parasites", "--complex", cplx, "--out", str(tmp_path / "p.json")]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "input error: face 0 is empty\n"
+    assert not (tmp_path / "n.scx").exists() and not (tmp_path / "p.json").exists()
+
+
 def point_poly(x, y):
     return "2 4\n1 0 <= %d\n-1 0 <= %d\n0 1 <= %d\n0 -1 <= %d\n" % (x, -x, y, -y)
 

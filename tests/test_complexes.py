@@ -13,7 +13,10 @@ from polycx import (
     parse_cplx,
 )
 
-from _corpus import box, segment_chain, square_strip, cube_tower
+from polycx.polyhedra import FaceRecord
+from _corpus import (box, segment_chain, square_strip, cube_tower, voronoi_fixture,
+                     clipped_fixture)
+from test_polyhedra import assert_matches_record
 
 
 def two_segments():
@@ -148,6 +151,40 @@ class TestDifference:
         assert set(D.ids()) <= set(C.ids())
 
 
+    @pytest.mark.parametrize("make", [lambda: square_strip(3), lambda: cube_tower(2),
+                                      lambda: voronoi_fixture(2, 5, 100),
+                                      lambda: voronoi_fixture(3, 4, 200)])
+    def test_cut_faces_extend_the_parent_record(self, make):
+        # every cut face carries its parent's record with the cut rows
+        # appended; it passes certify and equals a fresh build
+        C = make()
+        for v in [i for i in C.ids() if C.face_dim(i) <= 1][:3]:
+            D = C.difference(C.downward_closure({v}))
+            cut = [i for i in D.ids()
+                   if len(D.faces[i].inequalities) > len(C.faces[i].inequalities)]
+            assert cut
+            for i in cut:
+                P = D.faces[i]
+                record = P._cache["record"]
+                record.certify()
+                built = FaceRecord.build(P.ambient_dim, P._rows(), P.tightened)
+                assert (record.rows, record.eq, record.lineality, record.points,
+                        record.rays) == (built.rows, built.eq, built.lineality,
+                                         built.points, built.rays)
+                assert record.dims is not C.faces[i]._record().dims
+                assert D.face_dim(i) == C.face_dim(i)
+
+    def test_a_row_a_generator_violates_is_rejected(self):
+        record = box([0, 0], [1, 1])._record()
+        with pytest.raises(AssertionError, match="violates the appended row"):
+            record.with_row(((1, 1), 1))  # x + y <= 1 cuts the corner (1, 1)
+        cone = RationalPolyhedron(2, [([-1, 0], 0)])._record()  # x >= 0
+        with pytest.raises(AssertionError, match="ray"):
+            cone.with_row(((1, 0), 5))
+        with pytest.raises(AssertionError, match="lineality"):
+            cone.with_row(((-1, 1), 0))
+
+
 class TestOrderComplex:
 
     def test_two_segments_chains(self):
@@ -174,6 +211,45 @@ class TestCplxFormat:
     def test_bad_schema_rejected(self):
         with pytest.raises(ValueError):
             parse_cplx('{"schema_version":"CPLX/9"}')
+
+
+class TestRelintWitnesses:
+    """Parsed faces get their dimension and affine span from a checked
+    relative-interior witness where one is found, and from their record
+    otherwise; the answers are the record's either way."""
+
+    @pytest.mark.parametrize("make", [lambda: cube_tower(2), lambda: square_strip(3),
+                                      lambda: voronoi_fixture(1, 5, 0),
+                                      lambda: voronoi_fixture(2, 5, 101),
+                                      lambda: voronoi_fixture(3, 4, 201),
+                                      lambda: clipped_fixture(300)])
+    def test_parsed_faces_match_their_records(self, make):
+        C = make()
+        D = parse_cplx(format_cplx(C))
+        witnessed = 0
+        for i in D.ids():
+            P = D.faces[i]
+            witnessed += "record" not in P._cache
+            assert_matches_record(P, P.relint_point())
+            assert D.face_dim(i) == C.face_dim(i)
+        assert witnessed
+
+    def test_bounded_faces_need_no_record(self):
+        D = parse_cplx(format_cplx(cube_tower(2)))
+        assert not any("record" in P._cache for P in D.faces.values())
+
+    def test_forged_incidence_falls_back_to_the_record(self):
+        # the point (3, 3) declared a face of the unit square: the guess
+        # lies outside the square, so the square builds its record
+        point = RationalPolyhedron.from_box([3, 3], [3, 3])
+        C = PolyhedralComplex(2, {0: point, 1: box([0, 0], [1, 1])}, {(0, 1)})
+        assert "record" in C.faces[1]._cache
+        assert C.face_dim(0) == 0 and C.face_dim(1) == 2
+
+    def test_empty_face_is_rejected(self):
+        empty = RationalPolyhedron(1, [([1], 0, True), ([-1], 0, True)])  # x < 0 < x
+        with pytest.raises(ValueError, match="face 1 is empty"):
+            PolyhedralComplex(1, {0: box([0], [1]), 1: empty}, set())
 
 
 def test_cyclic_incidences_rejected():

@@ -15,6 +15,7 @@ from polycx import (
     parse_poly,
 )
 from polycx.complexes import PolyhedralComplex
+from polycx import linalg
 from polycx.polyhedra import FaceRecord, _primitive, _solve_constraints
 
 from oracles import FMFaces, feasible
@@ -280,6 +281,137 @@ class TestFaceRecord:
         assert polytope_volume(P) == 1
 
 
+@st.composite
+def witness_systems(draw):
+    """systems() with rows added: opposite rows (a pair when both are
+    non-strict), a zero-normal row and a redundant row (the sum of two
+    rows, its offset sometimes raised)."""
+    n, rows, tightened = draw(systems())
+    for k in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2)):
+        a, b, _ = rows[k]
+        rows.append(([-x for x in a], -b, draw(st.sampled_from([False, False, True]))))
+    for b, s in draw(st.lists(st.tuples(st.sampled_from([0, 1]), st.booleans()), max_size=1)):
+        rows.append(([0] * n, Fraction(b), s))
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        (a, b, _), (c, d, _) = rows[i], rows[j]
+        rows.append(([x + y for x, y in zip(a, c)], b + d + draw(st.integers(0, 1)), False))
+    return n, rows, tightened
+
+
+def int_points(n):
+    """Rational points of Q^n as (integer numerators, positive denominator)."""
+    return st.tuples(st.tuples(*[st.integers(-6, 6)] * n), st.integers(1, 3))
+
+
+def assert_matches_record(P, point):
+    """P's root, dimension, affine span and relative-interior point against
+    the record of the same system, built afresh."""
+    oracle = RationalPolyhedron(P.ambient_dim, P.inequalities, P.tightened)
+    root = oracle._root()
+    assert P._root() == root
+    assert P.dimension() == oracle.dimension()
+    assert P.affine_span() == oracle.affine_span()
+    assert P.is_empty() == (root is None)
+    if root is None:
+        assert point is None
+    else:
+        nums, den = point
+        x = tuple(QQ(c, den) for c in nums)
+        assert oracle.contains(x)
+        assert root == {i for i, q in enumerate(oracle.inequalities)
+                        if linalg.dot(q.normal, x) == q.offset}
+
+
+class TestRelintWitness:
+    """relint_point certifies the root and the dimension by a witness where
+    the guess passes, and falls back to the record where it does not; the
+    answers are the record's either way."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(witness_systems(), st.data())
+    def test_matches_the_record(self, system, data):
+        n, rows, tightened = system
+        oracle = make(n, rows, tightened)
+        candidates = [pt for pt, _ in oracle._record().points]
+        if oracle._root() is not None:
+            candidates.append(oracle._record().relint())
+        near = data.draw(st.one_of(
+            st.just([]),
+            st.lists(int_points(n), min_size=1, max_size=3),
+            st.lists(st.sampled_from(candidates), min_size=1) if candidates else st.just([]),
+            st.just(candidates)))
+        P = make(n, rows, tightened)
+        assert_matches_record(P, P.relint_point(near))
+
+    @settings(max_examples=100, deadline=None)
+    @given(systems(), st.data())
+    def test_written_faces_take_the_witness(self, system, data):
+        # a face written by format_poly carries its tight set as row pairs,
+        # so a point of its relative interior passes the check
+        n, rows, tightened = system
+        P = make(n, rows, tightened)
+        if P.is_empty():
+            return
+        for face in P.enumerate_faces():
+            written = parse_poly(format_poly(face))
+            near = [face._record().relint()]
+            if data.draw(st.booleans()):  # vertices of a bounded face span it
+                pts = [pt for pt, _ in face._record().points]
+                near = pts if not face._record().rays and len(pts) > 1 else near
+            point = written.relint_point(near)
+            assert "record" not in written._cache
+            assert_matches_record(written, point)
+
+    def test_a_tightened_edge_takes_the_witness(self):
+        # the edge x = 2 of the square [0, 2]^2, before and after writing
+        P = box([0, 0], [2, 2]).with_tightened([0])
+        Q = parse_poly(format_poly(P))
+        for R in (P, Q):
+            point = R.relint_point([((2, 0), 1), ((2, 2), 1)])
+            assert point == ((2, 1), 1) and "record" not in R._cache
+            assert R.dimension() == 1
+            assert_matches_record(R, point)
+        assert P._root() == {0} and Q._root() == {0, 1}
+
+    def test_a_guess_on_a_non_pair_row_falls_back(self):
+        # the corner (0, 0) of the square makes two rows tight
+        P = box([0, 0], [1, 1])
+        point = P.relint_point([((0, 0), 1)])
+        assert "record" in P._cache and point == ((1, 1), 2)
+        assert P.dimension() == 2
+        assert_matches_record(P, point)
+
+    def test_a_guess_outside_the_polyhedron_falls_back(self):
+        # the segment [0, 1] x {0}, written with y = 0 as a pair, and a
+        # forged face below it at (3, 0): on the line, outside the segment
+        P = make(2, [([0, 1], 0, False), ([0, -1], 0, False),
+                     ([1, 0], 1, False), ([-1, 0], 0, False)])
+        point = P.relint_point([((3, 0), 1)])
+        assert "record" in P._cache and point == ((1, 0), 2)
+        assert P.dimension() == 1
+        assert_matches_record(P, point)
+
+    def test_an_equality_not_written_as_a_pair_falls_back(self):
+        # x <= y <= 0 <= x + y: the point (0, 0), all of whose equalities
+        # are implied; even the point itself fails as a guess, since no
+        # row is a pair and so the check asks every row to hold strictly
+        P = make(2, [([1, -1], 0, False), ([0, 1], 0, False), ([-1, -1], 0, False)])
+        point = P.relint_point([((0, 0), 1)])
+        assert "record" in P._cache and point == ((0, 0), 1)
+        assert P.dimension() == 0
+        assert_matches_record(P, point)
+
+    @pytest.mark.parametrize("pair", [False, True])
+    def test_a_strict_row_against_its_opposite_falls_back(self, pair):
+        # x < 1 with x >= 1 (and, in the second case, x <= 1 too): empty
+        rows = [([1], 1, True), ([-1], -1, False)] + ([([1], 1, False)] if pair else [])
+        P = make(1, rows)
+        assert P.relint_point([((1, 1), 1)]) is None
+        assert "record" in P._cache and P.dimension() == -1
+        assert_matches_record(P, None)
+
+
 class TestVolume:
 
     def test_unit_square(self):
@@ -309,6 +441,18 @@ class TestVolume:
                      ([1, 0], 2, False), ([-1, 0], 2, False)])
         with pytest.raises(ValueError, match="closed system"):
             P.triangulate()
+
+    def test_hull_volume_makes_no_feasibility_call(self, monkeypatch):
+        # the volume reads the hull's record; Fourier-Motzkin on a hull
+        # system without one does not finish in Q^4
+        from polycx import polyhedra
+
+        def forbidden(*args):
+            raise AssertionError("Fourier-Motzkin called")
+
+        monkeypatch.setattr(polyhedra, "_solve_constraints", forbidden)
+        pts = [tuple(rat(c) for c in p) for p in itertools.product([0, 2], repeat=3)]
+        assert polytope_volume(convex_hull_inequalities(pts)) == 8
 
     def test_strict_system_has_no_volume(self):
         # x in [0, 1): a half-open interval, whose volume once read 0

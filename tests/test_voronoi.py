@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -168,6 +170,17 @@ class TestDelaunay:
         Y = SiteSet(2, [(0, 0), (1, 1)])
         D = delaunay(Y)
         assert D.hull_dim == 1
+
+    def test_four_dimensional_sites_finish(self):
+        # the hull volume once ran Fourier-Motzkin on the 24-row hull system
+        # and did not finish in 40 s; it now reads the hull's face record
+        rng = random.Random(5)
+        Y = SiteSet(4, [tuple(QQ(rng.randint(-20, 20)) for _ in range(4)) for _ in range(10)])
+        start = time.perf_counter()
+        D = delaunay(Y)
+        assert time.perf_counter() - start < 30
+        assert D.hull_dim == 4 and len(D.simplex_volumes) == 30
+        assert sum((v for _, v in D.simplex_volumes), QQ(0)) == D.hull_volume
 
 
 class TestClipping:
