@@ -61,8 +61,7 @@ class PolyhedralComplex:
         for a, bs in self._above.items():
             for b in bs:
                 self._below[b].add(a)
-        # a face's faces lie in it, so the mean of their relative-interior
-        # points is its guess; a face the guess fails builds its record
+        # the faces below a face lie in it: their points' mean is its guess
         relint = {}
         for i in sorted(self.faces, key=lambda i: len(self._below[i])):
             relint[i] = self.faces[i].relint_point([relint[b] for b in self._below[i]])
