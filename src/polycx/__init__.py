@@ -16,7 +16,6 @@ from .complexes import PolyhedralComplex, format_cplx, parse_cplx
 from .simplicial import SimplicialComplex, format_scx, parse_scx
 from .voronoi import (
     SiteSet,
-    VoronoiComplex,
     DelaunayRealization,
     PolyhedralRegion,
     voronoi_complex,

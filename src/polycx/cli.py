@@ -69,10 +69,10 @@ def _label(token):
 
 def cmd_voronoi(args):
     Y = voronoi.parse_pts(_read(args.points))
-    V = voronoi.voronoi_complex(Y)
-    _write(args.out, complexes.format_cplx(V.complex))
+    C = voronoi.voronoi_complex(Y)
+    _write(args.out, complexes.format_cplx(C))
     print("voronoi: %d sites -> %d faces (ambient dim %d)"
-          % (len(Y), len(V.complex.ids()), V.complex.ambient_dim))
+          % (len(Y), len(C.ids()), C.ambient_dim))
 
 
 def cmd_check_simple(args):

@@ -262,9 +262,7 @@ class PolyhedralComplex:
         idx = {k: i for i, k in enumerate(ordered)}
         faces = {idx[k]: by_key[k] for k in ordered}
         above = {(idx[a], idx[b]) for a, b in relation_keys}
-        cx = PolyhedralComplex(cells[0].ambient_dim, faces, above)
-        cx._key_to_id = idx
-        return cx
+        return PolyhedralComplex(cells[0].ambient_dim, faces, above)
 
     def id_of_polyhedron(self, poly):
         """FaceId whose face has the same solution set, or None."""

@@ -18,11 +18,7 @@ class DualComplexMove:
             raise ValueError("unknown move kind: %r" % (self.kind,))
 
 
-def _fresh_barycenter(simplex):
-    return "b(%s)" % ",".join(str(v) for v in sorted(simplex, key=label_key))
-
-
-def stellar_subdivide(K, simplex, new_label=None):
+def stellar_subdivide(K, simplex):
     """Star the complex at one simplex: its open star is replaced by the
     cone from a fresh barycenter vertex."""
     fs = frozenset(simplex)
@@ -30,7 +26,7 @@ def stellar_subdivide(K, simplex, new_label=None):
         raise ValueError("target simplex not in complex")
     if len(fs) == 1:
         return K
-    b = new_label if new_label is not None else _fresh_barycenter(fs)
+    b = "b(%s)" % ",".join(str(v) for v in sorted(fs, key=label_key))
     if b in set(K.vertices):
         raise ValueError("barycenter label %r already used" % (b,))
     keep = [t for t in K.simplices() if not fs <= t]
@@ -57,13 +53,12 @@ def barycentric_move(K, simplex):
     return out
 
 
-def cone_over_star(K, simplex, new_label=None):
+def cone_over_star(K, simplex):
     """Attach the cone over the closed star of the target simplex."""
     fs = frozenset(simplex)
     if fs not in K:
         raise ValueError("target simplex not in complex")
-    c = new_label if new_label is not None else "c(%s)" % ",".join(
-        str(v) for v in sorted(fs, key=label_key))
+    c = "c(%s)" % ",".join(str(v) for v in sorted(fs, key=label_key))
     if c in set(K.vertices):
         raise ValueError("cone label %r already used" % (c,))
     cone = [t | {c} for t in K.closed_star(fs).simplices()]

@@ -131,10 +131,6 @@ class SimplicialComplex:
         keep = [t for t in self._simplices if not any(r <= t for r in removed)]
         return SimplicialComplex(keep)
 
-    def relabeled(self, mapping):
-        return SimplicialComplex([frozenset(mapping[v] for v in s) for s in self._simplices],
-                                 vertices=[mapping[v] for v in self._vertices])
-
 
 # -- SCX/1 -------------------------------------------------------------------
 

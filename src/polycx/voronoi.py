@@ -8,13 +8,15 @@ one.  The complex itself is the face/intersection closure of the cells.
 Genericity ("simple configuration") is decided on integer sites by one
 elimination of each small equidistance system.  Each cell is certified to
 be the exact Voronoi region of its site, so the cells meet in common faces
-without a pairwise check.  The Delaunay nerve is certified exactly and
-locally: affine independence, the ridge conditions of a triangulation
-(each ridge between two top simplices on opposite sides, or on a hull
-facet), and volume additivity against the convex hull, which together make
-its open simplices pairwise disjoint.  Clipping keeps every face above a
-vertex inside the region and tests the other faces against the region by
-Fourier-Motzkin.
+without a pairwise check.  The Delaunay nerve is read off the cells
+without building the complex: its top simplices are the nearest-site sets
+of the vertices of the cells' records.  It is certified exactly and
+locally: the ridge conditions of a triangulation (each ridge between two
+top simplices on opposite sides, or on a hull facet), positive simplex
+volumes, and volume additivity against the convex hull, which together
+make its open simplices pairwise disjoint.  Clipping keeps every face
+above a vertex inside the region and tests the other faces against the
+region by Fourier-Motzkin.
 """
 
 import itertools
@@ -171,44 +173,39 @@ def _cell_inequalities(Y, i):
     return [row(j) for j in kept], [row(j) for j in dropped]
 
 
-@dataclass
-class VoronoiComplex:
-    complex: PolyhedralComplex
-    cell_of: dict  # site index -> FaceId
-
-
-def voronoi_complex(Y):
-    """The Voronoi complex: the cells, their faces and the incidences.
+def _voronoi_cells(Y):
+    """The Voronoi cells, in site order, each with its certified face record.
 
     Each cell is certified to be the exact Voronoi region of its site:
     every bisector that `_cell_inequalities` dropped holds on every
-    generator of the cell's face record.  So cell i lies in every halfspace
-    H_ij of points at least as close to site i as to site j, and
-    cell_i ∩ cell_j = cell_i ∩ {equality in H_ij} = cell_j ∩ {equality in
-    H_ij}: a face of both cells, exposed by a valid inequality, which face
-    enumeration lists in both under the same canonical key.  The pairwise
-    common-face check of `from_subdivision` is therefore not needed.
+    generator of the cell's face record.
     """
     cells = []
     for i in range(len(Y)):
         kept, dropped = _cell_inequalities(Y, i)
         cell = RationalPolyhedron(Y.ambient_dim, kept)
-        cell.enumerate_faces()  # builds the cell's certified face record
+        cell._record()  # the certified record the dropped rows are checked on
         for q in dropped:
             if not cell.entails(q):
                 raise AssertionError(
                     "cell %d is not its Voronoi region: it violates the dropped bisector %s <= %s"
                     % (i, " ".join(rat_str(c) for c in q.normal), rat_str(q.offset)))
         cells.append(cell)
-    cx = PolyhedralComplex._of_cells(cells)
-    cell_of = {}
-    for i, cell in enumerate(cells):
-        # a cell is its own first face, whose key _of_cells computed
-        fid = cx.id_of_polyhedron(cell.enumerate_faces()[0])
-        if fid is None:
-            raise AssertionError("cell disappeared during closure")
-        cell_of[i] = fid
-    return VoronoiComplex(cx, cell_of)
+    return cells
+
+
+def voronoi_complex(Y):
+    """The Voronoi complex: the cells of `_voronoi_cells`, their faces and
+    the incidences.
+
+    Cell i lies in every halfspace H_ij of points at least as close to
+    site i as to site j, so cell_i ∩ cell_j = cell_i ∩ {equality in H_ij}
+    = cell_j ∩ {equality in H_ij}: a face of both cells, exposed by a valid
+    inequality, which face enumeration lists in both under the same
+    canonical key.  The pairwise common-face check of `from_subdivision` is
+    therefore not needed.
+    """
+    return PolyhedralComplex._of_cells(_voronoi_cells(Y))
 
 
 def is_simple_configuration(Y):
@@ -299,8 +296,6 @@ def _site_span(Y):
 def _param_coords(base, dirs, point):
     rows = [tuple(d[i] for d in dirs) for i in range(len(base))]
     rhs = tuple(point[i] - base[i] for i in range(len(base)))
-    if not dirs:
-        return ()
     t = linalg.solve(rows, rhs)
     if t is None:
         raise AssertionError("point outside site span")
@@ -308,41 +303,44 @@ def _param_coords(base, dirs, point):
 
 
 def delaunay(Y):
+    """The Delaunay nerve of a simple site set, certified to triangulate
+    the convex hull of the sites; ValueError if the set is not simple or
+    the certificate fails.
+
+    Its top simplices are the nearest-site sets of the cells' record
+    points, compared exactly on the integer sites.  The set is simple, so
+    each minimal face of the Voronoi complex lies in exactly d + 1 cells
+    (d the dimension of the site span), those of its nearest sites, and
+    holds a record point of each: these sets are the maximal simplices of
+    the complex's nerve.  Each top has d + 1 vertices and positive volume
+    (`_certify_triangulation`), so the sites of each simplex are affinely
+    independent.
+    """
     ok, witness = is_simple_configuration(Y)
     if not ok:
         raise ValueError(
             "site set is not simple (witness subset %r); run perturb_to_simple first"
             % (witness,))
-    V = voronoi_complex(Y)
-    site_of = {fid: i for i, fid in V.cell_of.items()}
-    nerve = V.complex.nerve().relabeled(site_of)
-    eta = {i: Y.sites[i] for i in range(len(Y))}
-
-    # (a) injectivity: affine independence per simplex
-    simps = nerve.simplices()
-    for s in simps:
-        pts = [Y.sites[i] for i in sorted(s)]
-        rows = [tuple(p[i] - pts[0][i] for i in range(Y.ambient_dim)) for p in pts[1:]]
-        if linalg.rank(rows) != len(rows):
-            raise ValueError("Delaunay simplex %r is affinely degenerate" % (sorted(s),))
-
+    Z, L = _integer_sites(Y)
+    tops = set()
+    for cell in _voronoi_cells(Y):
+        for (nums, den), _ in cell._record().points:
+            dist = [sum((L * x - den * z) ** 2 for x, z in zip(nums, zj)) for zj in Z]
+            least = min(dist)
+            tops.add(tuple(j for j, s in enumerate(dist) if s == least))
+    tops = sorted(tops)
+    base, dirs = _site_span(Y)
+    d = len(dirs)  # at least 1: a simple set has two distinct sites
+    for top in tops:
+        if len(top) != d + 1:
+            raise ValueError("Delaunay facet %r has wrong dimension" % (list(top),))
     # (a) injectivity (open simplices pairwise disjoint) and (b) surjectivity
     # onto the hull: the top simplices triangulate it, in span coordinates
-    base, dirs = _site_span(Y)
-    d = len(dirs)
     params = {i: _param_coords(base, dirs, Y.sites[i]) for i in range(len(Y))}
-    if d == 0:
-        hull_vol = ZERO
-        volumes = []
-    else:
-        hull_vol = polytope_volume(convex_hull_inequalities([params[i] for i in range(len(Y))]))
-        tops = []
-        for s in nerve.maximal_simplices():
-            if len(s) != d + 1:
-                raise ValueError("Delaunay facet %r has wrong dimension" % (sorted(s),))
-            tops.append(tuple(sorted(s)))
-        volumes = _certify_triangulation(params, tops, hull_vol)
-    return DelaunayRealization(nerve, eta, d, hull_vol, volumes)
+    hull_vol = polytope_volume(convex_hull_inequalities([params[i] for i in range(len(Y))]))
+    volumes = _certify_triangulation(params, tops, hull_vol)
+    eta = {i: Y.sites[i] for i in range(len(Y))}
+    return DelaunayRealization(SimplicialComplex(tops), eta, d, hull_vol, volumes)
 
 
 def _certify_triangulation(params, tops, hull_volume):
@@ -491,7 +489,7 @@ def clipped_complex(Y, region):
     ok, witness = is_simple_configuration(Y)
     if not ok:
         raise ValueError("site set is not simple (witness subset %r)" % (witness,))
-    cx = voronoi_complex(Y).complex
+    cx = voronoi_complex(Y)
     # faces disjoint from the region form a subcomplex automatically
     clipped = cx.difference(_faces_missing(cx, region))
     flag, bad = clipped.is_simple()

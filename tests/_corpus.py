@@ -53,7 +53,7 @@ def random_sites(ambient_dim, k, seed):
 
 
 def voronoi_fixture(ambient_dim, k, seed):
-    return voronoi_complex(random_sites(ambient_dim, k, seed)).complex
+    return voronoi_complex(random_sites(ambient_dim, k, seed))
 
 
 def clipped_fixture(seed):

@@ -66,6 +66,18 @@ def test_delaunay_degenerate_is_verification_failure(tmp_path):
                 "--out", str(tmp_path / "d.scx")]) == 1
 
 
+def test_delaunay_forged_top_is_verification_failure(tmp_path, monkeypatch):
+    # a one-point cell at site 0 gives the top {0}, of the wrong dimension
+    from polycx import RationalPolyhedron, voronoi
+    real = voronoi._voronoi_cells
+    monkeypatch.setattr(voronoi, "_voronoi_cells", lambda Y: real(Y) + [
+        RationalPolyhedron.from_box(Y.sites[0], Y.sites[0])])
+    pts = write(tmp_path / "p.pts", "2 3\n0 0\n2 0\n0 2\n")
+    out = tmp_path / "d.scx"
+    assert run(["delaunay", "--points", pts, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_clip(tmp_path):
     pts = write(tmp_path / "p.pts", SQUARE)
     fixed = str(tmp_path / "f.pts")

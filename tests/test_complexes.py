@@ -55,6 +55,16 @@ class TestConstruction:
                 for c in C.above_of(b):
                     assert C.leq(a, c)
 
+    def test_id_of_polyhedron(self):
+        C = square_corner_voronoi()
+        for i in C.ids():
+            assert C.id_of_polyhedron(C.faces[i]) == i
+        # the same segment written by other rows, and a box that is no face
+        C = two_segments()
+        seg = RationalPolyhedron(1, [((2,), 2), ((-3,), 0)])
+        assert C.faces[C.id_of_polyhedron(seg)].same_solution_set(box([0], [1]))
+        assert C.id_of_polyhedron(box([0], [2])) is None
+
 
 class TestNerve:
 
@@ -63,7 +73,7 @@ class TestNerve:
         assert K.f_vector() == (2, 1)
 
     def test_square_corner_center_gives_all_triples(self):
-        C = square_corner_voronoi().complex
+        C = square_corner_voronoi()
         K = C.nerve()
         assert len(K.simplices(2)) == 4  # every facet triple around the center
 
@@ -83,12 +93,12 @@ class TestSimplicity:
         assert flag and witness is None
 
     def test_square_corner_voronoi_not_simple(self):
-        V = square_corner_voronoi()
-        flag, witness = V.complex.is_simple()
+        C = square_corner_voronoi()
+        flag, witness = C.is_simple()
         assert not flag
         # the witness is the center vertex (1/2, 1/2)
-        assert V.complex.face_dim(witness) == 0
-        assert V.complex.faces[witness].feasible_point() == (QQ(1, 2), QQ(1, 2))
+        assert C.face_dim(witness) == 0
+        assert C.faces[witness].feasible_point() == (QQ(1, 2), QQ(1, 2))
 
     def test_strips_and_towers_simple(self):
         for C in (segment_chain(3), square_strip(3), cube_tower(2)):

@@ -25,10 +25,12 @@ from polycx import (
     format_cplx,
     convex_hull_inequalities,
     polytope_volume,
+    SimplicialComplex,
+    format_scx,
 )
 from polycx import linalg, voronoi
 from polycx.voronoi import (bisector, _cell_inequalities, _certify_triangulation,
-                            _faces_missing, _open_simplices_meet)
+                            _faces_missing, _open_simplices_meet, _voronoi_cells)
 
 from oracles import (cell_inequalities, circumcenter_2d, simple_configuration,
                      open_simplices_meet, pairwise_triangulation)
@@ -42,12 +44,12 @@ LATTICE_COORDS = [QQ(a, d) for a in range(-2, 3) for d in (1, 2, 3)]
 class TestVoronoi:
 
     def test_two_sites_on_a_line(self):
-        V = voronoi_complex(SiteSet(1, [(0,), (1,)]))
+        C = voronoi_complex(SiteSet(1, [(0,), (1,)]))
         # two half-lines and their shared midpoint
-        dims = sorted(V.complex.face_dim(i) for i in V.complex.ids())
+        dims = sorted(C.face_dim(i) for i in C.ids())
         assert dims == [0, 1, 1]
-        mid = [i for i in V.complex.ids() if V.complex.face_dim(i) == 0]
-        assert V.complex.faces[mid[0]].feasible_point() == (QQ(1, 2),)
+        mid = [i for i in C.ids() if C.face_dim(i) == 0]
+        assert C.faces[mid[0]].feasible_point() == (QQ(1, 2),)
 
     def test_bisector_halfspace(self):
         q = bisector((rat(0), rat(0)), (rat(2), rat(0)))
@@ -56,9 +58,9 @@ class TestVoronoi:
 
     def test_cells_partition_membership(self):
         Y = random_sites(2, 5, seed=11)
-        V = voronoi_complex(Y)
-        for i, p in enumerate(Y.sites):
-            assert V.complex.faces[V.cell_of[i]].contains(p)
+        for i, (cell, p) in enumerate(zip(_voronoi_cells(Y), Y.sites)):
+            assert cell.contains(p)
+            assert not any(cell.contains(q) for j, q in enumerate(Y.sites) if j != i)
 
 
 class TestSimpleConfiguration:
@@ -183,6 +185,46 @@ class TestDelaunay:
         assert sum((v for _, v in D.simplex_volumes), QQ(0)) == D.hull_volume
 
 
+    def test_forged_top_of_the_wrong_size_is_rejected(self, monkeypatch):
+        # a one-point cell at site 0 has the nearest-site set {0}
+        real = voronoi._voronoi_cells
+        monkeypatch.setattr(voronoi, "_voronoi_cells", lambda Y: real(Y) + [
+            RationalPolyhedron.from_box(Y.sites[0], Y.sites[0])])
+        with pytest.raises(ValueError, match=r"Delaunay facet \[0\] has wrong dimension"):
+            delaunay(SiteSet(2, [(0, 0), (2, 0), (0, 2)]))
+
+    def test_builds_no_complex(self, monkeypatch):
+        # the tops come off the cells' records: no complex, no face list of
+        # a cell and no canonical key; only the hull's triangulation lists
+        # the hull's faces
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError("delaunay called " + name)
+            return call
+
+        in_hull = []
+        real_volume, real_faces = voronoi.polytope_volume, RationalPolyhedron.enumerate_faces
+
+        def volume(poly):
+            in_hull.append(poly)
+            return real_volume(poly)
+
+        def faces(poly):
+            if poly not in in_hull:
+                raise AssertionError("delaunay enumerated the faces of a cell")
+            return real_faces(poly)
+
+        monkeypatch.setattr(PolyhedralComplex, "__init__", forbidden("PolyhedralComplex"))
+        monkeypatch.setattr(RationalPolyhedron, "canonical_key", forbidden("canonical_key"))
+        monkeypatch.setattr(RationalPolyhedron, "enumerate_faces", faces)
+        monkeypatch.setattr(voronoi, "polytope_volume", volume)
+        for Y in (random_sites(2, 6, seed=21), random_sites(3, 6, seed=22),
+                  SiteSet(3, [(0, 0, 0), (2, 1, 0), (1, 3, 1)])):
+            D = delaunay(Y)
+            assert len(in_hull) == 1 and D.hull_volume > 0
+            in_hull.clear()
+
+
 class TestClipping:
 
     def test_convex_region_contractible_nerve(self):
@@ -239,6 +281,48 @@ def simple_sites(draw, dims=(1, 2, 3), max_sites=6):
     return Y
 
 
+def nerve_oracle(Y):
+    """The Delaunay nerve by the old derivation: the nerve of the whole
+    Voronoi complex, each facet relabelled by the site it contains."""
+    C = voronoi_complex(Y)
+    site_of = {f: next(i for i, p in enumerate(Y.sites) if C.faces[f].contains(p))
+               for f in C.facets()}
+    return SimplicialComplex([[site_of[f] for f in s] for s in C.nerve().maximal_simplices()])
+
+
+class TestNerveOracle:
+    """`delaunay` reads its tops off the cells; the nerve of the Voronoi
+    complex is the oracle."""
+
+    def assert_matches(self, Y):
+        assert format_scx(delaunay(Y).complex) == format_scx(nerve_oracle(Y))
+
+    @settings(max_examples=60, deadline=None)
+    @given(simple_sites())
+    def test_random_simple_sites(self, Y):
+        self.assert_matches(Y)
+
+    @pytest.mark.parametrize("sites", [
+        # four dimensions
+        [(0, 0, 0, 0), (3, 1, 0, -2), (-1, 4, 2, 1), (2, -3, 1, 3), (1, 2, -4, 0),
+         (-2, -1, 3, -3), (4, 0, 2, 2)],
+        # coplanar in Q^3, and collinear in Q^2: the cells have lineality
+        [(0, 0, 0), (2, 1, 0), (1, 3, 1)],
+        [("1/2", 1), (2, "-1/3")],
+        # flat in Q^4
+        [(0, 0, 0, 1), (1, 2, 0, 0), (0, 1, 3, 0)],
+    ], ids=["4d", "coplanar", "collinear", "flat-4d"])
+    def test_fixed_sites(self, sites):
+        Y = SiteSet(len(sites[0]), [tuple(rat(c) for c in p) for p in sites])
+        assert is_simple_configuration(Y)[0]
+        self.assert_matches(Y)
+
+    def test_four_dimensional_random_sites(self):
+        rng = random.Random(5)
+        self.assert_matches(SiteSet(4, [tuple(QQ(rng.randint(-20, 20)) for _ in range(4))
+                                        for _ in range(10)]))
+
+
 def certified(points, tops, hull_volume):
     try:
         _certify_triangulation(points, tops, hull_volume)
@@ -259,7 +343,7 @@ class TestLocalCertificates:
         Y = SiteSet(len(sites[0]), sites)
         cells = [RationalPolyhedron(Y.ambient_dim, _cell_inequalities(Y, i)[0])
                  for i in range(len(Y))]
-        assert (format_cplx(voronoi_complex(Y).complex)
+        assert (format_cplx(voronoi_complex(Y))
                 == format_cplx(PolyhedralComplex.from_subdivision(cells)))
 
     @settings(max_examples=30, deadline=None)
@@ -353,6 +437,14 @@ class TestLocalCertificates:
         tops += [tuple(sorted((u, v, "f"))) for u, v in zip(ring, ring[1:] + ring[:1])]
         with pytest.raises(ValueError, match="do not add up"):
             _certify_triangulation(points, tops, QQ(4))
+
+    def test_certificate_rejects_a_degenerate_top(self):
+        # a collinear triple spans no triangle
+        points = {"a": (0, 0), "b": (1, 1), "c": (2, 2), "d": (0, 2)}
+        points = {k: tuple(QQ(x) for x in p) for k, p in points.items()}
+        with pytest.raises(ValueError, match="degenerate top simplex"):
+            _certify_triangulation(points, [("a", "b", "c"), ("a", "c", "d")], QQ(2))
+        assert not pairwise_triangulation(points, [("a", "b", "c"), ("a", "c", "d")], QQ(2))
 
     def test_dropped_bisector_check_rejects_a_cell_with_too_few_rows(self, monkeypatch):
         real = voronoi._cell_inequalities
@@ -482,11 +574,11 @@ class TestCellFilter:
         st.sampled_from(["remove", "flip"]), st.integers(2, 5), st.integers(0, 7))
     def test_corruption_raises_or_changes_nothing(self, sites, mode, when, index):
         Y = SiteSet(len(sites[0]), sites)
-        expected = format_cplx(voronoi_complex(Y).complex)
+        expected = format_cplx(voronoi_complex(Y))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(voronoi._CellCone, "cut", corrupting(mode, when, index))
             try:
-                got = format_cplx(voronoi_complex(Y).complex)
+                got = format_cplx(voronoi_complex(Y))
             except AssertionError:
                 return
         assert got == expected
@@ -507,7 +599,7 @@ class TestClipAgainstFM:
     """The faces clipping removes, against `region.meets` on every face."""
 
     def removal(self, Y, region):
-        cx = voronoi_complex(Y).complex
+        cx = voronoi_complex(Y)
         fm = {c for c in cx.ids() if not region.meets(cx.faces[c])}
         asked, meets = [], region.meets
         with pytest.MonkeyPatch.context() as mp:
@@ -535,7 +627,7 @@ class TestClipAgainstFM:
         # a small box around the middle of a bounded edge meets the edge and
         # its two cells but none of their vertices, and misses every other cell
         Y = random_sites(2, 7, seed=4)
-        cx = voronoi_complex(Y).complex
+        cx = voronoi_complex(Y)
         edge = next(c for c in cx.ids() if cx.face_dim(c) == 1 and cx.faces[c].is_bounded())
         u, v = cx.faces[edge].vertices()
         mid = [(a + b) / 2 for a, b in zip(u, v)]
@@ -559,6 +651,6 @@ class TestClipAgainstFM:
                               st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=3))
     def test_random_boxes(self, Y, boxes):
         region = PolyhedralRegion([box([x, y], [x + w, y + h]) for x, y, w, h in boxes])
-        cx = voronoi_complex(Y).complex
+        cx = voronoi_complex(Y)
         assert _faces_missing(cx, region) == {c for c in cx.ids()
                                               if not region.meets(cx.faces[c])}
