@@ -184,7 +184,6 @@ class TestDelaunay:
         assert D.hull_dim == 4 and len(D.simplex_volumes) == 30
         assert sum((v for _, v in D.simplex_volumes), QQ(0)) == D.hull_volume
 
-
     def test_forged_top_of_the_wrong_size_is_rejected(self, monkeypatch):
         # a one-point cell at site 0 has the nearest-site set {0}
         real = voronoi._voronoi_cells
@@ -297,7 +296,7 @@ class TestNerveOracle:
     def assert_matches(self, Y):
         assert format_scx(delaunay(Y).complex) == format_scx(nerve_oracle(Y))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(simple_sites())
     def test_random_simple_sites(self, Y):
         self.assert_matches(Y)
