@@ -108,6 +108,8 @@ def cmd_perturb(args):
 
 def cmd_delaunay(args):
     Y = voronoi.parse_pts(_read(args.points))
+    if len(Y) < 2:
+        raise ValueError("need at least two sites")
     try:
         D = voronoi.delaunay(Y)
     except ValueError as e:
@@ -128,6 +130,8 @@ def cmd_delaunay(args):
 
 def cmd_clip(args):
     Y = voronoi.parse_pts(_read(args.points))
+    if len(Y) < 2:
+        raise ValueError("need at least two sites")
     region = voronoi.parse_rgn(_read(args.region))
     if region.ambient_dim != Y.ambient_dim:
         raise ValueError("clip: the region lies in dimension %d but the sites in dimension %d"

@@ -13,21 +13,20 @@ without building the complex: its top simplices are the nearest-site sets
 of the vertices of the cells' records.  It is certified exactly and
 locally: the ridge conditions of a triangulation (each ridge between two
 top simplices on opposite sides, or on a hull facet), positive simplex
-volumes, and volume additivity against the convex hull, which together
-make its open simplices pairwise disjoint.  Clipping keeps every face
-above a vertex inside the region and tests the other faces against the
-region by Fourier-Motzkin.
+volumes, and one point location (the centroid of one top simplex lies in
+no other), which together make its open simplices pairwise disjoint.
+Clipping keeps every face above a vertex inside the region and tests the
+other faces against the region by Fourier-Motzkin.
 """
 
 import itertools
 import random
-from math import lcm
+from math import factorial, lcm
 from dataclasses import dataclass
 
 from .rationals import QQ, ZERO, ONE, rat, rat_str, vec
 from . import linalg
 from .polyhedra import (LinearInequality, RationalPolyhedron, _dot, _solve_constraints,
-                        convex_hull_inequalities, polytope_volume, simplex_volume,
                         format_poly, parse_poly)
 from .complexes import PolyhedralComplex
 from .simplicial import SimplicialComplex
@@ -282,24 +281,8 @@ class DelaunayRealization:
     complex: SimplicialComplex  # vertices are site indices
     eta: dict                   # site index -> point
     hull_dim: int
-    hull_volume: object
+    hull_volume: object         # the sum of the top volumes: vol(hull), by the certificate
     simplex_volumes: list       # (vertex tuple, volume) for top simplices
-
-
-def _site_span(Y):
-    base = Y.sites[0]
-    diffs = [tuple(p[i] - base[i] for i in range(Y.ambient_dim)) for p in Y.sites[1:]]
-    dirs, _ = linalg.rref(diffs)
-    return base, list(dirs)
-
-
-def _param_coords(base, dirs, point):
-    rows = [tuple(d[i] for d in dirs) for i in range(len(base))]
-    rhs = tuple(point[i] - base[i] for i in range(len(base)))
-    t = linalg.solve(rows, rhs)
-    if t is None:
-        raise AssertionError("point outside site span")
-    return t
 
 
 def delaunay(Y):
@@ -329,64 +312,75 @@ def delaunay(Y):
             least = min(dist)
             tops.add(tuple(j for j, s in enumerate(dist) if s == least))
     tops = sorted(tops)
-    base, dirs = _site_span(Y)
-    d = len(dirs)  # at least 1: a simple set has two distinct sites
+    pivots = linalg.int_rref([[a - b for a, b in zip(z, Z[0])] for z in Z[1:]])
+    d = len(pivots)  # at least 1: a simple set has two distinct sites
     for top in tops:
         if len(top) != d + 1:
             raise ValueError("Delaunay facet %r has wrong dimension" % (list(top),))
-    # (a) injectivity (open simplices pairwise disjoint) and (b) surjectivity
-    # onto the hull: the top simplices triangulate it, in span coordinates
-    params = {i: _param_coords(base, dirs, Y.sites[i]) for i in range(len(Y))}
-    hull_vol = polytope_volume(convex_hull_inequalities([params[i] for i in range(len(Y))]))
-    volumes = _certify_triangulation(params, tops, hull_vol)
+    # span coordinates: the reduced rows of the site differences have unit
+    # pivots, so a site's coordinates in their basis are its pivot offsets
+    params = {i: tuple(QQ(z[c] - Z[0][c], L) for c in pivots) for i, z in enumerate(Z)}
+    volumes = _certify_triangulation(params, tops)
     eta = {i: Y.sites[i] for i in range(len(Y))}
-    return DelaunayRealization(SimplicialComplex(tops), eta, d, hull_vol, volumes)
+    return DelaunayRealization(SimplicialComplex(tops), eta, d,
+                               sum((v for _, v in volumes), ZERO), volumes)
 
 
-def _certify_triangulation(params, tops, hull_volume):
+def _certify_triangulation(params, tops):
     """Check that the d-simplices `tops` (tuples of keys of `params`, which
     maps each key to a point of Q^d, d >= 1) triangulate the convex hull H
-    of all the points, with volume `hull_volume`; [(top, volume)] if so,
-    ValueError if not.
+    of all the points; [(top, volume)] if so, ValueError if not.
 
     The local certificate of Mehlhorn, Näher, Seel, Seidel, Schilz,
     Schirra and Uhrig ("Checking geometric programs or verification of
-    geometric structures", CGTA 1999), with volume additivity in place of
-    their point-location step.  Every top has positive volume.  Every
-    ridge (a top minus one vertex) lies either in exactly two tops, whose
-    opposite vertices lie strictly on opposite sides of it, or in exactly
-    one top, with every point weakly on that top's side: then the ridge
-    lies on the boundary of H.  And the volumes add up to vol(H).
+    geometric structures", CGTA 1999).  There is a top, and every top has
+    positive volume.  Every ridge (a top minus one vertex) lies either in
+    exactly two tops, whose opposite vertices lie strictly on opposite
+    sides of it, or in exactly one top, with every point weakly on that
+    top's side: then the ridge lies on the boundary of H.  And their point
+    location: the centroid c of the first top lies in no other closed top
+    (T = R + v excludes c iff c and v lie strictly apart by a ridge R).
 
     Why this suffices.  Walking through H in general position, one crosses
     only ridges between two tops, leaving one and entering the other, so
-    almost every point of H lies in the same number k of tops; then
-    sum(volumes) = k vol(H), and additivity forces k = 1: the tops cover H
-    and have disjoint interiors.  Near any point x, the tops containing x
-    cover H and are linked through shared ridges that contain x; a ridge
-    holding x contains the face of either top whose relative interior
-    holds x, so that face is the same in every top containing x.  Hence
-    the relative interiors of distinct faces of the tops are disjoint.
+    every point of H off the tops' boundaries lies in the same number
+    k >= 1 of tops.  A small ball around c lies in the first top alone, so
+    k = 1: the tops cover H, have disjoint interiors and their volumes add
+    up to vol(H).  Near any point x, the tops containing x cover H and are
+    linked through shared ridges that contain x; a ridge holding x
+    contains the face of either top whose relative interior holds x, so
+    that face is the same in every top containing x.  Hence the relative
+    interiors of distinct faces of the tops are disjoint.  Conversely, in a
+    triangulation a point inside one top lies in no other: this step
+    accepts exactly the top sets that volume additivity accepted.
     """
-    out = []
-    for top in tops:
-        v = simplex_volume([params[i] for i in top])
-        if v <= 0:
-            raise ValueError("degenerate top simplex %r" % (list(top),))
-        out.append((top, v))
+    if not tops:
+        raise ValueError("no Delaunay simplices")
     # the points scaled to integers: sides of hyperplanes are unchanged
     den = lcm(*(x.denominator for p in params.values() for x in p))
     pts = {i: [x.numerator * (den // x.denominator) for x in p] for i, p in params.items()}
-    opposite = {}
+    d = len(pts[tops[0][0]])
+    out = []
     for top in tops:
+        det = linalg.int_det([[a - b for a, b in zip(pts[i], pts[top[0]])] for i in top[1:]])
+        if not det:
+            raise ValueError("degenerate top simplex %r" % (list(top),))
+        out.append((top, QQ(abs(det), den ** d * factorial(d))))
+    # d + 1 times the centroid of the first top, an integer point
+    centroid = [sum(c) for c in zip(*(pts[i] for i in tops[0]))]
+    opposite = {}
+    for t, top in enumerate(tops):
         for k, v in enumerate(top):
-            opposite.setdefault(top[:k] + top[k + 1:], []).append(v)
-    for ridge, vs in opposite.items():
+            opposite.setdefault(top[:k] + top[k + 1:], []).append((t, v))
+    holding = set(range(len(tops)))  # the tops not shown to exclude the centroid
+    for ridge, tvs in opposite.items():
+        vs = [v for _, v in tvs]
         origin = pts[ridge[0]]
         normal = _normal([[a - b for a, b in zip(pts[r], origin)] for r in ridge[1:]])
+        level = _dot(normal, origin)
 
         def side(i):
-            return sum(n * (a - b) for n, a, b in zip(normal, pts[i], origin))
+            return _dot(normal, pts[i]) - level
 
         if len(vs) == 2:
             if side(vs[0]) * side(vs[1]) >= 0:
@@ -401,10 +395,11 @@ def _certify_triangulation(params, tops, hull_volume):
                                  "lies beyond it" % (list(ridge), sorted(ridge + (vs[0],)), beyond))
         else:
             raise ValueError("ridge %r lies in %d Delaunay simplices" % (list(ridge), len(vs)))
-    total = sum((v for _, v in out), ZERO)
-    if total != hull_volume:
-        raise ValueError("simplex volumes %s do not add up to hull volume %s"
-                         % (rat_str(total), rat_str(hull_volume)))
+        at = _dot(normal, centroid) - (d + 1) * level
+        holding -= {t for t, v in tvs if at * side(v) < 0}
+    if holding != {0}:
+        raise ValueError("the centroid of Delaunay simplex %r lies in Delaunay simplex %r too"
+                         % (sorted(tops[0]), sorted(tops[min(holding - {0})])))
     return out
 
 

@@ -78,6 +78,20 @@ def test_delaunay_forged_top_is_verification_failure(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["delaunay", "clip", "check-simple", "perturb"])
+def test_one_site_is_input_error(tmp_path, command):
+    # a single site is a malformed input for every command that needs two
+    pts = write(tmp_path / "p.pts", "2 1\n0 0\n")
+    extra = {"clip": ["--region", write(tmp_path / "r.rgn", BOX_REGION)],
+             "perturb": ["--bound", "1/100"], "check-simple": []}.get(command, [])
+    out = [] if command == "check-simple" else ["--out", str(tmp_path / "out")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run([command, "--points", pts] + extra + out) == 2
+    assert err.getvalue() == "input error: need at least two sites\n"
+    assert run(["voronoi", "--points", pts, "--out", str(tmp_path / "v.cplx")]) == 0
+
+
 def test_clip(tmp_path):
     pts = write(tmp_path / "p.pts", SQUARE)
     fixed = str(tmp_path / "f.pts")

@@ -28,7 +28,8 @@ from polycx import (
     SimplicialComplex,
     format_scx,
 )
-from polycx import linalg, voronoi
+from polycx import linalg, polyhedra, voronoi
+from polycx.polyhedra import simplex_volume
 from polycx.voronoi import (bisector, _cell_inequalities, _certify_triangulation,
                             _faces_missing, _open_simplices_meet, _voronoi_cells)
 
@@ -160,7 +161,7 @@ class TestDelaunay:
     def test_volume_additivity(self):
         Y = random_sites(2, 6, seed=21)
         D = delaunay(Y)
-        assert sum((v for _, v in D.simplex_volumes), QQ(0)) == D.hull_volume
+        assert D.hull_volume == polytope_volume(convex_hull_inequalities(Y.sites))
         assert all(v > 0 for _, v in D.simplex_volumes)
 
     def test_non_simple_rejected(self):
@@ -175,14 +176,15 @@ class TestDelaunay:
 
     def test_four_dimensional_sites_finish(self):
         # the hull volume once ran Fourier-Motzkin on the 24-row hull system
-        # and did not finish in 40 s; it now reads the hull's face record
+        # and did not finish in 40 s; delaunay now computes no hull at all,
+        # and the hull volume is the oracle's, read from its face record
         rng = random.Random(5)
         Y = SiteSet(4, [tuple(QQ(rng.randint(-20, 20)) for _ in range(4)) for _ in range(10)])
         start = time.perf_counter()
         D = delaunay(Y)
         assert time.perf_counter() - start < 30
         assert D.hull_dim == 4 and len(D.simplex_volumes) == 30
-        assert sum((v for _, v in D.simplex_volumes), QQ(0)) == D.hull_volume
+        assert D.hull_volume == polytope_volume(convex_hull_inequalities(Y.sites))
 
     def test_forged_top_of_the_wrong_size_is_rejected(self, monkeypatch):
         # a one-point cell at site 0 has the nearest-site set {0}
@@ -193,35 +195,24 @@ class TestDelaunay:
             delaunay(SiteSet(2, [(0, 0), (2, 0), (0, 2)]))
 
     def test_builds_no_complex(self, monkeypatch):
-        # the tops come off the cells' records: no complex, no face list of
-        # a cell and no canonical key; only the hull's triangulation lists
-        # the hull's faces
+        # the tops come off the cells' records: no complex, no face list and
+        # no canonical key; and the certificate needs no hull, so neither
+        # the hull, its volume nor a rational solve for span coordinates
         def forbidden(name):
             def call(*args, **kwargs):
                 raise AssertionError("delaunay called " + name)
             return call
 
-        in_hull = []
-        real_volume, real_faces = voronoi.polytope_volume, RationalPolyhedron.enumerate_faces
-
-        def volume(poly):
-            in_hull.append(poly)
-            return real_volume(poly)
-
-        def faces(poly):
-            if poly not in in_hull:
-                raise AssertionError("delaunay enumerated the faces of a cell")
-            return real_faces(poly)
-
         monkeypatch.setattr(PolyhedralComplex, "__init__", forbidden("PolyhedralComplex"))
-        monkeypatch.setattr(RationalPolyhedron, "canonical_key", forbidden("canonical_key"))
-        monkeypatch.setattr(RationalPolyhedron, "enumerate_faces", faces)
-        monkeypatch.setattr(voronoi, "polytope_volume", volume)
+        for name in ("canonical_key", "enumerate_faces"):
+            monkeypatch.setattr(RationalPolyhedron, name, forbidden(name))
+        for name in ("convex_hull_inequalities", "polytope_volume"):
+            monkeypatch.setattr(polyhedra, name, forbidden(name))
+            monkeypatch.setattr(voronoi, name, forbidden(name), raising=False)
+        monkeypatch.setattr(linalg, "solve", forbidden("linalg.solve"))
         for Y in (random_sites(2, 6, seed=21), random_sites(3, 6, seed=22),
                   SiteSet(3, [(0, 0, 0), (2, 1, 0), (1, 3, 1)])):
-            D = delaunay(Y)
-            assert len(in_hull) == 1 and D.hull_volume > 0
-            in_hull.clear()
+            assert delaunay(Y).hull_volume > 0
 
 
 class TestClipping:
@@ -280,6 +271,18 @@ def simple_sites(draw, dims=(1, 2, 3), max_sites=6):
     return Y
 
 
+FIXED_SITES = pytest.mark.parametrize("sites", [
+    # four dimensions
+    [(0, 0, 0, 0), (3, 1, 0, -2), (-1, 4, 2, 1), (2, -3, 1, 3), (1, 2, -4, 0),
+     (-2, -1, 3, -3), (4, 0, 2, 2)],
+    # coplanar in Q^3, and collinear in Q^2: the cells have lineality
+    [(0, 0, 0), (2, 1, 0), (1, 3, 1)],
+    [("1/2", 1), (2, "-1/3")],
+    # flat in Q^4
+    [(0, 0, 0, 1), (1, 2, 0, 0), (0, 1, 3, 0)],
+], ids=["4d", "coplanar", "collinear", "flat-4d"])
+
+
 def nerve_oracle(Y):
     """The Delaunay nerve by the old derivation: the nerve of the whole
     Voronoi complex, each facet relabelled by the site it contains."""
@@ -301,16 +304,7 @@ class TestNerveOracle:
     def test_random_simple_sites(self, Y):
         self.assert_matches(Y)
 
-    @pytest.mark.parametrize("sites", [
-        # four dimensions
-        [(0, 0, 0, 0), (3, 1, 0, -2), (-1, 4, 2, 1), (2, -3, 1, 3), (1, 2, -4, 0),
-         (-2, -1, 3, -3), (4, 0, 2, 2)],
-        # coplanar in Q^3, and collinear in Q^2: the cells have lineality
-        [(0, 0, 0), (2, 1, 0), (1, 3, 1)],
-        [("1/2", 1), (2, "-1/3")],
-        # flat in Q^4
-        [(0, 0, 0, 1), (1, 2, 0, 0), (0, 1, 3, 0)],
-    ], ids=["4d", "coplanar", "collinear", "flat-4d"])
+    @FIXED_SITES
     def test_fixed_sites(self, sites):
         Y = SiteSet(len(sites[0]), [tuple(rat(c) for c in p) for p in sites])
         assert is_simple_configuration(Y)[0]
@@ -322,12 +316,22 @@ class TestNerveOracle:
                                         for _ in range(10)]))
 
 
-def certified(points, tops, hull_volume):
+def certified(points, tops):
     try:
-        _certify_triangulation(points, tops, hull_volume)
+        _certify_triangulation(points, tops)
     except ValueError:
         return False
     return True
+
+
+def span_coordinates(Y):
+    """The sites in the basis of the reduced rows of their differences from
+    site 0, by one rational solve per site: the derivation that `delaunay`
+    replaced by reading pivot offsets."""
+    base = Y.sites[0]
+    dirs, _ = linalg.rref([[a - b for a, b in zip(p, base)] for p in Y.sites[1:]])
+    columns = list(zip(*dirs))
+    return [linalg.solve(columns, [a - b for a, b in zip(p, base)]) for p in Y.sites]
 
 
 class TestLocalCertificates:
@@ -354,8 +358,27 @@ class TestLocalCertificates:
             a, b = [Y.sites[i] for i in s], [Y.sites[i] for i in t]
             assert not _open_simplices_meet(a, b) and not open_simplices_meet(a, b)
 
-    @settings(max_examples=60, deadline=None)
-    @given(simple_sites(dims=(1, 2)), st.sampled_from(["keep", "drop", "add", "swap"]),
+    def assert_volumes_match_hull_oracle(self, Y):
+        # the old derivation: the volume of the hull of the span coordinates
+        coords = span_coordinates(Y)
+        D = delaunay(Y)
+        assert D.hull_volume == polytope_volume(convex_hull_inequalities(coords))
+        assert D.simplex_volumes == [(top, simplex_volume([coords[i] for i in top]))
+                                     for top, _ in D.simplex_volumes]
+
+    @settings(max_examples=40, deadline=None)
+    @given(simple_sites())
+    def test_volumes_match_hull_oracle(self, Y):
+        self.assert_volumes_match_hull_oracle(Y)
+
+    @FIXED_SITES
+    def test_fixed_volumes_match_hull_oracle(self, sites):
+        self.assert_volumes_match_hull_oracle(
+            SiteSet(len(sites[0]), [tuple(rat(c) for c in p) for p in sites]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(simple_sites(dims=(1, 2)),
+           st.sampled_from(["keep", "drop", "add", "swap", "add-two", "duplicate"]),
            st.randoms(use_true_random=False))
     def test_certificate_matches_pairwise_oracle(self, Y, mutation, rng):
         n = Y.ambient_dim
@@ -368,7 +391,13 @@ class TestLocalCertificates:
             tops.pop(rng.randrange(len(tops)))
         if mutation in ("add", "swap") and others:
             tops.append(rng.choice(others))
-        assert certified(points, tops, hull) == pairwise_triangulation(points, tops, hull)
+        if mutation == "add-two" and len(others) > 1:
+            tops += rng.sample(others, 2)
+        if mutation == "duplicate":
+            tops.append(rng.choice(tops))
+        # the point-location step starts from whichever top comes first
+        rng.shuffle(tops)
+        assert certified(points, tops) == pairwise_triangulation(points, tops, hull)
 
     # corners of the square [0, 2]^2 and its center
     SQUARE = {"a": (0, 0), "b": (2, 0), "c": (2, 2), "d": (0, 2), "e": (1, 1)}
@@ -380,7 +409,7 @@ class TestLocalCertificates:
 
     def test_certificate_accepts_a_triangulation(self):
         points, tops, hull = self.square(self.FAN)
-        assert [v for _, v in _certify_triangulation(points, tops, hull)] == [1, 1, 1, 1]
+        assert [v for _, v in _certify_triangulation(points, tops)] == [1, 1, 1, 1]
         assert pairwise_triangulation(points, tops, hull)
 
     @pytest.mark.parametrize("tops, message", [
@@ -392,7 +421,13 @@ class TestLocalCertificates:
     def test_certificate_rejects_square(self, tops, message):
         points, tops, hull = self.square(tops)
         with pytest.raises(ValueError, match=message):
-            _certify_triangulation(points, tops, hull)
+            _certify_triangulation(points, tops)
+        assert not pairwise_triangulation(points, tops, hull)
+
+    def test_certificate_rejects_no_tops(self):
+        points, tops, hull = self.square([])
+        with pytest.raises(ValueError, match="no Delaunay simplices"):
+            _certify_triangulation(points, tops)
         assert not pairwise_triangulation(points, tops, hull)
 
     def test_certificate_rejects_a_flipped_triangle(self):
@@ -401,7 +436,7 @@ class TestLocalCertificates:
         points = {k: tuple(QQ(x) for x in p) for k, p in points.items()}
         tops = [("a", "b", "c"), ("a", "b", "d")]
         with pytest.raises(ValueError, match="lie on one side of their common ridge"):
-            _certify_triangulation(points, tops, QQ(2))
+            _certify_triangulation(points, tops)
         assert not pairwise_triangulation(points, tops, QQ(2))
 
     def test_certificate_rejects_an_overlapping_pair(self):
@@ -411,7 +446,7 @@ class TestLocalCertificates:
         points = {k: tuple(QQ(x) for x in p) for k, p in points.items()}
         tops = [("a", "b", "e"), ("a", "c", "d")]
         with pytest.raises(ValueError, match="lies beyond it"):
-            _certify_triangulation(points, tops, QQ(8))
+            _certify_triangulation(points, tops)
         assert not pairwise_triangulation(points, tops, QQ(8))
 
     def test_certificate_rejects_a_t_junction(self):
@@ -421,28 +456,30 @@ class TestLocalCertificates:
         points = {k: tuple(QQ(x) for x in p) for k, p in points.items()}
         tops = [("a", "c", "m"), ("b", "c", "m"), ("a", "b", "d")]
         with pytest.raises(ValueError, match="lies beyond it"):
-            _certify_triangulation(points, tops, QQ(4))
+            _certify_triangulation(points, tops)
         assert not pairwise_triangulation(points, tops, QQ(4))
 
-    def test_certificate_needs_volume_additivity(self):
+    def test_certificate_rejects_a_double_cover(self):
         # two fans over the square, from different centers and with the
         # boundary split differently, cover it twice: every ridge condition
-        # holds and only the volumes tell
+        # holds and only the point location tells
         points = {"a": (0, 0), "b": (2, 0), "c": (2, 2), "d": (0, 2), "e": (1, 1),
                   "f": (1, QQ(1, 2)), "m1": (1, 0), "m2": (2, 1), "m3": (1, 2), "m4": (0, 1)}
         points = {k: tuple(QQ(x) for x in p) for k, p in points.items()}
         ring = ["a", "m1", "b", "m2", "c", "m3", "d", "m4"]
         tops = [tuple(sorted(t)) for t in self.FAN]
         tops += [tuple(sorted((u, v, "f"))) for u, v in zip(ring, ring[1:] + ring[:1])]
-        with pytest.raises(ValueError, match="do not add up"):
-            _certify_triangulation(points, tops, QQ(4))
+        with pytest.raises(ValueError, match=r"the centroid of Delaunay simplex \['a', 'b', 'e'\] "
+                                             r"lies in Delaunay simplex \['a', 'f', 'm1'\] too"):
+            _certify_triangulation(points, tops)
+        assert not pairwise_triangulation(points, tops, QQ(4))
 
     def test_certificate_rejects_a_degenerate_top(self):
         # a collinear triple spans no triangle
         points = {"a": (0, 0), "b": (1, 1), "c": (2, 2), "d": (0, 2)}
         points = {k: tuple(QQ(x) for x in p) for k, p in points.items()}
         with pytest.raises(ValueError, match="degenerate top simplex"):
-            _certify_triangulation(points, [("a", "b", "c"), ("a", "c", "d")], QQ(2))
+            _certify_triangulation(points, [("a", "b", "c"), ("a", "c", "d")])
         assert not pairwise_triangulation(points, [("a", "b", "c"), ("a", "c", "d")], QQ(2))
 
     def test_dropped_bisector_check_rejects_a_cell_with_too_few_rows(self, monkeypatch):
