@@ -83,7 +83,7 @@ def test_one_site_is_input_error(tmp_path, command):
     # a single site is a malformed input for every command that needs two
     pts = write(tmp_path / "p.pts", "2 1\n0 0\n")
     extra = {"clip": ["--region", write(tmp_path / "r.rgn", BOX_REGION)],
-             "perturb": ["--bound", "1/100"], "check-simple": []}.get(command, [])
+             "perturb": ["--bound", "1/100"]}.get(command, [])
     out = [] if command == "check-simple" else ["--out", str(tmp_path / "out")]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
