@@ -196,48 +196,54 @@ def fundamental_group(K):
     return GroupPresentation.make(len(gen_of), relators)
 
 
+def _class_key(w):
+    """The least word among the rotations of w and of its inverse: one
+    key for w's class under rotation and inversion."""
+    inv = tuple(-x for x in reversed(w))
+    return min(min(w[k:] + w[:k], inv[k:] + inv[:k]) for k in range(len(w)))
+
+
 def simplify_presentation(pres):
     """Limited Tietze simplification: free/cyclic reduction, duplicate
     removal, and elimination of generators killed by one-letter relators.
-    Not a decision procedure for triviality."""
-    g = pres.generators
+    Not a decision procedure for triviality.
+
+    Two relators are duplicates when one is a rotation of the other or of
+    its inverse.  These classes are disjoint, so a relator duplicates an
+    earlier one iff their least class members (`_class_key`) agree.
+    Generators are killed one at a time, the first one-letter relator
+    first: killing several at once could leave `cyclic_reduce` another
+    rotation of a word.  The survivors keep their numbers until the end.
+    Closing the gap after each kill (a -> a - 1 for a above the killed
+    generator, and -a likewise) is strictly increasing on the letters left
+    and commutes with inversion, so it maps least rotations to least
+    rotations and reductions to reductions: every choice made here is the
+    same either way, and renumbering once at the end gives the same words."""
     relators = [cyclic_reduce(w) for w in pres.relators]
+    keys = {}
+    alive = set(range(1, pres.generators + 1))
     while True:
-        relators = [w for w in relators if w]
-        # drop duplicates up to rotation and inversion
         seen = set()
         kept = []
         for w in relators:
-            variants = set()
-            for rot in range(len(w)):
-                r = w[rot:] + w[:rot]
-                variants.add(r)
-                variants.add(tuple(-x for x in reversed(r)))
-            if not (variants & seen):
-                seen |= variants
+            if not w:
+                continue
+            key = keys.get(w)
+            if key is None:
+                key = keys[w] = _class_key(w)
+            if key not in seen:
+                seen.add(key)
                 kept.append(w)
         relators = kept
-        killed = None
-        for w in relators:
-            if len(w) == 1:
-                killed = abs(w[0])
-                break
+        killed = next((abs(w[0]) for w in relators if len(w) == 1), None)
         if killed is None:
             break
-
-        def drop(letter):
-            if abs(letter) == killed:
-                return None
-            shift = 1 if abs(letter) > killed else 0
-            return (abs(letter) - shift) * (1 if letter > 0 else -1)
-
-        new_relators = []
-        for w in relators:
-            nw = tuple(x for x in (drop(l) for l in w) if x is not None)
-            new_relators.append(cyclic_reduce(nw))
-        relators = new_relators
-        g -= 1
-    return GroupPresentation.make(g, relators)
+        alive.discard(killed)
+        relators = [cyclic_reduce(tuple(x for x in w if x != killed and x != -killed))
+                    if killed in w or -killed in w else w for w in relators]
+    rank = {a: r for r, a in enumerate(sorted(alive), start=1)}
+    return GroupPresentation.make(len(alive), [
+        tuple(rank[x] if x > 0 else -rank[-x] for x in w) for w in relators])
 
 
 # -- GRP/1 ------------------------------------------------------------------------

@@ -20,23 +20,37 @@ class DualComplexMove:
 
 def stellar_subdivide(K, simplex):
     """Star the complex at one simplex: its open star is replaced by the
-    cone from a fresh barycenter vertex."""
+    cone from a fresh barycenter vertex.
+
+    A local edit of the simplex set S.  For the target s and the new
+    vertex b the result is
+
+        (S minus the open star of s)  ∪  {a ∪ (t − s) ∪ {b} : t ⊇ s in S, a ⊊ s}
+
+    on the old vertices and b, and it is closed under faces as it stands.
+    A face holding b is a' ∪ r' ∪ {b} with a' ⊆ a ⊊ s and r' ⊆ t − s, and
+    s ∪ r' ⊆ t lies in S and contains s, so that face is added as well.  A
+    face missing b is a subset of t that does not contain s, so it is
+    kept.  Hence no sort and no closure pass are needed.
+    """
     fs = frozenset(simplex)
     if fs not in K:
         raise ValueError("target simplex not in complex")
     if len(fs) == 1:
         return K
     b = "b(%s)" % ",".join(str(v) for v in sorted(fs, key=label_key))
-    if b in set(K.vertices):
+    if (b,) in K:
         raise ValueError("barycenter label %r already used" % (b,))
-    keep = [t for t in K.simplices() if not fs <= t]
-    added = []
-    for t in K.star(fs):
-        rest = t - fs
-        for r in range(len(fs)):
-            for alpha in itertools.combinations(sorted(fs, key=label_key), r):
-                added.append(frozenset(alpha) | rest | {b})
-    return SimplicialComplex(keep + added, vertices=K.vertices)
+    proper = [frozenset(a) for r in range(len(fs))
+              for a in itertools.combinations(fs, r)]
+    out = set()
+    for t in K:
+        if fs <= t:
+            rest = (t - fs) | {b}
+            out.update(a | rest for a in proper)
+        else:
+            out.add(t)
+    return SimplicialComplex._of_closed(out, K.vertices + [b])
 
 
 def barycentric_move(K, simplex):
@@ -54,15 +68,24 @@ def barycentric_move(K, simplex):
 
 
 def cone_over_star(K, simplex):
-    """Attach the cone over the closed star of the target simplex."""
+    """Attach the cone over the closed star of the target simplex.
+
+    A local edit of the simplex set S: for the target s and the apex c the
+    result is S ∪ {t ∪ {c} : t in the closed star of s} ∪ {{c}}.  A simplex
+    t lies in the closed star iff t ∪ s lies in S, and the closed star is
+    closed under faces, so the result is too.
+    """
     fs = frozenset(simplex)
     if fs not in K:
         raise ValueError("target simplex not in complex")
     c = "c(%s)" % ",".join(str(v) for v in sorted(fs, key=label_key))
-    if c in set(K.vertices):
+    if (c,) in K:
         raise ValueError("cone label %r already used" % (c,))
-    cone = [t | {c} for t in K.closed_star(fs).simplices()]
-    return SimplicialComplex(list(K.simplices()) + cone, vertices=K.vertices)
+    apex = frozenset([c])
+    out = set(K)
+    out.add(apex)
+    out.update(t | apex for t in K if t | fs in K)
+    return SimplicialComplex._of_closed(out, K.vertices + [c])
 
 
 def dual_move(K, move):

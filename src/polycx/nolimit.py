@@ -100,23 +100,23 @@ def no_limit_witness(max_degree, shear=True):
             if contributes:
                 image_dim += 1
         for v in kernel:
+            # the identities are linear and homogeneous in v, and scaling
+            # by the positive lcm of its denominators keeps its zeros
+            v = linalg.int_row(v)[0]
+
             def coeff(tag, i, j, k):
                 key = (tag, i, j, k)
-                return v[pos[key]] if key in pos else ZERO
+                return v[pos[key]] if key in pos else 0
 
-            def b_of(i, j):
-                # pullback along (x,z) -> (x,z,z^2) of the first chart
-                return sum((coeff("c", i, j - 2 * k, k) for k in range(j // 2 + 1)),
-                           ZERO)
-
+            # b(i, j): pullback along (x,z) -> (x,z,z^2) of the first chart
+            b = [[sum(coeff("c", i, j - 2 * k, k) for k in range(j // 2 + 1))
+                  for j in (0, 1)] for i in range(w + 2)]
             for i in range(w + 1):
                 # a(i,0) = b(i,0) and a(i,1) = b(i,1)
-                if coeff("c", i, 0, 0) != b_of(i, 0):
-                    identities_3 = False
-                if coeff("c", i, 1, 0) != b_of(i, 1):
+                if coeff("c", i, 0, 0) != b[i][0] or coeff("c", i, 1, 0) != b[i][1]:
                     identities_3 = False
                 # a(i,1) = b(i,1) - (i+1) b(i+1,0)
-                if shear and coeff("c", i, 1, 0) != b_of(i, 1) - (i + 1) * b_of(i + 1, 0):
+                if shear and coeff("c", i, 1, 0) != b[i][1] - (i + 1) * b[i + 1][0]:
                     identities_4 = False
     return {
         "max_degree": D,

@@ -36,6 +36,16 @@ class SimplicialComplex:
         self._simplices = frozenset(simps)
         self._vertices = frozenset(verts)
 
+    @classmethod
+    def _of_closed(cls, simplices, vertices):
+        """The complex on a simplex set the caller has shown to be closed
+        under non-empty faces and to hold every vertex as a singleton:
+        nothing is sorted or closed again."""
+        K = cls.__new__(cls)
+        K._simplices = frozenset(simplices)
+        K._vertices = frozenset(vertices)
+        return K
+
     # -- queries -----------------------------------------------------------
 
     @property
@@ -56,6 +66,10 @@ class SimplicialComplex:
 
     def __contains__(self, s):
         return frozenset(s) in self._simplices
+
+    def __iter__(self):
+        """The simplices, in no particular order."""
+        return iter(self._simplices)
 
     def __eq__(self, other):
         return (isinstance(other, SimplicialComplex)
@@ -113,9 +127,6 @@ class SimplicialComplex:
         if fs not in self._simplices:
             raise ValueError("simplex not in complex")
         return [t for t in self.simplices() if fs <= t]
-
-    def closed_star(self, s):
-        return SimplicialComplex(self.star(s))
 
     def link(self, s):
         fs = frozenset(s)

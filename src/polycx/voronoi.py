@@ -368,12 +368,15 @@ def _certify_triangulation(params, tops):
         out.append((top, QQ(abs(det), den ** d * factorial(d))))
     # d + 1 times the centroid of the first top, an integer point
     centroid = [sum(c) for c in zip(*(pts[i] for i in tops[0]))]
+    # each ridge keyed by its sorted vertices, so a top may list its
+    # vertices in any order; the first listing met names the ridge
     opposite = {}
     for t, top in enumerate(tops):
         for k, v in enumerate(top):
-            opposite.setdefault(top[:k] + top[k + 1:], []).append((t, v))
+            ridge = top[:k] + top[k + 1:]
+            opposite.setdefault(tuple(sorted(ridge)), (ridge, []))[1].append((t, v))
     holding = set(range(len(tops)))  # the tops not shown to exclude the centroid
-    for ridge, tvs in opposite.items():
+    for ridge, tvs in opposite.values():
         vs = [v for _, v in tvs]
         origin = pts[ridge[0]]
         normal = _normal([[a - b for a, b in zip(pts[r], origin)] for r in ridge[1:]])

@@ -216,7 +216,7 @@ def pairwise_triangulation(points, tops, hull_volume):
             return False
         total += v
     faces = sorted({f for t in tops for k in range(1, len(t) + 1)
-                    for f in itertools.combinations(t, k)})
+                    for f in itertools.combinations(sorted(t), k)})
     for f, g in itertools.combinations(faces, 2):
         if open_simplices_meet([points[i] for i in f], [points[i] for i in g]):
             return False
@@ -586,3 +586,127 @@ def smith_normal_form(M):
             U[t] = [-a for a in U[t]]
         t += 1
     return A, [A[i][i] for i in range(t)], U, V
+
+
+# -- dual-complex moves, presentations, the no-limit identities ----------------------
+
+def _label_key(v):
+    return (v.__class__.__name__, v)
+
+
+def _closure(simplices):
+    """Every non-empty face of every simplex, as frozensets."""
+    return {frozenset(f) for s in simplices for k in range(1, len(s) + 1)
+            for f in itertools.combinations(s, k)}
+
+
+def stellar_subdivide(simplices, vertices, simplex):
+    """The stellar subdivision of a simplex set by closing it again:
+    everything missing the target is kept, each simplex t of the target's
+    star gives a ∪ (t − target) ∪ {b} for every proper face a of the
+    target, and the union is closed under faces.  (simplices, vertices)."""
+    fs = frozenset(simplex)
+    if fs not in simplices:
+        raise ValueError("target simplex not in complex")
+    if len(fs) == 1:
+        return set(simplices), set(vertices)
+    b = "b(%s)" % ",".join(str(v) for v in sorted(fs, key=_label_key))
+    if b in vertices:
+        raise ValueError("barycenter label %r already used" % (b,))
+    keep = [t for t in simplices if not fs <= t]
+    added = [frozenset(a) | (t - fs) | {b} for t in simplices if fs <= t
+             for r in range(len(fs)) for a in itertools.combinations(fs, r)]
+    vertices = set(vertices) | {b}
+    return _closure(keep + added) | {frozenset([v]) for v in vertices}, vertices
+
+
+def cone_over_star(simplices, vertices, simplex):
+    """The cone over the closed star of a simplex by closing it again: the
+    star's faces each joined to the apex c, added to the simplex set and
+    closed under faces.  (simplices, vertices)."""
+    fs = frozenset(simplex)
+    if fs not in simplices:
+        raise ValueError("target simplex not in complex")
+    c = "c(%s)" % ",".join(str(v) for v in sorted(fs, key=_label_key))
+    if c in vertices:
+        raise ValueError("cone label %r already used" % (c,))
+    closed_star = _closure([t for t in simplices if fs <= t])
+    vertices = set(vertices) | {c}
+    simplices = _closure(list(simplices) + [t | {c} for t in closed_star])
+    return simplices | {frozenset([v]) for v in vertices}, vertices
+
+
+def _cyclic_reduce(word):
+    out = []
+    for x in word:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    while len(out) >= 2 and out[0] == -out[-1]:
+        out = out[1:-1]
+    return tuple(out)
+
+
+def simplify_presentation(generators, relators):
+    """Tietze simplification by whole variant sets: each round drops every
+    relator sharing a rotation, or the inverse of one, with a relator kept
+    before it, then kills the generator of the first one-letter relator.
+    (generator count, relators)."""
+    g = generators
+    relators = [_cyclic_reduce(w) for w in relators]
+    while True:
+        seen = set()
+        kept = []
+        for w in relators:
+            if not w:
+                continue
+            variants = set()
+            for rot in range(len(w)):
+                r = w[rot:] + w[:rot]
+                variants.add(r)
+                variants.add(tuple(-x for x in reversed(r)))
+            if not (variants & seen):
+                seen |= variants
+                kept.append(w)
+        relators = kept
+        killed = next((abs(w[0]) for w in relators if len(w) == 1), None)
+        if killed is None:
+            return g, tuple(relators)
+
+        def drop(letter):
+            if abs(letter) == killed:
+                return None
+            shift = 1 if abs(letter) > killed else 0
+            return (abs(letter) - shift) * (1 if letter > 0 else -1)
+
+        relators = [_cyclic_reduce(tuple(x for x in map(drop, w) if x is not None))
+                    for w in relators]
+        g -= 1
+
+
+def no_limit_identities(blocks, shear):
+    """The coefficient identities of the no-limit oracle, on Fractions.
+    blocks: (weight w, variables, kernel vectors) per weight block, with
+    variables ('c'|'d', i, j, k).  (identities_3, identities_4), the second
+    None without the shear."""
+    identities_3 = identities_4 = True
+    for w, variables, kernel in blocks:
+        pos = {v: t for t, v in enumerate(variables)}
+        for v in kernel:
+            def coeff(tag, i, j, k):
+                key = (tag, i, j, k)
+                return Fraction(v[pos[key]]) if key in pos else Fraction(0)
+
+            def b_of(i, j):
+                return sum((coeff("c", i, j - 2 * k, k) for k in range(j // 2 + 1)),
+                           Fraction(0))
+
+            for i in range(w + 1):
+                if coeff("c", i, 0, 0) != b_of(i, 0):
+                    identities_3 = False
+                if coeff("c", i, 1, 0) != b_of(i, 1):
+                    identities_3 = False
+                if shear and coeff("c", i, 1, 0) != b_of(i, 1) - (i + 1) * b_of(i + 1, 0):
+                    identities_4 = False
+    return identities_3, identities_4 if shear else None

@@ -17,6 +17,7 @@ from polycx import (
 )
 from polycx.groups import free_reduce, cyclic_reduce, cyclic_presentation
 
+import oracles
 from _corpus import circle, sphere2, torus
 
 
@@ -113,6 +114,34 @@ class TestFundamentalGroup:
         K = SimplicialComplex([(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
         pres = simplify_presentation(fundamental_group(K))
         assert (pres.generators, pres.relators) == (2, ())
+
+
+
+@st.composite
+def presentations(draw):
+    """Up to five generators and up to eight short relators, so one-letter
+    relators, duplicates and kills are frequent."""
+    g = draw(st.integers(1, 5))
+    letter = st.sampled_from([x for x in range(-g, g + 1) if x])
+    return GroupPresentation.make(g, draw(st.lists(st.lists(letter, max_size=6), max_size=8)))
+
+
+class TestSimplify:
+
+    @settings(max_examples=400, deadline=None)
+    @given(presentations())
+    def test_matches_variant_set_oracle(self, pres):
+        got = simplify_presentation(pres)
+        g, relators = oracles.simplify_presentation(pres.generators, pres.relators)
+        assert (got.generators, got.relators) == (g, relators)
+        assert format_grp(got) == format_grp(GroupPresentation.make(g, relators))
+
+    def test_kills_one_generator_at_a_time(self):
+        # x1 dies first, then x3; killing both at once would leave
+        # cyclic_reduce the other rotation, x1^-1 x2
+        pres = GroupPresentation.make(4, [(-1, -2, 4, -1, -2, 3, 2), (2, 1, -2), (-3,)])
+        got = simplify_presentation(pres)
+        assert (got.generators, got.relators) == (2, ((2, -1),))
 
 
 class TestGrpFormat:

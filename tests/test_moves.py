@@ -1,7 +1,11 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polycx import (
     SimplicialComplex,
+    format_scx,
     DualComplexMove,
     dual_move,
     dual_complex,
@@ -11,7 +15,47 @@ from polycx import (
     homology,
 )
 
+from polycx.simplicial import label_key
+
+import oracles
 from _corpus import circle, sphere2, torus, projective_plane
+
+# mixed int and str labels, some of them the labels a move would add
+LABELS = [0, 1, 2, 3, 4, "a", "b", "x", "b(0,1)", "b(1,a)", "c(0)", "c(a)"]
+
+
+@st.composite
+def complexes_with_targets(draw, members_only=False):
+    """A closed complex from up to six random simplices and two extra
+    vertices, and a target: mostly one of its simplices, sometimes any
+    set of labels."""
+    tops = draw(st.lists(st.sets(st.sampled_from(LABELS), min_size=1, max_size=4),
+                         min_size=1, max_size=6))
+    K = SimplicialComplex(tops, vertices=draw(st.lists(st.sampled_from(LABELS), max_size=2)))
+    if members_only or draw(st.integers(0, 4)):
+        target = draw(st.sampled_from(K.simplices()))
+    else:
+        target = draw(st.sets(st.sampled_from(LABELS), min_size=1, max_size=3))
+    return K, tuple(sorted(target, key=label_key))
+
+
+def attempt(move, *args):
+    """(result, None), or (None, message) if the move raises ValueError."""
+    try:
+        return move(*args), None
+    except ValueError as e:
+        return None, str(e)
+
+
+def barycentric_oracle(simplices, vertices, target):
+    fs = frozenset(target)
+    if fs not in simplices:
+        raise ValueError("target simplex not in complex")
+    simplices, vertices = set(simplices), set(vertices)
+    for size in range(len(fs), 1, -1):
+        for face in itertools.combinations(sorted(fs, key=label_key), size):
+            simplices, vertices = oracles.stellar_subdivide(simplices, vertices, face)
+    return simplices, vertices
 
 
 class TestStellar:
@@ -61,6 +105,54 @@ class TestMoves:
         target = tuple(next(iter(K.simplices(1))))
         L = barycentric_move(K, target)
         assert L.euler_characteristic() == K.euler_characteristic()
+
+
+
+class TestLocalMoves:
+    """The moves edit the simplex set locally; the oracles close the whole
+    set under faces again, as the moves once did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(complexes_with_targets(), st.sampled_from([
+        (stellar_subdivide, oracles.stellar_subdivide),
+        (cone_over_star, oracles.cone_over_star),
+        (barycentric_move, barycentric_oracle),
+    ]))
+    def test_move_matches_closing_oracle(self, case, moves):
+        (K, target), (move, oracle) = case, moves
+        got, error = attempt(move, K, target)
+        want, want_error = attempt(oracle, set(K), K.vertices, target)
+        assert error == want_error
+        if want is not None:
+            simplices, vertices = want
+            assert set(got) == simplices
+            assert set(got.vertices) == vertices
+            assert format_scx(got) == format_scx(SimplicialComplex(simplices, vertices))
+
+    @settings(max_examples=150, deadline=None)
+    @given(complexes_with_targets(members_only=True),
+           st.sampled_from([stellar_subdivide, cone_over_star, barycentric_move]))
+    def test_moved_complex_is_closed_under_faces(self, case, move):
+        K, target = case
+        L, error = attempt(move, K, target)
+        if L is None:
+            assert "already used" in error
+            return
+        simplices = set(L)
+        for s in simplices:
+            for k in range(1, len(s)):
+                assert all(frozenset(f) in simplices for f in itertools.combinations(s, k))
+        assert {v for s in simplices for v in s} == set(L.vertices)
+        assert L == SimplicialComplex(simplices, L.vertices)
+
+    def test_label_clashes_are_rejected(self):
+        K = SimplicialComplex([(0, 1, "b(0,1)"), (0, "c(0)")])
+        with pytest.raises(ValueError, match="barycenter label 'b\\(0,1\\)' already used"):
+            stellar_subdivide(K, (0, 1))
+        with pytest.raises(ValueError, match="cone label 'c\\(0\\)' already used"):
+            cone_over_star(K, (0,))
+        with pytest.raises(ValueError, match="target simplex not in complex"):
+            cone_over_star(K, (1, "c(0)"))
 
 
 class TestDualComplex:

@@ -1,6 +1,32 @@
+from fractions import Fraction
+
 import pytest
 
-from polycx import no_limit_witness
+from polycx import linalg, no_limit_witness
+from polycx.nolimit import _block_equations, _block_variables
+
+import oracles
+
+
+NULLSPACE = linalg.nullspace
+
+
+def blocks(degree, shear, nullspace):
+    """(weight, variables, kernel) of every weight block, the kernel by
+    `nullspace`, as `no_limit_witness` builds them."""
+    out = []
+    for w in range(2 * degree + 1):
+        variables = _block_variables(degree, w)
+        rows = _block_equations(degree, w, variables, shear)
+        assert variables and rows
+        out.append((w, variables, nullspace(rows)))
+    return out
+
+
+def spiked(rows):
+    """The kernel of `rows` and one rational vector that is not in it,
+    nonzero on every axis coefficient."""
+    return NULLSPACE(rows) + [tuple(Fraction(t + 1, 3) for t in range(len(rows[0])))]
 
 
 def test_only_constants_restrict():
@@ -31,3 +57,18 @@ def test_shear_is_what_kills_the_limit():
 def test_degree_must_be_positive():
     with pytest.raises(ValueError):
         no_limit_witness(0)
+
+
+@pytest.mark.parametrize("shear", [True, False], ids=["shear", "control"])
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_identities_match_fraction_oracle(degree, shear, monkeypatch):
+    report = no_limit_witness(degree, shear=shear)
+    assert (report["identities_3"], report["identities_4"]) == oracles.no_limit_identities(
+        blocks(degree, shear, NULLSPACE), shear)
+    # a kernel with a stray vector: integer scaling must not change the verdict
+    want = oracles.no_limit_identities(blocks(degree, shear, spiked), shear)
+    if shear:
+        assert want[1] is False
+    monkeypatch.setattr(linalg, "nullspace", spiked)
+    report = no_limit_witness(degree, shear=shear)
+    assert (report["identities_3"], report["identities_4"]) == want

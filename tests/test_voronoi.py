@@ -395,7 +395,9 @@ class TestLocalCertificates:
             tops += rng.sample(others, 2)
         if mutation == "duplicate":
             tops.append(rng.choice(tops))
-        # the point-location step starts from whichever top comes first
+        # the point-location step starts from whichever top comes first,
+        # and a ridge is the same whatever order its top lists it in
+        tops = [tuple(rng.sample(top, len(top))) for top in tops]
         rng.shuffle(tops)
         assert certified(points, tops) == pairwise_triangulation(points, tops, hull)
 
@@ -409,6 +411,12 @@ class TestLocalCertificates:
 
     def test_certificate_accepts_a_triangulation(self):
         points, tops, hull = self.square(self.FAN)
+        assert [v for _, v in _certify_triangulation(points, tops)] == [1, 1, 1, 1]
+        assert pairwise_triangulation(points, tops, hull)
+
+    def test_certificate_accepts_tops_in_any_vertex_order(self):
+        points, _, hull = self.square([])
+        tops = [("a", "b", "e"), ("e", "c", "b"), ("c", "d", "e"), ("a", "d", "e")]
         assert [v for _, v in _certify_triangulation(points, tops)] == [1, 1, 1, 1]
         assert pairwise_triangulation(points, tops, hull)
 
