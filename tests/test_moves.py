@@ -14,7 +14,6 @@ from polycx import (
     cone_over_star,
     homology,
 )
-
 from polycx.simplicial import label_key
 
 import oracles
@@ -105,7 +104,6 @@ class TestMoves:
         target = tuple(next(iter(K.simplices(1))))
         L = barycentric_move(K, target)
         assert L.euler_characteristic() == K.euler_characteristic()
-
 
 
 class TestLocalMoves:

@@ -24,8 +24,8 @@ def blocks(degree, shear, nullspace):
 
 
 def spiked(rows):
-    """The kernel of `rows` and one rational vector that is not in it,
-    nonzero on every axis coefficient."""
+    """The kernel of `rows` and one more rational vector, nonzero in
+    every coordinate."""
     return NULLSPACE(rows) + [tuple(Fraction(t + 1, 3) for t in range(len(rows[0])))]
 
 
