@@ -183,9 +183,13 @@ class ChainComplex:
 
     @staticmethod
     def of_complex(K):
+        # each simplex sorted once, into its label keys; the key lists of
+        # one dimension sort into the order of K.simplices(k)
         dim = K.dim()
-        simplices = {k: [tuple(sorted(s, key=label_key))
-                         for s in K.simplices(k)] for k in range(dim + 1)}
+        keys = {k: [] for k in range(dim + 1)}
+        for s in K:
+            keys[len(s) - 1].append(sorted(map(label_key, s)))
+        simplices = {k: [tuple(v for _, v in key) for key in sorted(keys[k])] for k in keys}
         index = {k: {s: i for i, s in enumerate(simplices[k])} for k in simplices}
         ranks = [len(simplices[k]) for k in range(dim + 1)]
         boundaries = {}

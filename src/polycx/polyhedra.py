@@ -8,8 +8,9 @@ Its face structure is read off one cached record of its closed relaxation
 Q, where every strict row is relaxed to <=: the vertices of Q modulo its
 lineality space L, its extreme rays, an integer basis of L, and the rows
 each of these generators makes tight (the V-side of the double
-description).  The record is built by integer elimination of row subsets
-and certified exactly on every build.  A face is a tightening; its
+description).  The record is built by one run of the double description
+method (`_Cone`, which also filters the Voronoi bisectors) on the cone over
+Q, and certified exactly on every build.  A face is a tightening; its
 implicit equalities are the rows tight on all of its generators, its
 dimension is read from those rows, and its facets are the rows whose faces
 have one dimension less.  Fourier-Motzkin elimination on primitive integer
@@ -282,6 +283,73 @@ def _planes(rows, indices):
     return list(planes.values())
 
 
+class _Cone:
+    """Double description of the cone {g = (x, t) in Q^(N+1) : h·g <= 0 for
+    every row h cut so far, t >= 0}: an integer basis of its lineality space
+    and its extreme rays modulo that space, each ray with the bit mask of
+    the rows it makes tight (bit 0 is t >= 0, bit k the k-th row cut).
+    Motzkin, Raiffa, Thompson & Thrall 1953; Fukuda & Prodon, "Double
+    description method revisited", 1996."""
+
+    def __init__(self, n):
+        self.lineality = [[int(i == j) for j in range(n + 1)] for i in range(n)]
+        self.rays = [([0] * n + [1], 0)]
+        self.rows = 1
+
+    def cut(self, h):
+        """A generator g with h·g > 0, after cutting the cone by h·g <= 0;
+        or None, changing nothing, when every ray satisfies the row and
+        every lineality vector is orthogonal to it.
+
+        A lineality vector w with h·w > 0 splits the lineality space: -w
+        becomes a ray, tight on every earlier row, and every other generator
+        moves along w onto the hyperplane h = 0.  Otherwise the rays on the
+        violating side go, and each adjacent pair of rays on opposite sides
+        gives the ray where their common 2-face crosses the hyperplane."""
+        bit = 1 << self.rows
+        for k, w in enumerate(self.lineality):
+            s = _dot(h, w)
+            if s:
+                if s < 0:
+                    w, s = [-x for x in w], -s
+
+                def onto(v):  # s·v moved along w onto h = 0
+                    c = _dot(h, v)
+                    return linalg.primitive_row([s * x - c * y for x, y in zip(v, w)])
+
+                self.lineality = [onto(v) for v in self.lineality[:k] + self.lineality[k + 1:]]
+                self.rays = [(onto(r), t | bit) for r, t in self.rays]
+                self.rays.append(([-x for x in w], bit - 1))
+                self.rows += 1
+                return w
+        values = [_dot(h, r) for r, _ in self.rays]
+        plus = [k for k, v in enumerate(values) if v > 0]
+        if not plus:
+            return None
+        witness = self.rays[plus[0]][0]
+        masks = [t for _, t in self.rays]
+        # Two extreme rays of the pointed part, of dimension d, are adjacent
+        # iff no third ray is tight on every row tight on both; those rows
+        # then have rank d - 2, so there are at least d - 2 of them.
+        least = len(h) - len(self.lineality) - 2
+        rays = [(r, t | bit if not v else t) for (r, t), v in zip(self.rays, values) if v <= 0]
+        for p in plus:
+            rp, vp = self.rays[p][0], values[p]
+            for m, vm in enumerate(values):
+                if vm >= 0:
+                    continue
+                common = masks[p] & masks[m]
+                if common.bit_count() < least or any(
+                        t & common == common for k, t in enumerate(masks) if k != p and k != m):
+                    continue
+                rays.append((linalg.primitive_row([vp * x - vm * y
+                                                   for x, y in zip(self.rays[m][0], rp)]),
+                             common | bit))
+        self.rays = rays
+        self.rows += 1
+        return witness
+
+
 class FaceRecord:
     """Generators of the closed relaxation Q of an inequality system, and
     the rows each one makes tight.
@@ -310,42 +378,36 @@ class FaceRecord:
     def build(ambient_dim, rows, eq):
         """Record of {a·x <= b for (a, b) in rows, with equality on eq}.
 
-        Each independent set of r - 1 hyperplanes (r = N - dim L), together
-        with L's basis, cuts out a line; its section by Q is found in one
-        pass over the rows.  Every endpoint is a vertex (r independent
-        tight rows) and every unbounded side an extreme ray.  Every vertex
-        lies on such a line as an endpoint, and every extreme ray is the
-        direction of an unbounded edge, so nothing is missed.  The record
-        is certified before it is returned.
+        One run of the double description engine `_Cone` on the homogenised
+        system: the cone C of the (x, t) with t >= 0, v·x = 0 for each
+        vector v of L's basis, a·x <= b·t for each row and a·x >= b·t for
+        each row in eq.  C is pointed, since a line in C has t = 0 and a
+        zero dot product with every normal, so it lies in L and in L⊥.  When
+        Q is not empty, C is the closure of the cone over (Q ∩ L⊥) × {1}, so
+        its extreme rays with t > 0 are the vertices of the pointed
+        polyhedron Q ∩ L⊥, one for each minimal face of Q, and its extreme
+        rays with t = 0 are the extreme rays of Q ∩ L⊥ (Schrijver, Theory
+        of Linear and Integer Programming, 1986, 8.2 and 8.8).  The engine
+        keeps each generator primitive, so (x, t) is the point x/t in
+        lowest terms.  When Q is empty, no generator has t > 0 (it would
+        give the point x/t of Q) and the rays are dropped.  The record is
+        certified before it is returned.
         """
         n = ambient_dim
         lineality = tuple(_solve_int([list(a) + [0] for a, _ in rows], n)[2])
-        r = n - len(lineality)
-        cons = FaceRecord._constraints(rows, eq)
-        points, rays = set(), set()
-        if r == 0:
-            if all(b >= 0 for _, b in cons):
-                points.add(((0,) * n, 1))
-        else:
-            lin_rows = [list(v) + [0] for v in lineality]
-            for subset in itertools.combinations(_planes(rows, range(len(rows))), r - 1):
-                sol = _solve_int([list(a) + [b] for a, b in subset] + lin_rows, n)
-                if sol is None or len(sol[2]) != 1:
-                    continue
-                base, den, (d,) = sol
-                section = _section(cons, base, den, d)
-                if section is None:
-                    continue
-                for end, ray in zip(section, (tuple(-x for x in d), d)):
-                    if end is None:
-                        rays.add(ray)
-                    else:
-                        points.add(_at(base, den, d, end))
+        cone = _Cone(n)
+        for v in lineality:
+            cone.cut(list(v) + [0])
+            cone.cut([-x for x in v] + [0])
+        for a, b in FaceRecord._constraints(rows, eq):
+            cone.cut(list(a) + [-b])
+        points = sorted((tuple(g[:n]), g[n]) for g, _ in cone.rays if g[n])
+        rays = sorted(tuple(g[:n]) for g, _ in cone.rays if not g[n]) if points else ()
         points = tuple((pt, frozenset(i for i, (a, b) in enumerate(rows)
                                       if _dot(a, pt[0]) == b * pt[1]))
-                       for pt in sorted(points))
+                       for pt in points)
         rays = tuple((ray, frozenset(i for i, (a, _) in enumerate(rows) if not _dot(a, ray)))
-                     for ray in sorted(rays))
+                     for ray in rays)
         record = FaceRecord(n, rows, eq, lineality, points, rays)
         record.certify()
         return record

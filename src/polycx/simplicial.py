@@ -134,14 +134,6 @@ class SimplicialComplex:
             raise ValueError("simplex not in complex")
         return SimplicialComplex([t - fs for t in self._simplices if fs <= t and t != fs])
 
-    # -- rebuilding ------------------------------------------------------------
-
-    def without(self, removed):
-        """Subcomplex on all simplices having no face in `removed`."""
-        removed = {frozenset(s) for s in removed}
-        keep = [t for t in self._simplices if not any(r <= t for r in removed)]
-        return SimplicialComplex(keep)
-
 
 # -- SCX/1 -------------------------------------------------------------------
 

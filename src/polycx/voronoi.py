@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .rationals import QQ, ZERO, ONE, rat, rat_str, vec
 from . import linalg
-from .polyhedra import (LinearInequality, RationalPolyhedron, _dot, _solve_constraints,
+from .polyhedra import (LinearInequality, RationalPolyhedron, _Cone, _dot, _solve_constraints,
                         format_poly, parse_poly)
 from .complexes import PolyhedralComplex
 from .simplicial import SimplicialComplex
@@ -62,73 +62,6 @@ def _integer_sites(Y):
     return [flat[i:i + N] for i in range(0, len(flat), N)], L
 
 
-class _CellCone:
-    """Double description of the cone {g = (x, t) in Q^(N+1) : h·g <= 0 for
-    every row h cut so far, t >= 0}: an integer basis of its lineality space
-    and its extreme rays modulo that space, each ray with the bit mask of
-    the rows it makes tight (bit 0 is t >= 0, bit k the k-th row cut).
-    Motzkin, Raiffa, Thompson & Thrall 1953; Fukuda & Prodon, "Double
-    description method revisited", 1996."""
-
-    def __init__(self, n):
-        self.lineality = [[int(i == j) for j in range(n + 1)] for i in range(n)]
-        self.rays = [([0] * n + [1], 0)]
-        self.rows = 1
-
-    def cut(self, h):
-        """A generator g with h·g > 0, after cutting the cone by h·g <= 0;
-        or None, changing nothing, when every ray satisfies the row and
-        every lineality vector is orthogonal to it.
-
-        A lineality vector w with h·w > 0 splits the lineality space: -w
-        becomes a ray, tight on every earlier row, and every other generator
-        moves along w onto the hyperplane h = 0.  Otherwise the rays on the
-        violating side go, and each adjacent pair of rays on opposite sides
-        gives the ray where their common 2-face crosses the hyperplane."""
-        bit = 1 << self.rows
-        for k, w in enumerate(self.lineality):
-            s = _dot(h, w)
-            if s:
-                if s < 0:
-                    w, s = [-x for x in w], -s
-
-                def onto(v):  # s·v moved along w onto h = 0
-                    c = _dot(h, v)
-                    return linalg.primitive_row([s * x - c * y for x, y in zip(v, w)])
-
-                self.lineality = [onto(v) for v in self.lineality[:k] + self.lineality[k + 1:]]
-                self.rays = [(onto(r), t | bit) for r, t in self.rays]
-                self.rays.append(([-x for x in w], bit - 1))
-                self.rows += 1
-                return w
-        values = [_dot(h, r) for r, _ in self.rays]
-        plus = [k for k, v in enumerate(values) if v > 0]
-        if not plus:
-            return None
-        witness = self.rays[plus[0]][0]
-        masks = [t for _, t in self.rays]
-        # Two extreme rays of the pointed part, of dimension d, are adjacent
-        # iff no third ray is tight on every row tight on both; those rows
-        # then have rank d - 2, so there are at least d - 2 of them.
-        least = len(h) - len(self.lineality) - 2
-        rays = [(r, t | bit if not v else t) for (r, t), v in zip(self.rays, values) if v <= 0]
-        for p in plus:
-            rp, vp = self.rays[p][0], values[p]
-            for m, vm in enumerate(values):
-                if vm >= 0:
-                    continue
-                common = masks[p] & masks[m]
-                if common.bit_count() < least or any(
-                        t & common == common for k, t in enumerate(masks) if k != p and k != m):
-                    continue
-                rays.append((linalg.primitive_row([vp * x - vm * y
-                                                   for x, y in zip(self.rays[m][0], rp)]),
-                             common | bit))
-        self.rays = rays
-        self.rows += 1
-        return witness
-
-
 def _cell_inequalities(Y, i):
     """(kept, dropped): the bisectors of site i against every other site,
     nearest sites first, split by whether the bisectors kept before them
@@ -138,17 +71,17 @@ def _cell_inequalities(Y, i):
     origin, where the bisector against z_j is 2d·x <= d·d with d = z_j - z_i;
     a change of coordinates keeps every entailment.  The kept rows cut out a
     cell P holding the origin, so they entail a row iff its homogenisation
-    holds on the cone over P, that is on every generator of `_CellCone`.
+    holds on the cone over P, that is on every generator of `_Cone`.
     Each keep is checked here: the generator that violates the new row
     satisfies every kept row and t >= 0, so it lies in the cone over P and
     P has a point beyond the new row.  Each drop is checked by
-    `voronoi_complex` on the cell's certified face record.
+    `_voronoi_cells` on the cell's certified face record.
     """
     Z, L = _integer_sites(Y)
     z = Z[i]
     order = sorted((sum((a - b) ** 2 for a, b in zip(Z[j], z)), j)
                    for j in range(len(Y)) if j != i)
-    cone = _CellCone(Y.ambient_dim)
+    cone = _Cone(Y.ambient_dim)
     rows, kept, dropped = [], [], []
     for sq, j in order:
         h = [2 * (a - b) for a, b in zip(Z[j], z)] + [-sq]

@@ -512,6 +512,100 @@ class FMFaces:
         return tri(root, d)
 
 
+def _primitive_ints(v):
+    """A non-zero rational vector scaled by a positive rational to coprime
+    integers."""
+    ints = [int(x * _lcm_all(x.denominator for x in v)) for x in v]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    return tuple(x // g for x in ints)
+
+
+def _solve_affine(aug, n):
+    """(point, kernel) of the rows a·x = b, each given as a + [b], in n
+    unknowns: the solution whose free variables are 0 and a primitive
+    integer basis of the homogeneous solutions, one vector per free column
+    (x_f = 1 before scaling); None if the rows are inconsistent."""
+    red, pivots = rational_rref(aug)
+    if pivots and pivots[-1] == n:
+        return None
+    point = [Fraction(0)] * n
+    for row, p in zip(red, pivots):
+        point[p] = row[n]
+    kernel = []
+    for f in range(n):
+        if f not in pivots:
+            v = [Fraction(0)] * n
+            v[f] = Fraction(1)
+            for row, p in zip(red, pivots):
+                v[p] = -row[f]
+            kernel.append(_primitive_ints(v))
+    return point, kernel
+
+
+def line_record(n, rows, eq):
+    """(lineality, points, rays) of the closed system {a·x <= b for (a, b)
+    in rows, with equality on eq}, in the form of the fields of
+    `polycx.polyhedra.FaceRecord`, by the line enumeration the polyhedron
+    layer used before its double description engine.
+
+    L is the kernel of the normals; r = N - dim L.  Each set of r - 1
+    distinct hyperplanes that cuts out a line together with L's basis
+    (v·x = 0) gives the ends of that line's section by Q as vertices and
+    its unbounded sides as extreme rays: every vertex of Q ∩ L⊥ ends an
+    edge or, for r = 1, the line itself, and every extreme ray is the
+    direction of an unbounded edge.
+    """
+    cons = [([Fraction(c) for c in a], Fraction(b)) for a, b in rows]
+    cons += [([-c for c in cons[i][0]], -cons[i][1]) for i in sorted(eq)]
+    lineality = _solve_affine([list(a) + [0] for a, _ in rows], n)[1]
+    lin_rows = [[Fraction(c) for c in v] + [Fraction(0)] for v in lineality]
+    planes = {}
+    for a, b in cons:
+        j = next((j for j, c in enumerate(a) if c), None)
+        if j is not None:
+            planes.setdefault(tuple(c / a[j] for c in a + [b]), a + [b])
+    points, rays = set(), set()
+    r = n - len(lineality)
+    if r == 0 and all(b >= 0 for _, b in cons):
+        points.add(tuple([Fraction(0)] * n))
+    subsets = itertools.combinations(planes.values(), r - 1) if r else ()
+    for subset in subsets:
+        sol = _solve_affine(list(subset) + lin_rows, n)
+        if sol is None or len(sol[1]) != 1:
+            continue
+        base, (d,) = sol
+        lo = hi = None
+        for a, b in cons:
+            alpha = sum(x * y for x, y in zip(a, d))
+            beta = b - sum(x * y for x, y in zip(a, base))
+            if alpha > 0:
+                hi = beta / alpha if hi is None else min(hi, beta / alpha)
+            elif alpha < 0:
+                lo = beta / alpha if lo is None else max(lo, beta / alpha)
+            elif beta < 0:
+                break
+        else:
+            if lo is None or hi is None or lo <= hi:
+                for end, ray in ((lo, tuple(-x for x in d)), (hi, d)):
+                    if end is None:
+                        rays.add(ray)
+                    else:
+                        points.add(tuple(x + end * y for x, y in zip(base, d)))
+    lowest = []
+    for x in points:
+        den = _lcm_all(c.denominator for c in x)
+        lowest.append(((tuple(int(c * den) for c in x), den), x))
+    return (tuple(lineality),
+            tuple((pt, frozenset(i for i, (a, b) in enumerate(rows)
+                                 if sum(c * y for c, y in zip(a, x)) == b))
+                  for pt, x in sorted(lowest)),
+            tuple((ray, frozenset(i for i, (a, _) in enumerate(rows)
+                                  if not sum(c * y for c, y in zip(a, ray))))
+                  for ray in sorted(rays)))
+
+
 def _lcm_all(values):
     out = 1
     for v in values:

@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,10 +17,10 @@ from polycx import (
     parse_poly,
 )
 from polycx.complexes import PolyhedralComplex
-from polycx import linalg
+from polycx import linalg, polyhedra
 from polycx.polyhedra import FaceRecord, _primitive, _solve_constraints
 
-from oracles import FMFaces, feasible
+from oracles import FMFaces, feasible, line_record
 
 
 def box(lo, hi):
@@ -173,6 +175,76 @@ def make(n, rows, tightened=()):
                               tightened)
 
 
+@st.composite
+def record_systems(draw):
+    """(n, rows, eq): closed systems in N = 1..4 as primitive integer rows,
+    as `RationalPolyhedron` hands them to `FaceRecord.build`.  Rows are
+    sometimes free of the last coordinates (lineality), sometimes boxed in
+    (bounded) and otherwise unbounded, with duplicate, scaled, opposite and
+    zero-normal rows, equality rows, and sometimes a contradictory pair
+    (empty)."""
+    n = draw(st.integers(1, 4))
+    free = draw(st.integers(0, n - 1))
+    coeff = st.integers(-2, 2)
+    rows = []
+    for a, b in draw(st.lists(st.tuples(st.lists(coeff, min_size=n, max_size=n),
+                                        st.integers(0, 3)), min_size=1, max_size=5)):
+        rows.append((a[:n - free] + [0] * free, Fraction(b)))
+    if draw(st.booleans()):
+        for i in range(n - free):
+            e = [int(i == j) for j in range(n)]
+            rows += [(e, Fraction(2)), ([-x for x in e], Fraction(2))]
+    for k, scale in draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                            st.sampled_from([1, 2, Fraction(1, 3), -1])),
+                                  max_size=2)):
+        a, b = rows[k]
+        rows.append(([x * scale for x in a], b * scale))
+    if draw(st.integers(0, 3)) == 3:
+        rows.append(([0] * n, Fraction(draw(st.sampled_from([1, 0, -1])))))
+    if draw(st.integers(0, 4)) == 4:
+        a, b = rows[draw(st.integers(0, len(rows) - 1))]
+        rows += [(a, b), ([-x for x in a], -b - 1)]
+    eq = frozenset(draw(st.sets(st.integers(0, len(rows) - 1), max_size=2)))
+    return n, [_primitive(a, b) for a, b in rows], eq
+
+
+def corrupting(mode, when, index):
+    """The double description engine, subclassed so that its `when`-th cut
+    first removes or negates the ray at `index` (modulo the number of
+    rays)."""
+
+    class Corrupted(polyhedra._Cone):
+        calls = 0
+
+        def cut(self, h):
+            self.calls += 1
+            if self.calls == when and self.rays:
+                k = index % len(self.rays)
+                if mode == "remove":
+                    del self.rays[k]
+                else:
+                    ray, tight = self.rays[k]
+                    self.rays[k] = ([-x for x in ray], tight)
+            return super().cut(h)
+
+    return Corrupted
+
+
+def box_cut_by_rows(n, m, seed):
+    """The box [-6, 6]^N and m random integer rows a·x <= b, each with b
+    in [4, 4·|a|_1], so that most of them cut off a corner of the box."""
+    rng = random.Random(seed)
+    rows = []
+    for i in range(n):
+        e = tuple(int(i == j) for j in range(n))
+        rows += [(e, 6), (tuple(-x for x in e), 6)]
+    while len(rows) < 2 * n + m:
+        a = [rng.randint(-3, 3) for _ in range(n)]
+        if any(a):
+            rows.append(_primitive(a, rng.randint(4, 4 * sum(map(abs, a)))))
+    return rows
+
+
 class TestFaceRecord:
     """The record-based face structure against the Fourier-Motzkin oracle."""
 
@@ -264,6 +336,57 @@ class TestFaceRecord:
         broken = FaceRecord(1, record.rows, record.eq, record.lineality, (), ())
         with pytest.raises(AssertionError, match="no vertex"):
             broken.certify()
+
+    @settings(max_examples=150, deadline=None)
+    @given(record_systems())
+    def test_build_matches_line_enumeration(self, system):
+        n, rows, eq = system
+        record = FaceRecord.build(n, rows, eq)
+        assert ((record.rows, record.eq, record.lineality, record.points, record.rays)
+                == (rows, eq) + line_record(n, rows, eq))
+
+    def test_boxes_cut_by_many_rows_build_in_time(self):
+        # the line enumeration made C(m, r - 1) eliminations: 12 s here
+        systems = [(n, box_cut_by_rows(n, m, seed))
+                   for seed, (n, m) in enumerate([(3, 20), (3, 40), (4, 28), (4, 32), (5, 40)])]
+        start = time.perf_counter()
+        records = [FaceRecord.build(n, rows, frozenset()) for n, rows in systems]
+        assert time.perf_counter() - start <= 2
+        assert all(record.points and not record.rays for record in records)
+
+    @pytest.mark.parametrize("system, mode, when, index, message", [
+        ("box", "remove", 4, 1, "edge walk"),
+        ("box", "flip", 5, 0, "violates a row"),
+        ("cone", "remove", 4, 1, "not a recorded ray"),
+        ("cone", "flip", 4, 1, "violates a row"),
+        # a removed ray leaves an empty system's record right: what is left
+        # of the cone still has no generator with t > 0
+        ("empty", "flip", 2, 1, "violates a row"),
+    ])
+    def test_corrupted_engine_is_rejected(self, monkeypatch, system, mode, when, index, message):
+        n, rows = {
+            "box": (3, box([0, 0, 0], [1, 1, 1])._rows()),
+            "cone": (3, [((-1, 0, 0), 0), ((0, -1, 0), 0)]),
+            "empty": (1, [((1,), 0), ((-1,), -1)]),
+        }[system]
+        monkeypatch.setattr(polyhedra, "_Cone", corrupting(mode, when, index))
+        with pytest.raises(AssertionError, match=message):
+            FaceRecord.build(n, rows, frozenset())
+
+    @settings(max_examples=100, deadline=None)
+    @given(record_systems(), st.sampled_from(["remove", "flip"]), st.integers(1, 12),
+           st.integers(0, 7))
+    def test_corrupted_engine_raises_or_changes_nothing(self, system, mode, when, index):
+        n, rows, eq = system
+        expected = FaceRecord.build(n, rows, eq)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polyhedra, "_Cone", corrupting(mode, when, index))
+            try:
+                record = FaceRecord.build(n, rows, eq)
+            except AssertionError:
+                return
+        assert (record.lineality, record.points, record.rays) == (
+            expected.lineality, expected.points, expected.rays)
 
     def test_face_structure_makes_no_feasibility_call(self, monkeypatch):
         P = box([0, 0, 0], [1, 1, 1])

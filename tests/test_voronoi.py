@@ -36,6 +36,7 @@ from polycx.voronoi import (bisector, _cell_inequalities, _certify_triangulation
 from oracles import (cell_inequalities, circumcenter_2d, simple_configuration,
                      open_simplices_meet, pairwise_triangulation)
 from _corpus import box, random_sites
+from test_polyhedra import corrupting
 
 # a small lattice with mixed denominators, so that collinear and cocircular
 # subsets are common
@@ -506,25 +507,6 @@ def as_pairs(rows):
     return [(q.normal, q.offset) for q in rows]
 
 
-def corrupting(mode, when, index):
-    """A `_CellCone.cut` that, on its `when`-th call for a cell, first
-    removes or negates the ray at `index` (modulo the number of rays)."""
-    real = voronoi._CellCone.cut
-
-    def cut(self, h):
-        self.calls = getattr(self, "calls", 0) + 1
-        if self.calls == when and self.rays:
-            k = index % len(self.rays)
-            if mode == "remove":
-                del self.rays[k]
-            else:
-                ray, tight = self.rays[k]
-                self.rays[k] = ([-x for x in ray], tight)
-        return real(self, h)
-
-    return cut
-
-
 class TestCellFilter:
     """The bisector filter on a cone of generators against the
     Fourier-Motzkin filter it replaced."""
@@ -561,18 +543,18 @@ class TestCellFilter:
         rays, each with the mask of its tight rows, and a lineality basis."""
         n = len(sites[0])
         cones = []
-        real = voronoi._CellCone.cut
 
-        def cut(self, h):
-            g = real(self, h)
-            if g is not None:
-                if not cones or cones[-1][0] is not self:
-                    cones.append((self, [[0] * n + [-1]]))
-                cones[-1][1].append(h)
-            return g
+        class Recording(polyhedra._Cone):
+            def cut(self, h):
+                g = super().cut(h)
+                if g is not None:
+                    if not cones or cones[-1][0] is not self:
+                        cones.append((self, [[0] * n + [-1]]))
+                    cones[-1][1].append(h)
+                return g
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(voronoi._CellCone, "cut", cut)
+            mp.setattr(voronoi, "_Cone", Recording)
             for i in range(len(sites)):
                 _cell_inequalities(SiteSet(n, sites), i)
         for cone, rows in cones:
@@ -607,7 +589,7 @@ class TestCellFilter:
         ("flip", 2, 0, "witness generator"),
     ])
     def test_corrupted_cone_is_rejected(self, monkeypatch, mode, when, index, message):
-        monkeypatch.setattr(voronoi._CellCone, "cut", corrupting(mode, when, index))
+        monkeypatch.setattr(voronoi, "_Cone", corrupting(mode, when, index))
         with pytest.raises(AssertionError, match=message):
             voronoi_complex(SiteSet(2, self.GRID))
 
@@ -620,7 +602,7 @@ class TestCellFilter:
         Y = SiteSet(len(sites[0]), sites)
         expected = format_cplx(voronoi_complex(Y))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(voronoi._CellCone, "cut", corrupting(mode, when, index))
+            mp.setattr(voronoi, "_Cone", corrupting(mode, when, index))
             try:
                 got = format_cplx(voronoi_complex(Y))
             except AssertionError:
