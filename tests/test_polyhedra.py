@@ -346,7 +346,8 @@ class TestFaceRecord:
                 == (rows, eq) + line_record(n, rows, eq))
 
     def test_boxes_cut_by_many_rows_build_in_time(self):
-        # the line enumeration made C(m, r - 1) eliminations: 12 s here
+        # the line enumeration made C(m, r - 1) eliminations: 12 s on a
+        # 2-core x86 machine under Python 3.11, against 0.24 s for these five
         systems = [(n, box_cut_by_rows(n, m, seed))
                    for seed, (n, m) in enumerate([(3, 20), (3, 40), (4, 28), (4, 32), (5, 40)])]
         start = time.perf_counter()
