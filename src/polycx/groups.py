@@ -8,6 +8,7 @@ simplicial model of the presentation complex.
 """
 
 import json
+import sys
 from dataclasses import dataclass
 
 from .homology import smith_normal_form, homology
@@ -265,6 +266,8 @@ def parse_grp(text):
     g = int(lines[0].split()[1])
     if g < 0:
         raise ValueError("GRP/1: generator count %d is negative (line 1)" % g)
+    if g > sys.maxsize:  # no list of g exponents can be built
+        raise ValueError("GRP/1: generator count %d cannot index a list (line 1)" % g)
     relators = []
     for lineno, ln in enumerate(lines[1:], start=2):
         word = []

@@ -1,12 +1,16 @@
 """Simplicial homology over Z and Q via integer Smith normal form.
 
-The SNF routine records the unimodular row/column transforms so results
-can be certified by re-multiplication; homology uses boundary matrices of
-the ordered simplices of a complex.  Boundary matrices are mostly zeros,
-so every routine here loops over nonzero entries only; a zero term adds
-nothing to a sum, so skipping it changes no value.
+The SNF routine records its row/column transforms U and V together with
+a log of the elementary operations that built them, so a result is
+certified by re-multiplication, U M V = D, and by replaying the log: each
+logged operation is an integer matrix of determinant +-1, so U and V are
+unimodular.  Homology uses boundary matrices of the ordered simplices of
+a complex, built and checked once per complex.  Boundary matrices are
+mostly zeros, so every routine here loops over nonzero entries only; a
+zero term adds nothing to a sum, so skipping it changes no value.
 """
 
+import weakref
 from dataclasses import dataclass
 from itertools import compress
 
@@ -44,37 +48,95 @@ def mat_mul(A, B):
     return out
 
 
+# A Smith form's log holds four ints (code, dst, src, q) per operation.
+# Codes 0-2 act on the rows of U and codes 3-5 on the rows of V^T (the
+# columns of V): SWAP exchanges rows dst and src, ADD adds q times row src
+# to row dst, NEGATE negates row dst (src = dst, q = 0 as written).
+SWAP, ADD, NEGATE = 0, 1, 2
+V_SIDE = 3
+
+
+def _replay(log, m, n):
+    """The rows of U and of V^T as dicts {column: nonzero entry}: I_m and
+    I_n after the logged operations.  None if the log leaves its grammar:
+    a length that is not a multiple of four, an entry that is not an int,
+    an unknown code, an index out of range, or an ADD with src = dst (the
+    one operation that would scale a row)."""
+    if len(log) % 4 or not set(map(type, log)) <= {int}:
+        return None
+    sides = ([{i: 1} for i in range(m)], [{j: 1} for j in range(n)])
+    ops = iter(log)
+    for code, dst, src, q in zip(ops, ops, ops, ops):
+        if not 0 <= code < 2 * V_SIDE:
+            return None
+        side, kind = divmod(code, V_SIDE)
+        R = sides[side]
+        if not (0 <= dst < len(R) and 0 <= src < len(R)):
+            return None
+        if kind == SWAP:
+            R[dst], R[src] = R[src], R[dst]
+        elif kind == ADD:
+            if dst == src:
+                return None
+            row = R[dst]
+            for k, a in R[src].items():
+                b = row.get(k, 0) + q * a
+                if b:
+                    row[k] = b
+                else:
+                    row.pop(k, None)
+        else:
+            R[dst] = {k: -a for k, a in R[dst].items()}
+    return sides
+
+
+def _matches(T, rows, transposed=False):
+    """Whether the n x n matrix T (read as its transpose if `transposed`)
+    has exactly the n sparse rows: every entry of them is in place and T
+    has no other nonzero entry."""
+    n = len(rows)
+    if (len(T) != n or any(len(row) != n for row in T)
+            or sum(n - row.count(0) for row in T) != sum(map(len, rows))):
+        return False
+    if transposed:
+        return all(T[k][j] == a for j, row in enumerate(rows) for k, a in row.items())
+    return all(Ti[k] == a for Ti, row in zip(T, rows) for k, a in row.items())
+
+
 @dataclass
 class SmithForm:
     diagonal: list          # full diagonal matrix U M V
     invariant_factors: list  # the nonzero d_1 | d_2 | ...
     U: list
     V: list
+    log: list = ()          # the operations that built U and V, see _replay
 
     def certify(self, M):
         """True iff this is a Smith normal form of M: the invariant factors
         are positive, each divides the next, D is the m x n diagonal matrix
-        of them padded with zeros, U M V = D, and |det U| = |det V| = 1."""
+        of them padded with zeros, U M V = D, and the log replayed from the
+        identities gives exactly U and V.  Every operation the log admits
+        is an integer matrix of determinant +-1, so then |det U| =
+        |det V| = 1."""
         m, n = len(M), len(M[0]) if M else 0
         factors = self.invariant_factors
         if (len(factors) > min(m, n) or any(d <= 0 for d in factors)
                 or any(b % a for a, b in zip(factors, factors[1:]))):
             return False
+        sides = _replay(self.log, m, n)
+        if (sides is None or not _matches(self.U, sides[0])
+                or not _matches(self.V, sides[1], transposed=True)):
+            return False
         zero = [0] * n
         D = [zero] * m  # rows past the factors share one zero row
         for i, d in enumerate(factors):
             D[i] = zero[:i] + [d] + zero[i + 1:]
-        if self.diagonal != D or mat_mul(mat_mul(self.U, M), self.V) != D:
-            return False
-        if self.U and abs(linalg.int_det(self.U)) != 1:
-            return False
-        if self.V and abs(linalg.int_det(self.V)) != 1:
-            return False
-        return True
+        return self.diagonal == D and mat_mul(mat_mul(self.U, M), self.V) == D
 
 
 def smith_normal_form(M):
-    """Smith normal form with recorded unimodular transforms U M V = D.
+    """Smith normal form with recorded unimodular transforms U M V = D and
+    the log of the operations that built U and V.
 
     The pivot is the first entry of least absolute value in row-major order
     of the part of A not yet diagonalised.  Rows and columns before the
@@ -85,6 +147,7 @@ def smith_normal_form(M):
     n = len(A[0]) if A else 0
     U = _identity(m)
     V = _identity(n)
+    log = []
 
     def min_entry(t):
         best, least = None, 0
@@ -108,11 +171,13 @@ def smith_normal_form(M):
         if i != t:
             A[t], A[i] = A[i], A[t]
             U[t], U[i] = U[i], U[t]
+            log += (SWAP, t, i, 0)
         if j != t:
             for row in A[t:]:
                 row[t], row[j] = row[j], row[t]
             for row in V:
                 row[t], row[j] = row[j], row[t]
+            log += (V_SIDE + SWAP, t, j, 0)
         At, Ut = A[t], U[t]
         p = At[t]
         # row t is not changed by the row operations below it, nor column t
@@ -129,6 +194,7 @@ def smith_normal_form(M):
                     Ui = U[i]
                     for k in u_cols:
                         Ui[k] -= q * Ut[k]
+                    log += (ADD, i, t, -q)
                 if Ai[t]:
                     reduced_something = True
         a_rows = [i for i in range(t, m) if A[i][t]]
@@ -142,6 +208,7 @@ def smith_normal_form(M):
                 for r in v_rows:
                     Vr = V[r]
                     Vr[j] -= q * Vr[t]
+                log += (V_SIDE + ADD, j, t, -q)
             if At[j]:
                 reduced_something = True
         if reduced_something:
@@ -155,13 +222,15 @@ def smith_normal_form(M):
                     At[k] += As[k]
                 for k in _nonzeros(Us):
                     Ut[k] += Us[k]
+                log += (ADD, t, stray, 1)
                 continue
         if p < 0:
             A[t] = [-a for a in At]
             U[t] = [-a for a in Ut]
+            log += (NEGATE, t, t, 0)
         t += 1
     factors = [A[i][i] for i in range(t)]
-    return SmithForm(A, factors, U, V)
+    return SmithForm(A, factors, U, V, log)
 
 
 def int_rank(M):
@@ -183,24 +252,52 @@ class ChainComplex:
 
     @staticmethod
     def of_complex(K):
-        # each simplex sorted once, into its label keys; the key lists of
-        # one dimension sort into the order of K.simplices(k)
-        dim = K.dim()
-        keys = {k: [] for k in range(dim + 1)}
-        for s in K:
-            keys[len(s) - 1].append(sorted(map(label_key, s)))
-        simplices = {k: [tuple(v for _, v in key) for key in sorted(keys[k])] for k in keys}
-        index = {k: {s: i for i, s in enumerate(simplices[k])} for k in simplices}
-        ranks = [len(simplices[k]) for k in range(dim + 1)]
-        boundaries = {}
-        for k in range(1, dim + 1):
-            M = [[0] * ranks[k] for _ in range(ranks[k - 1])]
-            for j, s in enumerate(simplices[k]):
-                for drop in range(len(s)):
-                    face = s[:drop] + s[drop + 1:]
-                    M[index[k - 1][face]][j] = (-1) ** drop
-            boundaries[k] = M
-        return ChainComplex(ranks, boundaries)
+        """The chain complex of K, with its own copy of every row: a caller
+        may edit it without touching the checked complex that homology
+        shares."""
+        cc = _checked_complex(K)
+        out = ChainComplex.__new__(ChainComplex)
+        out.ranks = list(cc.ranks)
+        out.boundaries = {k: [row[:] for row in M] for k, M in cc.boundaries.items()}
+        return out
+
+
+def _build_complex(K):
+    # each simplex sorted once, into its label keys; the key lists of one
+    # dimension sort into the order of K.simplices(k)
+    dim = K.dim()
+    keys = {k: [] for k in range(dim + 1)}
+    for s in K:
+        keys[len(s) - 1].append(sorted(map(label_key, s)))
+    simplices = {k: [tuple(v for _, v in key) for key in sorted(keys[k])] for k in keys}
+    index = {k: {s: i for i, s in enumerate(simplices[k])} for k in simplices}
+    ranks = [len(simplices[k]) for k in range(dim + 1)]
+    boundaries = {}
+    for k in range(1, dim + 1):
+        M = [[0] * ranks[k] for _ in range(ranks[k - 1])]
+        for j, s in enumerate(simplices[k]):
+            for drop in range(len(s)):
+                face = s[:drop] + s[drop + 1:]
+                M[index[k - 1][face]][j] = (-1) ** drop
+        boundaries[k] = M
+    return ChainComplex(ranks, boundaries)
+
+
+# one slot: a weak reference to the last complex and its checked chain
+# complex, which nothing edits.  A SimplicialComplex is not changed after it
+# is built, and a dead reference matches no complex.
+_last_complex = (lambda: None, None)
+
+
+def _checked_complex(K):
+    """The chain complex of K, built and checked for d d = 0 once while K is
+    the last complex asked for."""
+    global _last_complex
+    ref, cc = _last_complex
+    if ref() is not K:
+        cc = _build_complex(K)
+        _last_complex = (weakref.ref(K), cc)
+    return cc
 
 
 @dataclass
@@ -222,7 +319,7 @@ class HomologyProfile:
 def homology(K, ring="Z"):
     if ring not in ("Z", "Q"):
         raise ValueError("ring must be 'Z' or 'Q'")
-    cc = ChainComplex.of_complex(K)
+    cc = _checked_complex(K)
     dim = len(cc.ranks) - 1
     if dim < 0:
         return HomologyProfile((), ())

@@ -112,8 +112,9 @@ def no_limit_witness(max_degree, shear=True):
             b = [[sum(coeff("c", i, j - 2 * k, k) for k in range(j // 2 + 1))
                   for j in (0, 1)] for i in range(w + 2)]
             for i in range(w + 1):
-                # a(i,0) = b(i,0) and a(i,1) = b(i,1)
-                if coeff("c", i, 0, 0) != b[i][0] or coeff("c", i, 1, 0) != b[i][1]:
+                # a(i,0) = b(i,0) and a(i,1) = b(i,1), with a read off the
+                # second chart's plane, a(i,j) = d(i,j,0)
+                if coeff("d", i, 0, 0) != b[i][0] or coeff("d", i, 1, 0) != b[i][1]:
                     identities_3 = False
                 # a(i,1) = b(i,1) - (i+1) b(i+1,0)
                 if shear and coeff("c", i, 1, 0) != b[i][1] - (i + 1) * b[i + 1][0]:

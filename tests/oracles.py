@@ -797,9 +797,10 @@ def no_limit_identities(blocks, shear):
                            Fraction(0))
 
             for i in range(w + 1):
-                if coeff("c", i, 0, 0) != b_of(i, 0):
+                # a(i, j) is read off the second chart's plane, d(i, j, 0)
+                if coeff("d", i, 0, 0) != b_of(i, 0):
                     identities_3 = False
-                if coeff("c", i, 1, 0) != b_of(i, 1):
+                if coeff("d", i, 1, 0) != b_of(i, 1):
                     identities_3 = False
                 if shear and coeff("c", i, 1, 0) != b_of(i, 1) - (i + 1) * b_of(i + 1, 0):
                     identities_4 = False

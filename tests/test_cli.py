@@ -279,6 +279,19 @@ def test_negative_generator_count_is_input_error(tmp_path, capsys):
     assert not rep.exists()
 
 
+def test_huge_generator_count_is_input_error(tmp_path, capsys):
+    # a count past sys.maxsize cannot size the exponent rows; counts that
+    # fit an index but would allocate gigabytes are left untested
+    for text in ("gens 99999999999999999999\nx1\n", "gens 99999999999999999999\n"):
+        grp = write(tmp_path / "huge.grp", text)
+        rep = tmp_path / "sp.json"
+        assert run(["superperfect", "--presentation", grp, "--out", str(rep)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "(line 1)" in err
+        assert err.count("\n") == 1
+        assert not rep.exists()
+
+
 def test_clip_dimension_mismatch_is_input_error(tmp_path, capsys):
     good = write(tmp_path / "g.pts", "2 3\n0 0\n2 0\n0 2\n")
     for piece in ("1\n1 2\n1 <= 1\n-1 <= 1\n", "1\n0 0\n"):

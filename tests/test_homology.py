@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polycx import SimplicialComplex, homology, smith_normal_form
-from polycx.homology import ChainComplex, SmithForm, int_rank, mat_mul
+from polycx import SimplicialComplex, homology, linalg, smith_normal_form
+from polycx.homology import ADD, NEGATE, SWAP, V_SIDE, ChainComplex, SmithForm, int_rank, mat_mul
 
 import oracles
 from oracles import snf_invariant_factors, betti_numbers
@@ -41,10 +41,11 @@ class TestSmithNormalForm:
         snf = smith_normal_form(M)
         D = [row[:] for row in snf.diagonal]
         D[0][0] += 1
-        assert not SmithForm(D, snf.invariant_factors, snf.U, snf.V).certify(M)
+        assert not SmithForm(D, snf.invariant_factors, snf.U, snf.V, snf.log).certify(M)
 
     def test_certify_rejects_non_unimodular_transforms(self):
-        # (2U) M V = U M (2V) = 2D still hold, but |det 2U| = |det 2V| != 1
+        # (2U) M V = U M (2V) = 2D still hold, but |det 2U| = |det 2V| != 1,
+        # so the log of U and V replays to neither
         M = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
         snf = smith_normal_form(M)
         U2 = [[2 * x for x in row] for row in snf.U]
@@ -52,7 +53,7 @@ class TestSmithNormalForm:
         D2 = [[2 * x for x in row] for row in snf.diagonal]
         for U, V in ((U2, snf.V), (snf.U, V2)):
             assert mat_mul(mat_mul(U, M), V) == D2
-            assert not SmithForm(D2, snf.invariant_factors, U, V).certify(M)
+            assert not SmithForm(D2, snf.invariant_factors, U, V, snf.log).certify(M)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(st.integers(-30, 30), min_size=3, max_size=3),
@@ -144,7 +145,7 @@ class TestSparseKernel:
         j = data.draw(st.integers(0, len(M[0]) - 1))
         D = [row[:] for row in snf.diagonal]
         D[i][j] += data.draw(st.sampled_from([1, -1, 2]))
-        assert not SmithForm(D, snf.invariant_factors, snf.U, snf.V).certify(M)
+        assert not SmithForm(D, snf.invariant_factors, snf.U, snf.V, snf.log).certify(M)
 
     def test_certify_rejects_u_of_determinant_two(self):
         M, U, V, D = [[1]], [[2]], [[1]], [[2]]
@@ -179,6 +180,111 @@ class TestSparseKernel:
         assert not SmithForm(D, [1], U, V).certify(M)
 
 
+def logged_ops(snf, side):
+    """Positions in snf.log of the ADD operations on U (side 0) or V (side 1)."""
+    code = side * V_SIDE + ADD
+    return [p for p in range(0, len(snf.log), 4) if snf.log[p] == code]
+
+
+class TestOperationLog:
+    """The unimodularity certificate: the log replayed from the identities
+    must give U and V exactly.  Every logged operation is an integer matrix
+    of determinant +-1; linalg.int_det, the check the replay replaced, is
+    the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(int_matrices(), boundary_matrices()))
+    def test_every_smith_form_replays_to_unimodular_transforms(self, M):
+        snf = smith_normal_form(M)
+        assert snf.certify(M)
+        assert len(snf.log) % 4 == 0
+        for T in (snf.U, snf.V):
+            assert not T or abs(linalg.int_det(T)) == 1
+
+    def test_certify_computes_no_determinant(self, monkeypatch):
+        def refuse(T):
+            raise AssertionError("int_det called")
+        monkeypatch.setattr(linalg, "int_det", refuse)
+        M = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
+        assert smith_normal_form(M).certify(M)
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_matrices(), st.sampled_from(["U", "V"]), st.data())
+    def test_certify_rejects_one_changed_entry_of_a_transform(self, M, name, data):
+        snf = smith_normal_form(M)
+        T = [row[:] for row in getattr(snf, name)]
+        if not T:
+            return
+        i = data.draw(st.integers(0, len(T) - 1))
+        j = data.draw(st.integers(0, len(T) - 1))
+        T[i][j] += data.draw(st.sampled_from([1, -1, 2]))
+        U, V = (T, snf.V) if name == "U" else (snf.U, T)
+        assert not SmithForm(snf.diagonal, snf.invariant_factors, U, V, snf.log).certify(M)
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_matrices(), st.sampled_from([0, 1]), st.sampled_from([1, -1, 2]), st.data())
+    def test_certify_rejects_a_log_that_disagrees_with_u_or_v(self, M, side, delta, data):
+        # changing q by delta adds delta times a row of an invertible
+        # matrix to another row, so the replay no longer gives U (or V)
+        snf = smith_normal_form(M)
+        ops = logged_ops(snf, side)
+        if not ops:
+            return
+        log = list(snf.log)
+        log[data.draw(st.sampled_from(ops)) + 3] += delta
+        assert not SmithForm(snf.diagonal, snf.invariant_factors, snf.U, snf.V, log).certify(M)
+
+    def test_certify_rejects_a_log_missing_its_last_operation(self):
+        M = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
+        snf = smith_normal_form(M)
+        assert snf.log
+        assert not SmithForm(snf.diagonal, snf.invariant_factors, snf.U, snf.V,
+                             snf.log[:-4]).certify(M)
+
+    def test_certify_rejects_an_add_that_scales_a_row(self):
+        # row 0 += 1 * row 0 would double it: U = [[2]] and U M V = D hold,
+        # but the log grammar admits no add with src = dst
+        M, U, V, D = [[1]], [[2]], [[1]], [[2]]
+        assert mat_mul(mat_mul(U, M), V) == D
+        assert not SmithForm(D, [2], U, V, [ADD, 0, 0, 1]).certify(M)
+        assert not SmithForm(D, [2], V, U, [V_SIDE + ADD, 0, 0, 1]).certify(M)
+
+    I2 = [[1, 0], [0, 1]]
+
+    @pytest.mark.parametrize("log", [
+        [ADD, 0, -1, 1],               # a negative index would read row 1
+        [ADD, 0, 2, 1],
+        [SWAP, 0, 2, 0],
+        [NEGATE, 2, 2, 0],
+        [V_SIDE + SWAP, 0, 2, 0],
+        [2 * V_SIDE, 0, 1, 1],         # no such code
+        [-1, 0, 1, 1],
+        [ADD, 0, 1],                   # not four ints per operation
+        [ADD, 0, 1, 1.0],              # not an int
+    ], ids=["negative", "add", "swap", "negate", "v-swap", "code-6", "code-minus-1",
+            "short", "float"])
+    def test_certify_rejects_a_log_outside_its_grammar(self, log):
+        # with [ADD, 0, 1, 1] the same form is certified: row 0 += row 1
+        U = [[1, 1], [0, 1]]
+        M = [[1, -1], [0, 1]]
+        assert SmithForm(self.I2, [1, 1], U, self.I2, [ADD, 0, 1, 1]).certify(M)
+        assert not SmithForm(self.I2, [1, 1], U, self.I2, log).certify(M)
+
+    def test_every_operation_of_the_grammar_is_unimodular(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            log = []
+            for _ in range(rng.randint(0, 12)):
+                code = rng.randrange(2 * V_SIDE)
+                dst, src = rng.sample(range(4), 2)
+                log += [code, dst, src if code % V_SIDE != NEGATE else dst,
+                        rng.randint(-3, 3) if code % V_SIDE == ADD else 0]
+            U, Vt = importlib.import_module("polycx.homology")._replay(log, 4, 4)
+            for rows in (U, Vt):
+                dense = [[row.get(j, 0) for j in range(4)] for row in rows]
+                assert abs(linalg.int_det(dense)) == 1
+
+
 class TestChainComplex:
 
     def test_boundary_of_boundary_checked(self):
@@ -193,6 +299,34 @@ class TestChainComplex:
         cc = ChainComplex.of_complex(torus())
         prod = mat_mul(cc.boundaries[1], cc.boundaries[2])
         assert all(all(x == 0 for x in row) for row in prod)
+
+    def test_edited_rows_change_no_later_result(self):
+        K = projective_plane()
+        want = ChainComplex.of_complex(K).boundaries
+        z, q = homology(K, "Z"), homology(K, "Q")
+        cc = ChainComplex.of_complex(K)
+        cc.boundaries[1][0][0] += 5
+        cc.boundaries[2][0] = [7] * len(cc.boundaries[2][0])
+        cc.ranks[0] = 99
+        assert homology(K, "Z") == z and homology(K, "Q") == q
+        again = ChainComplex.of_complex(K)
+        assert again.boundaries == want and again.ranks == [6, 15, 10]
+
+    def test_one_build_per_complex(self, monkeypatch):
+        module = importlib.import_module("polycx.homology")
+        builds = []
+
+        def counted(K):
+            builds.append(K)
+            return build(K)
+        build = module._build_complex
+        monkeypatch.setattr(module, "_build_complex", counted)
+        K, L = torus(), sphere2()
+        homology(K, "Z"), homology(K, "Q"), ChainComplex.of_complex(K)
+        assert builds == [K]
+        assert homology(L, "Z").betti == (1, 0, 1)
+        assert homology(K, "Z").betti == (1, 2, 1)  # the slot holds L now
+        assert builds == [K, L, K]
 
 
 class TestHomology:
@@ -223,7 +357,7 @@ class TestHomology:
             snf = smith_normal_form(M)
             return SmithForm([[2 * x for x in row] for row in snf.diagonal],
                              snf.invariant_factors,
-                             [[2 * x for x in row] for row in snf.U], snf.V)
+                             [[2 * x for x in row] for row in snf.U], snf.V, snf.log)
         # the package exports the function `homology` under the module's name
         module = importlib.import_module("polycx.homology")
         monkeypatch.setattr(module, "smith_normal_form", doubled)

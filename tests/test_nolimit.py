@@ -72,3 +72,13 @@ def test_identities_match_fraction_oracle(degree, shear, monkeypatch):
     monkeypatch.setattr(linalg, "nullspace", spiked)
     report = no_limit_witness(degree, shear=shear)
     assert (report["identities_3"], report["identities_4"]) == want
+
+
+@pytest.mark.parametrize("shear", [True, False], ids=["shear", "control"])
+@pytest.mark.parametrize("degree", [1, 4])
+def test_stray_kernel_vector_breaks_identities_3(degree, shear, monkeypatch):
+    # the stray vector has c(i, j, 0) != d(i, j, 0), so the first chart's
+    # pullback b(i, j) differs from the second chart's plane
+    assert no_limit_witness(degree, shear=shear)["identities_3"] is True
+    monkeypatch.setattr(linalg, "nullspace", spiked)
+    assert no_limit_witness(degree, shear=shear)["identities_3"] is False
