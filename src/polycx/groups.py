@@ -67,6 +67,9 @@ def abelianization(pres):
     if not M or pres.generators == 0:
         return pres.generators, ()
     snf = smith_normal_form(M)
+    if not snf.certify(M):
+        raise AssertionError("Smith form of the %d x %d exponent matrix failed certification"
+                             % (len(M), pres.generators))
     factors = snf.invariant_factors
     free_rank = pres.generators - len(factors)
     return free_rank, tuple(d for d in factors if d > 1)

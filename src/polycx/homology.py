@@ -1,13 +1,14 @@
 """Simplicial homology over Z and Q via integer Smith normal form.
 
-The SNF routine records its row/column transforms U and V together with
-a log of the elementary operations that built them, so a result is
-certified by re-multiplication, U M V = D, and by replaying the log: each
-logged operation is an integer matrix of determinant +-1, so U and V are
-unimodular.  Homology uses boundary matrices of the ordered simplices of
-a complex, built and checked once per complex.  Boundary matrices are
-mostly zeros, so every routine here loops over nonzero entries only; a
-zero term adds nothing to a sum, so skipping it changes no value.
+The SNF routine records the row and column operations that carry M to its
+diagonal form D in one log; the transforms U and V are read off that log.
+A result is certified by replaying the log on M: the replay must give D
+exactly, and each logged operation is an integer matrix of determinant
++-1, so U and V are unimodular.  Homology uses boundary matrices of the
+ordered simplices of a complex, built and checked once per complex.
+Boundary matrices are mostly zeros, so every routine here loops over
+nonzero entries only; a zero term adds nothing to a sum, so skipping it
+changes no value.
 """
 
 import weakref
@@ -19,13 +20,6 @@ from .simplicial import label_key
 
 
 # -- integer matrices -------------------------------------------------------------
-
-def _identity(n):
-    I = [[0] * n for _ in range(n)]
-    for i in range(n):
-        I[i][i] = 1
-    return I
-
 
 def _nonzeros(row, start=0):
     """Indices >= start of the nonzero entries of a row, in order."""
@@ -56,28 +50,30 @@ SWAP, ADD, NEGATE = 0, 1, 2
 V_SIDE = 3
 
 
-def _replay(log, m, n):
-    """The rows of U and of V^T as dicts {column: nonzero entry}: I_m and
-    I_n after the logged operations.  None if the log leaves its grammar:
-    a length that is not a multiple of four, an entry that is not an int,
-    an unknown code, an index out of range, or an ADD with src = dst (the
-    one operation that would scale a row)."""
+def _replay(log, R, side, other):
+    """Apply the logged operations of one side (0 for U, 1 for V^T) in log
+    order to R, a list of sparse rows (dicts {column: nonzero entry}), and
+    return R; `other` is the number of rows of the other side.  Raises
+    ValueError if the log leaves its grammar: a length that is not a
+    multiple of four, an entry that is not an int, an unknown code, an
+    index out of range on either side, or an ADD with src = dst (the one
+    operation that would scale a row)."""
     if len(log) % 4 or not set(map(type, log)) <= {int}:
-        return None
-    sides = ([{i: 1} for i in range(m)], [{j: 1} for j in range(n)])
+        raise ValueError("a Smith form log holds four ints per operation")
     ops = iter(log)
     for code, dst, src, q in zip(ops, ops, ops, ops):
         if not 0 <= code < 2 * V_SIDE:
-            return None
-        side, kind = divmod(code, V_SIDE)
-        R = sides[side]
-        if not (0 <= dst < len(R) and 0 <= src < len(R)):
-            return None
+            raise ValueError("unknown Smith form operation code %d" % code)
+        s, kind = divmod(code, V_SIDE)
+        size = len(R) if s == side else other
+        if not (0 <= dst < size and 0 <= src < size) or (kind == ADD and dst == src):
+            raise ValueError("Smith form operation %r is outside the grammar on %d rows"
+                             % ((code, dst, src, q), size))
+        if s != side:
+            continue
         if kind == SWAP:
             R[dst], R[src] = R[src], R[dst]
         elif kind == ADD:
-            if dst == src:
-                return None
             row = R[dst]
             for k, a in R[src].items():
                 b = row.get(k, 0) + q * a
@@ -87,56 +83,68 @@ def _replay(log, m, n):
                     row.pop(k, None)
         else:
             R[dst] = {k: -a for k, a in R[dst].items()}
-    return sides
-
-
-def _matches(T, rows, transposed=False):
-    """Whether the n x n matrix T (read as its transpose if `transposed`)
-    has exactly the n sparse rows: every entry of them is in place and T
-    has no other nonzero entry."""
-    n = len(rows)
-    if (len(T) != n or any(len(row) != n for row in T)
-            or sum(n - row.count(0) for row in T) != sum(map(len, rows))):
-        return False
-    if transposed:
-        return all(T[k][j] == a for j, row in enumerate(rows) for k, a in row.items())
-    return all(Ti[k] == a for Ti, row in zip(T, rows) for k, a in row.items())
+    return R
 
 
 @dataclass
 class SmithForm:
-    diagonal: list          # full diagonal matrix U M V
+    diagonal: list           # full diagonal matrix U M V
     invariant_factors: list  # the nonzero d_1 | d_2 | ...
-    U: list
-    V: list
-    log: list = ()          # the operations that built U and V, see _replay
+    log: list                # the operations U and V are made of, see _replay
+
+    @property
+    def U(self):
+        """U as a dense m x m list of rows: I_m after the logged row
+        operations."""
+        m, n = len(self.diagonal), len(self.diagonal[0]) if self.diagonal else 0
+        rows = _replay(self.log, [{i: 1} for i in range(m)], 0, n)
+        return [[row.get(j, 0) for j in range(m)] for row in rows]
+
+    @property
+    def V(self):
+        """V as a dense n x n list of rows: the transpose of I_n after the
+        logged column operations, which act on the rows of V^T."""
+        m, n = len(self.diagonal), len(self.diagonal[0]) if self.diagonal else 0
+        rows = _replay(self.log, [{j: 1} for j in range(n)], 1, m)
+        return [[row.get(i, 0) for row in rows] for i in range(n)]
 
     def certify(self, M):
         """True iff this is a Smith normal form of M: the invariant factors
         are positive, each divides the next, D is the m x n diagonal matrix
-        of them padded with zeros, U M V = D, and the log replayed from the
-        identities gives exactly U and V.  Every operation the log admits
-        is an integer matrix of determinant +-1, so then |det U| =
-        |det V| = 1."""
+        of them padded with zeros, and the logged operations carry M to D.
+        Row operations multiply on the left and column operations on the
+        right, so they commute: replaying the row operations on the rows of
+        M gives U M, and replaying the column operations on the rows of
+        (U M)^T gives (U M V)^T, which must be exactly D^T.  Every operation
+        the log admits is an integer matrix of determinant +-1, so U and V
+        are unimodular.  No product and no determinant is computed."""
         m, n = len(M), len(M[0]) if M else 0
         factors = self.invariant_factors
         if (len(factors) > min(m, n) or any(d <= 0 for d in factors)
                 or any(b % a for a, b in zip(factors, factors[1:]))):
             return False
-        sides = _replay(self.log, m, n)
-        if (sides is None or not _matches(self.U, sides[0])
-                or not _matches(self.V, sides[1], transposed=True)):
-            return False
         zero = [0] * n
         D = [zero] * m  # rows past the factors share one zero row
         for i, d in enumerate(factors):
             D[i] = zero[:i] + [d] + zero[i + 1:]
-        return self.diagonal == D and mat_mul(mat_mul(self.U, M), self.V) == D
+        if self.diagonal != D:
+            return False
+        try:
+            UM = _replay(self.log, [{j: row[j] for j in _nonzeros(row)} for row in M], 0, n)
+            T = [{} for _ in range(n)]
+            for i, row in enumerate(UM):
+                for j, a in row.items():
+                    T[j][i] = a
+            T = _replay(self.log, T, 1, m)
+        except ValueError:
+            return False
+        return T == [{j: d} for j, d in enumerate(factors)] + [{}] * (n - len(factors))
 
 
 def smith_normal_form(M):
-    """Smith normal form with recorded unimodular transforms U M V = D and
-    the log of the operations that built U and V.
+    """Smith normal form D of M with the log of the row and column
+    operations that carry M to D; U and V, with U M V = D, are read off the
+    log.
 
     The pivot is the first entry of least absolute value in row-major order
     of the part of A not yet diagonalised.  Rows and columns before the
@@ -145,8 +153,6 @@ def smith_normal_form(M):
     A = [list(map(int, row)) for row in M]
     m = len(A)
     n = len(A[0]) if A else 0
-    U = _identity(m)
-    V = _identity(n)
     log = []
 
     def min_entry(t):
@@ -170,19 +176,16 @@ def smith_normal_form(M):
         i, j = pos
         if i != t:
             A[t], A[i] = A[i], A[t]
-            U[t], U[i] = U[i], U[t]
             log += (SWAP, t, i, 0)
         if j != t:
             for row in A[t:]:
                 row[t], row[j] = row[j], row[t]
-            for row in V:
-                row[t], row[j] = row[j], row[t]
             log += (V_SIDE + SWAP, t, j, 0)
-        At, Ut = A[t], U[t]
+        At = A[t]
         p = At[t]
         # row t is not changed by the row operations below it, nor column t
         # by the column operations right of it
-        a_cols, u_cols = _nonzeros(At, t), _nonzeros(Ut)
+        a_cols = _nonzeros(At, t)
         reduced_something = False
         for i in range(t + 1, m):
             Ai = A[i]
@@ -191,23 +194,16 @@ def smith_normal_form(M):
                 if q:  # row_i -= q * row_t
                     for k in a_cols:
                         Ai[k] -= q * At[k]
-                    Ui = U[i]
-                    for k in u_cols:
-                        Ui[k] -= q * Ut[k]
                     log += (ADD, i, t, -q)
                 if Ai[t]:
                     reduced_something = True
         a_rows = [i for i in range(t, m) if A[i][t]]
-        v_rows = [r for r in range(n) if V[r][t]]
         for j in a_cols[1:]:
             q = At[j] // p
             if q:  # col_j -= q * col_t
                 for i in a_rows:
                     Ai = A[i]
                     Ai[j] -= q * Ai[t]
-                for r in v_rows:
-                    Vr = V[r]
-                    Vr[j] -= q * Vr[t]
                 log += (V_SIDE + ADD, j, t, -q)
             if At[j]:
                 reduced_something = True
@@ -217,20 +213,17 @@ def smith_normal_form(M):
             stray = next((i for i in range(t + 1, m)
                           if any(a % p for a in A[i][t + 1:])), None)
             if stray is not None:  # fold the stray row into the pivot row
-                As, Us = A[stray], U[stray]
+                As = A[stray]
                 for k in _nonzeros(As, t):
                     At[k] += As[k]
-                for k in _nonzeros(Us):
-                    Ut[k] += Us[k]
                 log += (ADD, t, stray, 1)
                 continue
         if p < 0:
             A[t] = [-a for a in At]
-            U[t] = [-a for a in Ut]
             log += (NEGATE, t, t, 0)
         t += 1
     factors = [A[i][i] for i in range(t)]
-    return SmithForm(A, factors, U, V, log)
+    return SmithForm(A, factors, log)
 
 
 def int_rank(M):
@@ -240,11 +233,12 @@ def int_rank(M):
 # -- chain complexes ----------------------------------------------------------------
 
 class ChainComplex:
-    """Boundary matrices over Z; boundaries[k] maps k-chains to (k-1)-chains."""
+    """Boundary matrices over Z; boundaries[k] maps k-chains to (k-1)-chains.
+    The rows are kept as given, not copied."""
 
     def __init__(self, ranks, boundaries):
         self.ranks = list(ranks)
-        self.boundaries = {k: [row[:] for row in M] for k, M in boundaries.items()}
+        self.boundaries = dict(boundaries)
         for k in sorted(self.boundaries):
             if k - 1 in self.boundaries:
                 if any(map(any, mat_mul(self.boundaries[k - 1], self.boundaries[k]))):

@@ -682,6 +682,53 @@ def smith_normal_form(M):
     return A, [A[i][i] for i in range(t)], U, V
 
 
+def replay_transforms(log, m, n):
+    """Dense U and V^T: I_m and I_n after a Smith form log's operations, four
+    ints (code, dst, src, q) each.  Codes 0, 1, 2 swap rows dst and src of U,
+    add q times row src to row dst, negate row dst; codes 3, 4, 5 do the
+    same to the rows of V^T.  None if the log leaves that grammar: a length
+    that is not a multiple of four, an entry that is not an int, an unknown
+    code, an index out of range, or an add with src = dst."""
+    if len(log) % 4 or any(type(x) is not int for x in log):
+        return None
+    sides = ([[int(i == j) for j in range(m)] for i in range(m)],
+             [[int(i == j) for j in range(n)] for i in range(n)])
+    for p in range(0, len(log), 4):
+        code, dst, src, q = log[p:p + 4]
+        if code not in range(6):
+            return None
+        R = sides[code // 3]
+        if dst not in range(len(R)) or src not in range(len(R)):
+            return None
+        kind = code % 3
+        if kind == 0:
+            R[dst], R[src] = R[src], R[dst]
+        elif kind == 1:
+            if dst == src:
+                return None
+            R[dst] = [a + q * b for a, b in zip(R[dst], R[src])]
+        else:
+            R[dst] = [-a for a in R[dst]]
+    return sides
+
+
+def certify_smith_form(M, diagonal, factors, U, V, log):
+    """The Smith form certificate that checks stored transforms: the factors
+    are positive and each divides the next, D is the m x n diagonal matrix
+    of them, the log replays to exactly U and V^T, and U M V = D by dense
+    products."""
+    m, n = len(M), len(M[0]) if M else 0
+    if (len(factors) > min(m, n) or any(d <= 0 for d in factors)
+            or any(b % a for a, b in zip(factors, factors[1:]))):
+        return False
+    D = [[factors[i] if i == j and i < len(factors) else 0 for j in range(n)]
+         for i in range(m)]
+    sides = replay_transforms(log, m, n)
+    if sides is None or sides[0] != U or [list(c) for c in zip(*sides[1])] != V:
+        return False
+    return diagonal == D and mat_mul(mat_mul(U, M), V) == D
+
+
 # -- dual-complex moves, presentations, the no-limit identities ----------------------
 
 def _label_key(v):

@@ -487,6 +487,25 @@ def test_internal_invariant_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_uncertified_h1_exits_3(tmp_path, capsys, monkeypatch):
+    import dataclasses
+    import importlib
+    groups = importlib.import_module("polycx.groups")
+    real = groups.smith_normal_form
+    grp = write(tmp_path / "c6.grp", "gens 1\nx1 x1 x1 x1 x1 x1\n")
+    out = tmp_path / "sp.json"
+    assert run(["superperfect", "--presentation", grp, "--out", str(out)]) == 0
+    assert "h1: Z^0 + [6]" in capsys.readouterr().out
+    out.unlink()
+    # D = [[1]] would report a trivial H1; no logged operation carries [[6]] to it
+    monkeypatch.setattr(groups, "smith_normal_form", lambda M: dataclasses.replace(
+        real(M), diagonal=[[1]], invariant_factors=[1]))
+    assert run(["superperfect", "--presentation", grp, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: Smith form of the 1 x 1 exponent matrix failed certification\n"
+    assert not out.exists()
+
+
 STRATA = {"components": ["A", 2],
           "strata": [{"components": ["A"], "count": 1}, {"components": [2], "count": 1},
                      {"components": ["A", 2], "count": 2}]}

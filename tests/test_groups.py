@@ -1,3 +1,6 @@
+import dataclasses
+import importlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -59,6 +62,16 @@ class TestAbelianization:
         pres = higman_presentation()
         assert abelianization(pres) == (0, ())
         assert is_perfect(pres)
+
+    def test_h1_comes_from_a_certified_smith_form(self, monkeypatch):
+        # a forged Smith form of the exponent matrix [[6]]: D = [[1]] is a
+        # Smith form, but no operation is logged that carries [[6]] to it
+        groups = importlib.import_module("polycx.groups")
+        real = groups.smith_normal_form
+        monkeypatch.setattr(groups, "smith_normal_form", lambda M: dataclasses.replace(
+            real(M), diagonal=[[1]], invariant_factors=[1]))
+        with pytest.raises(AssertionError, match="1 x 1 exponent matrix failed certification"):
+            abelianization(cyclic_presentation(6))
 
     def test_higman_balanced_chi_one(self):
         chi, balanced = presentation_complex_stats(higman_presentation())

@@ -41,19 +41,7 @@ class TestSmithNormalForm:
         snf = smith_normal_form(M)
         D = [row[:] for row in snf.diagonal]
         D[0][0] += 1
-        assert not SmithForm(D, snf.invariant_factors, snf.U, snf.V, snf.log).certify(M)
-
-    def test_certify_rejects_non_unimodular_transforms(self):
-        # (2U) M V = U M (2V) = 2D still hold, but |det 2U| = |det 2V| != 1,
-        # so the log of U and V replays to neither
-        M = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-        snf = smith_normal_form(M)
-        U2 = [[2 * x for x in row] for row in snf.U]
-        V2 = [[2 * x for x in row] for row in snf.V]
-        D2 = [[2 * x for x in row] for row in snf.diagonal]
-        for U, V in ((U2, snf.V), (snf.U, V2)):
-            assert mat_mul(mat_mul(U, M), V) == D2
-            assert not SmithForm(D2, snf.invariant_factors, U, V, snf.log).certify(M)
+        assert not SmithForm(D, snf.invariant_factors, snf.log).certify(M)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(st.integers(-30, 30), min_size=3, max_size=3),
@@ -145,24 +133,23 @@ class TestSparseKernel:
         j = data.draw(st.integers(0, len(M[0]) - 1))
         D = [row[:] for row in snf.diagonal]
         D[i][j] += data.draw(st.sampled_from([1, -1, 2]))
-        assert not SmithForm(D, snf.invariant_factors, snf.U, snf.V, snf.log).certify(M)
+        assert not SmithForm(D, snf.invariant_factors, snf.log).certify(M)
 
     def test_certify_rejects_u_of_determinant_two(self):
-        M, U, V, D = [[1]], [[2]], [[1]], [[2]]
-        assert mat_mul(mat_mul(U, M), V) == D
-        assert not SmithForm(D, [2], U, V).certify(M)
-
-    I2 = [[1, 0], [0, 1]]
+        # U = [[2]] would give U M V = D, but no log builds a U of
+        # determinant two, and the empty log leaves M = [[1]] as it is
+        M, D = [[1]], [[2]]
+        assert not SmithForm(D, [2], []).certify(M)
 
     def test_certify_rejects_a_non_diagonal_d(self):
-        # U M V = D holds with U = V = I, but D = M is no Smith form
+        # the empty log carries M to D = M, but D is no Smith form
         M = [[2, 4], [6, 8]]
-        assert not SmithForm(M, [], self.I2, self.I2).certify(M)
+        assert not SmithForm(M, [], []).certify(M)
 
     def test_certify_rejects_factors_that_are_not_d(self):
         M = [[1, 0], [0, 5]]
-        assert not SmithForm(M, [7], self.I2, self.I2).certify(M)
-        assert SmithForm(M, [1, 5], self.I2, self.I2).certify(M)
+        assert not SmithForm(M, [7], []).certify(M)
+        assert SmithForm(M, [1, 5], []).certify(M)
 
     @pytest.mark.parametrize("M, factors", [
         ([[2, 0], [0, 3]], [2, 3]),    # 2 does not divide 3
@@ -171,13 +158,30 @@ class TestSparseKernel:
         ([[1, 0], [0, 0]], [1, 0, 0]),  # more factors than the diagonal holds
     ], ids=["chain", "negative", "zero", "too-many"])
     def test_certify_rejects_bad_factors(self, M, factors):
-        assert not SmithForm(M, factors, self.I2, self.I2).certify(M)
+        assert not SmithForm(M, factors, []).certify(M)
 
     def test_certify_rejects_singular_v(self):
-        # M V is the diagonal [[1, 0]] already; only det V = 0 is wrong
-        M, U, V, D = [[1, 1]], [[1]], [[1, 0], [0, 0]], [[1, 0]]
-        assert mat_mul(mat_mul(U, M), V) == D
-        assert not SmithForm(D, [1], U, V).certify(M)
+        # the singular V = [[1, 0], [0, 0]] would give M V = D; no log builds
+        # it, and column 1 -= column 0 is the operation that does carry M to D
+        M, D = [[1, 1]], [[1, 0]]
+        assert not SmithForm(D, [1], []).certify(M)
+        assert SmithForm(D, [1], [V_SIDE + ADD, 1, 0, -1]).certify(M)
+
+
+# logs that leave the grammar, each on a 2 x 2 form
+OUTSIDE_GRAMMAR = [
+    [ADD, 0, -1, 1],               # a negative index would read row 1
+    [ADD, 0, 2, 1],
+    [SWAP, 0, 2, 0],
+    [NEGATE, 2, 2, 0],
+    [V_SIDE + SWAP, 0, 2, 0],
+    [2 * V_SIDE, 0, 1, 1],         # no such code
+    [-1, 0, 1, 1],
+    [ADD, 0, 1],                   # not four ints per operation
+    [ADD, 0, 1, 1.0],              # not an int
+]
+OUTSIDE_GRAMMAR_IDS = ["negative", "add", "swap", "negate", "v-swap", "code-6", "code-minus-1",
+                       "short", "float"]
 
 
 def logged_ops(snf, side):
@@ -187,10 +191,11 @@ def logged_ops(snf, side):
 
 
 class TestOperationLog:
-    """The unimodularity certificate: the log replayed from the identities
-    must give U and V exactly.  Every logged operation is an integer matrix
-    of determinant +-1; linalg.int_det, the check the replay replaced, is
-    the oracle."""
+    """The Smith form certificate: the logged operations replayed on M must
+    give D exactly.  Every logged operation is an integer matrix of
+    determinant +-1, and U and V are read off the log; linalg.int_det and
+    oracles.certify_smith_form, the check on stored transforms that the
+    replay replaced, are the oracles."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(int_matrices(), boundary_matrices()))
@@ -202,73 +207,80 @@ class TestOperationLog:
             assert not T or abs(linalg.int_det(T)) == 1
 
     def test_certify_computes_no_determinant(self, monkeypatch):
-        def refuse(T):
-            raise AssertionError("int_det called")
+        def refuse(*args):
+            raise AssertionError("a product or a determinant was computed")
         monkeypatch.setattr(linalg, "int_det", refuse)
-        M = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-        assert smith_normal_form(M).certify(M)
+        monkeypatch.setattr(importlib.import_module("polycx.homology"), "mat_mul", refuse)
+        for M in ([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], [[1, 1]], [[0, 2], [3, 0], [1, 1]]):
+            snf = smith_normal_form(M)
+            assert snf.log and snf.certify(M)
+            assert not SmithForm(snf.diagonal, snf.invariant_factors, snf.log[:-4]).certify(M)
 
-    @settings(max_examples=150, deadline=None)
-    @given(int_matrices(), st.sampled_from(["U", "V"]), st.data())
-    def test_certify_rejects_one_changed_entry_of_a_transform(self, M, name, data):
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(int_matrices(), boundary_matrices()),
+           st.sampled_from(["none", "q", "drop", "d"]), st.data())
+    def test_certify_agrees_with_the_stored_transform_oracle(self, M, change, data):
+        # the oracle checks the transforms a form used to store: those of
+        # the dense oracle Smith form, which shares no code with the log
         snf = smith_normal_form(M)
-        T = [row[:] for row in getattr(snf, name)]
-        if not T:
-            return
-        i = data.draw(st.integers(0, len(T) - 1))
-        j = data.draw(st.integers(0, len(T) - 1))
-        T[i][j] += data.draw(st.sampled_from([1, -1, 2]))
-        U, V = (T, snf.V) if name == "U" else (snf.U, T)
-        assert not SmithForm(snf.diagonal, snf.invariant_factors, U, V, snf.log).certify(M)
+        _, _, U, V = oracles.smith_normal_form(M)
+        D, log = [row[:] for row in snf.diagonal], list(snf.log)
+        adds = logged_ops(snf, 0) + logged_ops(snf, 1)
+        if change == "q" and adds:
+            log[data.draw(st.sampled_from(adds)) + 3] += data.draw(st.sampled_from([1, -1, 2]))
+        elif change == "drop" and log:
+            del log[-4:]
+        elif change == "d" and M and M[0]:
+            D[data.draw(st.integers(0, len(D) - 1))][data.draw(st.integers(0, len(M[0]) - 1))] \
+                += data.draw(st.sampled_from([1, -1, 2]))
+        else:
+            change = "none"
+        got = SmithForm(D, snf.invariant_factors, log).certify(M)
+        assert got == oracles.certify_smith_form(M, D, snf.invariant_factors, U, V, log)
+        assert got == (change == "none")
 
     @settings(max_examples=150, deadline=None)
     @given(int_matrices(), st.sampled_from([0, 1]), st.sampled_from([1, -1, 2]), st.data())
     def test_certify_rejects_a_log_that_disagrees_with_u_or_v(self, M, side, delta, data):
-        # changing q by delta adds delta times a row of an invertible
-        # matrix to another row, so the replay no longer gives U (or V)
+        # changing q by delta adds delta times a product of invertible
+        # matrices and the row (or column) src, nonzero at that step, to
+        # the replay, so it no longer gives D
         snf = smith_normal_form(M)
         ops = logged_ops(snf, side)
         if not ops:
             return
         log = list(snf.log)
         log[data.draw(st.sampled_from(ops)) + 3] += delta
-        assert not SmithForm(snf.diagonal, snf.invariant_factors, snf.U, snf.V, log).certify(M)
+        assert not SmithForm(snf.diagonal, snf.invariant_factors, log).certify(M)
 
     def test_certify_rejects_a_log_missing_its_last_operation(self):
         M = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
         snf = smith_normal_form(M)
         assert snf.log
-        assert not SmithForm(snf.diagonal, snf.invariant_factors, snf.U, snf.V,
-                             snf.log[:-4]).certify(M)
+        assert not SmithForm(snf.diagonal, snf.invariant_factors, snf.log[:-4]).certify(M)
 
     def test_certify_rejects_an_add_that_scales_a_row(self):
-        # row 0 += 1 * row 0 would double it: U = [[2]] and U M V = D hold,
-        # but the log grammar admits no add with src = dst
-        M, U, V, D = [[1]], [[2]], [[1]], [[2]]
-        assert mat_mul(mat_mul(U, M), V) == D
-        assert not SmithForm(D, [2], U, V, [ADD, 0, 0, 1]).certify(M)
-        assert not SmithForm(D, [2], V, U, [V_SIDE + ADD, 0, 0, 1]).certify(M)
+        # row 0 += 1 * row 0 would double it and carry M to D, but the log
+        # grammar admits no add with src = dst
+        M, D = [[1]], [[2]]
+        assert not SmithForm(D, [2], [ADD, 0, 0, 1]).certify(M)
+        assert not SmithForm(D, [2], [V_SIDE + ADD, 0, 0, 1]).certify(M)
 
     I2 = [[1, 0], [0, 1]]
 
-    @pytest.mark.parametrize("log", [
-        [ADD, 0, -1, 1],               # a negative index would read row 1
-        [ADD, 0, 2, 1],
-        [SWAP, 0, 2, 0],
-        [NEGATE, 2, 2, 0],
-        [V_SIDE + SWAP, 0, 2, 0],
-        [2 * V_SIDE, 0, 1, 1],         # no such code
-        [-1, 0, 1, 1],
-        [ADD, 0, 1],                   # not four ints per operation
-        [ADD, 0, 1, 1.0],              # not an int
-    ], ids=["negative", "add", "swap", "negate", "v-swap", "code-6", "code-minus-1",
-            "short", "float"])
+    @pytest.mark.parametrize("log", OUTSIDE_GRAMMAR, ids=OUTSIDE_GRAMMAR_IDS)
     def test_certify_rejects_a_log_outside_its_grammar(self, log):
         # with [ADD, 0, 1, 1] the same form is certified: row 0 += row 1
-        U = [[1, 1], [0, 1]]
         M = [[1, -1], [0, 1]]
-        assert SmithForm(self.I2, [1, 1], U, self.I2, [ADD, 0, 1, 1]).certify(M)
-        assert not SmithForm(self.I2, [1, 1], U, self.I2, log).certify(M)
+        assert SmithForm(self.I2, [1, 1], [ADD, 0, 1, 1]).certify(M)
+        assert not SmithForm(self.I2, [1, 1], log).certify(M)
+
+    @pytest.mark.parametrize("log", OUTSIDE_GRAMMAR, ids=OUTSIDE_GRAMMAR_IDS)
+    def test_transforms_of_a_log_outside_its_grammar_raise(self, log):
+        snf = SmithForm(self.I2, [1, 1], log)
+        for name in ("U", "V"):
+            with pytest.raises(ValueError):
+                getattr(snf, name)
 
     def test_every_operation_of_the_grammar_is_unimodular(self):
         rng = random.Random(3)
@@ -279,10 +291,9 @@ class TestOperationLog:
                 dst, src = rng.sample(range(4), 2)
                 log += [code, dst, src if code % V_SIDE != NEGATE else dst,
                         rng.randint(-3, 3) if code % V_SIDE == ADD else 0]
-            U, Vt = importlib.import_module("polycx.homology")._replay(log, 4, 4)
-            for rows in (U, Vt):
-                dense = [[row.get(j, 0) for j in range(4)] for row in rows]
-                assert abs(linalg.int_det(dense)) == 1
+            snf = SmithForm([[0] * 4 for _ in range(4)], [], log)
+            for T in (snf.U, snf.V):
+                assert abs(linalg.int_det(T)) == 1
 
 
 class TestChainComplex:
@@ -354,10 +365,11 @@ class TestHomology:
 
     def test_z_homology_certifies_smith_forms(self, monkeypatch):
         def doubled(M):
+            # D and the factors doubled agree with each other, but the log
+            # still carries M to the undoubled D
             snf = smith_normal_form(M)
             return SmithForm([[2 * x for x in row] for row in snf.diagonal],
-                             snf.invariant_factors,
-                             [[2 * x for x in row] for row in snf.U], snf.V, snf.log)
+                             [2 * d for d in snf.invariant_factors], snf.log)
         # the package exports the function `homology` under the module's name
         module = importlib.import_module("polycx.homology")
         monkeypatch.setattr(module, "smith_normal_form", doubled)

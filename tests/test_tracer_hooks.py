@@ -5,6 +5,10 @@ drops or renames one fails here and not in a benchmark run."""
 import importlib
 from pathlib import Path
 
+from polycx.homology import ChainComplex, smith_normal_form
+
+from _corpus import projective_plane, torus
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -30,3 +34,22 @@ def test_every_traced_name_resolves():
         if not found:
             missing.append("%s.%s" % (module_name, attr))
     assert not missing, "traced names no longer defined: %s" % ", ".join(missing)
+
+
+def dense(T, rows, cols):
+    """T is a list of `rows` lists of `cols` ints."""
+    return (type(T) is list and len(T) == rows
+            and all(type(row) is list and len(row) == cols for row in T)
+            and all(type(x) is int for row in T for x in row))
+
+
+def test_what_the_benchmark_reads_stays_dense():
+    # perfbench/workloads.py stores these as they are in its results
+    for K in (torus(), projective_plane()):
+        boundaries = ChainComplex.of_complex(K).boundaries
+        assert sorted(boundaries) == [1, 2]
+        for k, M in boundaries.items():
+            m, n = len(M), len(M[0])
+            assert dense(M, m, n)
+            snf = smith_normal_form(M)
+            assert dense(snf.U, m, m) and dense(snf.V, n, n) and dense(snf.diagonal, m, n)
