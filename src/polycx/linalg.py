@@ -12,12 +12,11 @@ Row spaces have an integer form of their own.  A row space is held as its
 canonical rows: the RREF rows, each times the lcm of its denominators,
 which makes it primitive with a positive pivot (`int_row_space`).  This
 form and the QQ RREF determine each other, since dividing a canonical row
-by its pivot gives back the RREF row (`rational_rows`).  On it, an
-intersection is one integer reduction of the Zassenhaus block matrix
-(`int_intersect_row_spaces`), and containment is a check that the integer
-annihilator of the outer space (`int_kernel`) kills the inner rows
-(`annihilates`).  `intersect_row_spaces`, `row_space_contained` and
-`in_row_space` are the same operations on QQ rows.
+by its pivot gives back the RREF row (`rational_rows`).  Containment is a
+check that the outer space's integer annihilator kills the inner rows
+(`annihilates`), and a meet is the kernel of the stacked annihilators
+(`int_meet`), since (A ∩ B)^⊥ = A^⊥ + B^⊥.  `intersect_row_spaces`,
+`row_space_contained` and `in_row_space` are the same on QQ rows.
 """
 
 from itertools import compress
@@ -223,24 +222,14 @@ def annihilates(kernel, rows):
     return all(not sum(map(mul, v, row)) for v in kernel for row in rows)
 
 
-def int_intersect_row_spaces(a_rows, b_rows):
-    """(canonical rows, pivot columns) of rowspace(A) ∩ rowspace(B) for
-    integer rows (Zassenhaus).
-
-    The rows of [[A, A], [B, 0]] span {(a + b, a)}; its vectors with a zero
-    left half are exactly {(0, a) : a ∈ A ∩ B}.  After `int_rref` of the
-    block matrix these are spanned by the rows whose pivot lies in the
-    right half, and those rows' right halves are reduced rows of A ∩ B.
-    """
-    if not a_rows:
-        return [], []
-    n = len(a_rows[0])
-    m = [list(a) * 2 for a in a_rows]
-    m += [list(b) + [0] * n for b in b_rows]
+def int_meet(ann, ncols):
+    """(canonical rows, pivot columns, reduced rows) of the subspace of
+    Q^ncols that the integer rows `ann` annihilate; the reduced rows are
+    `ann` after `int_rref`, without its zero rows, and span the subspace's
+    annihilator.  Stacked annihilators give the meet of their spaces."""
+    m = [list(row) for row in ann]
     pivots = int_rref(m)
-    k = next((i for i, c in enumerate(pivots) if c >= n), len(pivots))
-    right = [c - n for c in pivots[k:]]
-    return canonical_rows([row[n:] for row in m[k:len(pivots)]], right), right
+    return (*int_row_space(int_kernel(m, pivots, ncols)), m[:len(pivots)])
 
 
 def rank(rows):
@@ -309,13 +298,17 @@ def row_space_contained(inner, outer):
     if not outer:
         return not any(any(row) for row in inner)
     m = [int_row(row)[0] for row in outer]
-    pivots = int_rref(m)
-    return annihilates(int_kernel(m, pivots, len(m[0])), inner)
+    return annihilates(int_kernel(m, int_rref(m), len(m[0])), inner)
 
 
 def intersect_row_spaces(a_rows, b_rows):
-    """QQ RREF basis of rowspace(A) ∩ rowspace(B) (Zassenhaus, on the
-    integer rows; see `int_intersect_row_spaces`)."""
-    rows, pivots = int_intersect_row_spaces([int_row(a)[0] for a in a_rows],
-                                            [int_row(b)[0] for b in b_rows])
-    return rational_rows(rows, pivots)
+    """QQ RREF basis of rowspace(A) ∩ rowspace(B): the kernel of the stacked
+    integer annihilators of A and B (see `int_meet`)."""
+    if not a_rows:
+        return []
+    n = len(a_rows[0])
+    ann = []
+    for rows in (a_rows, b_rows):
+        m = [int_row(row)[0] for row in rows]
+        ann += int_kernel(m, int_rref(m), n)
+    return rational_rows(*int_meet(ann, n)[:2])

@@ -7,14 +7,13 @@ blow-ups themselves are tracked as scheduled centers plus separation
 certificates, never as varieties.
 
 A subspace is held in integer form: the canonical rows of its homogeneous
-span in Q^{N+1} (each RREF row times the lcm of its denominators, so
-primitive with a positive pivot) and their pivot columns.  Equality,
-hashing, containment (the subspace's integer annihilator kills the other's
-rows) and intersection (Zassenhaus on the integer rows, or one containment
-test when a side is a point) never leave the integers.  The QQ RREF basis
+span in Q^{N+1} (primitive RREF rows with positive pivots), their pivot
+columns and rows spanning its integer annihilator.  A face's span is the
+kernel of its certified tight rows (a, b) homogenised to (a, -b), a meet is
+the kernel of two annihilators stacked, and containment compares
+dimensions, then dots the annihilator with the other's rows.  The QQ basis
 (`generators`) and the strings that records and the ledger are sorted and
-written by (`row_strings`) are read off the canonical rows once per
-subspace, when first asked for.
+written by (`row_strings`) are read off the canonical rows when asked for.
 """
 
 import itertools
@@ -22,7 +21,7 @@ import json
 from dataclasses import dataclass
 from math import gcd
 
-from .rationals import ZERO, ONE, rat
+from .rationals import rat
 from . import linalg
 
 
@@ -49,20 +48,14 @@ class ProjectiveSubspace:
         rows, pivots = linalg.int_row_space(rows)
         if not rows:
             raise ValueError("empty projective subspace")
-        self._set(n, rows, pivots)
+        self._set(n, rows, pivots, linalg.int_kernel(rows, pivots, n + 1))
 
-    @classmethod
-    def _of_rows(cls, ambient_dim, rows, pivots):
-        """The subspace whose canonical rows are `rows`, taken as they are."""
-        out = cls.__new__(cls)
-        out._set(ambient_dim, rows, pivots)
-        return out
-
-    def _set(self, ambient_dim, rows, pivots):
+    def _set(self, ambient_dim, rows, pivots, ann):
         self.ambient_dim = ambient_dim
         self.rows = tuple(rows)
         self.pivots = tuple(pivots)
-        self._generators = self._strings = self._ann = None
+        self._ann = ann  # integer rows spanning the annihilator in Q^{N+1}
+        self._generators = self._strings = None
 
     @property
     def dim(self):
@@ -94,37 +87,47 @@ class ProjectiveSubspace:
         return "ProjectiveSubspace(dim=%d, %s)" % (
             self.dim, [list(g) for g in self.row_strings()])
 
+    @classmethod
+    def _kernel(cls, ambient_dim, ann):
+        """The subspace that the integer rows `ann` annihilate, or None."""
+        rows, pivots, ann = linalg.int_meet(ann, ambient_dim + 1)
+        if not rows:
+            return None
+        out = cls.__new__(cls)
+        out._set(ambient_dim, rows, pivots, ann)
+        return out
+
+    @classmethod
+    def of_polyhedron(cls, P):
+        """Projective completion of the affine span of a non-empty
+        polyhedron: its tight rows (a, b) cut out the span, so the rows
+        (a, -b) annihilate the completion."""
+        root = P._root()
+        if root is None:
+            raise ValueError("empty polyhedron has no projective span")
+        rows = P._rows()
+        return cls._kernel(P.ambient_dim, [rows[i][0] + (-rows[i][1],) for i in root])
+
     def contains(self, other):
-        """other ⊆ self: the annihilator of self kills every row of other."""
-        if self._ann is None:
-            self._ann = linalg.int_kernel(self.rows, self.pivots, self.ambient_dim + 1)
+        """other ⊆ self.  A larger subspace is not contained, and one of the
+        same dimension only if equal, which canonical rows decide; a
+        smaller one is contained iff self's annihilator kills its rows."""
+        if len(other.rows) >= len(self.rows):
+            return self.rows == other.rows
         return linalg.annihilates(self._ann, other.rows)
 
     def intersect(self, other):
         """self ∩ other, or None if it is empty.  A point meets a subspace in
         itself or not at all, so that case is one containment test; every
-        other pair is one Zassenhaus reduction of the integer rows."""
+        other pair is the kernel of the stacked annihilators."""
         if self.dim == 0:
             return self if other.contains(self) else None
         if other.dim == 0:
             return other if self.contains(other) else None
-        rows, pivots = linalg.int_intersect_row_spaces(self.rows, other.rows)
-        if not rows:
-            return None
-        return ProjectiveSubspace._of_rows(self.ambient_dim, rows, pivots)
+        return ProjectiveSubspace._kernel(self.ambient_dim, self._ann + other._ann)
 
     def sort_token(self):
         return (self.dim, self.row_strings())
-
-    @staticmethod
-    def from_affine(span):
-        """Projective completion of a non-empty AffineSubspace."""
-        if span.basepoint is None:
-            raise ValueError("empty affine subspace has no completion")
-        gens = [tuple(span.basepoint) + (ONE,)]
-        for d in span.directions:
-            gens.append(tuple(d) + (ZERO,))
-        return ProjectiveSubspace(span.ambient_dim, gens)
 
 
 def span_assignment(C):
@@ -135,7 +138,7 @@ def span_assignment(C):
     as a ValueError naming both faces."""
     spans = {}
     for i in C.ids():
-        spans[i] = ProjectiveSubspace.from_affine(C.faces[i].affine_span())
+        spans[i] = ProjectiveSubspace.of_polyhedron(C.faces[i])
     for a, b in C.incidences():
         if not spans[b].contains(spans[a]):
             raise ValueError("span assignment is not functorial at %r <= %r: the span "

@@ -302,6 +302,20 @@ def rational_intersect_row_spaces(a_rows, b_rows):
     return rational_rref(vectors)[0]
 
 
+def zassenhaus_intersect(a_rows, b_rows):
+    """RREF basis of rowspace(A) ∩ rowspace(B) by Zassenhaus, the meet the
+    parasite layer used before it stacked annihilators.  The rows of
+    [[A, A], [B, 0]] span {(a + b, a)}; its vectors with a zero left half
+    are exactly {(0, a) : a ∈ A ∩ B}, and in the RREF of the block matrix
+    they are spanned by the rows whose pivot lies in the right half."""
+    if not a_rows:
+        return []
+    n = len(a_rows[0])
+    block = [list(a) * 2 for a in a_rows] + [list(b) + [0] * n for b in b_rows]
+    red, pivots = rational_rref(block)
+    return rational_rref([row[n:] for row, c in zip(red, pivots) if c >= n])[0]
+
+
 class RationalSubspace:
     """The Fraction form of `polycx.ProjectiveSubspace`: a subspace of P^N
     held as the RREF basis of its homogeneous span in Q^{N+1}, with
@@ -348,6 +362,17 @@ class RationalSubspace:
     def from_affine(span):
         gens = [tuple(span.basepoint) + (1,)] + [tuple(d) + (0,) for d in span.directions]
         return RationalSubspace(span.ambient_dim, gens)
+
+    @classmethod
+    def of_polyhedron(cls, P):
+        """The span the parasite layer built before it read the tight rows
+        as an annihilator, `from_affine(P.affine_span())`: one Fraction
+        solve of P's tight rows a·x = b, the base point (x, 1), and the
+        nullspace directions (d, 0)."""
+        aug = [list(P.inequalities[i].normal) + [P.inequalities[i].offset]
+               for i in sorted(P._root())]
+        point, kernel = _solve_affine(aug, P.ambient_dim)
+        return cls(P.ambient_dim, [point + [1]] + [list(v) + [0] for v in kernel])
 
 
 def simple_configuration(sites):

@@ -282,6 +282,29 @@ class TestOperationLog:
             with pytest.raises(ValueError):
                 getattr(snf, name)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(int_matrices(), boundary_matrices()), st.data())
+    def test_transforms_equal_the_dense_replay_oracle(self, M, data):
+        # the form's own log, and logs drawn from the whole grammar
+        m, n = len(M), len(M[0]) if M else 0
+        snf = smith_normal_form(M)
+        logs = [snf.log]
+        for size, side in ((m, 0), (n, V_SIDE)):
+            if size >= 2:
+                ops = st.tuples(st.sampled_from([SWAP, ADD, NEGATE]),
+                                st.integers(0, size - 1), st.integers(0, size - 1),
+                                st.integers(-3, 3)).filter(lambda op: op[0] == SWAP or
+                                                           (op[0] == ADD) == (op[1] != op[2]))
+                logs.append([x for kind, dst, src, q in data.draw(st.lists(ops, max_size=8))
+                             for x in (side + kind, dst, src, q)] + snf.log)
+        for log in logs:
+            form = SmithForm(snf.diagonal, snf.invariant_factors, log)
+            U, VT = oracles.replay_transforms(log, m, n)
+            V = [list(col) for col in zip(*VT)]
+            assert form.U == U and form.V == V
+            form.U[0:0], form.V[0:0] = [[7]], [[7]]  # nothing read is kept
+            assert form.U == U and form.V == V
+
     def test_every_operation_of_the_grammar_is_unimodular(self):
         rng = random.Random(3)
         for _ in range(200):

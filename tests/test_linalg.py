@@ -9,10 +9,10 @@ from math import gcd
 from polycx.linalg import (rref, rank, nullspace, solve, det, dot, int_rank, int_det,
                            in_row_space, row_space_contained, intersect_row_spaces,
                            int_row, int_row_space, rational_rows, int_kernel, annihilates,
-                           int_intersect_row_spaces)
+                           int_meet)
 
 from oracles import (rational_rank, rational_rref, rational_det, _int_det,
-                     rational_in_row_space, rational_intersect_row_spaces)
+                     rational_in_row_space, rational_intersect_row_spaces, zassenhaus_intersect)
 
 entries = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 matrices = st.lists(st.lists(entries, min_size=3, max_size=3),
@@ -161,10 +161,15 @@ def test_integer_row_space_form(pair):
     assert len(kernel) == w - len(rows) and int_rank(kernel) == len(kernel)
     assert all(gcd(*v) == 1 for v in kernel)
     assert annihilates(kernel, ints)
-    other = [int_row(row)[0] for row in qq(B)]
-    meet, meet_pivots = int_intersect_row_spaces(rows, int_row_space(other)[0])
+    other = int_row_space([int_row(row)[0] for row in qq(B)])
+    ann = kernel + int_kernel(*other, w)
+    meet, meet_pivots, reduced = int_meet(ann, w)
     assert rational_rows(meet, meet_pivots) == rational_intersect_row_spaces(A, B)
+    assert rational_rows(meet, meet_pivots) == zassenhaus_intersect(A, B)
     assert (meet, meet_pivots) == int_row_space(meet)
+    # the reduced stack spans the meet's annihilator
+    assert int_rank(reduced) == len(reduced) == w - len(meet)
+    assert annihilates(reduced, meet)
 
 
 def test_row_space_edge_cases():

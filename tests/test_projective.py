@@ -1,4 +1,6 @@
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -17,12 +19,16 @@ from polycx import (
     parse_ledger,
 )
 
-from polycx import projective
+from polycx import format_cplx, linalg, parse_cplx, projective
 from polycx.cli import _records_payload
 from polycx.projective import _intersection_lattice
 
 from _corpus import box, cube_tower, voronoi_fixture, clipped_fixture
-from oracles import RationalSubspace, rational_in_row_space, rational_intersect_row_spaces
+from oracles import (RationalSubspace, rational_in_row_space, rational_intersect_row_spaces,
+                     zassenhaus_intersect)
+from test_polyhedra import make, witness_systems
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def square_complex():
@@ -164,6 +170,92 @@ class TestIntegerForm:
         assert meet.generators == tuple(rows) and meet == t.intersect(s)
         assert meet.sort_token() == RationalSubspace(3, rows).sort_token()
         assert s.contains(meet) and t.contains(meet)
+
+
+def assert_annihilator(s):
+    """The rows s keeps for its annihilator span exactly that: they kill
+    every canonical row, and their rank is the codimension."""
+    n = s.ambient_dim + 1
+    assert linalg.annihilates(s._ann, s.rows)
+    assert linalg.int_rank(s._ann) == n - len(s.rows)
+
+
+class TestAnnihilatorForm:
+    """The annihilator operations against what they replaced: the span from
+    the tight rows against `from_affine(affine_span())` (the Fraction solve
+    of the tight rows), the meet of stacked annihilators against Zassenhaus,
+    and dimension-first containment against the annihilator check."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(witness_systems(), st.booleans())
+    def test_span_from_tight_rows_matches_affine_span(self, system, witnessed):
+        # the root comes from a relative-interior witness where one passes,
+        # or from the record
+        n, rows, tightened = system
+        P = make(n, rows, tightened)
+        if (P.relint_point() if witnessed else P._root()) is None:
+            with pytest.raises(ValueError, match="empty polyhedron"):
+                ProjectiveSubspace.of_polyhedron(P)
+            return
+        span = ProjectiveSubspace.of_polyhedron(P)
+        old = RationalSubspace.from_affine(P.affine_span())
+        assert span.generators == old.generators == RationalSubspace.of_polyhedron(P).generators
+        assert span == ProjectiveSubspace(n, old.generators) and span.dim == P.dimension()
+        assert span.pivots == ProjectiveSubspace(n, old.generators).pivots
+        assert_annihilator(span)
+
+    @pytest.mark.parametrize("name", ["line", "plane", "plane6", "space", "lattice-clip"])
+    def test_golden_face_spans_match_affine_spans(self, name):
+        C = parse_cplx((GOLDEN / (name + ".cplx")).read_text())
+        spans = span_assignment(C)
+        for i in C.ids():
+            old = ProjectiveSubspace(C.ambient_dim, RationalSubspace.from_affine(
+                C.faces[i].affine_span()).generators)
+            assert (spans[i].rows, spans[i].pivots) == (old.rows, old.pivots)
+
+    @settings(max_examples=200, deadline=None)
+    @given(generator_lists, generator_lists, generator_lists)
+    def test_meet_matches_zassenhaus(self, a, b, c):
+        s, t, u = (ProjectiveSubspace(3, g) for g in (a, b, c))
+        meet = s.intersect(t)
+        rows = zassenhaus_intersect(s.generators, t.generators)
+        if not rows:
+            assert meet is None
+            return
+        assert meet.generators == tuple(rows) and meet == ProjectiveSubspace(3, rows)
+        assert meet.pivots == ProjectiveSubspace(3, rows).pivots
+        assert_annihilator(meet)
+        # a meet's kept annihilator stacks again
+        again = meet.intersect(u)
+        rows = zassenhaus_intersect(meet.generators, u.generators)
+        assert (again.generators if again else ()) == tuple(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(generator_lists, generator_lists, st.data())
+    def test_contains_matches_the_annihilator_check(self, a, b, data):
+        s, t = ProjectiveSubspace(3, a), ProjectiveSubspace(3, b)
+        subs = [s, t, ProjectiveSubspace(3, s.generators[:1])]
+        subs += [m for m in (s.intersect(t),) if m is not None]
+        for x, y in itertools.product(subs, repeat=2):
+            kernel = linalg.int_kernel(x.rows, x.pivots, 4)
+            assert x.contains(y) == linalg.annihilates(kernel, y.rows)
+
+    @pytest.mark.parametrize("faces, below, above", [
+        # two points: same dimension, different rows
+        ([box([0, 0], [0, 0]), box([1, 1], [1, 1])], 0, 1),
+        # a point off the line of a segment: the annihilator rejects it
+        ([box([3, 1], [3, 1]), box([0, 0], [1, 0])], 0, 1),
+        # a segment declared a face of a point: larger, so not contained
+        ([box([0, 0], [1, 0]), box([0, 0], [0, 0])], 0, 1),
+    ], ids=["same-dimension", "smaller", "larger"])
+    def test_forged_cplx_incidence_is_rejected(self, faces, below, above):
+        C = PolyhedralComplex(2, dict(enumerate(faces)), {(below, above)})
+        text = format_cplx(C)
+        assert json.loads(text)["morphisms"]
+        for E in (C, parse_cplx(text)):
+            with pytest.raises(ValueError, match="span assignment is not functorial at "
+                                                 "%d <= %d" % (below, above)):
+                span_assignment(E)
 
 
 def parasite_outputs(C):
