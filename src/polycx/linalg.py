@@ -298,7 +298,8 @@ def row_space_contained(inner, outer):
     if not outer:
         return not any(any(row) for row in inner)
     m = [int_row(row)[0] for row in outer]
-    return annihilates(int_kernel(m, int_rref(m), len(m[0])), inner)
+    pivots = int_rref(m)
+    return annihilates(int_kernel(m, pivots, len(m[0])), inner)
 
 
 def intersect_row_spaces(a_rows, b_rows):

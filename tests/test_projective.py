@@ -200,8 +200,9 @@ class TestAnnihilatorForm:
         span = ProjectiveSubspace.of_polyhedron(P)
         old = RationalSubspace.from_affine(P.affine_span())
         assert span.generators == old.generators == RationalSubspace.of_polyhedron(P).generators
-        assert span == ProjectiveSubspace(n, old.generators) and span.dim == P.dimension()
-        assert span.pivots == ProjectiveSubspace(n, old.generators).pivots
+        again = ProjectiveSubspace(n, old.generators)
+        assert (span.rows, span.pivots) == (again.rows, again.pivots)
+        assert span.dim == P.dimension()
         assert_annihilator(span)
 
     @pytest.mark.parametrize("name", ["line", "plane", "plane6", "space", "lattice-clip"])
@@ -222,8 +223,9 @@ class TestAnnihilatorForm:
         if not rows:
             assert meet is None
             return
-        assert meet.generators == tuple(rows) and meet == ProjectiveSubspace(3, rows)
-        assert meet.pivots == ProjectiveSubspace(3, rows).pivots
+        again = ProjectiveSubspace(3, rows)
+        assert meet.generators == tuple(rows)
+        assert (meet.rows, meet.pivots) == (again.rows, again.pivots)
         assert_annihilator(meet)
         # a meet's kept annihilator stacks again
         again = meet.intersect(u)
@@ -231,8 +233,8 @@ class TestAnnihilatorForm:
         assert (again.generators if again else ()) == tuple(rows)
 
     @settings(max_examples=200, deadline=None)
-    @given(generator_lists, generator_lists, st.data())
-    def test_contains_matches_the_annihilator_check(self, a, b, data):
+    @given(generator_lists, generator_lists)
+    def test_contains_matches_the_annihilator_check(self, a, b):
         s, t = ProjectiveSubspace(3, a), ProjectiveSubspace(3, b)
         subs = [s, t, ProjectiveSubspace(3, s.generators[:1])]
         subs += [m for m in (s.intersect(t),) if m is not None]
@@ -240,22 +242,21 @@ class TestAnnihilatorForm:
             kernel = linalg.int_kernel(x.rows, x.pivots, 4)
             assert x.contains(y) == linalg.annihilates(kernel, y.rows)
 
-    @pytest.mark.parametrize("faces, below, above", [
+    @pytest.mark.parametrize("face, over", [
         # two points: same dimension, different rows
-        ([box([0, 0], [0, 0]), box([1, 1], [1, 1])], 0, 1),
+        (box([0, 0], [0, 0]), box([1, 1], [1, 1])),
         # a point off the line of a segment: the annihilator rejects it
-        ([box([3, 1], [3, 1]), box([0, 0], [1, 0])], 0, 1),
+        (box([3, 1], [3, 1]), box([0, 0], [1, 0])),
         # a segment declared a face of a point: larger, so not contained
-        ([box([0, 0], [1, 0]), box([0, 0], [0, 0])], 0, 1),
+        (box([0, 0], [1, 0]), box([0, 0], [0, 0])),
     ], ids=["same-dimension", "smaller", "larger"])
-    def test_forged_cplx_incidence_is_rejected(self, faces, below, above):
-        C = PolyhedralComplex(2, dict(enumerate(faces)), {(below, above)})
+    def test_forged_cplx_incidence_is_rejected(self, face, over):
+        C = PolyhedralComplex(2, {0: face, 1: over}, {(0, 1)})
         text = format_cplx(C)
-        assert json.loads(text)["morphisms"]
-        for E in (C, parse_cplx(text)):
-            with pytest.raises(ValueError, match="span assignment is not functorial at "
-                                                 "%d <= %d" % (below, above)):
-                span_assignment(E)
+        assert json.loads(text)["morphisms"] == [{"dst": 1, "src": 0}]
+        for D in (C, parse_cplx(text)):
+            with pytest.raises(ValueError, match="not functorial at 0 <= 1"):
+                span_assignment(D)
 
 
 def parasite_outputs(C):
