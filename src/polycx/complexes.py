@@ -5,19 +5,17 @@ incidence relation (a, b) meaning "a is a proper face of b".  Everything
 downstream (facets, residues, nerves, simplicity, differences) is a poset
 computation on top of the exact polyhedron layer.
 
-Building a complex reads every face's dimension and rejects an empty
-face.  A face that already carries its certified record (the faces of
-`from_subdivision`, and those `difference` cuts, which keep their parent's
-record with the cut rows appended) reads its tight set off the record.
-The other faces are visited by increasing down-set, and each one's guess
-at a relative-interior point is the mean of those of the faces below it (a
-face with nothing below guesses the solution of its equalities).  A guess
-that passes the exact check of `RationalPolyhedron.relint_point`
-certifies the face's tight set, dimension and affine span without a face
-record; that is the usual case for a parsed CPLX/1, whose faces carry
-their equalities as row pairs.  A face whose guess fails (forged
-incidences, unbounded faces, equalities not written as pairs) builds its
-record.
+Building a complex reads every face's dimension.  Faces are visited by
+increasing down-set, and each face's guess at a relative-interior point is
+the mean of those of the faces below it (a face with nothing below guesses
+the solution of its equalities).  A guess that passes the exact check of
+`RationalPolyhedron.relint_point` certifies the face's tight set,
+dimension and affine span without a face record; that is the usual case
+for a parsed CPLX/1, whose faces carry their equalities as row pairs.  A
+face whose guess fails (forged incidences, unbounded faces, equalities not
+written as pairs) builds its certified record, and an empty face is
+rejected.  The faces that `difference` cuts keep their parent's record,
+with the cut rows appended.
 """
 
 import itertools
@@ -63,16 +61,11 @@ class PolyhedralComplex:
         for a, bs in self._above.items():
             for b in bs:
                 self._below[b].add(a)
-        # a face with a record is empty iff its root is; the faces below a
-        # face without one lie in it, so their points' mean is its guess
+        # the faces below a face lie in it: their points' mean is its guess
+        relint = {}
         for i in sorted(self.faces, key=lambda i: len(self._below[i])):
-            P = self.faces[i]
-            if "record" in P._cache:
-                empty = P._root() is None
-            else:
-                empty = P.relint_point([self.faces[b].relint_point()
-                                        for b in self._below[i]]) is None
-            if empty:
+            relint[i] = self.faces[i].relint_point([relint[b] for b in self._below[i]])
+            if relint[i] is None:
                 raise ValueError("face %r is empty" % (i,))
         self._dim_of = {i: p.dimension() for i, p in self.faces.items()}
         self._key_to_id = None

@@ -52,22 +52,20 @@ V_SIDE = 3
 
 def _replay(log, R, side, other):
     """Apply the logged operations of one side (0 for U, 1 for V^T) in log
-    order to R, a list of rows, and return R.  Rows are dense lists or
-    sparse dicts {column: nonzero entry}; `other` is the number of rows of
-    the other side.  Raises ValueError if the log leaves its grammar: a
-    length that is not a multiple of four, an entry that is not an int, an
-    unknown code, an index out of range on either side, or an ADD with
-    src = dst (the one operation that would scale a row)."""
+    order to R, a list of sparse rows (dicts {column: nonzero entry}), and
+    return R; `other` is the number of rows of the other side.  Raises
+    ValueError if the log leaves its grammar: a length that is not a
+    multiple of four, an entry that is not an int, an unknown code, an
+    index out of range on either side, or an ADD with src = dst (the one
+    operation that would scale a row)."""
     if len(log) % 4 or not set(map(type, log)) <= {int}:
         raise ValueError("a Smith form log holds four ints per operation")
-    sparse = bool(R) and isinstance(R[0], dict)
-    sizes = (len(R), other) if side == 0 else (other, len(R))
     ops = iter(log)
     for code, dst, src, q in zip(ops, ops, ops, ops):
         if not 0 <= code < 2 * V_SIDE:
             raise ValueError("unknown Smith form operation code %d" % code)
         s, kind = divmod(code, V_SIDE)
-        size = sizes[s]
+        size = len(R) if s == side else other
         if not (0 <= dst < size and 0 <= src < size) or (kind == ADD and dst == src):
             raise ValueError("Smith form operation %r is outside the grammar on %d rows"
                              % ((code, dst, src, q), size))
@@ -75,9 +73,7 @@ def _replay(log, R, side, other):
             continue
         if kind == SWAP:
             R[dst], R[src] = R[src], R[dst]
-        elif kind == NEGATE:
-            R[dst] = {k: -a for k, a in R[dst].items()} if sparse else [-a for a in R[dst]]
-        elif sparse:
+        elif kind == ADD:
             row = R[dst]
             for k, a in R[src].items():
                 b = row.get(k, 0) + q * a
@@ -86,17 +82,8 @@ def _replay(log, R, side, other):
                 else:
                     row.pop(k, None)
         else:
-            row, add = R[dst], R[src]
-            for k in compress(range(len(add)), add):
-                row[k] += q * add[k]
+            R[dst] = {k: -a for k, a in R[dst].items()}
     return R
-
-
-def _identity(n):
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
-    return rows
 
 
 @dataclass
@@ -108,17 +95,18 @@ class SmithForm:
     @property
     def U(self):
         """U as a dense m x m list of rows: I_m after the logged row
-        operations, replayed (and the log's grammar checked) on every
-        access."""
+        operations."""
         m, n = len(self.diagonal), len(self.diagonal[0]) if self.diagonal else 0
-        return _replay(self.log, _identity(m), 0, n)
+        rows = _replay(self.log, [{i: 1} for i in range(m)], 0, n)
+        return [[row.get(j, 0) for j in range(m)] for row in rows]
 
     @property
     def V(self):
         """V as a dense n x n list of rows: the transpose of I_n after the
         logged column operations, which act on the rows of V^T."""
         m, n = len(self.diagonal), len(self.diagonal[0]) if self.diagonal else 0
-        return [list(col) for col in zip(*_replay(self.log, _identity(n), 1, m))]
+        rows = _replay(self.log, [{j: 1} for j in range(n)], 1, m)
+        return [[row.get(i, 0) for row in rows] for i in range(n)]
 
     def certify(self, M):
         """True iff this is a Smith normal form of M: the invariant factors

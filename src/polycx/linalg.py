@@ -291,15 +291,18 @@ def in_row_space(rows, v):
     return row_space_contained([v], rows)
 
 
+def annihilator(rows, ncols):
+    """Primitive integer rows spanning the annihilator of rowspace(rows)
+    in Q^ncols (QQ or integer rows; no rows give the unit vectors)."""
+    m = [int_row(row)[0] for row in rows]
+    return int_kernel(m, int_rref(m), ncols)
+
+
 def row_space_contained(inner, outer):
     """True iff rowspace(inner) ⊆ rowspace(outer): the integer annihilator
     of the outer rows kills every inner row."""
     inner = [int_row(row)[0] for row in inner]
-    if not outer:
-        return not any(any(row) for row in inner)
-    m = [int_row(row)[0] for row in outer]
-    pivots = int_rref(m)
-    return annihilates(int_kernel(m, pivots, len(m[0])), inner)
+    return not inner or annihilates(annihilator(outer, len(inner[0])), inner)
 
 
 def intersect_row_spaces(a_rows, b_rows):
@@ -308,8 +311,4 @@ def intersect_row_spaces(a_rows, b_rows):
     if not a_rows:
         return []
     n = len(a_rows[0])
-    ann = []
-    for rows in (a_rows, b_rows):
-        m = [int_row(row)[0] for row in rows]
-        ann += int_kernel(m, int_rref(m), n)
-    return rational_rows(*int_meet(ann, n)[:2])
+    return rational_rows(*int_meet(annihilator(a_rows, n) + annihilator(b_rows, n), n)[:2])

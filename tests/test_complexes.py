@@ -256,22 +256,6 @@ class TestRelintWitnesses:
         assert "record" in C.faces[1]._cache
         assert C.face_dim(0) == 0 and C.face_dim(1) == 2
 
-    def test_faces_with_records_need_no_witness(self, monkeypatch):
-        # every face of a subdivision, of its cut difference and of a
-        # restriction carries a record, so none reads a relative-interior
-        # point off it, and the dimensions are the record's
-        def refuse(self):
-            raise AssertionError("a face with a record computed a relative-interior point")
-        C = cube_tower(2)
-        monkeypatch.setattr(FaceRecord, "relint", refuse)
-        D = PolyhedralComplex.from_subdivision([box([0, 0], [1, 1]), box([1, 0], [2, 1])])
-        vertex = next(i for i in D.ids() if D.face_dim(i) == 0)
-        for E in (D, D.difference([vertex]), C.restricted(C.ids()), C.residue(C.ids()[0])):
-            for i in E.ids():
-                P = E.faces[i]
-                assert "record" in P._cache and "relint" not in P._cache
-                assert E.face_dim(i) == P._record().dim(P._root())
-
     def test_empty_face_with_a_record_is_rejected(self):
         empty = RationalPolyhedron(1, [([1], 0, True), ([-1], 0, True)])  # x < 0 < x
         assert empty._root() is None and "record" in empty._cache
