@@ -13,10 +13,11 @@ canonical rows: the RREF rows, each times the lcm of its denominators,
 which makes it primitive with a positive pivot (`int_row_space`).  This
 form and the QQ RREF determine each other, since dividing a canonical row
 by its pivot gives back the RREF row (`rational_rows`).  Containment is a
-check that the outer space's integer annihilator kills the inner rows
-(`annihilates`), and a meet is the kernel of the stacked annihilators
-(`int_meet`), since (A ∩ B)^⊥ = A^⊥ + B^⊥.  `intersect_row_spaces`,
-`row_space_contained` and `in_row_space` are the same on QQ rows.
+check that the outer space's integer annihilator (`annihilator`) kills the
+inner rows (`annihilates`), and a meet is the kernel of the stacked
+annihilators (`int_meet`), since (A ∩ B)^⊥ = A^⊥ + B^⊥.
+`intersect_row_spaces`, `row_space_contained` and `in_row_space` are the
+same on QQ rows.
 """
 
 from itertools import compress
