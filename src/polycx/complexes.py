@@ -35,24 +35,30 @@ class PolyhedralComplex:
         for a, b in above:
             if a != b:
                 succ.setdefault(a, set()).add(b)
-        # transitive closure, so callers may pass generators only
+        # transitive closure, so callers may pass generators only: a depth
+        # first walk on an explicit stack, so a long chain needs no deep
+        # recursion; a face's closure is None while it is open
         reach = {}
-
-        def close(a):
-            if a in reach:
-                if reach[a] is None:  # reached again while its closure is open
-                    raise ValueError("incidences form a cycle through face %r" % (a,))
-                return reach[a]
-            reach[a] = None
-            out = set()
-            for b in succ.get(a, ()):
-                out.add(b)
-                out |= close(b)
-            reach[a] = out
-            return out
-
-        for a in list(succ):
-            close(a)
+        for root in succ:
+            if root in reach:
+                continue
+            reach[root] = None
+            stack = [(root, iter(succ[root]))]
+            while stack:
+                a, rest = stack[-1]
+                for b in rest:
+                    if b not in reach:
+                        reach[b] = None
+                        stack.append((b, iter(succ.get(b, ()))))
+                        break
+                    if reach[b] is None:  # reached again while its closure is open
+                        raise ValueError("incidences form a cycle through face %r" % (b,))
+                else:
+                    stack.pop()
+                    out = reach[a] = set()
+                    for b in succ.get(a, ()):
+                        out.add(b)
+                        out |= reach[b]
         if not reach.keys() <= self.faces.keys():
             raise ValueError("incidence pair references unknown face id")
         # the closure and its inverse: strict up-set and down-set of each face

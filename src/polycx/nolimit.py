@@ -16,7 +16,6 @@ blocks, one per weight.
 
 from math import comb
 
-from .rationals import QQ, ZERO, ONE
 from . import linalg
 
 
@@ -41,17 +40,17 @@ def _block_equations(D, w, variables, shear):
         j = w - i
         # both charts restrict to the same plane z=0 polynomial
         if i + j <= D:
-            row = [ZERO] * len(variables)
-            row[pos[("c", i, j, 0)]] += ONE
-            row[pos[("d", i, j, 0)]] -= ONE
+            row = [0] * len(variables)
+            row[pos[("c", i, j, 0)]] += 1
+            row[pos[("d", i, j, 0)]] -= 1
             rows.append(row)
         # coefficient of x^i z^j of the pullback along the parabola chart
-        row = [ZERO] * len(variables)
+        row = [0] * len(variables)
         nonzero = False
         for k in range(j // 2 + 1):
             v = ("c", i, j - 2 * k, k)
             if v in pos:
-                row[pos[v]] += ONE
+                row[pos[v]] += 1
                 nonzero = True
         if shear:
             # (x,z) -> (x+z, z, z^2): binomial spread over the first slot
@@ -60,14 +59,14 @@ def _block_equations(D, w, variables, shear):
                     q = j - (p - i) - 2 * r
                     v = ("d", p, q, r)
                     if v in pos:
-                        row[pos[v]] -= QQ(comb(p, i))
+                        row[pos[v]] -= comb(p, i)
                         nonzero = True
         else:
             # control: (x,z) -> (x, z, z^2), no shear
             for k in range(j // 2 + 1):
                 v = ("d", i, j - 2 * k, k)
                 if v in pos:
-                    row[pos[v]] -= ONE
+                    row[pos[v]] -= 1
                     nonzero = True
         if nonzero:
             rows.append(row)
@@ -90,9 +89,7 @@ def no_limit_witness(max_degree, shear=True):
             continue
         pos = {v: t for t, v in enumerate(variables)}
         rows = _block_equations(D, w, variables, shear)
-        kernel = linalg.nullspace(rows) if rows else [
-            tuple(ONE if t == s else ZERO for t in range(len(variables)))
-            for s in range(len(variables))]
+        kernel = linalg.annihilator(rows, len(variables))
         axis_var = ("c", w, 0, 0) if w <= D else None
         if axis_var is not None:
             contributes = any(v[pos[axis_var]] != 0 for v in kernel)
@@ -100,10 +97,6 @@ def no_limit_witness(max_degree, shear=True):
             if contributes:
                 image_dim += 1
         for v in kernel:
-            # the identities are linear and homogeneous in v, and scaling
-            # by the positive lcm of its denominators keeps its zeros
-            v = linalg.int_row(v)[0]
-
             def coeff(tag, i, j, k):
                 key = (tag, i, j, k)
                 return v[pos[key]] if key in pos else 0

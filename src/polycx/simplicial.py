@@ -58,11 +58,10 @@ class SimplicialComplex:
         return sorted((s for s in self._simplices if len(s) == dim + 1), key=simplex_key)
 
     def maximal_simplices(self):
-        out = []
-        for s in self._simplices:
-            if not any(s < t for t in self._simplices):
-                out.append(s)
-        return sorted(out, key=simplex_key)
+        """The simplices that are no codimension-one face of a simplex: the
+        simplex set is closed under faces, so these are the maximal ones."""
+        faces = {t - {v} for t in self._simplices for v in t}
+        return sorted(self._simplices - faces, key=simplex_key)
 
     def __contains__(self, s):
         return frozenset(s) in self._simplices

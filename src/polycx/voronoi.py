@@ -6,15 +6,17 @@ generators of the cone over the cell, kept by the double description
 method on integer sites, decide whether the rows kept so far entail a new
 one.  The complex itself is the face/intersection closure of the cells.
 Genericity ("simple configuration") is decided on integer sites by one
-elimination of each small equidistance system.  Each cell is certified to
-be the exact Voronoi region of its site, so the cells meet in common faces
-without a pairwise check.  The Delaunay nerve is read off the cells
-without building the complex: its top simplices are the nearest-site sets
-of the vertices of the cells' records.  It is certified exactly and
-locally: the ridge conditions of a triangulation (each ridge between two
-top simplices on opposite sides, or on a hull facet), positive simplex
-volumes, and one point location (the centroid of one top simplex lies in
-no other), which together make its open simplices pairwise disjoint.
+elimination of each small equidistance system, which also gives the
+circumsphere of every (N+1)-subset.  Each cell is certified to be the
+exact Voronoi region of its site, so the cells meet in common faces
+without a pairwise check.  The Delaunay nerve needs no cell at all: its
+top simplices are the subsets whose circumsphere from the genericity test
+holds no site inside (the empty-sphere criterion).  It is certified
+exactly and locally: the ridge conditions of a triangulation (each ridge
+between two top simplices on opposite sides, or on a hull facet), positive
+simplex volumes, and one point location (the centroid of one top simplex
+lies in no other), which together make its open simplices pairwise
+disjoint and show that no top is missing.
 Clipping keeps every face above a vertex inside the region and tests the
 other faces against the region by Fourier-Motzkin.
 """
@@ -140,8 +142,12 @@ def voronoi_complex(Y):
     return PolyhedralComplex._of_cells(_voronoi_cells(Y))
 
 
-def is_simple_configuration(Y):
-    """(flag, witness): every small equidistance locus is transversal.
+def _circumspheres(Y):
+    """(flag, witness, spheres): the genericity sweep.  flag and witness
+    are those of `is_simple_configuration`; spheres maps the circumsphere
+    of each (N+1)-subset W swept, keyed (den, *nums, den²r²) with centre
+    nums / den and radius r in the integer sites, to W.  For a simple set
+    it holds every (N+1)-subset, each under its own key.
 
     Subsets larger than N+2 never need checking: a degenerate one always
     contains a degenerate subset of size at most N+2.  Subsets of size up
@@ -162,19 +168,19 @@ def is_simple_configuration(Y):
     k = len(Y)
     Z, _ = _integer_sites(Y)
     sq = [sum(x * x for x in z) for z in Z]
+    spheres = {}
     for size in range(3, min(k, N) + 1):
         for W in itertools.combinations(range(k), size):
             z0 = Z[W[0]]
             if linalg.int_rank([[a - b for a, b in zip(Z[j], z0)] for j in W[1:]]) != size - 1:
-                return False, W
-    spheres = {}
+                return False, W, spheres
     collision = None
     for W in itertools.combinations(range(k), N + 1):
         z0, s0 = Z[W[0]], sq[W[0]]
         m = [[2 * (a - b) for a, b in zip(Z[j], z0)] + [sq[j] - s0] for j in W[1:]]
         pivots = linalg.int_rref(m)
         if len(pivots) != N or pivots[-1] == N:
-            return False, W
+            return False, W, spheres
         if collision is None:
             # the circumcenter (q_i / p_i) as nums / den in lowest terms
             den = lcm(*(row[i] for i, row in enumerate(m)))
@@ -184,7 +190,13 @@ def is_simple_configuration(Y):
             if key in spheres:
                 collision = tuple(sorted(set(spheres[key]) | set(W))[:N + 2])
             spheres[key] = W
-    return (False, collision) if collision else (True, None)
+    return (False, collision, spheres) if collision else (True, None, spheres)
+
+
+def is_simple_configuration(Y):
+    """(flag, witness): every small equidistance locus is transversal
+    (see `_circumspheres`)."""
+    return _circumspheres(Y)[:2]
 
 
 def perturb_to_simple(Y, bound, seed, retries=8):
@@ -223,28 +235,32 @@ def delaunay(Y):
     the convex hull of the sites; ValueError if the set is not simple or
     the certificate fails.
 
-    Its top simplices are the nearest-site sets of the cells' record
-    points, compared exactly on the integer sites.  The set is simple, so
-    each minimal face of the Voronoi complex lies in exactly d + 1 cells
-    (d the dimension of the site span), those of its nearest sites, and
-    holds a record point of each: these sets are the maximal simplices of
-    the complex's nerve.  Each top has d + 1 vertices and positive volume
-    (`_certify_triangulation`), so the sites of each simplex are affinely
-    independent.
+    Its top simplices are the (N+1)-subsets whose circumsphere, from the
+    genericity sweep `_circumspheres`, holds no site strictly inside,
+    compared exactly on the integer sites; a simple set of k <= N sites
+    has one top, all its sites.  These are the maximal simplices of the
+    nerve of the Voronoi cells (Delaunay, "Sur la sphère vide", 1934).  In
+    a simple set, a Voronoi vertex v has an affinely independent set of
+    N+1 nearest sites, and the sphere about v through them holds no site
+    inside.  Conversely, the centre of an empty circumsphere of an
+    (N+1)-subset W is nearest to exactly W, since another site on the
+    sphere would put N+2 sites on one sphere; so it lies in exactly those
+    N+1 cells, and is a Voronoi vertex.  Each top has d + 1 vertices and
+    positive volume (`_certify_triangulation`), so the sites of each
+    simplex are affinely independent, and the certificate shows that no
+    top is missing.
     """
-    ok, witness = is_simple_configuration(Y)
+    ok, witness, spheres = _circumspheres(Y)
     if not ok:
         raise ValueError(
             "site set is not simple (witness subset %r); run perturb_to_simple first"
             % (witness,))
     Z, L = _integer_sites(Y)
-    tops = set()
-    for cell in _voronoi_cells(Y):
-        for (nums, den), _ in cell._record().points:
-            dist = [sum((L * x - den * z) ** 2 for x, z in zip(nums, zj)) for zj in Z]
-            least = min(dist)
-            tops.add(tuple(j for j, s in enumerate(dist) if s == least))
-    tops = sorted(tops)
+    if len(Y) <= Y.ambient_dim:
+        tops = [tuple(range(len(Y)))]
+    else:
+        tops = sorted(W for (den, *nums, r2), W in spheres.items()
+                      if all(sum((x - den * a) ** 2 for x, a in zip(nums, z)) >= r2 for z in Z))
     pivots = linalg.int_rref([[a - b for a, b in zip(z, Z[0])] for z in Z[1:]])
     d = len(pivots)  # at least 1: a simple set has two distinct sites
     for top in tops:
@@ -312,7 +328,10 @@ def _certify_triangulation(params, tops):
     for ridge, tvs in opposite.values():
         vs = [v for _, v in tvs]
         origin = pts[ridge[0]]
-        normal = _normal([[a - b for a, b in zip(pts[r], origin)] for r in ridge[1:]])
+        # the kernel of the ridge's rows; sides are compared only by sign
+        # products, so any nonzero multiple gives the same verdicts
+        normal = linalg.annihilator([[a - b for a, b in zip(pts[r], origin)]
+                                     for r in ridge[1:]], d)[0]
         level = _dot(normal, origin)
 
         def side(i):
@@ -337,14 +356,6 @@ def _certify_triangulation(params, tops):
         raise ValueError("the centroid of Delaunay simplex %r lies in Delaunay simplex %r too"
                          % (sorted(tops[0]), sorted(tops[min(holding - {0})])))
     return out
-
-
-def _normal(rows):
-    """Integer normal of the hyperplane spanned by d - 1 integer rows in
-    Z^d: n·x = det(rows + [x]), by cofactors along the last row."""
-    d = len(rows) + 1
-    return [(-1) ** (d - 1 + c) * linalg.int_det([r[:c] + r[c + 1:] for r in rows])
-            for c in range(d)]
 
 
 def _open_simplices_meet(pts_a, pts_b):

@@ -66,13 +66,35 @@ def test_delaunay_degenerate_is_verification_failure(tmp_path):
                 "--out", str(tmp_path / "d.scx")]) == 1
 
 
-def test_delaunay_forged_top_is_verification_failure(tmp_path, monkeypatch):
-    # a one-point cell at site 0 gives the top {0}, of the wrong dimension
-    from polycx import RationalPolyhedron, voronoi
-    real = voronoi._voronoi_cells
-    monkeypatch.setattr(voronoi, "_voronoi_cells", lambda Y: real(Y) + [
-        RationalPolyhedron.from_box(Y.sites[0], Y.sites[0])])
+def test_delaunay_forged_top_is_verification_failure(tmp_path, monkeypatch, capsys):
+    # a sphere of radius 0 about site 0 gives the top {0}, of the wrong dimension
+    from polycx import voronoi
+    real = voronoi._circumspheres
+
+    def forged(Y):
+        ok, witness, spheres = real(Y)
+        return ok, witness, {**spheres, (1, 0, 0, 0): (0,)}
+
+    monkeypatch.setattr(voronoi, "_circumspheres", forged)
     pts = write(tmp_path / "p.pts", "2 3\n0 0\n2 0\n0 2\n")
+    out = tmp_path / "d.scx"
+    assert run(["delaunay", "--points", pts, "--out", str(out)]) == 1
+    assert "Delaunay facet [0] has wrong dimension" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_delaunay_missing_top_is_verification_failure(tmp_path, monkeypatch):
+    # the sphere map without the sphere of one top: the ridge it shares
+    # with another top has that top's far vertex beyond it
+    from polycx import voronoi
+    real = voronoi._circumspheres
+
+    def dropped(Y):
+        ok, witness, spheres = real(Y)
+        return ok, witness, {key: W for key, W in spheres.items() if W != (0, 1, 4)}
+
+    monkeypatch.setattr(voronoi, "_circumspheres", dropped)
+    pts = write(tmp_path / "p.pts", "2 5\n0 0\n4 0\n4 3\n0 5\n2 1\n")
     out = tmp_path / "d.scx"
     assert run(["delaunay", "--points", pts, "--out", str(out)]) == 1
     assert not out.exists()

@@ -277,3 +277,14 @@ def test_cyclic_incidences_rejected():
         PolyhedralComplex(1, faces, {(0, 1), (1, 2), (2, 0)})
     # a chain closes transitively and is accepted
     assert PolyhedralComplex(1, faces, {(0, 1), (1, 2)}).above_of(0) == {0, 1, 2}
+
+
+def test_deep_incidence_chain_closes():
+    # a chain deeper than the interpreter's recursion limit, listed bottom
+    # first, so a recursive closure would walk all of it from face 0
+    seg = RationalPolyhedron.from_box([0], [1])
+    n = 1200
+    C = PolyhedralComplex(1, {i: seg for i in range(n)}, [(i, i + 1) for i in range(n - 1)])
+    assert C.above_of(0) == set(range(n)) and C.facets() == [n - 1]
+    with pytest.raises(ValueError, match="cycle through face"):
+        PolyhedralComplex(1, {i: seg for i in range(n)}, [(i, (i + 1) % n) for i in range(n)])

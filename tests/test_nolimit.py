@@ -9,6 +9,7 @@ import oracles
 
 
 NULLSPACE = linalg.nullspace
+ANNIHILATOR = linalg.annihilator
 
 
 def blocks(degree, shear, nullspace):
@@ -27,6 +28,11 @@ def spiked(rows):
     """The kernel of `rows` and one more rational vector, nonzero in
     every coordinate."""
     return NULLSPACE(rows) + [tuple(Fraction(t + 1, 3) for t in range(len(rows[0])))]
+
+
+def int_spiked(rows, ncols):
+    """The integer kernel of `rows` and the stray vector of `spiked` times 3."""
+    return ANNIHILATOR(rows, ncols) + [tuple(t + 1 for t in range(ncols))]
 
 
 def test_only_constants_restrict():
@@ -69,7 +75,7 @@ def test_identities_match_fraction_oracle(degree, shear, monkeypatch):
     want = oracles.no_limit_identities(blocks(degree, shear, spiked), shear)
     if shear:
         assert want[1] is False
-    monkeypatch.setattr(linalg, "nullspace", spiked)
+    monkeypatch.setattr(linalg, "annihilator", int_spiked)
     report = no_limit_witness(degree, shear=shear)
     assert (report["identities_3"], report["identities_4"]) == want
 
@@ -80,5 +86,5 @@ def test_stray_kernel_vector_breaks_identities_3(degree, shear, monkeypatch):
     # the stray vector has c(i, j, 0) != d(i, j, 0), so the first chart's
     # pullback b(i, j) differs from the second chart's plane
     assert no_limit_witness(degree, shear=shear)["identities_3"] is True
-    monkeypatch.setattr(linalg, "nullspace", spiked)
+    monkeypatch.setattr(linalg, "annihilator", int_spiked)
     assert no_limit_witness(degree, shear=shear)["identities_3"] is False

@@ -188,22 +188,31 @@ class TestDelaunay:
         assert D.hull_volume == polytope_volume(convex_hull_inequalities(Y.sites))
 
     def test_forged_top_of_the_wrong_size_is_rejected(self, monkeypatch):
-        # a one-point cell at site 0 has the nearest-site set {0}
-        real = voronoi._voronoi_cells
-        monkeypatch.setattr(voronoi, "_voronoi_cells", lambda Y: real(Y) + [
-            RationalPolyhedron.from_box(Y.sites[0], Y.sites[0])])
+        # a sphere of radius 0 about site 0 holds no site inside: the top {0}
+        real = voronoi._circumspheres
+
+        def forged(Y):
+            ok, witness, spheres = real(Y)
+            return ok, witness, {**spheres, (1, 0, 0, 0): (0,)}
+
+        monkeypatch.setattr(voronoi, "_circumspheres", forged)
         with pytest.raises(ValueError, match=r"Delaunay facet \[0\] has wrong dimension"):
             delaunay(SiteSet(2, [(0, 0), (2, 0), (0, 2)]))
 
     def test_builds_no_complex(self, monkeypatch):
-        # the tops come off the cells' records: no complex, no face list and
-        # no canonical key; and the certificate needs no hull, so neither
-        # the hull, its volume nor a rational solve for span coordinates
+        # the tops come off the genericity test's circumspheres: no Voronoi
+        # cell, no face record, no double description cone, no complex, no
+        # face list and no canonical key; and the certificate needs no hull,
+        # so neither the hull, its volume nor a rational solve for span
+        # coordinates
         def forbidden(name):
             def call(*args, **kwargs):
                 raise AssertionError("delaunay called " + name)
             return call
 
+        monkeypatch.setattr(voronoi, "_voronoi_cells", forbidden("_voronoi_cells"))
+        monkeypatch.setattr(voronoi, "_Cone", forbidden("_Cone"))
+        monkeypatch.setattr(polyhedra.FaceRecord, "build", forbidden("FaceRecord.build"))
         monkeypatch.setattr(PolyhedralComplex, "__init__", forbidden("PolyhedralComplex"))
         for name in ("canonical_key", "enumerate_faces"):
             monkeypatch.setattr(RationalPolyhedron, name, forbidden(name))
@@ -293,12 +302,39 @@ def nerve_oracle(Y):
     return SimplicialComplex([[site_of[f] for f in s] for s in C.nerve().maximal_simplices()])
 
 
+def cell_record_tops(Y):
+    """The Delaunay tops as `delaunay` once read them: the sites nearest to
+    each point of each certified Voronoi cell's record, compared exactly."""
+    Z, L = voronoi._integer_sites(Y)
+    tops = set()
+    for cell in _voronoi_cells(Y):
+        for (nums, den), _ in cell._record().points:
+            dist = [sum((L * x - den * z) ** 2 for x, z in zip(nums, zj)) for zj in Z]
+            least = min(dist)
+            tops.add(tuple(j for j, s in enumerate(dist) if s == least))
+    return sorted(tops)
+
+
+def dropping(Y, top):
+    """`_circumspheres` with the sphere of `top` left out of its map."""
+    real = voronoi._circumspheres
+
+    def sweep(Y):
+        ok, witness, spheres = real(Y)
+        return ok, witness, {key: W for key, W in spheres.items() if W != top}
+
+    return sweep
+
+
 class TestNerveOracle:
-    """`delaunay` reads its tops off the cells; the nerve of the Voronoi
-    complex is the oracle."""
+    """`delaunay` reads its tops off the empty circumspheres; the tops read
+    off the cells' records and the nerve of the Voronoi complex are the
+    oracles."""
 
     def assert_matches(self, Y):
-        assert format_scx(delaunay(Y).complex) == format_scx(nerve_oracle(Y))
+        D = delaunay(Y)
+        assert [top for top, _ in D.simplex_volumes] == cell_record_tops(Y)
+        assert format_scx(D.complex) == format_scx(nerve_oracle(Y))
 
     @settings(max_examples=100, deadline=None)
     @given(simple_sites())
@@ -315,6 +351,32 @@ class TestNerveOracle:
         rng = random.Random(5)
         self.assert_matches(SiteSet(4, [tuple(QQ(rng.randint(-20, 20)) for _ in range(4))
                                         for _ in range(10)]))
+
+    def test_sweep_is_the_genericity_test(self):
+        for Y in (random_sites(2, 7, seed=4), SiteSet(2, [(0, 0), (1, 0), (0, 1), (1, 1)]),
+                  SiteSet(2, [(0, 0), (1, 1), (2, 2), (5, 0)])):
+            assert voronoi._circumspheres(Y)[:2] == is_simple_configuration(Y)
+
+    def test_dropping_any_top_is_rejected(self):
+        # every top of a planar set, in turn, left out of the sphere map
+        Y = random_sites(2, 7, seed=4)
+        tops = [top for top, _ in delaunay(Y).simplex_volumes]
+        assert len(tops) > 1
+        for top in tops:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(voronoi, "_circumspheres", dropping(Y, top))
+                with pytest.raises(ValueError, match="lies beyond it"):
+                    delaunay(Y)
+
+    @settings(max_examples=40, deadline=None)
+    @given(simple_sites(), st.randoms(use_true_random=False))
+    def test_dropping_a_random_top_is_rejected(self, Y, rng):
+        assume(len(Y) > Y.ambient_dim)
+        top = rng.choice([top for top, _ in delaunay(Y).simplex_volumes])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(voronoi, "_circumspheres", dropping(Y, top))
+            with pytest.raises(ValueError):
+                delaunay(Y)
 
 
 def certified(points, tops):
