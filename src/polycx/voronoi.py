@@ -5,9 +5,11 @@ with redundant bisectors filtered incrementally (nearest sites first): the
 generators of the cone over the cell, kept by the double description
 method on integer sites, decide whether the rows kept so far entail a new
 one.  The complex itself is the face/intersection closure of the cells.
-Genericity ("simple configuration") is decided on integer sites by one
-elimination of each small equidistance system, which also gives the
-circumsphere of every (N+1)-subset.  Each cell is certified to be the
+Genericity ("simple configuration") is decided on integer sites lifted to
+the paraboloid (z, |z|²), where a circumsphere is a hyperplane: the signed
+maximal minors of each (N+1)-subset's lifted differences, expanded once per
+prefix of the subsets in combination order, give its rank and the primitive
+integer equation of its circumsphere.  Each cell is certified to be the
 exact Voronoi region of its site, so the cells meet in common faces
 without a pairwise check.  The Delaunay nerve needs no cell at all: its
 top simplices are the subsets whose circumsphere from the genericity test
@@ -23,7 +25,9 @@ other faces against the region by Fourier-Motzkin.
 
 import itertools
 import random
-from math import factorial, lcm
+from functools import cache
+from math import factorial, gcd, lcm
+from operator import mul
 from dataclasses import dataclass
 
 from .rationals import QQ, ZERO, ONE, rat, rat_str, vec
@@ -142,54 +146,142 @@ def voronoi_complex(Y):
     return PolyhedralComplex._of_cells(_voronoi_cells(Y))
 
 
-def _circumspheres(Y):
+def _lifted_sites(Y):
+    """(P, L): the integer sites z = L·y, with L the lcm of the sites'
+    denominators, each lifted to the paraboloid as p = (z, |z|²)."""
+    Z, L = _integer_sites(Y)
+    return [z + [sum(x * x for x in z)] for z in Z], L
+
+
+@cache
+def _expansion_plan(N):
+    """The Laplace steps that take the minors of r - 1 rows of an
+    N × (N+1) matrix to those of r rows, for r = 1, ..., N.
+
+    Step r maps each r-subset S of the columns, listed in combination
+    order, to a row of N+1 pairs (i, sign): for a column c of S, i indexes
+    the minor of the first r - 1 rows on S minus c and sign is that of c in
+    the expansion along row r; a column outside S has sign 0.  With
+    B = [sign * prev[i] for i, sign in row], the minor of the first r rows
+    on S is B · (row r).  Step N lists, for c = 0, ..., N, the columns
+    without c, with (-1)^c folded in: its minors are the signed maximal
+    minors n_c, so that n · x = det[x; rows] for every x, and n is normal
+    to every row.
+    """
+    cols = range(N + 1)
+    plan = [None]
+    for r in range(1, N + 1):
+        index = {S: i for i, S in enumerate(itertools.combinations(cols, r - 1))}
+        if r < N:
+            subsets = [(S, 1) for S in itertools.combinations(cols, r)]
+        else:
+            subsets = [(tuple(x for x in cols if x != c), (-1) ** c) for c in cols]
+        step = []
+        for S, sign in subsets:
+            row = [(0, 0)] * (N + 1)
+            for t, c in enumerate(S):
+                row[c] = (index[S[:t] + S[t + 1:]], sign * (-1) ** (r - 1 + t))
+            step.append(tuple(row))
+        plan.append(tuple(step))
+    return tuple(plan)
+
+
+def _circumspheres(Y, lifted=None):
     """(flag, witness, spheres): the genericity sweep.  flag and witness
     are those of `is_simple_configuration`; spheres maps the circumsphere
-    of each (N+1)-subset W swept, keyed (den, *nums, den²r²) with centre
-    nums / den and radius r in the integer sites, to W.  For a simple set
-    it holds every (N+1)-subset, each under its own key.
+    of each (N+1)-subset W swept, under the key below, to W.  For a simple
+    set it holds every (N+1)-subset, each under its own key.  `lifted` is
+    `_lifted_sites(Y)` if the caller has it already.
 
     Subsets larger than N+2 never need checking: a degenerate one always
     contains a degenerate subset of size at most N+2.  Subsets of size up
     to N+1 must be affinely independent; a size-N+2 subset is degenerate
     exactly when its points share a circumsphere, so instead of sweeping
-    all N+2 subsets we hash circumcenters of the N+1 subsets and look for
-    a collision (same center and radius).
+    all N+2 subsets we key the circumsphere of each N+1 subset and look for
+    a collision.  A collision is reported only when no subset fails the
+    rank test.
 
-    The sites are scaled by their common denominator L to integer points,
-    which keeps affine independence and maps (center, radius^2) to
-    (L center, L^2 radius^2).  One integer RREF of an (N+1)-subset's
-    equidistance system gives its rank and its circumcenter.  A collision
-    is reported only when no subset fails the rank test.
+    The sites are scaled by their common denominator L to integer points
+    z, which keeps affine independence and spheres, and lifted to
+    p = (z, |z|²).  A sphere |z - c|² = r² becomes the hyperplane
+    a·z + b|z|² = e with b > 0, a = -2bc and e = b(r² - |c|²), so sites
+    are cospherical iff their lifts are co-hyperplanar (Edelsbrunner and
+    Seidel, "Voronoi diagrams and arrangements", DCG 1986).  The normal
+    n = (a, b) of the hyperplane through the lifts of W is the vector of
+    signed maximal minors of the N × (N+1) matrix of differences
+    p_j - p_0 (p_0 the lift of W's first site), and e = n·p_0.  Its lift
+    entry b is ±det(z_j - z_0), so W is affinely dependent iff b = 0:
+    exactly when the equidistance system 2(z_j - z_0)·x = |z_j|² - |z_0|²
+    has no unique solution, which an elimination of that system tests.
+    Otherwise the key (a, b, e), divided by the content of n (which
+    divides e) and signed so that b > 0, is the one primitive integer
+    equation of the hyperplane, so two subsets share a key iff they share
+    a circumsphere.  So the first failing subset, the collision and the
+    subsets swept are those of one elimination per subset, which the tests
+    keep as the oracle `circumsphere_sweep`.
+
+    The minors are expanded along the last row and shared along the
+    lexicographic combination tree: each prefix of r sites holds the
+    (r-1)-minors of its difference rows as the vectors of
+    `_expansion_plan`, so a child's minors are dot products, and a leaf
+    costs N + 1 of them.
     """
     if len(Y) < 2:
         raise ValueError("need at least two sites")
     N = Y.ambient_dim
     k = len(Y)
-    Z, _ = _integer_sites(Y)
-    sq = [sum(x * x for x in z) for z in Z]
-    spheres = {}
+    P = (lifted or _lifted_sites(Y))[0]
     for size in range(3, min(k, N) + 1):
         for W in itertools.combinations(range(k), size):
-            z0 = Z[W[0]]
-            if linalg.int_rank([[a - b for a, b in zip(Z[j], z0)] for j in W[1:]]) != size - 1:
-                return False, W, spheres
+            p0 = P[W[0]]
+            if linalg.int_rank([[a - b for a, b in zip(P[j][:N], p0)] for j in W[1:]]) \
+                    != size - 1:
+                return False, W, {}
+    spheres = {}
+    if k <= N:
+        return True, None, spheres
+    plan = _expansion_plan(N)
     collision = None
-    for W in itertools.combinations(range(k), N + 1):
-        z0, s0 = Z[W[0]], sq[W[0]]
-        m = [[2 * (a - b) for a, b in zip(Z[j], z0)] + [sq[j] - s0] for j in W[1:]]
-        pivots = linalg.int_rref(m)
-        if len(pivots) != N or pivots[-1] == N:
-            return False, W, spheres
-        if collision is None:
-            # the circumcenter (q_i / p_i) as nums / den in lowest terms
-            den = lcm(*(row[i] for i, row in enumerate(m)))
-            den, *nums = linalg.primitive_row(
-                [den] + [row[N] * (den // row[i]) for i, row in enumerate(m)])
-            key = (den, *nums, sum((x - den * a) ** 2 for x, a in zip(nums, z0)))
-            if key in spheres:
-                collision = tuple(sorted(set(spheres[key]) | set(W))[:N + 2])
-            spheres[key] = W
+
+    def leaves(W, D, Bs):
+        nonlocal collision
+        p0 = P[W[0]]
+        for j in range(W[-1] + 1, k):
+            n = [sum(map(mul, D[j], B)) for B in Bs]
+            if not n[N]:
+                return W + (j,)
+            if collision is None:
+                g = gcd(*n)
+                if n[N] < 0:
+                    g = -g
+                if g != 1:
+                    n = [x // g for x in n]
+                n.append(sum(map(mul, n, p0)))
+                key = tuple(n)
+                V = W + (j,)
+                if key in spheres:
+                    collision = tuple(sorted(set(spheres[key]) | set(V))[:N + 2])
+                spheres[key] = V
+        return None
+
+    def walk(W, D, Bs, r):
+        # W: r sites; Bs: the step-r vectors of their r - 1 difference rows
+        if r == N:
+            return leaves(W, D, Bs)
+        step = plan[r + 1]
+        for j in range(W[-1] + 1, k - N + r):
+            m = [sum(map(mul, D[j], B)) for B in Bs]
+            bad = walk(W + (j,), D, [[s * m[i] for i, s in row] for row in step], r + 1)
+            if bad:
+                return bad
+        return None
+
+    first = [[s for _, s in row] for row in plan[1]]  # the minors of no rows: [1]
+    for w in range(k - N):
+        p0 = P[w]
+        bad = walk((w,), [[a - b for a, b in zip(p, p0)] for p in P], first, 1)
+        if bad:
+            return False, bad, spheres
     return (False, collision, spheres) if collision else (True, None, spheres)
 
 
@@ -236,9 +328,12 @@ def delaunay(Y):
     the certificate fails.
 
     Its top simplices are the (N+1)-subsets whose circumsphere, from the
-    genericity sweep `_circumspheres`, holds no site strictly inside,
-    compared exactly on the integer sites; a simple set of k <= N sites
-    has one top, all its sites.  These are the maximal simplices of the
+    genericity sweep `_circumspheres`, holds no site strictly inside; a
+    simple set of k <= N sites has one top, all its sites.  The sweep keys
+    a sphere |z - c|² = r² on the integer sites z by its lifted hyperplane
+    a·z + b|z|² = e with b > 0, so |z - c|² - r² = (a·z + b|z|² - e) / b,
+    and a site z lies strictly inside iff a·z + b|z|² < e: one integer dot
+    product with the lift (z, |z|²) that the sweep used.  These are the maximal simplices of the
     nerve of the Voronoi cells (Delaunay, "Sur la sphère vide", 1934).  In
     a simple set, a Voronoi vertex v has an affinely independent set of
     N+1 nearest sites, and the sphere about v through them holds no site
@@ -250,17 +345,21 @@ def delaunay(Y):
     simplex are affinely independent, and the certificate shows that no
     top is missing.
     """
-    ok, witness, spheres = _circumspheres(Y)
+    N = Y.ambient_dim
+    P, L = lifted = _lifted_sites(Y)
+    ok, witness, spheres = _circumspheres(Y, lifted)
     if not ok:
         raise ValueError(
             "site set is not simple (witness subset %r); run perturb_to_simple first"
             % (witness,))
-    Z, L = _integer_sites(Y)
-    if len(Y) <= Y.ambient_dim:
+    if len(Y) <= N:
         tops = [tuple(range(len(Y)))]
     else:
-        tops = sorted(W for (den, *nums, r2), W in spheres.items()
-                      if all(sum((x - den * a) ** 2 for x, a in zip(nums, z)) >= r2 for z in Z))
+        # key = (a, b, e): a·z + b|z|² is the key's dot with the lift p,
+        # which stops before e
+        tops = sorted(W for key, W in spheres.items()
+                      if all(sum(map(mul, key, p)) >= key[-1] for p in P))
+    Z = [p[:N] for p in P]
     pivots = linalg.int_rref([[a - b for a, b in zip(z, Z[0])] for z in Z[1:]])
     d = len(pivots)  # at least 1: a simple set has two distinct sites
     for top in tops:

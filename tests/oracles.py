@@ -408,6 +408,59 @@ def simple_configuration(sites):
     return True, None
 
 
+def circumsphere_sweep(sites):
+    """(flag, witness, spheres): the genericity sweep as `voronoi._circumspheres`
+    ran it before it keyed the lifted hyperplanes, by one elimination of
+    each (N+1)-subset's equidistance system.
+
+    The sites are scaled to integer points z by the lcm of their
+    denominators.  Subsets of 3..N sites must have full-rank differences,
+    then each (N+1)-subset W in combination order must have a unique
+    circumcenter c = nums / den (lowest terms), the first failure being the
+    witness.  spheres maps the key (den, *nums, den²r²) of each subset
+    swept to it, up to the first collision, which maps to the later subset
+    and makes the witness the sorted first N+2 sites of the pair's union;
+    a rank failure after it still wins.
+    """
+    pts = [[Fraction(c) for c in p] for p in sites]
+    N, k = len(pts[0]), len(pts)
+    scale = _lcm_all(c.denominator for p in pts for c in p)
+    Z = [[int(c * scale) for c in p] for p in pts]
+    for size in range(3, min(k, N) + 1):
+        for W in itertools.combinations(range(k), size):
+            if rational_rank([[a - b for a, b in zip(Z[j], Z[W[0]])] for j in W[1:]]) \
+                    != size - 1:
+                return False, W, {}
+    spheres, collision = {}, None
+    for W in itertools.combinations(range(k), N + 1):
+        z0 = Z[W[0]]
+        red, pivots = rational_rref([[2 * (b - a) for a, b in zip(z0, Z[j])]
+                                     + [sum(b * b for b in Z[j]) - sum(a * a for a in z0)]
+                                     for j in W[1:]])
+        if len(pivots) != N or pivots[-1] == N:
+            return False, W, spheres
+        if collision is None:
+            center = [row[N] for row in red]
+            den = _lcm_all(c.denominator for c in center)
+            nums = [int(c * den) for c in center]
+            key = (den, *nums, sum((x - den * a) ** 2 for x, a in zip(nums, z0)))
+            if key in spheres:
+                collision = tuple(sorted(set(spheres[key]) | set(W))[:N + 2])
+            spheres[key] = W
+    return (False, collision, spheres) if collision else (True, None, spheres)
+
+
+def empty_sphere_tops(sites, spheres):
+    """The subsets of `circumsphere_sweep`'s map whose circumsphere, keyed
+    (den, *nums, den²r²) on the integer sites, holds no site strictly
+    inside: the Delaunay tops of a simple set of more than N sites."""
+    pts = [[Fraction(c) for c in p] for p in sites]
+    scale = _lcm_all(c.denominator for p in pts for c in p)
+    Z = [[int(c * scale) for c in p] for p in pts]
+    return sorted(W for (den, *nums, r2), W in spheres.items()
+                  if all(sum((x - den * a) ** 2 for x, a in zip(nums, z)) >= r2 for z in Z))
+
+
 class FMFaces:
     """Face structure of a mixed strict/non-strict system decided by
     feasibility tests alone: the Fourier-Motzkin face code the polyhedron

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,13 +68,14 @@ def test_delaunay_degenerate_is_verification_failure(tmp_path):
 
 
 def test_delaunay_forged_top_is_verification_failure(tmp_path, monkeypatch, capsys):
-    # a sphere of radius 0 about site 0 gives the top {0}, of the wrong dimension
+    # the key (0, 0, 1, 0), the tangent hyperplane at the lift of site 0, is
+    # a sphere of radius 0 about it: the top {0}, of the wrong dimension
     from polycx import voronoi
     real = voronoi._circumspheres
 
-    def forged(Y):
-        ok, witness, spheres = real(Y)
-        return ok, witness, {**spheres, (1, 0, 0, 0): (0,)}
+    def forged(Y, *lifted):
+        ok, witness, spheres = real(Y, *lifted)
+        return ok, witness, {**spheres, (0, 0, 1, 0): (0,)}
 
     monkeypatch.setattr(voronoi, "_circumspheres", forged)
     pts = write(tmp_path / "p.pts", "2 3\n0 0\n2 0\n0 2\n")
@@ -89,8 +91,8 @@ def test_delaunay_missing_top_is_verification_failure(tmp_path, monkeypatch):
     from polycx import voronoi
     real = voronoi._circumspheres
 
-    def dropped(Y):
-        ok, witness, spheres = real(Y)
+    def dropped(Y, *lifted):
+        ok, witness, spheres = real(Y, *lifted)
         return ok, witness, {key: W for key, W in spheres.items() if W != (0, 1, 4)}
 
     monkeypatch.setattr(voronoi, "_circumspheres", dropped)
@@ -597,10 +599,18 @@ GRP_FILES = ["gens 2\nx1 x2 x1^-1 x2^-1\n", "gens 1\nx1 x1\n",
              "gens 2\nx1 x2 x1^-1 x2^-1 x2^-1\nx2 x1 x2^-1 x1^-1 x1^-1\n"]
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SCX_FILES = [path.read_text() for path in sorted(GOLDEN.glob("**/*.scx"))]
+CPLX_FILES = [path.read_text() for path in sorted(GOLDEN.glob("*.cplx"))]
+EDIT_CHARS = "0123456789-/ \nx^<=."
+JSON_CHARS = EDIT_CHARS + '"[]{},:'
+
+
 @st.composite
-def mutated(draw, texts):
-    """One of `texts` after one or two edits: a character inserted, deleted
-    or replaced, or a line duplicated or deleted."""
+def mutated(draw, texts, chars=EDIT_CHARS):
+    """One of `texts` after one or two edits: a character of `chars`
+    inserted or replacing one, a character deleted, or a line duplicated or
+    deleted."""
     text = draw(st.sampled_from(texts))
     for _ in range(draw(st.integers(1, 2))):
         kind = draw(st.sampled_from(["insert", "delete", "replace", "dup-line", "drop-line"]))
@@ -611,7 +621,7 @@ def mutated(draw, texts):
             text = "\n".join(lines)
             continue
         pos = draw(st.integers(0, max(len(text) - 1, 0)))
-        char = draw(st.sampled_from("0123456789-/ \nx^<=."))
+        char = draw(st.sampled_from(chars))
         if kind == "insert":
             text = text[:pos] + char + text[pos:]
         elif kind == "delete":
@@ -636,19 +646,40 @@ def run_by_contract(argv):
         assert message.startswith(prefix) and message.count("\n") == 1, message
 
 
-@settings(max_examples=120, deadline=None)
-@given(mutated(PTS_FILES), st.sampled_from(["check-simple", "delaunay", "clip"]))
+@settings(max_examples=160, deadline=None)
+@given(mutated(PTS_FILES),
+       st.sampled_from(["check-simple", "delaunay", "clip", "perturb", "voronoi"]))
 def test_pts_fuzz_exits_by_contract(tmp_path_factory, text, command):
     base = tmp_path_factory.getbasetemp()
     pts = write(base / "fuzz.pts", text)
     out = ["--out", str(base / "fuzz.out")]
     if command == "check-simple":
         run_by_contract(["check-simple", "--points", pts])
-    elif command == "delaunay":
-        run_by_contract(["delaunay", "--points", pts] + out)
-    else:
+    elif command == "clip":
         rgn = write(base / "fuzz.rgn", BOX_REGION)
         run_by_contract(["clip", "--points", pts, "--region", rgn] + out)
+    elif command == "perturb":
+        run_by_contract(["perturb", "--points", pts, "--bound", "1/100"] + out)
+    else:
+        run_by_contract([command, "--points", pts] + out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated(SCX_FILES, JSON_CHARS), st.sampled_from(["homology", "pi1"]))
+def test_golden_scx_fuzz_exits_by_contract(tmp_path_factory, text, command):
+    base = tmp_path_factory.getbasetemp()
+    scx = write(base / "fuzz.scx", text)
+    extra = ["--ring", "q"] if command == "homology" else ["--simplify"]
+    run_by_contract([command, "--scx", scx, "--out", str(base / "fuzz.out")] + extra)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated(CPLX_FILES, JSON_CHARS), st.sampled_from(["nerve", "check-simple"]))
+def test_golden_cplx_fuzz_exits_by_contract(tmp_path_factory, text, command):
+    base = tmp_path_factory.getbasetemp()
+    cplx = write(base / "fuzz.cplx", text)
+    out = ["--out", str(base / "fuzz.out")] if command == "nerve" else []
+    run_by_contract([command, "--complex", cplx] + out)
 
 
 @settings(max_examples=80, deadline=None)

@@ -74,9 +74,12 @@ def structure_mutations(draw):
         elif kind == "swap-polys" and faces:
             other = draw(st.sampled_from(faces))
             face["poly"], other["poly"] = other["poly"], face["poly"]
-        elif kind == "poly-token" and faces:
+        # a "field" edit may have left a face's poly a non-string, which
+        # the two text edits of a poly skip
+        elif kind == "poly-token" and faces and isinstance(face["poly"], str):
             face["poly"] = _poly_token(draw, face["poly"])
-        elif kind == "poly-row" and faces:
+        elif kind == "poly-row" and faces and isinstance(face["poly"], str) \
+                and "\n" in face["poly"]:
             lines = face["poly"].split("\n")
             k = draw(st.integers(1, max(1, len(lines) - 2)))
             if draw(st.booleans()):

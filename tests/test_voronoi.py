@@ -33,8 +33,9 @@ from polycx.polyhedra import simplex_volume
 from polycx.voronoi import (bisector, _cell_inequalities, _certify_triangulation,
                             _faces_missing, _open_simplices_meet, _voronoi_cells)
 
-from oracles import (cell_inequalities, circumcenter_2d, simple_configuration,
-                     open_simplices_meet, pairwise_triangulation)
+from oracles import (cell_inequalities, circumcenter_2d, circumsphere_sweep,
+                     empty_sphere_tops, simple_configuration, open_simplices_meet,
+                     pairwise_triangulation)
 from _corpus import box, random_sites
 from test_polyhedra import corrupting
 
@@ -114,12 +115,46 @@ class TestSimpleConfiguration:
         assert is_simple_configuration(Y) == simple_configuration(Y.sites) == expected
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
         st.tuples(*[st.sampled_from(LATTICE_COORDS)] * n),
         min_size=2, max_size=7, unique=True)))
     def test_matches_fraction_oracle(self, sites):
         Y = SiteSet(len(sites[0]), sites)
         assert is_simple_configuration(Y) == simple_configuration(Y.sites)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.tuples(*[st.sampled_from(LATTICE_COORDS) | st.integers(-6, 6)] * n),
+        min_size=2, max_size=8 if n < 3 else 7, unique=True)))
+    def test_matches_elimination_sweep(self, sites):
+        # the lifted-hyperplane keys against the elimination of each
+        # equidistance system: the same verdict and witness, the same
+        # subsets swept, and the same Delaunay tops as the emptiness test
+        # on the old (den, *nums, den²r²) keys
+        Y = SiteSet(len(sites[0]), sites)
+        ok, witness, spheres = voronoi._circumspheres(Y)
+        old_ok, old_witness, old_spheres = circumsphere_sweep(Y.sites)
+        assert (ok, witness) == (old_ok, old_witness)
+        assert sorted(spheres.values()) == sorted(old_spheres.values())
+        if ok and len(Y) > Y.ambient_dim:
+            tops = [top for top, _ in delaunay(Y).simplex_volumes]
+            assert tops == empty_sphere_tops(Y.sites, old_spheres)
+
+    def test_collision_across_opposite_orientations(self):
+        # four sites on the unit circle, not listed in their circular order:
+        # (0, 1, 2) turns clockwise and (0, 1, 3) counterclockwise, so the
+        # raw normals of their lifted planes point opposite ways, and only
+        # the sign normalisation makes their keys collide
+        Y = SiteSet(2, [(1, 0), (-1, 0), (0, 1), (0, -1)])
+
+        def orientation(W):
+            (x0, y0), (x1, y1), (x2, y2) = (Y.sites[i] for i in W)
+            return (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+
+        assert orientation((0, 1, 2)) < 0 < orientation((0, 1, 3))
+        ok, witness, spheres = voronoi._circumspheres(Y)
+        assert (ok, witness) == (False, (0, 1, 2, 3)) == simple_configuration(Y.sites)
+        assert sorted(spheres.values()) == [(0, 1, 3)]
 
 
 class TestPerturb:
@@ -188,12 +223,14 @@ class TestDelaunay:
         assert D.hull_volume == polytope_volume(convex_hull_inequalities(Y.sites))
 
     def test_forged_top_of_the_wrong_size_is_rejected(self, monkeypatch):
-        # a sphere of radius 0 about site 0 holds no site inside: the top {0}
+        # the key (0, 0, 1, 0) is the tangent hyperplane |z|² = 0 at the
+        # lift of site 0, a sphere of radius 0 about it that holds no site
+        # inside: the top {0}
         real = voronoi._circumspheres
 
-        def forged(Y):
-            ok, witness, spheres = real(Y)
-            return ok, witness, {**spheres, (1, 0, 0, 0): (0,)}
+        def forged(Y, *lifted):
+            ok, witness, spheres = real(Y, *lifted)
+            return ok, witness, {**spheres, (0, 0, 1, 0): (0,)}
 
         monkeypatch.setattr(voronoi, "_circumspheres", forged)
         with pytest.raises(ValueError, match=r"Delaunay facet \[0\] has wrong dimension"):
@@ -319,8 +356,8 @@ def dropping(top):
     """`_circumspheres` with the sphere of `top` left out of its map."""
     real = voronoi._circumspheres
 
-    def sweep(Y):
-        ok, witness, spheres = real(Y)
+    def sweep(Y, *lifted):
+        ok, witness, spheres = real(Y, *lifted)
         return ok, witness, {key: W for key, W in spheres.items() if W != top}
 
     return sweep
@@ -361,6 +398,28 @@ class TestNerveOracle:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(voronoi, "_circumspheres", dropping(top))
                 with pytest.raises(ValueError, match="lies beyond it"):
+                    delaunay(Y)
+
+    def test_a_key_with_a_site_inside_is_rejected(self):
+        # a top's key swapped with that of a subset whose circumsphere holds
+        # a site strictly inside: the top fails the emptiness test and the
+        # other subset passes it, and the certificate rejects the result
+        Y = random_sites(2, 7, seed=4)
+        real = voronoi._circumspheres
+        _, _, spheres = real(Y)
+        P, _ = voronoi._lifted_sites(Y)
+
+        def holds_a_site(key):
+            return any(sum(a * x for a, x in zip(key, p)) < key[-1] for p in P)
+
+        tops = {top for top, _ in delaunay(Y).simplex_volumes}
+        full = next(key for key, W in spheres.items() if holds_a_site(key))
+        for top_key in [key for key, W in spheres.items() if W in tops]:
+            swapped = {**spheres, top_key: spheres[full], full: spheres[top_key]}
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(voronoi, "_circumspheres",
+                           lambda Y, *lifted: real(Y, *lifted)[:2] + (swapped,))
+                with pytest.raises(ValueError):
                     delaunay(Y)
 
     @settings(max_examples=40, deadline=None)
