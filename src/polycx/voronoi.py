@@ -242,46 +242,40 @@ def _circumspheres(Y, lifted=None):
         return True, None, spheres
     plan = _expansion_plan(N)
     collision = None
-
-    def leaves(W, D, Bs):
-        nonlocal collision
-        p0 = P[W[0]]
-        for j in range(W[-1] + 1, k):
-            n = [sum(map(mul, D[j], B)) for B in Bs]
-            if not n[N]:
-                return W + (j,)
-            if collision is None:
-                g = gcd(*n)
-                if n[N] < 0:
-                    g = -g
-                if g != 1:
-                    n = [x // g for x in n]
-                n.append(sum(map(mul, n, p0)))
-                key = tuple(n)
-                V = W + (j,)
-                if key in spheres:
-                    collision = tuple(sorted(set(spheres[key]) | set(V))[:N + 2])
-                spheres[key] = V
-        return None
-
-    def walk(W, D, Bs, r):
-        # W: r sites; Bs: the step-r vectors of their r - 1 difference rows
-        if r == N:
-            return leaves(W, D, Bs)
-        step = plan[r + 1]
-        for j in range(W[-1] + 1, k - N + r):
-            m = [sum(map(mul, D[j], B)) for B in Bs]
-            bad = walk(W + (j,), D, [[s * m[i] for i, s in row] for row in step], r + 1)
-            if bad:
-                return bad
-        return None
-
     first = [[s for _, s in row] for row in plan[1]]  # the minors of no rows: [1]
     for w in range(k - N):
         p0 = P[w]
-        bad = walk((w,), [[a - b for a, b in zip(p, p0)] for p in P], first, 1)
-        if bad:
-            return False, bad, spheres
+        D = [[a - b for a, b in zip(p, p0)] for p in P]
+        # depth first in combination order: a prefix W of r sites carries
+        # the step-r vectors Bs of its r - 1 difference rows
+        stack = [((w,), first)]
+        while stack:
+            W, Bs = stack.pop()
+            r = len(W)
+            if r < N:
+                step = plan[r + 1]
+                children = []
+                for j in range(W[-1] + 1, k - N + r):
+                    m = [sum(map(mul, D[j], B)) for B in Bs]
+                    children.append((W + (j,), [[s * m[i] for i, s in row] for row in step]))
+                stack.extend(reversed(children))
+                continue
+            for j in range(W[-1] + 1, k):
+                n = [sum(map(mul, D[j], B)) for B in Bs]
+                if not n[N]:
+                    return False, W + (j,), spheres
+                if collision is None:
+                    g = gcd(*n)
+                    if n[N] < 0:
+                        g = -g
+                    if g != 1:
+                        n = [x // g for x in n]
+                    n.append(sum(map(mul, n, p0)))
+                    key = tuple(n)
+                    V = W + (j,)
+                    if key in spheres:
+                        collision = tuple(sorted(set(spheres[key]) | set(V))[:N + 2])
+                    spheres[key] = V
     return (False, collision, spheres) if collision else (True, None, spheres)
 
 
