@@ -327,17 +327,17 @@ def delaunay(Y):
     a sphere |z - c|² = r² on the integer sites z by its lifted hyperplane
     a·z + b|z|² = e with b > 0, so |z - c|² - r² = (a·z + b|z|² - e) / b,
     and a site z lies strictly inside iff a·z + b|z|² < e: one integer dot
-    product with the lift (z, |z|²) that the sweep used.  These are the maximal simplices of the
-    nerve of the Voronoi cells (Delaunay, "Sur la sphère vide", 1934).  In
-    a simple set, a Voronoi vertex v has an affinely independent set of
-    N+1 nearest sites, and the sphere about v through them holds no site
-    inside.  Conversely, the centre of an empty circumsphere of an
-    (N+1)-subset W is nearest to exactly W, since another site on the
-    sphere would put N+2 sites on one sphere; so it lies in exactly those
-    N+1 cells, and is a Voronoi vertex.  Each top has d + 1 vertices and
-    positive volume (`_certify_triangulation`), so the sites of each
-    simplex are affinely independent, and the certificate shows that no
-    top is missing.
+    product with the lift (z, |z|²) that the sweep used.  These are the
+    maximal simplices of the nerve of the Voronoi cells (Delaunay, "Sur la
+    sphère vide", 1934).  In a simple set, a Voronoi vertex v has an
+    affinely independent set of N+1 nearest sites, and the sphere about v
+    through them holds no site inside.  Conversely, the centre of an empty
+    circumsphere of an (N+1)-subset W is nearest to exactly W, since
+    another site on the sphere would put N+2 sites on one sphere; so it
+    lies in exactly those N+1 cells, and is a Voronoi vertex.  Each top
+    has d + 1 vertices and positive volume (`_certify_triangulation`), so
+    the sites of each simplex are affinely independent, and the
+    certificate shows that no top is missing.
     """
     N = Y.ambient_dim
     P, L = lifted = _lifted_sites(Y)

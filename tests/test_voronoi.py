@@ -130,7 +130,7 @@ class TestSimpleConfiguration:
         # the lifted-hyperplane keys against the elimination of each
         # equidistance system: the same verdict and witness, the same
         # subsets swept, and the same Delaunay tops as the emptiness test
-        # on the old (den, *nums, den²r²) keys
+        # on the elimination's (den, *nums, den²r²) keys
         Y = SiteSet(len(sites[0]), sites)
         ok, witness, spheres = voronoi._circumspheres(Y)
         old_ok, old_witness, old_spheres = circumsphere_sweep(Y.sites)
