@@ -21,7 +21,7 @@ with the cut rows appended.
 import itertools
 import json
 
-from .rationals import rat_str
+from .rationals import ratio_str
 from .polyhedra import LinearInequality, format_poly, parse_poly
 from .simplicial import SimplicialComplex
 
@@ -252,22 +252,29 @@ class PolyhedralComplex:
         """The complex of non-empty closed cells in one ambient space, any
         two of which meet in a common face or not at all (not checked
         here).  A face shared by several cells is represented by its copy
-        in the first of them."""
-        by_key = {}
-        relation_keys = set()
+        in the first of them.  Faces are numbered by dimension, then by
+        `_key_token`.  Within a cell, one face lies in another iff its
+        tight set is larger."""
+        seen = {}  # canonical key -> index in first
+        first = []  # (face, key) of each distinct face, in order of first sight
+        pairs = set()
         for cell in cells:
-            entries = []  # (key, tight set) of each face
+            entries = []  # (index, tight set) of each face
             for f in cell.enumerate_faces():
                 k = f.canonical_key()
-                by_key.setdefault(k, f)
-                entries.append((k, f.tightened | f._implicit()))
-            for (ka, ta), (kb, tb) in itertools.permutations(entries, 2):
-                if ta > tb:  # more tightenings = smaller face
-                    relation_keys.add((ka, kb))
-        ordered = sorted(by_key, key=lambda k: (by_key[k].dimension(), _key_token(k)))
-        idx = {k: i for i, k in enumerate(ordered)}
-        faces = {idx[k]: by_key[k] for k in ordered}
-        above = {(idx[a], idx[b]) for a, b in relation_keys}
+                i = seen.get(k)
+                if i is None:
+                    i = seen[k] = len(first)
+                    first.append((f, k))
+                entries.append((i, f.tightened))
+            for (a, ta), (b, tb) in itertools.permutations(entries, 2):
+                if ta > tb:
+                    pairs.add((a, b))
+        order = sorted(range(len(first)),
+                       key=lambda i: (first[i][0].dimension(), _key_token(first[i][1])))
+        idx = {i: n for n, i in enumerate(order)}
+        faces = {n: first[i][0] for n, i in enumerate(order)}
+        above = {(idx[a], idx[b]) for a, b in pairs}
         return PolyhedralComplex(cells[0].ambient_dim, faces, above)
 
     def id_of_polyhedron(self, poly):
@@ -299,12 +306,18 @@ def _cut_inequality(poly, face):
 
 
 def _key_token(key):
+    """The sort token of a canonical key: its equality rows in RREF, each
+    canonical row divided by its pivot (its first nonzero entry), then its
+    facets sorted, entries written as `rat_str` writes them."""
     if key[1:] == ("empty",):
         return "empty"
     _, eq_rows, facets = key
-    parts = [";".join(" ".join(rat_str(x) for x in row) for row in eq_rows)]
-    parts.extend(sorted(" ".join(rat_str(x) for x in n) + "|" + rat_str(b)
-                        for n, b in facets))
+    rows = []
+    for row in eq_rows:
+        pivot = next(x for x in row if x)
+        rows.append(" ".join(ratio_str(x, pivot) for x in row))
+    parts = [";".join(rows)]
+    parts.extend(sorted(" ".join(map(str, n)) + "|" + str(b) for n, b in facets))
     return "#".join(parts)
 
 

@@ -13,8 +13,13 @@ method (`_Cone`, which also filters the Voronoi bisectors) on the cone over
 Q, and certified exactly on every build.  A face is a tightening; its
 implicit equalities are the rows tight on all of its generators, its
 dimension is read from those rows, and its facets are the rows whose faces
-have one dimension less.  Fourier-Motzkin elimination on primitive integer
-rows stays the general feasibility test, for systems without a record.
+have one dimension less.  The closures are memoised on the record and
+shared with the records of the enumerated faces, which share the parent's
+integer rows and know their own tight set, so the canonical key of a face
+(integers only: the canonical rows of its equalities and its facet rows
+reduced modulo them, see `canonical_key`) reuses the closures of the face
+walk.  Fourier-Motzkin elimination on primitive integer rows stays the
+general feasibility test, for systems without a record.
 
 A caller that needs only the tight set, the dimension and the affine span
 can skip the record: `relint_point` checks a guessed point against the
@@ -361,11 +366,13 @@ class FaceRecord:
     nums/den in lowest terms.  rays: (ray, tight) for every extreme ray,
     a primitive integer vector orthogonal to L.  Every face of Q is
     conv(its points) + cone(its rays) + L, so each face fact is a
-    set operation on the tight sets.  dims caches face dimensions by tight
-    set; the records of all faces of one polyhedron share it.
+    set operation on the tight sets.  dims caches face dimensions and
+    closures the closures, both by tight set; the records of all faces of
+    one polyhedron share them.
     """
 
-    def __init__(self, ambient_dim, rows, eq, lineality, points, rays, dims=None):
+    def __init__(self, ambient_dim, rows, eq, lineality, points, rays, dims=None,
+                 closures=None):
         self.ambient_dim = ambient_dim
         self.rows = rows
         self.eq = frozenset(eq)
@@ -373,6 +380,7 @@ class FaceRecord:
         self.points = points
         self.rays = rays
         self.dims = {} if dims is None else dims
+        self.closures = {} if closures is None else closures
 
     @staticmethod
     def build(ambient_dim, rows, eq):
@@ -495,12 +503,24 @@ class FaceRecord:
     def closure(self, tight):
         """Rows tight on the whole face where `tight` holds with equality:
         the intersection of the tight sets of its generators.  None when
-        that face is empty (no point qualifies)."""
+        that face is empty (no point qualifies).
+
+        Every generator is tight on eq, and a restricted record keeps the
+        generators of the record it came from that are tight on its eq.
+        So the answer depends on tight | eq alone, and the records that
+        share `closures` agree on it."""
+        if not self.eq <= tight:
+            tight = tight | self.eq
+        if tight in self.closures:
+            return self.closures[tight]
         sets = [t for _, t in self.points if tight <= t]
-        if not sets:
-            return None
-        sets.extend(t for _, t in self.rays if tight <= t)
-        return frozenset.intersection(*sets)
+        if sets:
+            sets.extend(t for _, t in self.rays if tight <= t)
+            closed = frozenset.intersection(*sets)
+        else:
+            closed = None
+        self.closures[tight] = closed
+        return closed
 
     def with_row(self, row):
         """The record of this system with one more row (a, b) appended,
@@ -541,7 +561,8 @@ class FaceRecord:
         """The record of the face where `tight` holds with equality."""
         return FaceRecord(self.ambient_dim, self.rows, self.eq | tight, self.lineality,
                           tuple(g for g in self.points if tight <= g[1]),
-                          tuple(g for g in self.rays if tight <= g[1]), self.dims)
+                          tuple(g for g in self.rays if tight <= g[1]), self.dims,
+                          self.closures)
 
     def dim(self, tight):
         """Dimension of a non-empty face, given its full tight set."""
@@ -774,8 +795,10 @@ class RationalPolyhedron:
     def enumerate_faces(self):
         """All non-empty faces (tightenings of non-strict inequalities), P first.
 
-        Breadth first from P, each face's children in row order; every
-        face carries its part of this polyhedron's record.
+        Breadth first from P, each face's children in row order.  A face's
+        tightened set is its whole tight set, and it shares this
+        polyhedron's integer rows and carries its part of this
+        polyhedron's record, with the closures the walk has computed.
         """
         if "faces" in self._cache:
             return self._cache["faces"]
@@ -800,7 +823,7 @@ class RationalPolyhedron:
         faces = []
         for tight in order:
             face = RationalPolyhedron(self.ambient_dim, self.inequalities, tight)
-            face._cache["record"] = records[tight]
+            face._cache.update(rows=self._rows(), record=records[tight], root=tight)
             faces.append(face)
         self._cache["faces"] = faces
         return faces
@@ -868,10 +891,24 @@ class RationalPolyhedron:
     def canonical_key(self):
         """Hashable key identifying the solution set (closed systems only).
 
-        The equalities in RREF, and the facets: each row whose face has
-        one dimension less, reduced modulo the equalities and made
-        primitive.  The facets are the irredundant system modulo the
-        affine span, which is unique up to positive scaling.
+        (N, equalities, facets), all in integers.  The equalities are the
+        canonical rows (`linalg.int_row_space`) of the root tight rows.
+        The facets map normal to offset: each facet row reduced modulo the
+        equalities (row <- q·row - f·e with q > 0 for each canonical row e,
+        clearing e's pivot column) and made primitive.  A row i outside the
+        root is a facet row iff closure(root ∪ {i}) is a face and no other
+        such closure is a proper subset of it: tight sets reverse
+        inclusion, every proper face lies in a facet, and a facet is
+        closure(root ∪ {j}) for each row j tight on it and not on the whole
+        face.  These are the closures `enumerate_faces` computes.
+
+        Dividing each canonical row by its pivot gives the RREF of the
+        equalities, and each reduced row is a positive multiple of the row
+        reduced modulo that RREF, so this key and the key of RREF rows and
+        facets determine each other.  The facets modulo the affine hull
+        are unique up to positive scaling (Schrijver, Theory of Linear and
+        Integer Programming, 1986, 8.1-8.2), so keys are equal iff solution
+        sets are.
         """
         if "key" in self._cache:
             return self._cache["key"]
@@ -882,30 +919,25 @@ class RationalPolyhedron:
             key = (self.ambient_dim, "empty")
             self._cache["key"] = key
             return key
-        eq_idx = sorted(root)
-        aug = [self.inequalities[i].normal + (self.inequalities[i].offset,) for i in eq_idx]
-        eq_rows, pivots = linalg.rref(aug)
-        eq_rows = tuple(eq_rows)
-
-        def reduce_mod(normal, offset):
-            row = list(normal) + [offset]
-            for r, p in enumerate(pivots):
-                if row[p] != 0:
-                    f = row[p]
-                    row = [a - f * b for a, b in zip(row, eq_rows[r])]
-            return tuple(row[:-1]), row[-1]
-
+        rows = self._rows()
+        eq_rows, pivots = linalg.int_row_space([rows[i][0] + (rows[i][1],) for i in sorted(root)])
         record = self._record()
-        facet_dim = record.dim(root) - 1
+        child = {i: record.closure(root | {i}) for i in range(len(rows)) if i not in root}
+        proper = set(child.values()) - {None}
         facets = {}
-        for i, q in enumerate(self.inequalities):
-            if i in root:
-                continue
-            tight = record.closure(root | {i})
-            if tight is not None and record.dim(tight) == facet_dim:
-                n, b = _primitive(*reduce_mod(q.normal, q.offset))
-                facets[n] = b
-        key = (self.ambient_dim, eq_rows, frozenset(facets.items()))
+        for i, tight in child.items():
+            if tight is not None and not any(t < tight for t in proper):
+                a, b = rows[i]
+                row = a + (b,)
+                for e, p in zip(eq_rows, pivots):
+                    f = row[p]
+                    if f:
+                        g = gcd(e[p], f)
+                        q, f = e[p] // g, f // g
+                        row = [q * x - f * y for x, y in zip(row, e)]
+                *n, b = linalg.primitive_row(row)
+                facets[tuple(n)] = b
+        key = (self.ambient_dim, tuple(eq_rows), frozenset(facets.items()))
         self._cache["key"] = key
         return key
 

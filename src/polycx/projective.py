@@ -19,16 +19,9 @@ written by (`row_strings`) are read off the canonical rows when asked for.
 import itertools
 import json
 from dataclasses import dataclass
-from math import gcd
 
-from .rationals import rat
+from .rationals import rat, ratio_str
 from . import linalg
-
-
-def _ratio_str(x, p):
-    """rat_str of x/p for a positive p, from the integers."""
-    g = gcd(x, p)
-    return str(x // g) if g == p else "%d/%d" % (x // g, p // g)
 
 
 class ProjectiveSubspace:
@@ -71,7 +64,7 @@ class ProjectiveSubspace:
     def row_strings(self):
         """`rat_str` of every entry of `generators`, row by row."""
         if self._strings is None:
-            self._strings = tuple(tuple(_ratio_str(x, row[c]) for x in row)
+            self._strings = tuple(tuple(ratio_str(x, row[c]) for x in row)
                                   for row, c in zip(self.rows, self.pivots))
         return self._strings
 

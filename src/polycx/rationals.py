@@ -7,6 +7,7 @@ Both keep values in lowest terms with a positive denominator.
 """
 
 from fractions import Fraction
+from math import gcd
 
 try:
     from gmpy2 import mpq as QQ
@@ -40,6 +41,12 @@ def rat_str(q):
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)
+
+
+def ratio_str(x, p):
+    """rat_str of x/p for integers x and p > 0, without building the rational."""
+    g = gcd(x, p)
+    return str(x // g) if g == p else "%d/%d" % (x // g, p // g)
 
 
 def vec(values):

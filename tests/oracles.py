@@ -548,6 +548,33 @@ class FMFaces:
                 del kept[n]
         return (self.dim, tuple(eq_rows), frozenset(kept.items()))
 
+    def rref_key(self, tight):
+        """The canonical key of the closed face with tight set `tight` as
+        the polyhedron layer computed it on Fractions before its keys were
+        integers: the equalities in RREF, and every row whose face has one
+        dimension less, reduced modulo them and made primitive."""
+        eq_rows, pivots = rational_rref([self.rows[i][0] + [self.rows[i][1]] for i in sorted(tight)])
+        facet_dim = self.dimension(tight) - 1
+        facets = {}
+        for i, (a, b, _) in enumerate(self.rows):
+            if i in tight:
+                continue
+            face = self.closure(tight | {i})
+            if face is None or self.dimension(face) != facet_dim:
+                continue
+            row = a + [b]
+            for r, p in enumerate(pivots):
+                if row[p] != 0:
+                    f = row[p]
+                    row = [x - f * y for x, y in zip(row, eq_rows[r])]
+            scale = _lcm_all(x.denominator for x in row)
+            ints = [int(x * scale) for x in row]
+            g = 0
+            for x in ints:
+                g = gcd(g, x)
+            facets[tuple(x // g for x in ints[:-1])] = ints[-1] // g
+        return (self.dim, tuple(eq_rows), frozenset(facets.items()))
+
     def is_bounded(self):
         """No unit coordinate direction is a recession direction."""
         rec = [(a, Fraction(0), False) for a, _, _ in self.rows]
@@ -588,6 +615,32 @@ class FMFaces:
 
         root, d = info[0]
         return tri(root, d)
+
+
+def int_key_as_rref(key):
+    """An integer canonical key (equalities as primitive rows with a
+    positive pivot) in its RREF form: each equality row divided by its
+    first nonzero entry."""
+    if key[1:] == ("empty",):
+        return key
+    dim, eq_rows, facets = key
+    rows = []
+    for row in eq_rows:
+        pivot = next(x for x in row if x != 0)
+        rows.append(tuple(Fraction(x, pivot) for x in row))
+    return (dim, tuple(rows), facets)
+
+
+def rref_key_token(key):
+    """The sort token of a canonical key in RREF form: the RREF rows, then
+    the facets sorted, each entry written as p or p/q in lowest terms."""
+    if key[1:] == ("empty",):
+        return "empty"
+    _, eq_rows, facets = key
+    parts = [";".join(" ".join(str(Fraction(x)) for x in row) for row in eq_rows)]
+    parts.extend(sorted(" ".join(str(Fraction(x)) for x in n) + "|" + str(Fraction(b))
+                        for n, b in facets))
+    return "#".join(parts)
 
 
 def _primitive_ints(v):

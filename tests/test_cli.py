@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from polycx import (
     parse_ledger,
     is_simple_configuration,
 )
+from test_fuzz import BOUND_S
 
 
 def write(path, text):
@@ -595,11 +597,10 @@ PTS_FILES = [SQUARE, "2 4\n0 0\n2 1/2\n-1 3\n3/2 -2\n", "1 3\n0\n1\n7/2\n",
              "3 4\n0 0 0\n2 0 0\n0 3 0\n0 0 5\n"]
 RGN_FILES = [BOX_REGION, "2\n2 3\n-1 0 <= 0\n0 -1 <= 0\n1 1 <= 1\n2 4\n1 0 <= 3\n-1 0 <= -2\n"
                          "0 1 <= 1\n0 -1 <= 0\n"]
-GRP_FILES = ["gens 2\nx1 x2 x1^-1 x2^-1\n", "gens 1\nx1 x1\n",
-             "gens 2\nx1 x2 x1^-1 x2^-1 x2^-1\nx2 x1 x2^-1 x1^-1 x1^-1\n"]
-
-
 GOLDEN = Path(__file__).resolve().parent / "golden"
+GRP_FILES = ["gens 2\nx1 x2 x1^-1 x2^-1\n", "gens 1\nx1 x1\n",
+             "gens 2\nx1 x2 x1^-1 x2^-1 x2^-1\nx2 x1 x2^-1 x1^-1 x1^-1\n",
+             (GOLDEN / "inputs" / "higman.grp").read_text()]
 SCX_FILES = [path.read_text() for path in sorted(GOLDEN.glob("**/*.scx"))]
 CPLX_FILES = [path.read_text() for path in sorted(GOLDEN.glob("*.cplx"))]
 EDIT_CHARS = "0123456789-/ \nx^<=."
@@ -632,11 +633,13 @@ def mutated(draw, texts, chars=EDIT_CHARS):
 
 
 def run_by_contract(argv):
-    """Run the CLI; it must exit 0, 1 or 2, and a failure must leave
-    exactly one line on stderr that names its kind."""
+    """Run the CLI; it must exit 0, 1 or 2 within `BOUND_S` seconds, and a
+    failure must leave exactly one line on stderr that names its kind."""
     err = io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = run(argv)
+    assert time.perf_counter() - start < BOUND_S, argv
     assert code in (0, 1, 2)
     message = err.getvalue()
     if code == 0:
@@ -671,6 +674,16 @@ def test_golden_scx_fuzz_exits_by_contract(tmp_path_factory, text, command):
     scx = write(base / "fuzz.scx", text)
     extra = ["--ring", "q"] if command == "homology" else ["--simplify"]
     run_by_contract([command, "--scx", scx, "--out", str(base / "fuzz.out")] + extra)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated(SCX_FILES, JSON_CHARS), st.sampled_from(["barycentric", "cone-over-star"]),
+       st.sampled_from(["0", "0,1", "0,1,2", "1,3", "b(0,1)", "x", "0,0"]))
+def test_golden_scx_dual_move_exits_by_contract(tmp_path_factory, text, kind, target):
+    base = tmp_path_factory.getbasetemp()
+    scx = write(base / "fuzz.scx", text)
+    run_by_contract(["dual-move", "--scx", scx, "--kind", kind, "--target", target,
+                     "--out", str(base / "fuzz.out")])
 
 
 @settings(max_examples=100, deadline=None)

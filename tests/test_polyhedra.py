@@ -16,11 +16,11 @@ from polycx import (
     format_poly,
     parse_poly,
 )
-from polycx.complexes import PolyhedralComplex
+from polycx.complexes import PolyhedralComplex, _key_token
 from polycx import linalg, polyhedra
 from polycx.polyhedra import FaceRecord, _primitive, _solve_constraints
 
-from oracles import FMFaces, feasible, line_record
+from oracles import FMFaces, feasible, int_key_as_rref, line_record, rref_key_token
 
 
 def box(lo, hi):
@@ -208,6 +208,77 @@ def record_systems(draw):
     return n, [_primitive(a, b) for a, b in rows], eq
 
 
+@st.composite
+def closed_systems(draw):
+    """systems() with every row closed, sometimes with a redundant row
+    appended: the sum of two rows, its offset raised by 0, 1 or 2."""
+    n, rows, tightened = draw(systems())
+    rows = [(a, b, False) for a, b, _ in rows]
+    if draw(st.booleans()):
+        (a, b, _), (c, d, _) = draw(st.lists(st.sampled_from(rows), min_size=2, max_size=2))
+        rows.append(([x + y for x, y in zip(a, c)], b + d + draw(st.integers(0, 2)), False))
+    return n, rows, tightened
+
+
+class TestCanonicalKey:
+    """Integer keys against the Fraction RREF key (`FMFaces.rref_key`)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(closed_systems())
+    def test_integer_key_is_the_rref_key(self, system):
+        n, rows, tightened = system
+        P = make(n, rows, tightened)
+        if P.is_empty():
+            assert P.canonical_key() == (n, "empty")
+            return
+        oracle = FMFaces(n, rows, tightened)
+        for f in P.enumerate_faces():
+            key = f.canonical_key()
+            _, eq_rows, facets = key
+            assert all(type(x) is int for row in eq_rows for x in row)
+            assert all(type(x) is int for a, b in facets for x in a + (b,))
+            expected = oracle.rref_key(f.tightened)
+            assert int_key_as_rref(key) == expected
+            assert _key_token(key) == rref_key_token(expected)
+            # a face built afresh, with no record or closure to share, agrees
+            assert make(n, rows, f.tightened).canonical_key() == key
+
+    def test_one_facet_offset_apart_gives_another_key(self):
+        # the bottom edges of [0, 1] x [0, 1] and [0, 2] x [0, 1]: y = 0 in both
+        a, b = (box([0, 0], [hi, 1]).with_tightened([3]) for hi in (1, 2))
+        assert a.canonical_key()[1] == b.canonical_key()[1]
+        assert a.canonical_key() != b.canonical_key()
+        # on the line x + 2y = 2, x + y <= c reduces to -y <= c - 2 and
+        # -x <= 0 to y <= 1
+        keys = [RationalPolyhedron(2, [LinearInequality.make([1, 2], 2),
+                                       LinearInequality.make([1, 1], c),
+                                       LinearInequality.make([-1, 0], 0)], [0]).canonical_key()
+                for c in (2, 3)]
+        assert keys[0][:2] == keys[1][:2] == (2, ((1, 2, 2),))
+        assert keys[0][2] == {((0, 1), 1), ((0, -1), 0)}
+        assert keys[1][2] == {((0, 1), 1), ((0, -1), 1)}
+        assert _key_token(keys[0]) != _key_token(keys[1])
+
+    @settings(max_examples=80, deadline=None)
+    @given(closed_systems(), st.randoms(use_true_random=False))
+    def test_scaled_permuted_and_redundant_rows_keep_the_key(self, system, rng):
+        n, rows, tightened = system
+        order = list(range(len(rows)))
+        rng.shuffle(order)
+        moved = []
+        for k in order:
+            scale = Fraction(rng.randint(1, 6), rng.randint(1, 6))
+            moved.append(([x * scale for x in rows[k][0]], rows[k][1] * scale, False))
+        (a, b, _), (c, d, _) = rng.choice(rows), rng.choice(rows)
+        moved.append(([x + y for x, y in zip(a, c)], b + d + rng.randint(0, 2), False))
+        P = make(n, rows, tightened)
+        Q = make(n, moved, {order.index(i) for i in tightened})
+        assert Q.canonical_key() == P.canonical_key()
+        if not P.is_empty():
+            assert ({f.canonical_key() for f in Q.enumerate_faces()}
+                    == {f.canonical_key() for f in P.enumerate_faces()})
+
+
 def corrupting(mode, when, index):
     """The double description engine, subclassed so that its `when`-th cut
     first removes or negates the ray at `index` (modulo the number of
@@ -267,7 +338,9 @@ class TestFaceRecord:
         assert [f.tightened for f in faces] == oracle.faces()
         assert [f.dimension() for f in faces] == [oracle.dimension(t) for t in oracle.faces()]
         if P.is_closed_system():
-            assert [f.canonical_key() for f in faces] == [oracle.key(t) for t in oracle.faces()]
+            # integer keys, compared in their RREF form (`int_key_as_rref`)
+            assert ([int_key_as_rref(f.canonical_key()) for f in faces]
+                    == [oracle.key(t) for t in oracle.faces()])
         assert P.is_bounded() == oracle.is_bounded()
         assert P.vertices() == sorted(oracle.vertices().values())
         if P.is_bounded() and P.is_closed_system():

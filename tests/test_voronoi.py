@@ -33,7 +33,7 @@ from polycx.polyhedra import simplex_volume
 from polycx.voronoi import (bisector, _cell_inequalities, _certify_triangulation,
                             _faces_missing, _open_simplices_meet, _voronoi_cells)
 
-from oracles import (cell_inequalities, circumcenter_2d, circumsphere_sweep,
+from oracles import (FMFaces, cell_inequalities, circumcenter_2d, circumsphere_sweep,
                      empty_sphere_tops, simple_configuration, open_simplices_meet,
                      pairwise_triangulation)
 from _corpus import box, random_sites
@@ -53,6 +53,26 @@ class TestVoronoi:
         assert dims == [0, 1, 1]
         mid = [i for i in C.ids() if C.face_dim(i) == 0]
         assert C.faces[mid[0]].feasible_point() == (QQ(1, 2),)
+
+    @pytest.mark.parametrize("sites", [[(0, 0), (4, 0), (1, 3)], "random"])
+    def test_a_face_shared_by_cells_is_one_face(self, sites):
+        # every face copy is grouped by its key from the Fraction oracle,
+        # which shares no code with the integer keys: each group is one face
+        # of the complex, and distinct groups are distinct faces
+        Y = random_sites(2, 5, seed=12) if sites == "random" else SiteSet(2, sites)
+        C = voronoi_complex(Y)
+        ids, copies = {}, 0
+        for cell in _voronoi_cells(Y):
+            oracle = FMFaces(2, [(q.normal, q.offset, False) for q in cell.inequalities])
+            for f in cell.enumerate_faces():
+                ids.setdefault(oracle.rref_key(f.tightened), set()).add(C.id_of_polyhedron(f))
+                copies += 1
+        assert all(len(group) == 1 and None not in group for group in ids.values())
+        assert len(ids) == len(C.ids()) < copies
+        if sites != "random":  # three wedges, three rays and their apex
+            assert sorted(C.face_dim(i) for i in C.ids()) == [0, 1, 1, 1, 2, 2, 2]
+            apex = next(i for i in C.ids() if C.face_dim(i) == 0)
+            assert C.above_of(apex) == set(C.ids())
 
     def test_bisector_halfspace(self):
         q = bisector((rat(0), rat(0)), (rat(2), rat(0)))
