@@ -11,11 +11,14 @@ the mean of those of the faces below it (a face with nothing below guesses
 the solution of its equalities).  A guess that passes the exact check of
 `RationalPolyhedron.relint_point` certifies the face's tight set,
 dimension and affine span without a face record; that is the usual case
-for a parsed CPLX/1, whose faces carry their equalities as row pairs.  A
-face whose guess fails (forged incidences, unbounded faces, equalities not
-written as pairs) builds its certified record, and an empty face is
-rejected.  The faces that `difference` cuts keep their parent's record,
-with the cut rows appended.
+for a parsed CPLX/1, whose faces carry their equalities as row pairs.
+Where the faces below do not span a one-dimensional face (a half-line over
+its vertex, an open ray, an edge whose other end was cut off), the guess
+is retried at the middle of the face's line, under the same check.  A face
+whose guesses fail (forged incidences, unbounded or half-open faces of
+dimension two or more, equalities not written as pairs) builds its
+certified record, and an empty face is rejected.  The faces that
+`difference` cuts keep their parent's record, with the cut rows appended.
 """
 
 import itertools
@@ -252,9 +255,9 @@ class PolyhedralComplex:
         """The complex of non-empty closed cells in one ambient space, any
         two of which meet in a common face or not at all (not checked
         here).  A face shared by several cells is represented by its copy
-        in the first of them.  Faces are numbered by dimension, then by
-        `_key_token`.  Within a cell, one face lies in another iff its
-        tight set is larger."""
+        in the first of them.  Faces are numbered by dimension, which each
+        face's canonical key has cached, then by `_key_token`.  Within a
+        cell, one face lies in another iff its tight set is larger."""
         seen = {}  # canonical key -> index in first
         first = []  # (face, key) of each distinct face, in order of first sight
         pairs = set()

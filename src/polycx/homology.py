@@ -50,27 +50,34 @@ SWAP, ADD, NEGATE = 0, 1, 2
 V_SIDE = 3
 
 
-def _replay(log, R, side, other):
-    """Apply the logged operations of one side (0 for U, 1 for V^T) in log
-    order to R, a list of sparse rows (dicts {column: nonzero entry}), and
-    return R; `other` is the number of rows of the other side.  Raises
-    ValueError if the log leaves its grammar: a length that is not a
-    multiple of four, an entry that is not an int, an unknown code, an
-    index out of range on either side, or an ADD with src = dst (the one
-    operation that would scale a row)."""
+def _operations(log, m, n):
+    """The logged operations of U, on m rows, and of V^T, on n rows: two
+    lists of (kind, dst, src, q) in log order.  Raises ValueError if the
+    log leaves its grammar: a length that is not a multiple of four, an
+    entry that is not an int, an unknown code, an index out of range on
+    its side, or an ADD with src = dst (the one operation that would scale
+    a row)."""
     if len(log) % 4 or not set(map(type, log)) <= {int}:
         raise ValueError("a Smith form log holds four ints per operation")
+    sides = ([], [])
+    sizes = (m, n)
     ops = iter(log)
     for code, dst, src, q in zip(ops, ops, ops, ops):
         if not 0 <= code < 2 * V_SIDE:
             raise ValueError("unknown Smith form operation code %d" % code)
         s, kind = divmod(code, V_SIDE)
-        size = len(R) if s == side else other
+        size = sizes[s]
         if not (0 <= dst < size and 0 <= src < size) or (kind == ADD and dst == src):
             raise ValueError("Smith form operation %r is outside the grammar on %d rows"
                              % ((code, dst, src, q), size))
-        if s != side:
-            continue
+        sides[s].append((kind, dst, src, q))
+    return sides
+
+
+def _replay(ops, R):
+    """Apply operations of one side, checked by `_operations`, in order to
+    R, a list of sparse rows (dicts {column: nonzero entry}), and return R."""
+    for kind, dst, src, q in ops:
         if kind == SWAP:
             R[dst], R[src] = R[src], R[dst]
         elif kind == ADD:
@@ -90,14 +97,14 @@ def _replay(log, R, side, other):
 class SmithForm:
     diagonal: list           # full diagonal matrix U M V
     invariant_factors: list  # the nonzero d_1 | d_2 | ...
-    log: list                # the operations U and V are made of, see _replay
+    log: list                # the operations U and V are made of, see _operations
 
     @property
     def U(self):
         """U as a dense m x m list of rows: I_m after the logged row
         operations."""
         m, n = len(self.diagonal), len(self.diagonal[0]) if self.diagonal else 0
-        rows = _replay(self.log, [{i: 1} for i in range(m)], 0, n)
+        rows = _replay(_operations(self.log, m, n)[0], [{i: 1} for i in range(m)])
         return [[row.get(j, 0) for j in range(m)] for row in rows]
 
     @property
@@ -105,7 +112,7 @@ class SmithForm:
         """V as a dense n x n list of rows: the transpose of I_n after the
         logged column operations, which act on the rows of V^T."""
         m, n = len(self.diagonal), len(self.diagonal[0]) if self.diagonal else 0
-        rows = _replay(self.log, [{j: 1} for j in range(n)], 1, m)
+        rows = _replay(_operations(self.log, m, n)[1], [{j: 1} for j in range(n)])
         return [[row.get(i, 0) for row in rows] for i in range(n)]
 
     def certify(self, M):
@@ -117,7 +124,9 @@ class SmithForm:
         M gives U M, and replaying the column operations on the rows of
         (U M)^T gives (U M V)^T, which must be exactly D^T.  Every operation
         the log admits is an integer matrix of determinant +-1, so U and V
-        are unimodular.  No product and no determinant is computed."""
+        are unimodular.  The log's grammar is checked once, and each replay
+        walks only its own side's operations.  No product and no
+        determinant is computed."""
         m, n = len(M), len(M[0]) if M else 0
         factors = self.invariant_factors
         if (len(factors) > min(m, n) or any(d <= 0 for d in factors)
@@ -130,14 +139,15 @@ class SmithForm:
         if self.diagonal != D:
             return False
         try:
-            UM = _replay(self.log, [{j: row[j] for j in _nonzeros(row)} for row in M], 0, n)
-            T = [{} for _ in range(n)]
-            for i, row in enumerate(UM):
-                for j, a in row.items():
-                    T[j][i] = a
-            T = _replay(self.log, T, 1, m)
+            u_ops, v_ops = _operations(self.log, m, n)
         except ValueError:
             return False
+        UM = _replay(u_ops, [{j: row[j] for j in _nonzeros(row)} for row in M])
+        T = [{} for _ in range(n)]
+        for i, row in enumerate(UM):
+            for j, a in row.items():
+                T[j][i] = a
+        T = _replay(v_ops, T)
         return T == [{j: d} for j, d in enumerate(factors)] + [{}] * (n - len(factors))
 
 

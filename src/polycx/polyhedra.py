@@ -25,7 +25,10 @@ A caller that needs only the tight set, the dimension and the affine span
 can skip the record: `relint_point` checks a guessed point against the
 rows written as equalities (tightened rows and opposite pairs), exactly,
 and a point that satisfies them with equality and every other row
-strictly lies in the relative interior and certifies all three.  A guess
+strictly lies in the relative interior and certifies all three.  When
+those equalities leave a line, a failed guess is retried once at the
+middle of the line's section by the other rows, which covers
+one-dimensional faces, bounded or not, under the same check.  A guess
 that fails falls back to the record.  A record also carries over to a
 system with rows appended that hold on it (`with_valid_rows`), each row
 checked on every generator.  Everything is immutable; derived data is
@@ -691,10 +694,28 @@ class RationalPolyhedron:
         row, over x's common denominator), then x lies in P and no row
         outside E is tight at x, so no such row is an implicit equality.
         Hence x lies in the relative interior, E is P's tight set, and the
-        affine hull is {E with equality}, of dimension N - rank E (the
-        affine hull is cut out by the implicit equalities; Schrijver,
-        Theory of Linear and Integer Programming, 1986, 8.1-8.2).  When x
-        fails, the record is built and gives mean(points) + sum(rays).
+        affine hull is {E with equality}, of dimension N - rank E, the
+        number of kernel vectors of E (the affine hull is cut out by the
+        implicit equalities; Schrijver, Theory of Linear and Integer
+        Programming, 1986, 8.1-8.2).  E is solved once; when it has no
+        solution, P is empty and no guess is tried.
+
+        When x fails and E leaves a line x0 + u·d, a second guess is taken
+        on it: the other rows cut the line to a section lo <= u <= hi
+        (`_section`, every row relaxed to <=), and the guess is its
+        midpoint, one unit past its one finite end, or x0 when neither end
+        is finite.  This is where the mean of the faces below misses a
+        one-dimensional face: a half-line or an open ray over its one
+        vertex, or an edge whose other end was cut off.  If P is a
+        one-dimensional face with affine hull the line, its closure is the
+        section with lo < hi, and a row outside E that is tight at a point
+        strictly inside the section is tight on the whole line, an
+        implicit equality; otherwise every such row is strict there, and
+        the guess passes.  The guess goes through the same check as x, so
+        nothing is certified on a weaker ground; an empty or degenerate
+        (lo = hi) section or a face of higher dimension fails it or is
+        never tried.  When every guess fails, the record is built and
+        gives mean(points) + sum(rays).
         """
         if "relint" in self._cache:
             return self._cache["relint"]
@@ -704,20 +725,33 @@ class RationalPolyhedron:
             fixed = {rows[i] for i in self.tightened}
             eq = frozenset(i for i, (a, b) in enumerate(rows) if i not in self._strict
                            and (rows[i] in fixed or (tuple(-x for x in a), -b) in closed))
-            if near:
-                guess = _mean(near)
-            else:
-                sol = _solve_int([list(rows[i][0]) + [rows[i][1]] for i in eq],
-                                 self.ambient_dim)
-                guess = sol and (tuple(sol[0]), sol[1])
-            if guess and all((_dot(a, guess[0]) == b * guess[1]) if i in eq
-                             else (_dot(a, guess[0]) < b * guess[1])
-                             for i, (a, b) in enumerate(rows)):
-                self._cache["root"] = eq
-                self._cache["dim"] = self.ambient_dim - linalg.int_rank(
-                    [rows[i][0] for i in eq])
-                self._cache["relint"] = guess
-                return guess
+
+            sol = _solve_int([list(rows[i][0]) + [rows[i][1]] for i in eq], self.ambient_dim)
+            if sol is not None:
+                base, den, kernel = sol
+
+                def guesses():
+                    yield _mean(near) if near else (tuple(base), den)
+                    section = len(kernel) == 1 and _section(
+                        [rows[i] for i in range(len(rows)) if i not in eq], base, den, kernel[0])
+                    if section:
+                        lo, hi = section
+                        if lo and hi:
+                            u = (lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1])
+                        elif lo:
+                            u = (lo[0] + lo[1], lo[1])
+                        elif hi:
+                            u = (hi[0] - hi[1], hi[1])
+                        else:
+                            u = (0, 1)
+                        yield _at(base, den, kernel[0], u)
+
+                for guess in guesses():
+                    if all((_dot(a, guess[0]) == b * guess[1]) if i in eq
+                           else (_dot(a, guess[0]) < b * guess[1])
+                           for i, (a, b) in enumerate(rows)):
+                        self._cache.update(root=eq, dim=len(kernel), relint=guess)
+                        return guess
         point = None if self._root() is None else self._record().relint()
         self._cache["relint"] = point
         return point
@@ -908,7 +942,8 @@ class RationalPolyhedron:
         facets determine each other.  The facets modulo the affine hull
         are unique up to positive scaling (Schrijver, Theory of Linear and
         Integer Programming, 1986, 8.1-8.2), so keys are equal iff solution
-        sets are.
+        sets are.  The key also gives the dimension, N minus the number of
+        canonical rows, which `dimension()` then reads without a rank.
         """
         if "key" in self._cache:
             return self._cache["key"]
@@ -939,6 +974,9 @@ class RationalPolyhedron:
                 facets[tuple(n)] = b
         key = (self.ambient_dim, tuple(eq_rows), frozenset(facets.items()))
         self._cache["key"] = key
+        # the root rows hold on the face, so their augmented rank, the
+        # number of canonical rows, is their normals' rank (Rouche-Capelli)
+        self._cache["dim"] = self.ambient_dim - len(eq_rows)
         return key
 
     # -- vertices / boundedness / volume -----------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,8 @@ from polycx.polyhedra import FaceRecord
 from _corpus import (box, segment_chain, square_strip, cube_tower, voronoi_fixture,
                      clipped_fixture)
 from test_polyhedra import assert_matches_record
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def two_segments():
@@ -223,16 +226,17 @@ class TestCplxFormat:
             parse_cplx('{"schema_version":"CPLX/9"}')
 
 
+FIXTURES = [lambda: cube_tower(2), lambda: square_strip(3), lambda: voronoi_fixture(1, 5, 0),
+            lambda: voronoi_fixture(2, 5, 101), lambda: voronoi_fixture(3, 4, 201),
+            lambda: clipped_fixture(300)]
+
+
 class TestRelintWitnesses:
     """Parsed faces get their dimension and affine span from a checked
     relative-interior witness where one is found, and from their record
     otherwise; the answers are the record's either way."""
 
-    @pytest.mark.parametrize("make", [lambda: cube_tower(2), lambda: square_strip(3),
-                                      lambda: voronoi_fixture(1, 5, 0),
-                                      lambda: voronoi_fixture(2, 5, 101),
-                                      lambda: voronoi_fixture(3, 4, 201),
-                                      lambda: clipped_fixture(300)])
+    @pytest.mark.parametrize("make", FIXTURES)
     def test_parsed_faces_match_their_records(self, make):
         C = make()
         D = parse_cplx(format_cplx(C))
@@ -247,6 +251,25 @@ class TestRelintWitnesses:
     def test_bounded_faces_need_no_record(self):
         D = parse_cplx(format_cplx(cube_tower(2)))
         assert not any("record" in P._cache for P in D.faces.values())
+
+    @pytest.mark.parametrize("source", FIXTURES + sorted(GOLDEN.glob("*.cplx")),
+                             ids=lambda s: s.name if isinstance(s, Path) else None)
+    def test_faces_of_dimension_at_most_one_need_no_record(self, source, monkeypatch):
+        # the witness at the middle of a line covers half-lines, open rays
+        # and half-open edges, whose faces below do not span them
+        text = source.read_text() if isinstance(source, Path) else format_cplx(source())
+        built = []
+        build = FaceRecord.build
+
+        def counting(ambient_dim, rows, eq):
+            built.append(rows)
+            return build(ambient_dim, rows, eq)
+
+        monkeypatch.setattr(FaceRecord, "build", staticmethod(counting))
+        D = parse_cplx(text)
+        recorded = [i for i in D.ids() if "record" in D.faces[i]._cache]
+        assert len(built) == len(recorded)
+        assert all(D.face_dim(i) >= 2 for i in recorded)
 
     def test_forged_incidence_falls_back_to_the_record(self):
         # the point (3, 3) declared a face of the unit square: the guess

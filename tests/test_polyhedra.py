@@ -243,6 +243,21 @@ class TestCanonicalKey:
             # a face built afresh, with no record or closure to share, agrees
             assert make(n, rows, f.tightened).canonical_key() == key
 
+    @settings(max_examples=100, deadline=None)
+    @given(closed_systems())
+    def test_the_key_gives_the_dimension(self, system):
+        # dimension() after canonical_key() reads N minus the canonical
+        # rows, which must be the record's N minus the rank of the normals
+        n, rows, tightened = system
+        P = make(n, rows, tightened)
+        if P.is_empty():
+            return
+        for f in P.enumerate_faces():
+            fresh = make(n, rows, f.tightened)
+            for Q in (f, fresh):
+                Q.canonical_key()
+                assert Q._cache["dim"] == Q.dimension() == f._record().dim(f._root())
+
     def test_one_facet_offset_apart_gives_another_key(self):
         # the bottom edges of [0, 1] x [0, 1] and [0, 2] x [0, 1]: y = 0 in both
         a, b = (box([0, 0], [hi, 1]).with_tightened([3]) for hi in (1, 2))
@@ -579,15 +594,64 @@ class TestRelintWitness:
         assert P.dimension() == 2
         assert_matches_record(P, point)
 
-    def test_a_guess_outside_the_polyhedron_falls_back(self):
+    def test_a_guess_outside_a_segment_retries_at_its_middle(self):
         # the segment [0, 1] x {0}, written with y = 0 as a pair, and a
-        # forged face below it at (3, 0): on the line, outside the segment
+        # forged face below it at (3, 0): on the line, outside the segment,
+        # so the second guess is the middle of the line's section
         P = make(2, [([0, 1], 0, False), ([0, -1], 0, False),
                      ([1, 0], 1, False), ([-1, 0], 0, False)])
         point = P.relint_point([((3, 0), 1)])
-        assert "record" in P._cache and point == ((1, 0), 2)
+        assert "record" not in P._cache and point == ((1, 0), 2)
         assert P.dimension() == 1
         assert_matches_record(P, point)
+
+    @pytest.mark.parametrize("rows, near, point", [
+        # a half-line from its vertex (0, 0): one unit past the bound
+        ([([0, 1], 0, False), ([0, -1], 0, False), ([-1, 0], 0, False)], [((0, 0), 1)],
+         ((1, 0), 1)),
+        ([([0, 1], 0, False), ([0, -1], 0, False), ([1, 0], 0, False)], [((0, 0), 1)],
+         ((-1, 0), 1)),
+        # an open ray whose vertex was removed: nothing below it
+        ([([0, 1], 0, False), ([0, -1], 0, False), ([-1, 0], 0, True)], [], ((1, 0), 1)),
+        # an edge cut half-open at (2, 0), seen from its vertex (0, 0)
+        ([([0, 1], 0, False), ([0, -1], 0, False), ([-1, 0], 0, False), ([1, 0], 2, True)],
+         [((0, 0), 1)], ((1, 0), 1)),
+    ])
+    def test_one_dimensional_faces_over_their_vertex_take_the_witness(self, rows, near, point):
+        P = make(2, rows)
+        assert P.relint_point(near) == point and "record" not in P._cache
+        assert P.dimension() == 1
+        assert_matches_record(P, point)
+
+    def test_an_open_segment_is_witnessed_at_its_middle(self):
+        # 0 < x < 1: no equality, the particular solution 0 fails, and the
+        # section of the line is (0, 1)
+        P = make(1, [([1], 1, True), ([-1], 0, True)])
+        point = P.relint_point()
+        assert point == ((1,), 2) and "record" not in P._cache
+        assert P.dimension() == 1
+        assert_matches_record(P, point)
+
+    def test_a_degenerate_section_falls_back(self):
+        # on y = 0, x <= 1 and -x - y <= -1 are not a pair, but cut the
+        # line to the one point (1, 0): every guess on it makes both tight
+        P = make(2, [([0, 1], 0, False), ([0, -1], 0, False),
+                     ([1, 0], 1, False), ([-1, -1], -1, False)])
+        point = P.relint_point([((0, 0), 1)])
+        assert "record" in P._cache and point == ((1, 0), 1)
+        assert P.dimension() == 0
+        assert_matches_record(P, point)
+
+    def test_an_empty_section_falls_back(self):
+        # on y = 0, x <= 0 and -x <= -1 leave no point of the line
+        rows = [([0, 1], 0, False), ([0, -1], 0, False), ([1, 0], 0, False),
+                ([-1, 0], -1, False)]
+        P = make(2, rows)
+        assert P.relint_point([((0, 0), 1)]) is None
+        assert "record" in P._cache and P.dimension() == -1
+        assert_matches_record(P, None)
+        with pytest.raises(ValueError, match="face 1 is empty"):
+            PolyhedralComplex(2, {0: box([0, 0], [1, 1]), 1: make(2, rows)}, set())
 
     def test_an_equality_not_written_as_a_pair_falls_back(self):
         # x <= y <= 0 <= x + y: the point (0, 0), all of whose equalities
