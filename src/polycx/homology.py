@@ -159,22 +159,33 @@ def smith_normal_form(M):
     The pivot is the first entry of least absolute value in row-major order
     of the part of A not yet diagonalised.  Rows and columns before the
     pivot position t are already zero off the diagonal, so in A only
-    columns >= t of rows >= t are ever read or changed."""
+    columns >= t of rows >= t are ever read or changed.  A row >= t that
+    is zero in the columns >= t stays zero: no row operation adds to it
+    (its entry in column t is 0), column operations combine its zeros, and
+    the pivot row folds other rows into itself, never into it.  So the
+    pivot search records such rows (`zero`) and skips them; the swap that
+    brings the pivot row to t moves a recorded row with it."""
     A = [list(map(int, row)) for row in M]
     m = len(A)
     n = len(A[0]) if A else 0
     log = []
+    zero = set()
 
     def min_entry(t):
         best, least = None, 0
         for i in range(t, m):
+            if i in zero:
+                continue
             row = A[i]
+            j = None
             for j in compress(range(t, n), row[t:]):
                 a = abs(row[j])
                 if best is None or a < least:
                     best, least = (i, j), a
                     if a == 1:  # nothing is smaller
                         return best
+            if j is None:
+                zero.add(i)
         return best
 
     t = 0
@@ -187,6 +198,9 @@ def smith_normal_form(M):
         if i != t:
             A[t], A[i] = A[i], A[t]
             log += (SWAP, t, i, 0)
+            if t in zero:
+                zero.remove(t)
+                zero.add(i)
         if j != t:
             for row in A[t:]:
                 row[t], row[j] = row[j], row[t]

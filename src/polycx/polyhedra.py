@@ -18,8 +18,9 @@ shared with the records of the enumerated faces, which share the parent's
 integer rows and know their own tight set, so the canonical key of a face
 (integers only: the canonical rows of its equalities and its facet rows
 reduced modulo them, see `canonical_key`) reuses the closures of the face
-walk.  Fourier-Motzkin elimination on primitive integer rows stays the
-general feasibility test, for systems without a record.
+walk.  The same engine answers feasibility for systems without a record
+(`_solve_constraints`: a witness in the relative interior, checked
+exactly), and certifies an empty record by a Farkas vector (`_farkas`).
 
 A caller that needs only the tight set, the dimension and the affine span
 can skip the record: `relint_point` checks a guessed point against the
@@ -80,12 +81,20 @@ def _solve_constraints(eqs, ineqs):
     """Feasible point of {A x = b} ∧ {c·x <= / < d}, or None.
 
     eqs: list of (coeffs, rhs); ineqs: list of (coeffs, offset, strict).
-    Exact: every row is scaled to integers once; the equalities are
-    eliminated by one integer RREF and substituted into the inequalities,
-    the rest goes by Fourier-Motzkin on primitive integer rows, with
-    rational back-substitution for the witness point.  The witness is
-    checked against the caller's rows as integers over its common
-    denominator.
+    Exact, on the double description engine `_Cone`: every row is scaled
+    to integers once and cut into the cone C of the (x, t) with t >= 0 and
+    a·x <= b·t for each row, every strict row relaxed and each equality
+    cut as two rows.  The closed relaxation Q is empty iff no generator of
+    C has t > 0: a point x of Q gives (x, 1) in C, lineality vectors have
+    t = 0, and a ray (x, t) with t > 0 gives the point x/t of Q.  So the
+    cuts stop at the first row that leaves no such generator.  Otherwise
+    the sum g of the rays has a positive weight on every generator, so it
+    lies in the relative interior of C, and g/t in the relative interior
+    of Q, the section of C at t = 1 (Rockafellar, Convex Analysis, 1970,
+    6.5).  A row tight at a relative-interior point of Q is tight on all
+    of Q, so a strict row tight at g/t leaves the system empty; otherwise
+    g/t is the witness.  It is checked against the caller's rows as
+    integers over its denominator t.
     """
     if eqs:
         nvars = len(eqs[0][0])
@@ -95,121 +104,24 @@ def _solve_constraints(eqs, ineqs):
         return ()
     eq_rows = [linalg.int_row(tuple(c) + (r,))[0] for c, r in eqs]
     ineq_rows = [linalg.int_row(tuple(c) + (d,))[0] for c, d, _ in ineqs]
-    red = [list(row) for row in eq_rows]
-    pivots = linalg.int_rref(red)
-    if pivots and pivots[-1] == nvars:
+    cuts = []
+    for *a, b in eq_rows:
+        cuts += [(a, b), ([-x for x in a], -b)]
+    cuts += [(a, b) for *a, b in ineq_rows]
+    cone = _Cone(nvars)
+    if _emptied_at(cone, cuts) is not None:
         return None
-    # each pivot row with a positive pivot, so substituting keeps the sense
-    red = [row if row[p] > 0 else [-x for x in row] for row, p in zip(red, pivots)]
-    free = [j for j in range(nvars) if j not in set(pivots)]
-
-    def reduce_ineq(row):
-        # x_p = (red[k][n] - sum_f red[k][f] x_f) / red[k][p] for each pivot p
-        for prow, p in zip(red, pivots):
-            c = row[p]
-            if c:
-                g = gcd(prow[p], c)
-                q, c = prow[p] // g, c // g
-                row = [q * x - c * y for x, y in zip(row, prow)]
-        return [row[j] for j in free], row[nvars]
-
-    work = []
-    for row, (_, _, strict) in zip(ineq_rows, ineqs):
-        c, b = reduce_ineq(row)
-        if not any(c):
-            if b < 0 or (b == 0 and strict):
-                return None
-            continue
-        *c, b = linalg.primitive_row(c + [b])
-        work.append((tuple(c), b, strict))
-    work = _dedupe(work)
-
-    remaining = list(range(len(free)))
-    stages = []
-    while remaining:
-        # eliminate the variable producing the fewest products
-        best, best_cost = None, None
-        for v in remaining:
-            lo = sum(1 for c, _, _ in work if c[v] < 0)
-            hi = sum(1 for c, _, _ in work if c[v] > 0)
-            cost = lo * hi
-            if best_cost is None or cost < best_cost:
-                best, best_cost = v, cost
-        v = best
-        remaining.remove(v)
-        lows = [w for w in work if w[0][v] < 0]
-        highs = [w for w in work if w[0][v] > 0]
-        passed = [w for w in work if w[0][v] == 0]
-        stages.append((v, lows + highs))
-        new = []
-        for (cl, bl, sl) in lows:
-            for (ch, bh, sh) in highs:
-                a = ch[v]  # > 0
-                d = cl[v]  # < 0
-                row = [a * x - d * y for x, y in zip(cl, ch)]
-                b = a * bl - d * bh
-                s = sl or sh
-                if not any(row):
-                    if b < 0 or (b == 0 and s):
-                        return None
-                    continue
-                *coeffs, b = linalg.primitive_row(row + [b])
-                new.append((tuple(coeffs), b, s))
-        work = _dedupe(passed + new)
-
-    # back-substitute a witness, newest stage first
-    assign = [None] * len(free)
-    for v, constraints in reversed(stages):
-        lo = hi = None
-        lo_strict = hi_strict = False
-        for coeffs, b, s in constraints:
-            rest = sum((coeffs[j] * assign[j] for j in range(len(free))
-                        if j != v and coeffs[j] != 0), ZERO)
-            bound = (b - rest) / coeffs[v]
-            if coeffs[v] > 0:
-                if hi is None or bound < hi or (bound == hi and s):
-                    hi, hi_strict = bound, s
-            else:
-                if lo is None or bound > lo or (bound == lo and s):
-                    lo, lo_strict = bound, s
-        if lo is None and hi is None:
-            assign[v] = ZERO
-        elif lo is None:
-            assign[v] = hi - 1
-        elif hi is None:
-            assign[v] = lo + 1
-        elif lo == hi:
-            if lo_strict or hi_strict:
-                return None
-            assign[v] = lo
-        else:
-            assign[v] = (lo + hi) / 2
-
-    point = [None] * nvars
-    for k, j in enumerate(free):
-        point[j] = assign[k]
-    for prow, p in zip(red, pivots):
-        point[p] = (prow[nvars] - sum((prow[f] * point[f] for f in free if prow[f]), ZERO)) / prow[p]
-    point = tuple(point)
-    den = lcm(*(x.denominator for x in point))
-    nums = [x.numerator * (den // x.denominator) for x in point]
+    *nums, den = map(sum, zip(*(g for g, _ in cone.rays)))
     for *a, b in eq_rows:
         if _dot(a, nums) != b * den:
-            raise AssertionError("back-substitution produced a bad witness")
+            raise AssertionError("feasibility witness %r/%d misses an equality" % (nums, den))
     for (*a, b), (_, _, strict) in zip(ineq_rows, ineqs):
         v = _dot(a, nums)
-        if not (v < b * den if strict else v <= b * den):
-            raise AssertionError("back-substitution produced a bad witness")
-    return point
-
-
-def _dedupe(constraints):
-    best = {}
-    for coeffs, b, s in constraints:
-        cur = best.get(coeffs)
-        if cur is None or b < cur[0] or (b == cur[0] and s and not cur[1]):
-            best[coeffs] = (b, s)
-    return [(c, b, s) for c, (b, s) in best.items()]
+        if v > b * den:
+            raise AssertionError("feasibility witness %r/%d violates a row" % (nums, den))
+        if strict and v == b * den:
+            return None
+    return tuple(QQ(x, den) for x in nums)
 
 
 # -- the face record ----------------------------------------------------------------
@@ -296,6 +208,9 @@ class _Cone:
     every row h cut so far, t >= 0}: an integer basis of its lineality space
     and its extreme rays modulo that space, each ray with the bit mask of
     the rows it makes tight (bit 0 is t >= 0, bit k the k-th row cut).
+    Cut by the homogenised rows a·x <= b·t of a system, it builds face
+    records, filters Voronoi bisectors and decides feasibility: the system
+    has a point iff some generator has t > 0 (`_solve_constraints`).
     Motzkin, Raiffa, Thompson & Thrall 1953; Fukuda & Prodon, "Double
     description method revisited", 1996."""
 
@@ -356,6 +271,54 @@ class _Cone:
         self.rays = rays
         self.rows += 1
         return witness
+
+
+def _emptied_at(cone, rows):
+    """Cut `cone` by a·x <= b·t for the rows (a, b) in turn: the index of
+    the first row after which no generator has t > 0, where the cuts stop,
+    or None when none does."""
+    for k, (a, b) in enumerate(rows):
+        if cone.cut(list(a) + [-b]) is not None and not any(g[-1] for g, _ in cone.rays):
+            return k
+    return None
+
+
+def _farkas(rows, n):
+    """Multipliers λ, one integer per row (a, b) of a system a·x <= b in n
+    unknowns, with λ >= 0, Σ λ_i a_i = 0 and Σ λ_i b_i < 0 where the search
+    finds them, else None.  Only the caller's check makes them a proof.
+
+    The additive method (Chinneck, Feasibility and Infeasibility in
+    Optimization, 2008, 2.2) grows an irreducible infeasible subsystem S:
+    a fresh cone is cut by S and then by the rows in order, up to the row
+    added last, and the first row after which no point is left joins S.
+    The rows before that row are feasible with S, and every row added
+    later comes before it, so S without any one row is feasible: S is
+    irreducible.  The normals of an irreducible infeasible system have a
+    one-dimensional left kernel, spanned by a vector of one sign (Gleeson
+    & Ryan, "Identifying minimally infeasible subsystems of inequalities",
+    ORSA J. Comput., 1990); signed so that λ·b < 0, it is the Farkas
+    vector.  Rows are indexed by position, since a system may repeat one.
+    """
+    subset, end = [], len(rows)
+    while True:
+        cone = _Cone(n)
+        if _emptied_at(cone, [rows[k] for k in subset]) is not None:
+            break
+        end = _emptied_at(cone, rows[:end])
+        if end is None:
+            return None
+        subset.append(end)
+    kernel = linalg.annihilator(list(zip(*(rows[k][0] for k in subset))), len(subset))
+    if len(kernel) != 1:
+        return None
+    mu = kernel[0]
+    if _dot(mu, [rows[k][1] for k in subset]) > 0:
+        mu = [-x for x in mu]
+    lam = [0] * len(rows)
+    for k, x in zip(subset, mu):
+        lam[k] = x
+    return lam
 
 
 class FaceRecord:
@@ -442,8 +405,14 @@ class FaceRecord:
         where no row blocks it.  The graph of the pointed polyhedron Q ∩ L⊥
         is connected, so a non-empty point set closed under the walk holds
         every vertex, and every extreme ray is the direction of an
-        unbounded edge.  A record without points is confirmed empty by
-        Fourier-Motzkin.
+        unbounded edge.  A record without points (and without rays) is
+        certified empty by a Farkas vector (`_farkas`), checked here by
+        exact integer sums: λ >= 0, one entry per row a·x <= b with each
+        equality also as -a·x <= -b, with Σ λ_i a_i = 0 and Σ λ_i b_i < 0.
+        A point x of Q would give 0 = Σ λ_i a_i·x <= Σ λ_i b_i < 0, so no
+        such vector exists unless Q is empty (Farkas' lemma; Schrijver,
+        Theory of Linear and Integer Programming, 1986, 7.3).  The check
+        alone carries the proof: a wrong search can only make it fail.
         """
         n, rows, lineality = self.ambient_dim, self.rows, self.lineality
         normals = [a for a, _ in rows]
@@ -475,15 +444,17 @@ class FaceRecord:
         ray_set = {ray for ray, _ in self.rays}
         if len(vertices) != len(self.points) or len(ray_set) != len(self.rays):
             raise AssertionError("record lists a generator twice")
+        cons = self._constraints(rows, self.eq)
         if not self.points:
-            eqs = [rows[i] for i in self.eq]
-            ineqs = [(a, b, False) for i, (a, b) in enumerate(rows) if i not in self.eq]
-            if self.rays or _solve_constraints(eqs, ineqs) is not None:
-                raise AssertionError("record has no vertex but the system is feasible")
+            lam = None if self.rays else _farkas(cons, n)
+            if (lam is None or len(lam) != len(cons) or min(lam) < 0
+                    or any(_dot(lam, column) for column in zip(*(a for a, _ in cons)))
+                    or _dot(lam, [b for _, b in cons]) >= 0):
+                raise AssertionError("record has no vertex, but no Farkas vector shows "
+                                     "its system empty")
             return
         if r == 0:
             return
-        cons = self._constraints(rows, self.eq)
         lin_rows = [list(v) + [0] for v in lineality]
         for (nums, den), tight in self.points:
             for subset in itertools.combinations(_planes(rows, sorted(tight)), r - 1):
@@ -781,7 +752,8 @@ class RationalPolyhedron:
 
     def is_empty(self):
         # a record is not built just for this: most emptiness tests are on
-        # throwaway intersections, where one Fourier-Motzkin run is cheaper
+        # throwaway intersections, where one cone run, stopped at the first
+        # row that empties it, is cheaper than a certified record
         if "root" in self._cache or "record" in self._cache:
             return self._root() is None
         return self.feasible_point() is None
@@ -885,7 +857,8 @@ class RationalPolyhedron:
         """True iff every point of self satisfies the constraint.
 
         A non-strict constraint on a polyhedron that has a record is
-        checked on every generator; otherwise by Fourier-Motzkin.
+        checked on every generator; otherwise the system with the
+        constraint's negation must have no point (`_solve_constraints`).
         """
         record = self._cache.get("record")
         if record is not None and not constraint.strict:

@@ -20,7 +20,7 @@ simplex volumes, and one point location (the centroid of one top simplex
 lies in no other), which together make its open simplices pairwise
 disjoint and show that no top is missing.
 Clipping keeps every face above a vertex inside the region and tests the
-other faces against the region by Fourier-Motzkin.
+other faces against the region by the feasibility test of `polyhedra`.
 """
 
 import itertools
@@ -512,7 +512,7 @@ class PolyhedralRegion:
 def _faces_missing(cx, region):
     """Ids of the faces of `cx` disjoint from the region.  A face holds its
     vertices, so every face above a vertex inside the region meets it;
-    Fourier-Motzkin (`region.meets`) decides only the faces left over."""
+    a feasibility test (`region.meets`) decides only the faces left over."""
     meeting = set()
     for c in cx.ids():
         if cx.face_dim(c) == 0 and region.contains(cx.faces[c].vertices()[0]):

@@ -35,6 +35,22 @@ def as_ineq(coeffs, rhs, strict):
             QQ(rhs.numerator, rhs.denominator), strict)
 
 
+def assert_witness(eqs, ineqs, x):
+    for a, b in eqs:
+        assert sum(c * v for c, v in zip(a, x)) == b
+    for a, b, s in ineqs:
+        lhs = sum(c * v for c, v in zip(a, x))
+        assert lhs < b if s else lhs <= b
+
+
+def assert_farkas(rows, lam):
+    """lam proves the integer system a·x <= b, (a, b) in rows, empty."""
+    assert lam is not None and len(lam) == len(rows) and min(lam) >= 0
+    assert all(sum(x * a[j] for x, (a, _) in zip(lam, rows)) == 0
+               for j in range(len(rows[0][0])))
+    assert sum(x * b for x, (_, b) in zip(lam, rows)) < 0
+
+
 class TestFeasibility:
 
     def test_unit_square_interior_point(self):
@@ -88,11 +104,56 @@ class TestFeasibility:
         x = _solve_constraints(eqs, ineqs)
         assert (x is not None) == feasible(eqs, ineqs, 3)
         if x is not None:
-            for a, b in eqs:
-                assert sum(c * v for c, v in zip(a, x)) == b
-            for a, b, s in ineqs:
-                lhs = sum(c * v for c, v in zip(a, x))
-                assert lhs < b if s else lhs <= b
+            assert_witness(eqs, ineqs, x)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.lists(rationals, min_size=4, max_size=4), rationals),
+                    max_size=2),
+           st.lists(st.tuples(st.lists(rationals, min_size=4, max_size=4), rationals,
+                              st.booleans()),
+                    min_size=1, max_size=4))
+    def test_matches_independent_elimination_in_four_unknowns(self, eq_rows, rows):
+        # at most six rows, so that the naive elimination stays fast
+        eqs = [(tuple(rat(str(c)) for c in a), rat(str(b))) for a, b in eq_rows]
+        ineqs = [(tuple(rat(str(c)) for c in a), rat(str(b)), s) for a, b, s in rows]
+        x = _solve_constraints(eqs, ineqs)
+        assert (x is not None) == feasible(eqs, ineqs, 4)
+        if x is not None:
+            assert_witness(eqs, ineqs, x)
+
+    def test_rows_in_no_unknowns(self):
+        assert _solve_constraints([], [((), rat(5), False)]) == ()
+        assert _solve_constraints([], [((), rat(-1), False)]) is None
+        assert _solve_constraints([], [((), rat(0), True)]) is None
+
+    def test_thirty_rows_in_four_and_five_unknowns_are_decided_in_time(self):
+        # dense random rows through a point, a third of them strict; each
+        # system once as it is and once emptied by one far row: the sum of
+        # all its rows, reversed and pushed one unit past their offsets
+        cases = []
+        for seed, n in enumerate([4, 4, 5, 5]):
+            rng = random.Random(seed)
+            rows = []
+            while len(rows) < 30:
+                a = [rng.randint(-5, 5) for _ in range(n)]
+                if any(a):
+                    rows.append((a, rng.randint(1, 20), len(rows) % 3 == 0))
+            far = ([-sum(col) for col in zip(*(a for a, _, _ in rows))],
+                   -sum(b for _, b, _ in rows) - 1, False)
+            cases.append((n, rows, True))
+            cases.append((n, rows + [far], False))
+        start = time.perf_counter()
+        answers = [_solve_constraints([], [(tuple(map(rat, a)), rat(b), s) for a, b, s in rows])
+                   for _, rows, _ in cases]
+        certificates = [None if ok else polyhedra._farkas([(a, b) for a, b, _ in rows], n)
+                        for n, rows, ok in cases]
+        assert time.perf_counter() - start <= 2
+        for (n, rows, ok), x, lam in zip(cases, answers, certificates):
+            assert (x is not None) == ok
+            if ok:
+                assert_witness([], rows, x)
+            else:
+                assert_farkas([(a, b) for a, b, _ in rows], lam)
 
     def test_primitive_rows_are_ints(self):
         coeffs, offset = _primitive((QQ(1, 2), QQ(-3, 4)), QQ(5, 6))
@@ -425,6 +486,41 @@ class TestFaceRecord:
         with pytest.raises(AssertionError, match="no vertex"):
             broken.certify()
 
+    def test_certificate_rejects_an_empty_record_of_the_square(self):
+        record = box([0, 0], [1, 1])._record()
+        broken = FaceRecord(2, record.rows, record.eq, record.lineality, (), ())
+        with pytest.raises(AssertionError, match="no Farkas vector"):
+            broken.certify()
+
+    @pytest.mark.parametrize("change", ["negate", "raise"])
+    def test_certificate_rejects_a_changed_farkas_vector(self, monkeypatch, change):
+        # x + y <= 1, x >= 0, y >= 0 and x + y >= 2: empty, and the search
+        # finds multipliers on the first and last rows
+        rows = [((1, 1), 1), ((-1, 0), 0), ((0, -1), 0), ((-1, -1), -2)]
+        record = FaceRecord.build(2, rows, frozenset())
+        assert not record.points
+        lam = polyhedra._farkas(rows, 2)
+        assert_farkas(rows, lam)
+        k = next(i for i, x in enumerate(lam) if x)
+        changed = list(lam)
+        changed[k] = -changed[k] if change == "negate" else changed[k] + 1
+        monkeypatch.setattr(polyhedra, "_farkas", lambda rows, n: changed)
+        with pytest.raises(AssertionError, match="no Farkas vector"):
+            record.certify()
+
+    @settings(max_examples=150, deadline=None)
+    @given(record_systems())
+    def test_empty_records_are_certified(self, system):
+        # emptiness decided by the naive elimination; the search must find
+        # a vector for every empty system, or the build would raise
+        n, rows, eq = system
+        cons = FaceRecord._constraints(rows, eq)
+        if feasible([], [(a, b, False) for a, b in cons], n):
+            return
+        record = FaceRecord.build(n, rows, eq)
+        assert not record.points and not record.rays
+        assert_farkas(cons, polyhedra._farkas(cons, n))
+
     @settings(max_examples=150, deadline=None)
     @given(record_systems())
     def test_build_matches_line_enumeration(self, system):
@@ -483,7 +579,7 @@ class TestFaceRecord:
         from polycx import polyhedra
 
         def forbidden(*args):
-            raise AssertionError("Fourier-Motzkin called")
+            raise AssertionError("feasibility test called")
 
         monkeypatch.setattr(polyhedra, "_solve_constraints", forbidden)
         for f in P.enumerate_faces():
@@ -704,12 +800,12 @@ class TestVolume:
             P.triangulate()
 
     def test_hull_volume_makes_no_feasibility_call(self, monkeypatch):
-        # the volume reads the hull's record; Fourier-Motzkin on a hull
-        # system without one does not finish in Q^4
+        # the volume reads the hull's record; no feasibility test runs on
+        # the hull system (Fourier-Motzkin on it did not finish in Q^4)
         from polycx import polyhedra
 
         def forbidden(*args):
-            raise AssertionError("Fourier-Motzkin called")
+            raise AssertionError("feasibility test called")
 
         monkeypatch.setattr(polyhedra, "_solve_constraints", forbidden)
         pts = [tuple(rat(c) for c in p) for p in itertools.product([0, 2], repeat=3)]

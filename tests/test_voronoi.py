@@ -767,7 +767,7 @@ class TestClipAgainstFM:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(region, "meets", lambda poly: asked.append(poly) or meets(poly))
             assert _faces_missing(cx, region) == fm
-        # Fourier-Motzkin runs only on faces above no vertex inside the region
+        # the feasibility test runs only on faces above no vertex inside the region
         settled = set()
         for c in cx.ids():
             if cx.face_dim(c) == 0 and region.contains(cx.faces[c].vertices()[0]):
