@@ -494,19 +494,30 @@ class TestFaceRecord:
 
     @pytest.mark.parametrize("change", ["negate", "raise"])
     def test_certificate_rejects_a_changed_farkas_vector(self, monkeypatch, change):
-        # x + y <= 1, x >= 0, y >= 0 and x + y >= 2: empty, and the search
-        # finds multipliers on the first and last rows
+        # x + y <= 1, x >= 0, y >= 0 and x + y >= 2: empty, with multipliers
+        # (1, 0, 0, 1); the first entry negated, or the last one raised,
+        # which leaves λb = -3 < 0 and only λA = (-1, -1) wrong
         rows = [((1, 1), 1), ((-1, 0), 0), ((0, -1), 0), ((-1, -1), -2)]
         record = FaceRecord.build(2, rows, frozenset())
         assert not record.points
         lam = polyhedra._farkas(rows, 2)
-        assert_farkas(rows, lam)
-        k = next(i for i, x in enumerate(lam) if x)
-        changed = list(lam)
-        changed[k] = -changed[k] if change == "negate" else changed[k] + 1
+        assert lam == [1, 0, 0, 1]
+        changed = [-1, 0, 0, 1] if change == "negate" else [1, 0, 0, 2]
         monkeypatch.setattr(polyhedra, "_farkas", lambda rows, n: changed)
         with pytest.raises(AssertionError, match="no Farkas vector"):
             record.certify()
+
+    @pytest.mark.parametrize("forged", [
+        [-1, -1, 0, 0],  # λA = 0 and λb = -1, but negative
+        [1, 1, 0, 0],  # λ >= 0 and λA = 0, but λb = 1
+    ])
+    def test_certificate_rejects_a_forged_farkas_vector(self, monkeypatch, forged):
+        # the unit square's record emptied, with a vector that fails one check
+        record = box([0, 0], [1, 1])._record()
+        broken = FaceRecord(2, record.rows, record.eq, record.lineality, (), ())
+        monkeypatch.setattr(polyhedra, "_farkas", lambda rows, n: forged)
+        with pytest.raises(AssertionError, match="no Farkas vector"):
+            broken.certify()
 
     @settings(max_examples=150, deadline=None)
     @given(record_systems())
