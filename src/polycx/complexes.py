@@ -25,7 +25,7 @@ import itertools
 import json
 
 from .rationals import ratio_str
-from .polyhedra import LinearInequality, format_poly, parse_poly
+from .polyhedra import LinearInequality, _dot, format_poly, parse_poly
 from .simplicial import SimplicialComplex
 
 
@@ -290,13 +290,17 @@ class PolyhedralComplex:
 
 def _cut_inequality(poly, face):
     """Strict inequality cutting a closed proper face off `poly`: its
-    left-hand side vanishes exactly on that face."""
-    tight = []
-    for i, q in enumerate(poly.inequalities):
-        if i in poly.tightened or q.strict:
-            continue
-        if face.entails_equality(q.normal, q.offset):
-            tight.append(i)
+    left-hand side vanishes exactly on that face.
+
+    It sums the non-strict, untightened rows of `poly` tight at the face's
+    relative-interior point, which the complex has certified.  A row that
+    holds on the face and is tight there is tight on the whole face
+    (Rockafellar, Convex Analysis, 1970, 32.1), and `same_solution_set`
+    checks that tightening these rows gives the face."""
+    nums, den = face.relint_point()
+    tight = [i for i, (a, b) in enumerate(poly._rows())
+             if i not in poly.tightened and not poly.inequalities[i].strict
+             and _dot(a, nums) == b * den]
     if not tight:
         raise ValueError("face to remove is not a proper face of the polyhedron")
     check = poly.with_tightened(poly.tightened | set(tight))

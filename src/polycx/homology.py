@@ -164,7 +164,12 @@ def smith_normal_form(M):
     (its entry in column t is 0), column operations combine its zeros, and
     the pivot row folds other rows into itself, never into it.  So the
     pivot search records such rows (`zero`) and skips them; the swap that
-    brings the pivot row to t moves a recorded row with it."""
+    brings the pivot row to t moves a recorded row with it.
+
+    At a fixed t the absolute pivot never rises (it stays at (t, t)) and
+    drops at least once every two passes: a remainder lowers the next
+    pivot, and a stray-row fold is followed by a column pass that leaves
+    one.  A pass that breaks this raises AssertionError."""
     A = [list(map(int, row)) for row in M]
     m = len(A)
     n = len(A[0]) if A else 0
@@ -189,6 +194,7 @@ def smith_normal_form(M):
         return best
 
     t = 0
+    before = [0, 0]  # |pivot| two passes and one pass ago at t, 0 for none
     while True:
         pos = min_entry(t)
         if pos is None:
@@ -207,6 +213,10 @@ def smith_normal_form(M):
             log += (V_SIDE + SWAP, t, j, 0)
         At = A[t]
         p = At[t]
+        if before[0] and abs(p) >= before[0]:
+            raise AssertionError("Smith form: the pivot %d at position %d is no smaller than "
+                                 "the pivot %d two passes before" % (p, t, before[0]))
+        before = [before[1], abs(p)]
         # row t is not changed by the row operations below it, nor column t
         # by the column operations right of it
         a_cols = _nonzeros(At, t)
@@ -246,6 +256,7 @@ def smith_normal_form(M):
             A[t] = [-a for a in At]
             log += (NEGATE, t, t, 0)
         t += 1
+        before = [0, 0]
     factors = [A[i][i] for i in range(t)]
     return SmithForm(A, factors, log)
 

@@ -18,6 +18,9 @@ inner rows (`annihilates`), and a meet is the kernel of the stacked
 annihilators (`int_meet`), since (A ∩ B)^⊥ = A^⊥ + B^⊥.
 `intersect_row_spaces`, `row_space_contained` and `in_row_space` are the
 same on QQ rows.
+
+Linear systems have one integer solver, `int_solve`; `solve`, `nullspace`
+and affine spans read its answer over QQ (`rational_solution`).
 """
 
 from itertools import compress
@@ -29,10 +32,6 @@ from .rationals import QQ, ZERO, ONE
 
 def dot(u, v):
     return sum((a * b for a, b in zip(u, v)), ZERO)
-
-
-def is_zero_vec(u):
-    return all(a == 0 for a in u)
 
 
 def int_row(row):
@@ -217,6 +216,38 @@ def int_kernel(m, pivots, ncols):
     return kernel
 
 
+def int_solve(aug, n):
+    """Solutions of integer rows a·x = b, each given as a + [b], in n unknowns.
+
+    Returns (nums, den, kernel): x = nums/den is the solution whose free
+    variables are 0, and kernel is a primitive integer basis of the
+    homogeneous solutions, one vector per free column, in column order.
+    None if the rows are inconsistent.
+    """
+    m = [list(row) for row in aug]
+    pivots = int_rref(m)
+    if pivots and pivots[-1] == n:
+        return None
+    den = lcm(*(abs(m[k][c]) for k, c in enumerate(pivots)))
+    nums = [0] * n
+    for k, c in enumerate(pivots):
+        nums[c] = m[k][n] * (den // m[k][c])
+    return nums, den, int_kernel(m, pivots, n)
+
+
+def rational_solution(aug, n):
+    """`int_solve` read over QQ: (x, kernel), x with its free variables 0
+    and each kernel vector divided by its entry in its free column, its
+    last nonzero entry (a reduced row is zero before its pivot); or None.
+    These are the RREF solution and kernel basis."""
+    sol = int_solve(aug, n)
+    if sol is None:
+        return None
+    nums, den, kernel = sol
+    return (tuple(QQ(x, den) for x in nums),
+            [tuple(QQ(x, next(y for y in reversed(v) if y)) for x in v) for v in kernel])
+
+
 def annihilates(kernel, rows):
     """True iff every vector of `kernel` has a zero dot product with every
     row of `rows` (integer vectors)."""
@@ -241,19 +272,7 @@ def nullspace(rows):
     """Basis of the right kernel {x : A x = 0}, as a list of vectors."""
     if not rows:
         return []
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [ZERO] * ncols
-        v[free] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][free]
-        basis.append(tuple(v))
-    return basis
+    return rational_solution([int_row(row)[0] + [0] for row in rows], len(rows[0]))[1]
 
 
 def solve(rows, rhs):
@@ -263,18 +282,9 @@ def solve(rows, rhs):
     """
     if not rows:
         return None
-    ncols = len(rows[0])
-    aug = [tuple(row) + (QQ(b),) for row, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    for row in red:
-        if is_zero_vec(row[:ncols]) and row[ncols] != 0:
-            return None
-    x = [ZERO] * ncols
-    for r, p in enumerate(pivots):
-        if p == ncols:
-            return None  # pivot in the rhs column: inconsistent
-        x[p] = red[r][ncols]
-    return tuple(x)
+    sol = rational_solution([int_row(tuple(row) + (QQ(b),))[0] for row, b in zip(rows, rhs)],
+                            len(rows[0]))
+    return sol and sol[0]
 
 
 def det(rows):

@@ -2,7 +2,12 @@
 
 A polyhedron is stored in H-representation: a list of linear inequalities
 normal·x <= offset (or < for strict ones) together with a set of
-"tightened" indices that have been converted to equalities.
+"tightened" indices that have been converted to equalities.  A row
+becomes integers once, in `_rows`: scaled by a positive rational to
+primitive integers.  Every exact question reads those rows: the face
+record, feasibility and entailment (`_solve_constraints`, `_entails_row`),
+and the deduplication of `intersect`; faces, intersections and systems
+with appended rows inherit their parent's rows.
 
 Its face structure is read off one cached record of its closed relaxation
 Q, where every strict row is relaxed to <=: the vertices of Q modulo its
@@ -68,33 +73,27 @@ class LinearInequality:
     def make(normal, offset, strict=False):
         return LinearInequality(tuple(rat(c) for c in normal), rat(offset), bool(strict))
 
-    def negation(self):
-        """The complementary halfspace: not(a·x <= b) is -a·x < -b, etc."""
-        neg = tuple(-c for c in self.normal)
-        return LinearInequality(neg, -self.offset, not self.strict)
-
-    def key(self):
-        return _primitive(self.normal, self.offset) + (self.strict,)
-
 
 def _solve_constraints(eqs, ineqs):
     """Feasible point of {A x = b} ∧ {c·x <= / < d}, or None.
 
-    eqs: list of (coeffs, rhs); ineqs: list of (coeffs, offset, strict).
-    Exact, on the double description engine `_Cone`: every row is scaled
-    to integers once and cut into the cone C of the (x, t) with t >= 0 and
-    a·x <= b·t for each row, every strict row relaxed and each equality
-    cut as two rows.  The closed relaxation Q is empty iff no generator of
-    C has t > 0: a point x of Q gives (x, 1) in C, lineality vectors have
-    t = 0, and a ray (x, t) with t > 0 gives the point x/t of Q.  So the
-    cuts stop at the first row that leaves no such generator.  Otherwise
-    the sum g of the rays has a positive weight on every generator, so it
-    lies in the relative interior of C, and g/t in the relative interior
-    of Q, the section of C at t = 1 (Rockafellar, Convex Analysis, 1970,
-    6.5).  A row tight at a relative-interior point of Q is tight on all
-    of Q, so a strict row tight at g/t leaves the system empty; otherwise
-    g/t is the witness.  It is checked against the caller's rows as
-    integers over its denominator t.
+    eqs: list of (coeffs, rhs); ineqs: list of (coeffs, offset, strict);
+    all integers, as `RationalPolyhedron._rows` gives them.  Exact, on the
+    double description engine `_Cone`: every row is cut into the cone C of
+    the (x, t) with t >= 0 and a·x <= b·t for each row, every strict row
+    relaxed and each equality cut as two rows.  `_Cone.cut` keeps every
+    generator primitive, so a row scaled by a positive factor gives the
+    same generators and the same witness.  The closed relaxation Q is
+    empty iff no generator of C has t > 0: a point x of Q gives (x, 1) in
+    C, lineality vectors have t = 0, and a ray (x, t) with t > 0 gives the
+    point x/t of Q.  So the cuts stop at the first row that leaves no such
+    generator.  Otherwise the sum g of the rays has a positive weight on
+    every generator, so it lies in the relative interior of C, and g/t in
+    the relative interior of Q, the section of C at t = 1 (Rockafellar,
+    Convex Analysis, 1970, 6.5).  A row tight at a relative-interior point
+    of Q is tight on all of Q, so a strict row tight at g/t leaves the
+    system empty; otherwise g/t is the witness.  It is checked against the
+    caller's rows over its denominator t.
     """
     if eqs:
         nvars = len(eqs[0][0])
@@ -102,20 +101,18 @@ def _solve_constraints(eqs, ineqs):
         nvars = len(ineqs[0][0])
     else:
         return ()
-    eq_rows = [linalg.int_row(tuple(c) + (r,))[0] for c, r in eqs]
-    ineq_rows = [linalg.int_row(tuple(c) + (d,))[0] for c, d, _ in ineqs]
     cuts = []
-    for *a, b in eq_rows:
+    for a, b in eqs:
         cuts += [(a, b), ([-x for x in a], -b)]
-    cuts += [(a, b) for *a, b in ineq_rows]
+    cuts += [(a, b) for a, b, _ in ineqs]
     cone = _Cone(nvars)
     if _emptied_at(cone, cuts) is not None:
         return None
     *nums, den = map(sum, zip(*(g for g, _ in cone.rays)))
-    for *a, b in eq_rows:
+    for a, b in eqs:
         if _dot(a, nums) != b * den:
             raise AssertionError("feasibility witness %r/%d misses an equality" % (nums, den))
-    for (*a, b), (_, _, strict) in zip(ineq_rows, ineqs):
+    for a, b, strict in ineqs:
         v = _dot(a, nums)
         if v > b * den:
             raise AssertionError("feasibility witness %r/%d violates a row" % (nums, den))
@@ -139,25 +136,6 @@ def _mean(points, rays=()):
         total = [t + den * x for t, x in zip(total, ray)]
     g = gcd(*total, den)
     return tuple(t // g for t in total), den // g
-
-
-def _solve_int(aug, n):
-    """Solutions of integer rows a·x = b, each given as a + [b], in n unknowns.
-
-    Returns (nums, den, kernel): x = nums/den is the solution whose free
-    variables are 0, and kernel is a primitive integer basis of the
-    homogeneous solutions, one vector per free column.  None if the rows
-    are inconsistent.
-    """
-    m = [list(row) for row in aug]
-    pivots = linalg.int_rref(m)
-    if pivots and pivots[-1] == n:
-        return None
-    den = lcm(*(abs(m[k][c]) for k, c in enumerate(pivots)))
-    nums = [0] * n
-    for k, c in enumerate(pivots):
-        nums[c] = m[k][n] * (den // m[k][c])
-    return nums, den, linalg.int_kernel(m, pivots, n)
 
 
 def _section(cons, base, den, d):
@@ -368,7 +346,7 @@ class FaceRecord:
         certified before it is returned.
         """
         n = ambient_dim
-        lineality = tuple(_solve_int([list(a) + [0] for a, _ in rows], n)[2])
+        lineality = tuple(linalg.int_solve([list(a) + [0] for a, _ in rows], n)[2])
         cone = _Cone(n)
         for v in lineality:
             cone.cut(list(v) + [0])
@@ -458,7 +436,7 @@ class FaceRecord:
         lin_rows = [list(v) + [0] for v in lineality]
         for (nums, den), tight in self.points:
             for subset in itertools.combinations(_planes(rows, sorted(tight)), r - 1):
-                kernel = _solve_int([list(a) + [0] for a, _ in subset] + lin_rows, n)[2]
+                kernel = linalg.int_solve([list(a) + [0] for a, _ in subset] + lin_rows, n)[2]
                 if len(kernel) != 1:
                     continue
                 d = kernel[0]
@@ -595,6 +573,7 @@ class RationalPolyhedron:
     def with_tightened(self, extra):
         face = RationalPolyhedron(self.ambient_dim, self.inequalities,
                                   self.tightened | frozenset(extra))
+        face._cache["rows"] = self._rows()
         record = self._cache.get("record")
         if record is not None:
             face._cache["record"] = record.restrict(face.tightened)
@@ -606,23 +585,14 @@ class RationalPolyhedron:
         over, each row checked on every generator (FaceRecord.with_row)."""
         poly = RationalPolyhedron(self.ambient_dim, self.inequalities + tuple(extra),
                                   self.tightened)
+        new = [_primitive(q.normal, q.offset) for q in extra]
+        poly._cache["rows"] = self._rows() + new
         record = self._cache.get("record")
         if record is not None:
-            for q in extra:
-                record = record.with_row(_primitive(q.normal, q.offset))
+            for row in new:
+                record = record.with_row(row)
             poly._cache["record"] = record
         return poly
-
-    # -- raw system view ------------------------------------------------------
-
-    def system(self):
-        eqs, ineqs = [], []
-        for i, ineq in enumerate(self.inequalities):
-            if i in self.tightened:
-                eqs.append((ineq.normal, ineq.offset))
-            else:
-                ineqs.append((ineq.normal, ineq.offset, ineq.strict))
-        return eqs, ineqs
 
     def contains(self, point):
         for i, ineq in enumerate(self.inequalities):
@@ -640,7 +610,9 @@ class RationalPolyhedron:
     # -- the face record ---------------------------------------------------------
 
     def _rows(self):
-        """Every row as primitive integers (normal, offset)."""
+        """Every row as primitive integers (normal, offset): the one place
+        where a row of QQ becomes integers.  Derived systems (faces,
+        intersections, appended rows) inherit these rows."""
         if "rows" not in self._cache:
             self._cache["rows"] = [_primitive(q.normal, q.offset) for q in self.inequalities]
         return self._cache["rows"]
@@ -697,7 +669,7 @@ class RationalPolyhedron:
             eq = frozenset(i for i, (a, b) in enumerate(rows) if i not in self._strict
                            and (rows[i] in fixed or (tuple(-x for x in a), -b) in closed))
 
-            sol = _solve_int([list(rows[i][0]) + [rows[i][1]] for i in eq], self.ambient_dim)
+            sol = linalg.int_solve([list(rows[i][0]) + [rows[i][1]] for i in eq], self.ambient_dim)
             if sol is not None:
                 base, den, kernel = sol
 
@@ -741,13 +713,22 @@ class RationalPolyhedron:
 
     # -- basic predicates ------------------------------------------------------
 
+    def _solve(self, extra=()):
+        """`_solve_constraints` on the integer rows: the tightened rows as
+        equalities, then the other rows, each in index order, then the
+        rows (a, b, strict) of `extra`."""
+        rows = self._rows()
+        eqs = [rows[i] for i in sorted(self.tightened)]
+        ineqs = [rows[i] + (i in self._strict,) for i in range(len(rows))
+                 if i not in self.tightened]
+        return _solve_constraints(eqs, ineqs + list(extra))
+
     def feasible_point(self):
         if "point" not in self._cache:
-            eqs, ineqs = self.system()
-            if not eqs and not ineqs:
-                self._cache["point"] = tuple([ZERO] * self.ambient_dim)
+            if self.inequalities:
+                self._cache["point"] = self._solve()
             else:
-                self._cache["point"] = _solve_constraints(eqs, ineqs)
+                self._cache["point"] = tuple([ZERO] * self.ambient_dim)
         return self._cache["point"]
 
     def is_empty(self):
@@ -769,18 +750,10 @@ class RationalPolyhedron:
         root = self._root()
         if root is None:
             return AffineSubspace(self.ambient_dim, None, ())
-        rows, rhs = [], []
-        for i in sorted(root):
-            q = self.inequalities[i]
-            rows.append(q.normal)
-            rhs.append(q.offset)
-        if not rows:
-            basis = tuple(tuple(ONE if i == j else ZERO for j in range(self.ambient_dim))
-                          for i in range(self.ambient_dim))
-            return AffineSubspace(self.ambient_dim, tuple([ZERO] * self.ambient_dim), basis)
-        base = linalg.solve(rows, rhs)
-        dirs = tuple(linalg.nullspace(rows))
-        return AffineSubspace(self.ambient_dim, base, dirs)
+        rows = self._rows()
+        base, dirs = linalg.rational_solution([rows[i][0] + (rows[i][1],) for i in sorted(root)],
+                                              self.ambient_dim)
+        return AffineSubspace(self.ambient_dim, base, tuple(dirs))
 
     def dimension(self):
         if "dim" not in self._cache:
@@ -837,60 +810,67 @@ class RationalPolyhedron:
     # -- combination / comparison ------------------------------------------------
 
     def intersect(self, other):
+        """The system of both; a row of `other` is dropped where it repeats
+        an untightened row, as the same primitive (a, b, strict), or is
+        trivially true (a zero normal with 0 <= b, or 0 < b when strict).
+        Tightened rows of `other` are always kept."""
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         ineqs = list(self.inequalities)
+        rows = list(self._rows())
         tight = set(self.tightened)
-        seen = {q.key() for i, q in enumerate(self.inequalities) if i not in self.tightened}
-        for j, q in enumerate(other.inequalities):
+        seen = {rows[i] + (q.strict,) for i, q in enumerate(self.inequalities)
+                if i not in self.tightened}
+        for j, (q, row) in enumerate(zip(other.inequalities, other._rows())):
+            a, b = row
             if j in other.tightened:
                 tight.add(len(ineqs))
-                ineqs.append(q)
-            elif linalg.is_zero_vec(q.normal) and (q.offset > 0 or (q.offset == 0 and not q.strict)):
+            elif not any(a) and (b > 0 or (b == 0 and not q.strict)):
                 continue  # trivially true
-            elif q.key() not in seen:
-                seen.add(q.key())
-                ineqs.append(q)
-        return RationalPolyhedron(self.ambient_dim, ineqs, tight)
+            elif row + (q.strict,) in seen:
+                continue
+            else:
+                seen.add(row + (q.strict,))
+            ineqs.append(q)
+            rows.append(row)
+        poly = RationalPolyhedron(self.ambient_dim, ineqs, tight)
+        poly._cache["rows"] = rows
+        return poly
 
-    def entails(self, constraint):
-        """True iff every point of self satisfies the constraint.
+    def _entails_row(self, a, b, strict):
+        """True iff every point satisfies a·x <= b (a·x < b when strict),
+        for integer a and b.
 
-        A non-strict constraint on a polyhedron that has a record is
-        checked on every generator; otherwise the system with the
-        constraint's negation must have no point (`_solve_constraints`).
+        A non-strict row on a polyhedron that has a record is checked on
+        every generator; otherwise the system with the row's negation must
+        have no point (`_solve_constraints`).
         """
         record = self._cache.get("record")
-        if record is not None and not constraint.strict:
+        if record is not None and not strict:
             if self._root() is None:
                 return True
-            *c, d = linalg.int_row(tuple(constraint.normal) + (constraint.offset,))[0]
-            return (all(_dot(c, nums) <= d * den for (nums, den), _ in record.points)
-                    and all(_dot(c, ray) <= 0 for ray, _ in record.rays)
-                    and not any(_dot(c, v) for v in record.lineality))
-        eqs, ineqs = self.system()
-        neg = constraint.negation()
-        return _solve_constraints(eqs, ineqs + [(neg.normal, neg.offset, neg.strict)]) is None
+            return (all(_dot(a, nums) <= b * den for (nums, den), _ in record.points)
+                    and all(_dot(a, ray) <= 0 for ray, _ in record.rays)
+                    and not any(_dot(a, v) for v in record.lineality))
+        return self._solve([(tuple(-x for x in a), -b, not strict)]) is None
 
-    def entails_equality(self, normal, offset):
-        return (self.entails(LinearInequality(tuple(normal), offset, False))
-                and self.entails(LinearInequality(tuple(-c for c in normal), -offset, False)))
-
-    def _as_constraints(self):
-        out = []
-        for i, q in enumerate(self.inequalities):
-            out.append(q)
-            if i in self.tightened:
-                out.append(LinearInequality(tuple(-c for c in q.normal), -q.offset, False))
-        return out
+    def entails(self, constraint):
+        """True iff every point of self satisfies the constraint."""
+        return self._entails_row(*_primitive(constraint.normal, constraint.offset),
+                                 constraint.strict)
 
     def same_solution_set(self, other):
         """Mutual entailment; exact for mixed strict/non-strict systems."""
         a_empty, b_empty = self.is_empty(), other.is_empty()
         if a_empty or b_empty:
             return a_empty and b_empty
-        return (all(self.entails(c) for c in other._as_constraints())
-                and all(other.entails(c) for c in self._as_constraints()))
+
+        def entails_all(p, q):  # every row of q, a tightened row also reversed
+            return all(p._entails_row(a, b, i in q._strict) and (
+                i not in q.tightened or p._entails_row(tuple(-x for x in a), -b, False))
+                for i, (a, b) in enumerate(q._rows()))
+
+        return entails_all(self, other) and entails_all(other, self)
 
     def is_closed_system(self):
         return not self._strict

@@ -30,7 +30,7 @@ from math import factorial, gcd, lcm
 from operator import mul
 from dataclasses import dataclass
 
-from .rationals import QQ, ZERO, ONE, rat, rat_str, vec
+from .rationals import QQ, ZERO, rat, rat_str, vec
 from . import linalg
 from .polyhedra import (LinearInequality, RationalPolyhedron, _Cone, _dot, _solve_constraints,
                         format_poly, parse_poly)
@@ -459,17 +459,10 @@ def _open_simplices_meet(pts_a, pts_b):
     N = len(pts_a[0])
     na, nb = len(pts_a), len(pts_b)
     nvars = na + nb
-    eqs = []
-    eqs.append((tuple([ONE] * na + [ZERO] * nb), ONE))
-    eqs.append((tuple([ZERO] * na + [ONE] * nb), ONE))
+    eqs = [((1,) * na + (0,) * nb, 1), ((0,) * na + (1,) * nb, 1)]
     for i in range(N):
-        row = [p[i] for p in pts_a] + [-q[i] for q in pts_b]
-        eqs.append((tuple(row), ZERO))
-    ineqs = []
-    for v in range(nvars):
-        e = [ZERO] * nvars
-        e[v] = -ONE
-        ineqs.append((tuple(e), ZERO, True))
+        eqs.append((linalg.int_row([p[i] for p in pts_a] + [-q[i] for q in pts_b])[0], 0))
+    ineqs = [(tuple(-int(v == w) for w in range(nvars)), 0, True) for v in range(nvars)]
     return _solve_constraints(eqs, ineqs) is not None
 
 

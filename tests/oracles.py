@@ -170,6 +170,101 @@ def rational_rref(rows):
     return [tuple(row) for row in m[:r]], pivots
 
 
+def rational_solve(rows, rhs):
+    """One solution of A x = b, its free variables 0, read off the RREF of
+    the augmented rows; None if inconsistent or there are no rows."""
+    if not rows:
+        return None
+    ncols = len(rows[0])
+    red, pivots = rational_rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    for row in red:
+        if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
+            return None
+    x = [Fraction(0)] * ncols
+    for row, p in zip(red, pivots):
+        if p == ncols:
+            return None  # pivot in the rhs column: inconsistent
+        x[p] = row[ncols]
+    return tuple(x)
+
+
+def rational_nullspace(rows):
+    """The RREF basis of {x : A x = 0}: one vector per free column, 1
+    there, minus that column's RREF entries at the pivot columns."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    red, pivots = rational_rref(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for row, p in zip(red, pivots):
+            v[p] = -row[free]
+        basis.append(tuple(v))
+    return basis
+
+
+def rational_affine_span(n, rows, rhs):
+    """(basepoint, directions) of {x : A x = b} for consistent rows: the
+    solution with free variables 0 and the RREF kernel basis; without rows,
+    the origin and the unit vectors."""
+    if not rows:
+        return (tuple([Fraction(0)] * n),
+                tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
+    return rational_solve(rows, rhs), tuple(rational_nullspace(rows))
+
+
+def _row_key(normal, offset, strict):
+    """A row scaled by a positive rational to coprime integers (a zero row
+    as it is), with its strictness."""
+    v = [Fraction(x) for x in normal] + [Fraction(offset)]
+    return (_primitive_ints(v) if any(v) else tuple(v)) + (strict,)
+
+
+def intersect_rows(rows_a, tight_a, rows_b, tight_b):
+    """(rows, tightened) of the intersection of two systems of rows
+    (normal, offset, strict): all rows of the first, then each row of the
+    second unless it is untightened and trivially true (zero normal,
+    0 <= offset, or 0 < offset when strict) or repeats, up to a positive
+    scaling, an untightened row kept before it."""
+    rows, tight = list(rows_a), set(tight_a)
+    seen = {_row_key(*q) for i, q in enumerate(rows_a) if i not in tight_a}
+    for j, (normal, offset, strict) in enumerate(rows_b):
+        key = _row_key(normal, offset, strict)
+        if j in tight_b:
+            tight.add(len(rows))
+        elif all(x == 0 for x in normal) and (offset > 0 or (offset == 0 and not strict)):
+            continue
+        elif key in seen:
+            continue
+        else:
+            seen.add(key)
+        rows.append((normal, offset, strict))
+    return rows, tight
+
+
+def cut_inequality(dim, rows, tightened, face_eqs, face_ineqs):
+    """(tight, normal, offset): the rows (normal, offset, strict) of a
+    polyhedron, neither tightened nor strict, that hold with equality on
+    all of a face, and their sum.  The face is the system (face_eqs,
+    face_ineqs) of `feasible`; it entails normal·x = offset iff it has no
+    point with normal·x > offset and none with normal·x < offset."""
+    tight = []
+    for i, (normal, offset, strict) in enumerate(rows):
+        if i in tightened or strict:
+            continue
+        above = face_ineqs + [([-c for c in normal], -offset, True)]
+        below = face_ineqs + [(list(normal), offset, True)]
+        if not feasible(face_eqs, above, dim) and not feasible(face_eqs, below, dim):
+            tight.append(i)
+    normal = tuple(sum((Fraction(rows[i][0][j]) for i in tight), Fraction(0))
+                   for j in range(dim))
+    return tight, normal, sum((Fraction(rows[i][1]) for i in tight), Fraction(0))
+
+
 def rational_det(rows):
     """Determinant by Gaussian elimination with rational pivots."""
     m = [[Fraction(x) for x in row] for row in rows]

@@ -10,14 +10,20 @@ from polycx import (
     PolyhedralComplex,
     SiteSet,
     voronoi_complex,
+    clipped_complex,
     format_cplx,
     parse_cplx,
+    parse_pts,
+    parse_rgn,
 )
 
+from polycx import complexes
 from polycx.polyhedra import FaceRecord
+import oracles
 from _corpus import (box, segment_chain, square_strip, cube_tower, voronoi_fixture,
                      clipped_fixture)
 from test_polyhedra import assert_matches_record
+from test_voronoi import annulus_case
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -186,6 +192,53 @@ class TestDifference:
                                          built.points, built.rays)
                 assert record.dims is not C.faces[i]._record().dims
                 assert D.face_dim(i) == C.face_dim(i)
+
+    @pytest.mark.parametrize("case", ["annulus-0", "annulus-1", "annulus-2", "golden"])
+    def test_cut_rows_match_the_entailment_search(self, case, monkeypatch):
+        # every cut `difference` makes in a clip: the rows tight at the
+        # face's relative-interior point are the rows the face entails
+        # with equality, decided by elimination, and give the same cut row
+        if case == "golden":
+            Y = parse_pts((GOLDEN / "lattice-perturbed.pts").read_text())
+            region = parse_rgn((GOLDEN / "inputs" / "region.rgn").read_text())
+        else:
+            Y, region = annulus_case(int(case[-1]))
+        cut, calls = complexes._cut_inequality, []
+        monkeypatch.setattr(complexes, "_cut_inequality",
+                            lambda poly, face: calls.append((poly, face)) or cut(poly, face))
+        clipped_complex(Y, region)
+        monkeypatch.undo()
+        assert calls
+        for poly, face in calls:
+            asked = []
+            with_tightened = RationalPolyhedron.with_tightened
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(RationalPolyhedron, "with_tightened",
+                           lambda self, extra: asked.append(extra) or with_tightened(self, extra))
+                got = cut(poly, face)
+            tight, normal, offset = oracles.cut_inequality(
+                poly.ambient_dim, [(q.normal, q.offset, q.strict) for q in poly.inequalities],
+                poly.tightened,
+                [(q.normal, q.offset) for i, q in enumerate(face.inequalities)
+                 if i in face.tightened],
+                [(q.normal, q.offset, q.strict) for i, q in enumerate(face.inequalities)
+                 if i not in face.tightened])
+            assert asked == [poly.tightened | set(tight)]
+            assert (got.normal, got.offset, got.strict) == (normal, offset, True)
+
+    def test_a_translated_face_is_rejected(self):
+        # the edge x = 1 of the unit square moved up by 1/2: its middle
+        # (1, 1) is the square's corner, where two rows are tight, but
+        # tightening them gives the corner, not the edge
+        square = box([0, 0], [1, 1])
+        edge = box([1, QQ(1, 2)], [1, QQ(3, 2)])
+        with pytest.raises(ValueError, match="not a face"):
+            complexes._cut_inequality(square, edge)
+
+    def test_the_polyhedron_is_not_its_own_proper_face(self):
+        square = box([0, 0], [1, 1])
+        with pytest.raises(ValueError, match="not a proper face"):
+            complexes._cut_inequality(square, square)
 
     def test_a_row_a_generator_violates_is_rejected(self):
         record = box([0, 0], [1, 1])._record()

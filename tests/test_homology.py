@@ -121,6 +121,16 @@ class TestSparseKernel:
                 M.insert(k, [0] * n)
         assert_matches_dense_oracle(M)
 
+    def test_pivot_that_stops_dropping_fails_instead_of_looping(self, monkeypatch):
+        # a column pass that sees only the first nonzero entry of the pivot
+        # row never leaves the remainder a stray-row fold needs, so the
+        # pivot 2 repeats at position 0; without the bound this loops for ever
+        module = importlib.import_module("polycx.homology")
+        nonzeros = module._nonzeros
+        monkeypatch.setattr(module, "_nonzeros", lambda row, start=0: nonzeros(row, start)[:1])
+        with pytest.raises(AssertionError, match="pivot 2 at position 0"):
+            smith_normal_form([[2, 0], [0, 3]])
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7), st.data())
     def test_mat_mul_equals_dense_oracle(self, m, k, p, data):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polycx import QQ, rat, rat_str
 from math import gcd
@@ -12,7 +12,8 @@ from polycx.linalg import (rref, rank, nullspace, solve, det, dot, int_rank, int
                            int_meet)
 
 from oracles import (rational_rank, rational_rref, rational_det, _int_det,
-                     rational_in_row_space, rational_intersect_row_spaces, zassenhaus_intersect)
+                     rational_in_row_space, rational_intersect_row_spaces, zassenhaus_intersect,
+                     rational_solve, rational_nullspace)
 
 entries = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 matrices = st.lists(st.lists(entries, min_size=3, max_size=3),
@@ -74,6 +75,26 @@ def test_det_and_solve():
     assert det(M) == 1
     assert solve(M, (rat(3), rat(2))) == (rat(1), rat(1))
     assert solve(qq([[1, 1], [1, 1]]), (rat(0), rat(1))) is None
+
+
+# small entries repeat rows, which makes inconsistent systems, and leave
+# free columns on both sides of the pivots
+small = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2)])
+systems = st.integers(1, 4).flatmap(lambda w: st.lists(
+    st.tuples(rows_of(w, st.one_of(small, mixed)), st.one_of(small, mixed)), max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems)
+@example([])  # no rows
+@example([([1, 1], 0), ([1, 1], 1)])  # inconsistent
+@example([([0, 0, 0], 1)])  # a zero row with a nonzero right side
+@example([([0, 0, 0], 0), ([0, 1, 2], 3)])  # free columns before and after the pivot
+def test_solve_and_nullspace_match_rref_oracles(system):
+    rows = [row for row, _ in system]
+    rhs = [b for _, b in system]
+    assert solve(qq(rows), [QQ(b) for b in rhs]) == rational_solve(rows, rhs)
+    assert nullspace(qq(rows)) == rational_nullspace(rows)
 
 
 @settings(max_examples=150, deadline=None)

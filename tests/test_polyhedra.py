@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polycx import (
     QQ,
@@ -20,7 +20,8 @@ from polycx.complexes import PolyhedralComplex, _key_token
 from polycx import linalg, polyhedra
 from polycx.polyhedra import FaceRecord, _primitive, _solve_constraints
 
-from oracles import FMFaces, feasible, int_key_as_rref, line_record, rref_key_token
+from oracles import (FMFaces, feasible, int_key_as_rref, intersect_rows, line_record,
+                     rational_affine_span, rref_key_token)
 
 
 def box(lo, hi):
@@ -33,6 +34,12 @@ rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 def as_ineq(coeffs, rhs, strict):
     return (tuple(QQ(c.numerator, c.denominator) for c in coeffs),
             QQ(rhs.numerator, rhs.denominator), strict)
+
+
+def integer_system(eqs, ineqs):
+    """The rows of a system as `_solve_constraints` takes them: primitive integers."""
+    return ([_primitive(a, b) for a, b in eqs],
+            [_primitive(a, b) + (s,) for a, b, s in ineqs])
 
 
 def assert_witness(eqs, ineqs, x):
@@ -101,7 +108,7 @@ class TestFeasibility:
     def test_witness_satisfies_system(self, eq_rows, rows):
         eqs = [(tuple(rat(str(c)) for c in a), rat(str(b))) for a, b in eq_rows]
         ineqs = [(tuple(rat(str(c)) for c in a), rat(str(b)), s) for a, b, s in rows]
-        x = _solve_constraints(eqs, ineqs)
+        x = _solve_constraints(*integer_system(eqs, ineqs))
         assert (x is not None) == feasible(eqs, ineqs, 3)
         if x is not None:
             assert_witness(eqs, ineqs, x)
@@ -116,15 +123,15 @@ class TestFeasibility:
         # at most six rows, so that the naive elimination stays fast
         eqs = [(tuple(rat(str(c)) for c in a), rat(str(b))) for a, b in eq_rows]
         ineqs = [(tuple(rat(str(c)) for c in a), rat(str(b)), s) for a, b, s in rows]
-        x = _solve_constraints(eqs, ineqs)
+        x = _solve_constraints(*integer_system(eqs, ineqs))
         assert (x is not None) == feasible(eqs, ineqs, 4)
         if x is not None:
             assert_witness(eqs, ineqs, x)
 
     def test_rows_in_no_unknowns(self):
-        assert _solve_constraints([], [((), rat(5), False)]) == ()
-        assert _solve_constraints([], [((), rat(-1), False)]) is None
-        assert _solve_constraints([], [((), rat(0), True)]) is None
+        assert _solve_constraints([], [((), 5, False)]) == ()
+        assert _solve_constraints([], [((), -1, False)]) is None
+        assert _solve_constraints([], [((), 0, True)]) is None
 
     def test_thirty_rows_in_four_and_five_unknowns_are_decided_in_time(self):
         # dense random rows through a point, a third of them strict; each
@@ -143,7 +150,7 @@ class TestFeasibility:
             cases.append((n, rows, True))
             cases.append((n, rows + [far], False))
         start = time.perf_counter()
-        answers = [_solve_constraints([], [(tuple(map(rat, a)), rat(b), s) for a, b, s in rows])
+        answers = [_solve_constraints([], [(tuple(a), b, s) for a, b, s in rows])
                    for _, rows, _ in cases]
         certificates = [None if ok else polyhedra._farkas([(a, b) for a, b, _ in rows], n)
                         for n, rows, ok in cases]
@@ -640,6 +647,65 @@ def assert_matches_record(P, point):
         assert oracle.contains(x)
         assert root == {i for i, q in enumerate(oracle.inequalities)
                         if linalg.dot(q.normal, x) == q.offset}
+
+
+def assert_intersect_matches_oracle(P, Q):
+    """P ∩ Q has the rows and tightened set of the oracle's deduplication,
+    and inherits the right integer rows.  Returns P ∩ Q."""
+    def rows(poly):
+        return [(q.normal, q.offset, q.strict) for q in poly.inequalities]
+
+    got = P.intersect(Q)
+    assert (rows(got), got.tightened) == intersect_rows(rows(P), P.tightened,
+                                                        rows(Q), Q.tightened)
+    assert got._rows() == [_primitive(q.normal, q.offset) for q in got.inequalities]
+    return got
+
+
+class TestIntegerRows:
+    """Answers read off the cached integer rows, against Fraction oracles
+    of the code they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(witness_systems())
+    @example((2, [([0, 1], Fraction(1), False)], frozenset([0])))  # free column before the pivot
+    @example((2, [([1, 0], Fraction(1), False)], frozenset()))  # no root rows
+    def test_affine_span_matches_rref_oracle(self, system):
+        n, rows, tightened = system
+        P = make(n, rows, tightened)
+        span, root = P.affine_span(), P._root()
+        if root is None:
+            assert span.basepoint is None
+        else:
+            eq = sorted(root)
+            assert (span.basepoint, span.directions) == rational_affine_span(
+                n, [rows[i][0] for i in eq], [rows[i][1] for i in eq])
+
+    @settings(max_examples=200, deadline=None)
+    @given(witness_systems(), st.data())
+    def test_intersect_matches_key_deduplication(self, system, data):
+        # two overlapping slices of one system, which repeat rows as they
+        # are, scaled, strict or tightened
+        n, rows, tightened = system
+        k = data.draw(st.integers(0, len(rows)))
+        j = data.draw(st.integers(0, len(rows) - 1))
+        P = make(n, rows[:k], {i for i in tightened if i < k})
+        Q = make(n, rows[j:], {i - j for i in tightened if i >= j})
+        assert_intersect_matches_oracle(P, Q)
+
+    @pytest.mark.parametrize("rows, tightened, kept, empty", [
+        ([([2], 2, True)], (), 2, False),  # a strict copy of x <= 1 stays
+        ([([0], 0, True)], (), 2, True),  # 0 < 0 stays and empties
+        ([([0], -1, False)], (), 2, True),  # 0 <= -1 stays and empties
+        ([([0], 1, False)], (), 1, False),  # 0 <= 1 is dropped
+        ([([3], 3, False)], (0,), 2, False),  # a tightened copy stays
+    ])
+    def test_intersect_row_edge_cases(self, rows, tightened, kept, empty):
+        P = make(1, [([1], 1, False)])
+        Q = make(1, rows, tightened)
+        got = assert_intersect_matches_oracle(P, Q)
+        assert len(got.inequalities) == kept
+        assert got.is_empty() == empty
 
 
 class TestRelintWitness:
