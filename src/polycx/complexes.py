@@ -23,9 +23,10 @@ certified record, and an empty face is rejected.  The faces that
 
 import itertools
 import json
+from math import lcm
 
 from .rationals import ratio_str
-from .polyhedra import LinearInequality, _dot, format_poly, parse_poly
+from .polyhedra import _dot, _scaled, format_poly, parse_poly
 from .simplicial import SimplicialComplex
 
 
@@ -289,27 +290,32 @@ class PolyhedralComplex:
 
 
 def _cut_inequality(poly, face):
-    """Strict inequality cutting a closed proper face off `poly`: its
-    left-hand side vanishes exactly on that face.
+    """Strict row cutting a closed proper face off `poly`, as (row, scale)
+    for `with_valid_rows`: its left-hand side vanishes exactly on that face.
 
-    It sums the non-strict, untightened rows of `poly` tight at the face's
-    relative-interior point, which the complex has certified.  A row that
-    holds on the face and is tight there is tight on the whole face
-    (Rockafellar, Convex Analysis, 1970, 32.1), and `same_solution_set`
-    checks that tightening these rows gives the face."""
+    It sums the written non-strict, untightened rows of `poly` tight at the
+    face's relative-interior point, which the complex has certified, each
+    as its integer row times its scale over the lcm of the scales'
+    denominators.  A row that holds on the face and is tight there is tight
+    on the whole face (Rockafellar, Convex Analysis, 1970, 32.1), and
+    `same_solution_set` checks that tightening these rows gives the face.
+    The face is proper only if one of these rows is not tight on all of
+    `poly`; otherwise the sum would be the empty cut 0·x < 0."""
     nums, den = face.relint_point()
-    tight = [i for i, (a, b) in enumerate(poly._rows())
-             if i not in poly.tightened and not poly.inequalities[i].strict
+    tight = [i for i, (a, b) in enumerate(poly.rows)
+             if i not in poly.tightened and i not in poly._strict
              and _dot(a, nums) == b * den]
-    if not tight:
+    if set(tight) <= (poly._root() or set()):
         raise ValueError("face to remove is not a proper face of the polyhedron")
     check = poly.with_tightened(poly.tightened | set(tight))
     if not check.same_solution_set(face):
         raise ValueError("face to remove is not a face of the polyhedron")
-    normal = tuple(sum(poly.inequalities[i].normal[j] for i in tight)
-                   for j in range(poly.ambient_dim))
-    offset = sum(poly.inequalities[i].offset for i in tight)
-    return LinearInequality(normal, offset, True)
+    common = lcm(*(poly.scales[i][1] for i in tight))
+    total = [0] * (poly.ambient_dim + 1)
+    for i in tight:
+        (a, b), (p, q) = poly.rows[i], poly.scales[i]
+        total = [t + p * (common // q) * x for t, x in zip(total, a + (b,))]
+    return _scaled(total, common)
 
 
 def _key_token(key):

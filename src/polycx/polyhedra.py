@@ -1,13 +1,16 @@
 """Convex rational polyhedra given by mixed strict/non-strict inequalities.
 
-A polyhedron is stored in H-representation: a list of linear inequalities
-normal·x <= offset (or < for strict ones) together with a set of
-"tightened" indices that have been converted to equalities.  A row
-becomes integers once, in `_rows`: scaled by a positive rational to
-primitive integers.  Every exact question reads those rows: the face
-record, feasibility and entailment (`_solve_constraints`, `_entails_row`),
-and the deduplication of `intersect`; faces, intersections and systems
-with appended rows inherit their parent's rows.
+A polyhedron is stored in H-representation: rows a·x <= b (or < for
+strict ones), each as primitive integers (a, b) with the positive scale
+p/q it was written with, so that the written row is (p/q)·(a, b), and a
+set of "tightened" indices that have been converted to equalities.  A row
+takes this form once, where it is read (`parse_poly` reads POLY/1 tokens
+straight to integers, `_primitive` converts a caller's `LinearInequality`)
+or built (bisectors, cuts, boxes, hulls), and `format_poly` writes the
+written row back from it.  Every exact question reads the integer rows:
+the face record, feasibility and entailment (`_solve_constraints`,
+`_entails_row`), and the deduplication of `intersect`; faces,
+intersections and systems with appended rows share their parent's rows.
 
 Its face structure is read off one cached record of its closed relaxation
 Q, where every strict row is relaxed to <=: the vertices of Q modulo its
@@ -46,15 +49,27 @@ from collections import deque
 from math import factorial, gcd, lcm
 from operator import mul
 from dataclasses import dataclass
+from functools import cached_property
 
-from .rationals import QQ, ZERO, ONE, rat, rat_str
+from .rationals import QQ, ZERO, rat, ratio, ratio_str
 from . import linalg
 
 
+def _scaled(ints, den):
+    """((a, b), (p, q)) for the written row ints/den, den > 0: (a, b) its
+    primitive integer row and p/q > 0, in lowest terms, its scale, so that
+    ints/den = (p/q)·(a, b).  A zero row has scale 1."""
+    g = gcd(*ints)
+    if not g:
+        return (tuple(ints[:-1]), 0), (1, 1)
+    *a, b = [x // g for x in ints]
+    h = gcd(g, den)
+    return (tuple(a), b), (g // h, den // h)
+
+
 def _primitive(coeffs, offset):
-    """(coeffs, offset) scaled by a positive rational to primitive integers."""
-    *nums, b = linalg.primitive_row(linalg.int_row(tuple(coeffs) + (offset,))[0])
-    return tuple(nums), b
+    """`_scaled` of the rational row (coeffs, offset)."""
+    return _scaled(*linalg.int_row(tuple(coeffs) + (offset,)))
 
 
 def _dot(u, v):
@@ -78,7 +93,7 @@ def _solve_constraints(eqs, ineqs):
     """Feasible point of {A x = b} ∧ {c·x <= / < d}, or None.
 
     eqs: list of (coeffs, rhs); ineqs: list of (coeffs, offset, strict);
-    all integers, as `RationalPolyhedron._rows` gives them.  Exact, on the
+    all integers, as `RationalPolyhedron.rows` holds them.  Exact, on the
     double description engine `_Cone`: every row is cut into the cone C of
     the (x, t) with t >= 0 and a·x <= b·t for each row, every strict row
     relaxed and each equality cut as two rows.  `_Cone.cut` keeps every
@@ -501,7 +516,7 @@ class FaceRecord:
             if rise > 0:
                 raise AssertionError("record ray %r violates the appended row" % (ray,))
             rays.append((ray, tight if rise else tight | {k}))
-        return FaceRecord(self.ambient_dim, list(self.rows) + [row], self.eq, self.lineality,
+        return FaceRecord(self.ambient_dim, tuple(self.rows) + (row,), self.eq, self.lineality,
                           tuple(points), tuple(rays))
 
     def relint(self):
@@ -539,88 +554,98 @@ class AffineSubspace:
 
 
 class RationalPolyhedron:
-    """Solution set of an inequality system; `tightened` indices are equalities."""
+    """Solution set of an inequality system; `tightened` indices are equalities.
+
+    Row i is a·x <= b, or a·x < b when i is in `_strict`, with
+    rows[i] = (a, b) primitive integers.  It was written as (p/q)·(a, b),
+    scales[i] = (p, q) with p, q > 0.  A positive scale keeps the sign of
+    every slack, so every exact question reads the rows alone; the scales
+    carry the written rows to `format_poly`, `inequalities` and the cuts
+    of `complexes.difference`.
+    """
 
     def __init__(self, ambient_dim, inequalities, tightened=()):
-        self.ambient_dim = int(ambient_dim)
-        self.inequalities = tuple(
-            ineq if isinstance(ineq, LinearInequality) else LinearInequality.make(*ineq)
-            for ineq in inequalities)
+        ineqs = [ineq if isinstance(ineq, LinearInequality) else LinearInequality.make(*ineq)
+                 for ineq in inequalities]
+        if any(len(ineq.normal) != int(ambient_dim) for ineq in ineqs):
+            raise ValueError("inequality arity does not match ambient dimension")
+        self._set(int(ambient_dim), [_primitive(ineq.normal, ineq.offset) for ineq in ineqs],
+                  [i for i, ineq in enumerate(ineqs) if ineq.strict], tightened)
+
+    @classmethod
+    def _of_rows(cls, ambient_dim, written, strict=(), tightened=()):
+        """The system of the rows (row, scale) of `written`."""
+        poly = cls.__new__(cls)
+        poly._set(ambient_dim, written, strict, tightened)
+        return poly
+
+    def _set(self, ambient_dim, written, strict, tightened):
+        self.ambient_dim = ambient_dim
+        written = tuple(written)
+        self.rows = tuple(row for row, _ in written)
+        self.scales = tuple(scale for _, scale in written)
+        self._strict = frozenset(strict)
         self.tightened = frozenset(tightened)
-        self._strict = frozenset(i for i, q in enumerate(self.inequalities) if q.strict)
         if self.tightened & self._strict:
             raise ValueError("cannot tighten a strict inequality")
-        for ineq in self.inequalities:
-            if len(ineq.normal) != self.ambient_dim:
-                raise ValueError("inequality arity does not match ambient dimension")
         self._cache = {}
+
+    @cached_property
+    def inequalities(self):
+        """The rows as written, as `LinearInequality` of QQ."""
+        return tuple(LinearInequality(tuple(QQ(x * p, q) for x in a), QQ(b * p, q),
+                                      i in self._strict)
+                     for i, ((a, b), (p, q)) in enumerate(zip(self.rows, self.scales)))
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
     def from_box(lo, hi):
-        lo = [rat(v) for v in lo]
-        hi = [rat(v) for v in hi]
-        n = len(lo)
-        ineqs = []
-        for i in range(n):
-            e = [ZERO] * n
-            e[i] = ONE
-            ineqs.append(LinearInequality(tuple(e), hi[i], False))
-            ineqs.append(LinearInequality(tuple(-c for c in e), -lo[i], False))
-        return RationalPolyhedron(n, ineqs)
+        n, written = len(lo), []
+        for i, (low, high) in enumerate(zip(map(rat, lo), map(rat, hi))):
+            # x_i <= high and -x_i <= -low, each times the bound's denominator
+            for sign, v in ((1, high), (-1, low)):
+                a = tuple(sign * v.denominator * (k == i) for k in range(n))
+                written.append(((a, sign * v.numerator), (1, v.denominator)))
+        return RationalPolyhedron._of_rows(n, written)
 
     def with_tightened(self, extra):
-        face = RationalPolyhedron(self.ambient_dim, self.inequalities,
-                                  self.tightened | frozenset(extra))
-        face._cache["rows"] = self._rows()
+        face = RationalPolyhedron._of_rows(self.ambient_dim, zip(self.rows, self.scales),
+                                           self._strict, self.tightened | frozenset(extra))
         record = self._cache.get("record")
         if record is not None:
             face._cache["record"] = record.restrict(face.tightened)
         return face
 
-    def with_valid_rows(self, extra):
-        """This system with the rows `extra` appended, each of which holds
-        (relaxed to <=) on the whole closed relaxation.  A record carries
-        over, each row checked on every generator (FaceRecord.with_row)."""
-        poly = RationalPolyhedron(self.ambient_dim, self.inequalities + tuple(extra),
-                                  self.tightened)
-        new = [_primitive(q.normal, q.offset) for q in extra]
-        poly._cache["rows"] = self._rows() + new
+    def with_valid_rows(self, cuts):
+        """This system with the strict rows (row, scale) of `cuts` appended,
+        each of which holds (relaxed to <=) on the whole closed relaxation.
+        A record carries over, each row checked on every generator
+        (FaceRecord.with_row)."""
+        k = len(self.rows)
+        poly = RationalPolyhedron._of_rows(
+            self.ambient_dim, [*zip(self.rows, self.scales), *cuts],
+            self._strict | set(range(k, k + len(cuts))), self.tightened)
         record = self._cache.get("record")
         if record is not None:
-            for row in new:
+            for row, _ in cuts:
                 record = record.with_row(row)
             poly._cache["record"] = record
         return poly
 
     def contains(self, point):
-        for i, ineq in enumerate(self.inequalities):
-            v = linalg.dot(ineq.normal, point)
-            if i in self.tightened:
-                if v != ineq.offset:
-                    return False
-            elif ineq.strict:
-                if not v < ineq.offset:
-                    return False
-            elif not v <= ineq.offset:
+        for i, (a, b) in enumerate(self.rows):
+            v = linalg.dot(a, point)
+            if v > b or (v == b and i in self._strict) or (v < b and i in self.tightened):
                 return False
         return True
 
     # -- the face record ---------------------------------------------------------
 
-    def _rows(self):
-        """Every row as primitive integers (normal, offset): the one place
-        where a row of QQ becomes integers.  Derived systems (faces,
-        intersections, appended rows) inherit these rows."""
-        if "rows" not in self._cache:
-            self._cache["rows"] = [_primitive(q.normal, q.offset) for q in self.inequalities]
-        return self._cache["rows"]
-
     def _record(self):
         """The certified face record of the closed relaxation, built once."""
         if "record" not in self._cache:
-            self._cache["record"] = FaceRecord.build(self.ambient_dim, self._rows(),
+            self._cache["record"] = FaceRecord.build(self.ambient_dim, self.rows,
                                                      self.tightened)
         return self._cache["record"]
 
@@ -663,7 +688,7 @@ class RationalPolyhedron:
         if "relint" in self._cache:
             return self._cache["relint"]
         if "record" not in self._cache:
-            rows = self._rows()
+            rows = self.rows
             closed = {rows[i] for i in range(len(rows)) if i not in self._strict}
             fixed = {rows[i] for i in self.tightened}
             eq = frozenset(i for i, (a, b) in enumerate(rows) if i not in self._strict
@@ -717,7 +742,7 @@ class RationalPolyhedron:
         """`_solve_constraints` on the integer rows: the tightened rows as
         equalities, then the other rows, each in index order, then the
         rows (a, b, strict) of `extra`."""
-        rows = self._rows()
+        rows = self.rows
         eqs = [rows[i] for i in sorted(self.tightened)]
         ineqs = [rows[i] + (i in self._strict,) for i in range(len(rows))
                  if i not in self.tightened]
@@ -725,7 +750,7 @@ class RationalPolyhedron:
 
     def feasible_point(self):
         if "point" not in self._cache:
-            if self.inequalities:
+            if self.rows:
                 self._cache["point"] = self._solve()
             else:
                 self._cache["point"] = tuple([ZERO] * self.ambient_dim)
@@ -750,7 +775,7 @@ class RationalPolyhedron:
         root = self._root()
         if root is None:
             return AffineSubspace(self.ambient_dim, None, ())
-        rows = self._rows()
+        rows = self.rows
         base, dirs = linalg.rational_solution([rows[i][0] + (rows[i][1],) for i in sorted(root)],
                                               self.ambient_dim)
         return AffineSubspace(self.ambient_dim, base, tuple(dirs))
@@ -784,7 +809,7 @@ class RationalPolyhedron:
         root = self._root()
         if root is None:
             raise ValueError("cannot enumerate faces of an empty polyhedron")
-        rows = [i for i in range(len(self.inequalities)) if i not in self._strict]
+        rows = [i for i in range(len(self.rows)) if i not in self._strict]
         records = {root: self._record().restrict(root)}
         order = [root]
         queue = deque(order)
@@ -801,8 +826,9 @@ class RationalPolyhedron:
                 queue.append(child)
         faces = []
         for tight in order:
-            face = RationalPolyhedron(self.ambient_dim, self.inequalities, tight)
-            face._cache.update(rows=self._rows(), record=records[tight], root=tight)
+            face = RationalPolyhedron._of_rows(self.ambient_dim, zip(self.rows, self.scales),
+                                               self._strict, tight)
+            face._cache.update(record=records[tight], root=tight)
             faces.append(face)
         self._cache["faces"] = faces
         return faces
@@ -816,26 +842,22 @@ class RationalPolyhedron:
         Tightened rows of `other` are always kept."""
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        ineqs = list(self.inequalities)
-        rows = list(self._rows())
-        tight = set(self.tightened)
-        seen = {rows[i] + (q.strict,) for i, q in enumerate(self.inequalities)
+        seen = {row + (i in self._strict,) for i, row in enumerate(self.rows)
                 if i not in self.tightened}
-        for j, (q, row) in enumerate(zip(other.inequalities, other._rows())):
-            a, b = row
-            if j in other.tightened:
-                tight.add(len(ineqs))
-            elif not any(a) and (b > 0 or (b == 0 and not q.strict)):
-                continue  # trivially true
-            elif row + (q.strict,) in seen:
-                continue
-            else:
-                seen.add(row + (q.strict,))
-            ineqs.append(q)
-            rows.append(row)
-        poly = RationalPolyhedron(self.ambient_dim, ineqs, tight)
-        poly._cache["rows"] = rows
-        return poly
+        keep = []  # the rows of other that are appended
+        for j, (a, b) in enumerate(other.rows):
+            key = (a, b, j in other._strict)
+            if j not in other.tightened:
+                if key in seen or (not any(a) and (b > 0 or (b == 0 and not key[2]))):
+                    continue  # a repeat, or trivially true
+                seen.add(key)
+            keep.append(j)
+        k = len(self.rows)
+        return RationalPolyhedron._of_rows(
+            self.ambient_dim,
+            [*zip(self.rows, self.scales), *((other.rows[j], other.scales[j]) for j in keep)],
+            self._strict | {k + t for t, j in enumerate(keep) if j in other._strict},
+            self.tightened | {k + t for t, j in enumerate(keep) if j in other.tightened})
 
     def _entails_row(self, a, b, strict):
         """True iff every point satisfies a·x <= b (a·x < b when strict),
@@ -856,8 +878,8 @@ class RationalPolyhedron:
 
     def entails(self, constraint):
         """True iff every point of self satisfies the constraint."""
-        return self._entails_row(*_primitive(constraint.normal, constraint.offset),
-                                 constraint.strict)
+        (a, b), _ = _primitive(constraint.normal, constraint.offset)
+        return self._entails_row(a, b, constraint.strict)
 
     def same_solution_set(self, other):
         """Mutual entailment; exact for mixed strict/non-strict systems."""
@@ -868,7 +890,7 @@ class RationalPolyhedron:
         def entails_all(p, q):  # every row of q, a tightened row also reversed
             return all(p._entails_row(a, b, i in q._strict) and (
                 i not in q.tightened or p._entails_row(tuple(-x for x in a), -b, False))
-                for i, (a, b) in enumerate(q._rows()))
+                for i, (a, b) in enumerate(q.rows))
 
         return entails_all(self, other) and entails_all(other, self)
 
@@ -907,7 +929,7 @@ class RationalPolyhedron:
             key = (self.ambient_dim, "empty")
             self._cache["key"] = key
             return key
-        rows = self._rows()
+        rows = self.rows
         eq_rows, pivots = linalg.int_row_space([rows[i][0] + (rows[i][1],) for i in sorted(root)])
         record = self._record()
         child = {i: record.closure(root | {i}) for i in range(len(rows)) if i not in root}
@@ -1007,52 +1029,53 @@ def polytope_volume(poly):
 def convex_hull_inequalities(points):
     """H-representation of the hull of a full-dimensional point set in Q^d."""
     d = len(points[0])
-    pts = [tuple(rat(c) for c in p) for p in points]
+    flat, den = linalg.int_row([rat(c) for p in points for c in p])
+    pts = [flat[i:i + d] for i in range(0, len(flat), d)]  # the points times den
     seen = {}
-    for subset in itertools.combinations(range(len(pts)), d):
-        base = pts[subset[0]]
-        rows = [tuple(pts[i][k] - base[k] for k in range(d)) for i in subset[1:]]
-        normals = linalg.nullspace(rows) if rows else [
-            tuple(ONE if i == 0 else ZERO for i in range(d))]
-        if len(normals) != 1:
+    for base, *rest in itertools.combinations(pts, d):
+        kernel = linalg.int_solve([[x - y for x, y in zip(p, base)] + [0] for p in rest], d)[2]
+        if len(kernel) != 1:
             continue
-        normal = normals[0]
-        offset = linalg.dot(normal, base)
-        lo = hi = False
-        for p in pts:
-            v = linalg.dot(normal, p)
-            if v > offset:
-                hi = True
-            elif v < offset:
-                lo = True
-        if hi and lo:
-            continue
-        if hi:
-            normal = tuple(-c for c in normal)
-            offset = -offset
-        n, b = _primitive(normal, offset)
+        normal = kernel[0]
+        if next(x for x in reversed(normal) if x) < 0:
+            normal = [-x for x in normal]
+        offset = _dot(normal, base)
+        values = [_dot(normal, p) for p in pts]
+        if max(values) > offset:
+            if min(values) < offset:
+                continue
+            normal, offset = [-x for x in normal], -offset
+        (n, b), _ = _scaled([den * x for x in normal] + [offset], 1)  # normal·(den·x) <= offset
         if n not in seen or b < seen[n]:
             seen[n] = b
-    ineqs = [LinearInequality.make(n, b) for n, b in sorted(seen.items())]
-    return RationalPolyhedron(d, ineqs)
+    return RationalPolyhedron._of_rows(d, [(row, (1, 1)) for row in sorted(seen.items())])
 
 
 # -- POLY/1 text format ----------------------------------------------------------
 
+def _row_text(row, scale, rel):
+    """The written row (p/q)·(a, b) as POLY/1 writes it: 'a_1 ... a_N rel b'."""
+    (a, b), (p, q) = row, scale
+    return "%s %s %s" % (" ".join(ratio_str(x * p, q) for x in a), rel, ratio_str(b * p, q))
+
+
 def format_poly(poly):
     """Serialize to POLY/1; tightened rows are written as inequality pairs."""
     rows = []
-    for i, q in enumerate(poly.inequalities):
-        rel = "<" if q.strict else "<="
-        rows.append("%s %s %s" % (" ".join(rat_str(c) for c in q.normal), rel, rat_str(q.offset)))
+    for i, ((a, b), scale) in enumerate(zip(poly.rows, poly.scales)):
+        rows.append(_row_text((a, b), scale, "<" if i in poly._strict else "<="))
         if i in poly.tightened:
-            rows.append("%s <= %s" % (" ".join(rat_str(-c) for c in q.normal), rat_str(-q.offset)))
+            rows.append(_row_text((tuple(-x for x in a), -b), scale, "<="))
     out = ["%d %d" % (poly.ambient_dim, len(rows))]
     out.extend(rows)
     return "\n".join(out) + "\n"
 
 
 def parse_poly(text):
+    """Read POLY/1.  Each row's tokens are read as integer ratios by
+    `rationals.ratio`, so they are accepted and rejected as `rat` accepts
+    and rejects them, and the row is stored by `_scaled` over the lcm of
+    their denominators."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValueError("POLY/1: empty input")
@@ -1060,9 +1083,11 @@ def parse_poly(text):
     if len(head) != 2:
         raise ValueError("POLY/1: header must be 'N m' (line 1)")
     n, m = int(head[0]), int(head[1])
+    if n < 0:
+        raise ValueError("POLY/1: the dimension N must be non-negative (line 1)")
     if len(lines) - 1 != m:
         raise ValueError("POLY/1: expected %d constraint rows, got %d" % (m, len(lines) - 1))
-    ineqs = []
+    written, strict = [], []
     for lineno, ln in enumerate(lines[1:], start=2):
         parts = ln.split()
         if len(parts) != n + 2:
@@ -1070,7 +1095,9 @@ def parse_poly(text):
         rel = parts[n]
         if rel not in ("<=", "<"):
             raise ValueError("POLY/1: relation must be <= or < (line %d)" % lineno)
-        normal = tuple(rat(p) for p in parts[:n])
-        offset = rat(parts[n + 1])
-        ineqs.append(LinearInequality(normal, offset, rel == "<"))
-    return RationalPolyhedron(n, ineqs)
+        fracs = [ratio(token) for token in parts[:n] + parts[n + 1:]]
+        den = lcm(*(q for _, q in fracs))
+        if rel == "<":
+            strict.append(len(written))
+        written.append(_scaled([p * (den // q) for p, q in fracs], den))
+    return RationalPolyhedron._of_rows(n, written, strict)

@@ -98,7 +98,7 @@ class ProjectiveSubspace:
         root = P._root()
         if root is None:
             raise ValueError("empty polyhedron has no projective span")
-        rows = P._rows()
+        rows = P.rows
         return cls._kernel(P.ambient_dim, [rows[i][0] + (-rows[i][1],) for i in root])
 
     def contains(self, other):

@@ -18,21 +18,25 @@ ZERO = QQ(0)
 ONE = QQ(1)
 
 
-def rat(value, den=None):
+def rat(value):
     """Coerce ints, strings like '3/4' or '-2', or rationals to QQ."""
-    if den is not None:
-        return QQ(value) / QQ(den)
     if isinstance(value, str):
-        value = value.strip()
-        if "/" in value:
-            p, q = map(int, value.split("/"))
-            if q == 0:
-                raise ValueError("zero denominator in %r" % value)
-            return QQ(p, q)
-        return QQ(int(value))
+        return QQ(*ratio(value.strip()))
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass an int, string or rational")
     return QQ(value)
+
+
+def ratio(text):
+    """(p, q) with q > 0 for the text 'p' or 'p/q', without building the
+    rational: Python int syntax on each side of the slash, a negative
+    denominator allowed."""
+    if "/" in text:
+        p, q = map(int, text.split("/"))
+        if q == 0:
+            raise ValueError("zero denominator in %r" % text)
+        return (-p, -q) if q < 0 else (p, q)
+    return int(text), 1
 
 
 def rat_str(q):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .rationals import QQ, ZERO, rat, rat_str, vec
 from . import linalg
-from .polyhedra import (LinearInequality, RationalPolyhedron, _Cone, _dot, _solve_constraints,
+from .polyhedra import (RationalPolyhedron, _Cone, _dot, _row_text, _scaled, _solve_constraints,
                         format_poly, parse_poly)
 from .complexes import PolyhedralComplex
 from .simplicial import SimplicialComplex
@@ -55,12 +55,6 @@ class SiteSet:
         return len(self.sites)
 
 
-def bisector(y, y2):
-    """Halfspace of points at least as close to y as to y2."""
-    normal = tuple(2 * (b - a) for a, b in zip(y, y2))
-    return LinearInequality(normal, linalg.dot(y2, y2) - linalg.dot(y, y), False)
-
-
 def _integer_sites(Y):
     """(Z, L): the sites times L, the lcm of their denominators, as integer rows."""
     N = Y.ambient_dim
@@ -71,7 +65,8 @@ def _integer_sites(Y):
 def _cell_inequalities(Y, i):
     """(kept, dropped): the bisectors of site i against every other site,
     nearest sites first, split by whether the bisectors kept before them
-    entail them.  The cell of site i is the polyhedron of the kept rows.
+    entail them, each as (row, scale) of `RationalPolyhedron`.  The cell of
+    site i is the polyhedron of the kept rows.
 
     The test runs on the integer sites Z = L·Y moved so that z_i is the
     origin, where the bisector against z_j is 2d·x <= d·d with d = z_j - z_i;
@@ -104,9 +99,8 @@ def _cell_inequalities(Y, i):
     norms = [sum(a * a for a in p) for p in Z]
 
     def row(j):
-        # the bisector of the sites y_i = z_i / L and y_j = z_j / L
-        return LinearInequality(tuple(QQ(2 * (a - b), L) for a, b in zip(Z[j], z)),
-                                QQ(norms[j] - norms[i], L * L), False)
+        # the bisector of the sites y_i = z_i / L and y_j = z_j / L, times L²
+        return _scaled([2 * L * (a - b) for a, b in zip(Z[j], z)] + [norms[j] - norms[i]], L * L)
 
     return [row(j) for j in kept], [row(j) for j in dropped]
 
@@ -121,13 +115,13 @@ def _voronoi_cells(Y):
     cells = []
     for i in range(len(Y)):
         kept, dropped = _cell_inequalities(Y, i)
-        cell = RationalPolyhedron(Y.ambient_dim, kept)
+        cell = RationalPolyhedron._of_rows(Y.ambient_dim, kept)
         cell._record()  # the certified record the dropped rows are checked on
-        for q in dropped:
-            if not cell.entails(q):
+        for row, scale in dropped:
+            if not cell._entails_row(*row, False):
                 raise AssertionError(
-                    "cell %d is not its Voronoi region: it violates the dropped bisector %s <= %s"
-                    % (i, " ".join(rat_str(c) for c in q.normal), rat_str(q.offset)))
+                    "cell %d is not its Voronoi region: it violates the dropped bisector %s"
+                    % (i, _row_text(row, scale, "<=")))
         cells.append(cell)
     return cells
 

@@ -1078,3 +1078,51 @@ def no_limit_identities(blocks, shear):
                 if shear and coeff("c", i, 1, 0) != b_of(i, 1) - (i + 1) * b_of(i + 1, 0):
                     identities_4 = False
     return identities_3, identities_4 if shear else None
+
+
+def _rat(token):
+    """A POLY/1 token as a Fraction, read as the package read it while its
+    rows were Fractions: Python int syntax on each side of the slash."""
+    token = token.strip()
+    if "/" in token:
+        p, q = map(int, token.split("/"))
+        if q == 0:
+            raise ValueError("zero denominator in %r" % token)
+        return Fraction(p, q)
+    return Fraction(int(token))
+
+
+def parse_poly(text):
+    """POLY/1 read into Fractions, as the package read it while its rows
+    were Fractions: (N, rows), each row (normal, offset, strict)."""
+    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    if not lines:
+        raise ValueError("POLY/1: empty input")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise ValueError("POLY/1: header must be 'N m' (line 1)")
+    n, m = int(head[0]), int(head[1])
+    if len(lines) - 1 != m:
+        raise ValueError("POLY/1: expected %d constraint rows, got %d" % (m, len(lines) - 1))
+    rows = []
+    for lineno, ln in enumerate(lines[1:], start=2):
+        parts = ln.split()
+        if len(parts) != n + 2:
+            raise ValueError("POLY/1: bad row arity (line %d)" % lineno)
+        rel = parts[n]
+        if rel not in ("<=", "<"):
+            raise ValueError("POLY/1: relation must be <= or < (line %d)" % lineno)
+        rows.append((tuple(_rat(p) for p in parts[:n]), _rat(parts[n + 1]), rel == "<"))
+    return n, rows
+
+
+def format_poly(n, rows, tightened):
+    """POLY/1 text of Fraction rows (normal, offset, strict), a tightened
+    row also written negated, as the package wrote it while its rows were
+    Fractions."""
+    out = []
+    for i, (normal, offset, strict) in enumerate(rows):
+        out.append("%s %s %s" % (" ".join(map(str, normal)), "<" if strict else "<=", offset))
+        if i in tightened:
+            out.append("%s <= %s" % (" ".join(str(-c) for c in normal), -offset))
+    return "\n".join(["%d %d" % (n, len(out))] + out) + "\n"

@@ -305,6 +305,20 @@ def test_negative_generator_count_is_input_error(tmp_path, capsys):
     assert not rep.exists()
 
 
+def test_negative_region_dimension_is_input_error(tmp_path, capsys):
+    # a POLY/1 header with N < 0 once gave a polyhedron of dimension N,
+    # which ended in a traceback or an internal error further on
+    pts = write(tmp_path / "g.pts", "2 3\n0 0\n2 0\n0 2\n")
+    for piece in ("1\n-3 0\n", "1\n-1 0\n"):
+        rgn = write(tmp_path / "r.rgn", piece)
+        out = tmp_path / "c.cplx"
+        assert run(["clip", "--points", pts, "--region", rgn, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
+        assert "non-negative" in err
+        assert not out.exists()
+
+
 def test_huge_generator_count_is_input_error(tmp_path, capsys):
     # a count past sys.maxsize cannot size the exponent rows; counts that
     # fit an index but would allocate gigabytes are left untested

@@ -186,7 +186,7 @@ class TestDifference:
                 P = D.faces[i]
                 record = P._cache["record"]
                 record.certify()
-                built = FaceRecord.build(P.ambient_dim, P._rows(), P.tightened)
+                built = FaceRecord.build(P.ambient_dim, P.rows, P.tightened)
                 assert (record.rows, record.eq, record.lineality, record.points,
                         record.rays) == (built.rows, built.eq, built.lineality,
                                          built.points, built.rays)
@@ -224,7 +224,8 @@ class TestDifference:
                 [(q.normal, q.offset, q.strict) for i, q in enumerate(face.inequalities)
                  if i not in face.tightened])
             assert asked == [poly.tightened | set(tight)]
-            assert (got.normal, got.offset, got.strict) == (normal, offset, True)
+            (a, b), (p, q) = got
+            assert (tuple(QQ(x * p, q) for x in a), QQ(b * p, q)) == (normal, offset)
 
     def test_a_translated_face_is_rejected(self):
         # the edge x = 1 of the unit square moved up by 1/2: its middle
@@ -239,6 +240,14 @@ class TestDifference:
         square = box([0, 0], [1, 1])
         with pytest.raises(ValueError, match="not a proper face"):
             complexes._cut_inequality(square, square)
+
+    def test_a_polyhedron_with_implicit_equalities_is_not_its_own_proper_face(self):
+        # the segment [0, 1] x {0} as four rows, none tightened: y <= 0 and
+        # -y <= 0 are tight at its middle, but on all of it, and their sum
+        # would be the empty cut 0 < 0
+        segment = RationalPolyhedron(2, [([1, 0], 1), ([-1, 0], 0), ([0, 1], 0), ([0, -1], 0)])
+        with pytest.raises(ValueError, match="not a proper face"):
+            complexes._cut_inequality(segment, segment)
 
     def test_a_row_a_generator_violates_is_rejected(self):
         record = box([0, 0], [1, 1])._record()

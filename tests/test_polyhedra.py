@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,6 +21,8 @@ from polycx.complexes import PolyhedralComplex, _key_token
 from polycx import linalg, polyhedra
 from polycx.polyhedra import FaceRecord, _primitive, _solve_constraints
 
+import oracles
+from test_fuzz import TOKENS
 from oracles import (FMFaces, feasible, int_key_as_rref, intersect_rows, line_record,
                      rational_affine_span, rref_key_token)
 
@@ -38,8 +41,8 @@ def as_ineq(coeffs, rhs, strict):
 
 def integer_system(eqs, ineqs):
     """The rows of a system as `_solve_constraints` takes them: primitive integers."""
-    return ([_primitive(a, b) for a, b in eqs],
-            [_primitive(a, b) + (s,) for a, b, s in ineqs])
+    return ([_primitive(a, b)[0] for a, b in eqs],
+            [_primitive(a, b)[0] + (s,) for a, b, s in ineqs])
 
 
 def assert_witness(eqs, ineqs, x):
@@ -163,10 +166,11 @@ class TestFeasibility:
                 assert_farkas([(a, b) for a, b, _ in rows], lam)
 
     def test_primitive_rows_are_ints(self):
-        coeffs, offset = _primitive((QQ(1, 2), QQ(-3, 4)), QQ(5, 6))
-        assert (coeffs, offset) == ((6, -9), 10)
-        assert all(type(x) is int for x in coeffs + (offset,))
-        assert _primitive((QQ(0), QQ(0)), QQ(-7, 3)) == ((0, 0), -1)
+        (coeffs, offset), scale = _primitive((QQ(1, 2), QQ(-3, 4)), QQ(5, 6))
+        assert ((coeffs, offset), scale) == (((6, -9), 10), (1, 12))
+        assert all(type(x) is int for x in coeffs + (offset,) + scale)
+        assert _primitive((QQ(0), QQ(0)), QQ(-7, 3)) == (((0, 0), -1), (7, 3))
+        assert _primitive((QQ(0), QQ(0)), QQ(0)) == (((0, 0), 0), (1, 1))
 
 
 class TestFaces:
@@ -273,7 +277,7 @@ def record_systems(draw):
         a, b = rows[draw(st.integers(0, len(rows) - 1))]
         rows += [(a, b), ([-x for x in a], -b - 1)]
     eq = frozenset(draw(st.sets(st.integers(0, len(rows) - 1), max_size=2)))
-    return n, [_primitive(a, b) for a, b in rows], eq
+    return n, [_primitive(a, b)[0] for a, b in rows], eq
 
 
 @st.composite
@@ -395,7 +399,7 @@ def box_cut_by_rows(n, m, seed):
     while len(rows) < 2 * n + m:
         a = [rng.randint(-3, 3) for _ in range(n)]
         if any(a):
-            rows.append(_primitive(a, rng.randint(4, 4 * sum(map(abs, a)))))
+            rows.append(_primitive(a, rng.randint(4, 4 * sum(map(abs, a))))[0])
     return rows
 
 
@@ -568,7 +572,7 @@ class TestFaceRecord:
     ])
     def test_corrupted_engine_is_rejected(self, monkeypatch, system, mode, when, index, message):
         n, rows = {
-            "box": (3, box([0, 0, 0], [1, 1, 1])._rows()),
+            "box": (3, box([0, 0, 0], [1, 1, 1]).rows),
             "cone": (3, [((-1, 0, 0), 0), ((0, -1, 0), 0)]),
             "empty": (1, [((1,), 0), ((-1,), -1)]),
         }[system]
@@ -651,14 +655,19 @@ def assert_matches_record(P, point):
 
 def assert_intersect_matches_oracle(P, Q):
     """P ∩ Q has the rows and tightened set of the oracle's deduplication,
-    and inherits the right integer rows.  Returns P ∩ Q."""
+    each stored as a primitive integer row with its written scale in
+    lowest terms.  Returns P ∩ Q."""
     def rows(poly):
         return [(q.normal, q.offset, q.strict) for q in poly.inequalities]
 
     got = P.intersect(Q)
-    assert (rows(got), got.tightened) == intersect_rows(rows(P), P.tightened,
-                                                        rows(Q), Q.tightened)
-    assert got._rows() == [_primitive(q.normal, q.offset) for q in got.inequalities]
+    written = [(tuple(Fraction(x * p, q) for x in a), Fraction(b * p, q), i in got._strict)
+               for i, ((a, b), (p, q)) in enumerate(zip(got.rows, got.scales))]
+    assert (written, got.tightened) == intersect_rows(rows(P), P.tightened,
+                                                     rows(Q), Q.tightened)
+    for (a, b), (p, q) in zip(got.rows, got.scales):
+        assert gcd(*a, b) == 1 or (gcd(*a, b), p, q) == (0, 1, 1)
+        assert p > 0 and q > 0 and gcd(p, q) == 1
     return got
 
 
@@ -895,6 +904,34 @@ class TestVolume:
             polytope_volume(P)
 
 
+# spellings of POLY/1 tokens that Python's int accepts or rejects
+SPELLINGS = ["1_0", "\u0663", "+3", "1/-2", "-0", "4/6", "-6/-4", "1/2/3", "1e3", "/", "1/",
+             "0x10", "1__0", "_1"]
+
+
+@st.composite
+def poly_texts(draw):
+    """(N, text): POLY/1 texts, valid or not, with rows of tokens from the
+    fuzz tests, the spellings above, fractions and integers, under a header
+    'N m' whose row count m may be wrong."""
+    n = draw(st.sampled_from([-3, -1] + [0, 1, 2, 3] * 3))
+    fraction = st.fractions(-5, 5, max_denominator=6).map(str)
+    token = st.one_of(st.sampled_from(TOKENS + SPELLINGS), fraction, fraction,
+                      st.integers(-30, 30).map(str))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        parts = [draw(token) for _ in range(max(n, 0))]
+        parts += [draw(st.sampled_from(["<=", "<"] * 4 + [">="])), draw(token)]
+        arity = draw(st.sampled_from([0] * 8 + [-1, 1]))  # now and then a wrong one
+        if arity < 0:
+            parts.pop(0)
+        elif arity > 0:
+            parts.append(draw(token))
+        rows.append(" ".join(parts))
+    m = len(rows) + draw(st.sampled_from([0] * 8 + [-1, 1]))
+    return n, "\n".join(["%d %d" % (n, m)] + rows) + "\n"
+
+
 class TestPolyFormat:
 
     def test_round_trip(self):
@@ -911,3 +948,35 @@ class TestPolyFormat:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_poly("not a polyhedron\n")
+
+    @settings(max_examples=400, deadline=None)
+    @given(poly_texts(), st.sets(st.integers(0, 4)))
+    @example((2, "2 2\n1_0 \u0663 <= +3\n1/-2 4/6 < -6/-4\n"), {0})
+    @example((1, "1 1\n0 <= -7/3\n"), {0})
+    @example((1, "1 1\n1/0 <= 1\n"), set())
+    @example((1, "1 1\n0/0 <= 1\n"), set())
+    @example((1, "1 1\n1/2/3 <= 1\n"), set())
+    @example((1, "1 1\n1e3 <= 1\n"), set())
+    def test_matches_the_fraction_oracle(self, drawn, tighten):
+        # the same written rows, strictness and output bytes (with the
+        # non-strict rows of `tighten` tightened) as the reader and writer
+        # on Fractions, and the same error on every input with N >= 0; a
+        # negative N is always an error now
+        n, text = drawn
+        if n < 0:
+            with pytest.raises(ValueError, match="N must be non-negative"):
+                parse_poly(text)
+            return
+        try:
+            n, rows = oracles.parse_poly(text)
+        except Exception as e:
+            with pytest.raises(type(e)) as raised:
+                parse_poly(text)
+            assert str(raised.value) == str(e)
+            return
+        P = parse_poly(text)
+        assert P.ambient_dim == n
+        assert [(tuple(Fraction(x * p, q) for x in a), Fraction(b * p, q), i in P._strict)
+                for i, ((a, b), (p, q)) in enumerate(zip(P.rows, P.scales))] == rows
+        tight = {i for i in tighten if i < len(rows) and not rows[i][2]}
+        assert format_poly(P.with_tightened(tight)) == oracles.format_poly(n, rows, tight)

@@ -30,7 +30,7 @@ from polycx import (
 )
 from polycx import linalg, polyhedra, voronoi
 from polycx.polyhedra import simplex_volume
-from polycx.voronoi import (bisector, _cell_inequalities, _certify_triangulation,
+from polycx.voronoi import (_cell_inequalities, _certify_triangulation,
                             _faces_missing, _open_simplices_meet, _voronoi_cells)
 
 from oracles import (FMFaces, cell_inequalities, circumcenter_2d, circumsphere_sweep,
@@ -73,11 +73,6 @@ class TestVoronoi:
             assert sorted(C.face_dim(i) for i in C.ids()) == [0, 1, 1, 1, 2, 2, 2]
             apex = next(i for i in C.ids() if C.face_dim(i) == 0)
             assert C.above_of(apex) == set(C.ids())
-
-    def test_bisector_halfspace(self):
-        q = bisector((rat(0), rat(0)), (rat(2), rat(0)))
-        assert q.normal == (rat(4), rat(0))
-        assert q.offset == rat(4)  # x <= 1
 
     def test_cells_partition_membership(self):
         Y = random_sites(2, 5, seed=11)
@@ -481,7 +476,7 @@ class TestLocalCertificates:
         min_size=1, max_size=6, unique=True)))
     def test_voronoi_complex_matches_pairwise_subdivision(self, sites):
         Y = SiteSet(len(sites[0]), sites)
-        cells = [RationalPolyhedron(Y.ambient_dim, _cell_inequalities(Y, i)[0])
+        cells = [RationalPolyhedron(Y.ambient_dim, written(_cell_inequalities(Y, i)[0]))
                  for i in range(len(Y))]
         assert (format_cplx(voronoi_complex(Y))
                 == format_cplx(PolyhedralComplex.from_subdivision(cells)))
@@ -639,8 +634,9 @@ class TestLocalCertificates:
             voronoi_complex(SiteSet(1, [(0,), (1,), (2,)]))
 
 
-def as_pairs(rows):
-    return [(q.normal, q.offset) for q in rows]
+def written(rows):
+    """The written rows (p/q)·(a, b) of pairs ((a, b), (p, q)), as (normal, offset)."""
+    return [(tuple(QQ(x * p, q) for x in a), QQ(b * p, q)) for (a, b), (p, q) in rows]
 
 
 class TestCellFilter:
@@ -659,7 +655,7 @@ class TestCellFilter:
         Y = SiteSet(len(sites[0]), sites)
         for i in range(len(Y)):
             kept, dropped = _cell_inequalities(Y, i)
-            assert (as_pairs(kept), as_pairs(dropped)) == cell_inequalities(Y.sites, i)
+            assert (written(kept), written(dropped)) == cell_inequalities(Y.sites, i)
 
     @pytest.mark.parametrize("sites", [
         [(0, 0, 0), (1, 2, 3)],                                      # two sites
@@ -671,7 +667,7 @@ class TestCellFilter:
         Y = SiteSet(len(sites[0]), [tuple(QQ(c) for c in p) for p in sites])
         for i in range(len(Y)):
             kept, dropped = _cell_inequalities(Y, i)
-            assert (as_pairs(kept), as_pairs(dropped)) == cell_inequalities(Y.sites, i)
+            assert (written(kept), written(dropped)) == cell_inequalities(Y.sites, i)
 
     @staticmethod
     def assert_extreme(sites):
