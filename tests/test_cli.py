@@ -306,8 +306,8 @@ def test_negative_generator_count_is_input_error(tmp_path, capsys):
 
 
 def test_negative_region_dimension_is_input_error(tmp_path, capsys):
-    # a POLY/1 header with N < 0 once gave a polyhedron of dimension N,
-    # which ended in a traceback or an internal error further on
+    # a POLY/1 header with N < 0 is rejected where it is read, before
+    # clipping can fail on a polyhedron of negative dimension
     pts = write(tmp_path / "g.pts", "2 3\n0 0\n2 0\n0 2\n")
     for piece in ("1\n-3 0\n", "1\n-1 0\n"):
         rgn = write(tmp_path / "r.rgn", piece)

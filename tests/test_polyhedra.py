@@ -961,7 +961,7 @@ class TestPolyFormat:
         # the same written rows, strictness and output bytes (with the
         # non-strict rows of `tighten` tightened) as the reader and writer
         # on Fractions, and the same error on every input with N >= 0; a
-        # negative N is always an error now
+        # negative N is an error
         n, text = drawn
         if n < 0:
             with pytest.raises(ValueError, match="N must be non-negative"):
