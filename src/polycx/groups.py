@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 
 from .homology import smith_normal_form, homology
-from .simplicial import SimplicialComplex, label_key
+from .simplicial import SimplicialComplex
 
 
 def free_reduce(word):
@@ -162,8 +162,8 @@ def fundamental_group(K):
         raise ValueError("empty complex")
     if not K.is_connected():
         raise ValueError("complex must be connected")
-    edges = [tuple(sorted(s, key=label_key))
-             for s in K.simplices(1)]
+    position = {v: i for i, v in enumerate(verts)}
+    edges = K.ordered(1)
     adj = {v: [] for v in verts}
     for a, b in edges:
         adj[a].append(b)
@@ -177,7 +177,7 @@ def fundamental_group(K):
         for w in adj[v]:
             if w not in seen:
                 seen.add(w)
-                tree.add(tuple(sorted((v, w), key=label_key)))
+                tree.add((v, w) if position[v] < position[w] else (w, v))
                 frontier.append(w)
     gen_of = {}
     for e in edges:
@@ -185,14 +185,13 @@ def fundamental_group(K):
             gen_of[e] = len(gen_of) + 1
 
     def letter(a, b):
-        e = tuple(sorted((a, b), key=label_key))
+        e = (a, b) if position[a] < position[b] else (b, a)
         if e in tree:
             return 0
         return gen_of[e] if e == (a, b) else -gen_of[e]
 
     relators = []
-    for s in K.simplices(2):
-        u, v, w = tuple(sorted(s, key=label_key))
+    for u, v, w in K.ordered(2):
         word = tuple(x for x in (letter(u, v), letter(v, w), letter(w, u)) if x != 0)
         word = free_reduce(word)
         if word:

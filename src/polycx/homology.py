@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from itertools import compress
 
 from . import linalg
-from .simplicial import label_key
 
 
 # -- integer matrices -------------------------------------------------------------
@@ -292,13 +291,10 @@ class ChainComplex:
 
 
 def _build_complex(K):
-    # each simplex sorted once, into its label keys; the key lists of one
-    # dimension sort into the order of K.simplices(k)
+    # the complex's own order; dropping a vertex from a tuple in label
+    # order leaves a face's tuple in label order, which indexes its row
     dim = K.dim()
-    keys = {k: [] for k in range(dim + 1)}
-    for s in K:
-        keys[len(s) - 1].append(sorted(map(label_key, s)))
-    simplices = {k: [tuple(v for _, v in key) for key in sorted(keys[k])] for k in keys}
+    simplices = {k: K.ordered(k) for k in range(dim + 1)}
     index = {k: {s: i for i, s in enumerate(simplices[k])} for k in simplices}
     ranks = [len(simplices[k]) for k in range(dim + 1)]
     boundaries = {}

@@ -50,7 +50,7 @@ def stellar_subdivide(K, simplex):
             out.update(a | rest for a in proper)
         else:
             out.add(t)
-    return SimplicialComplex._of_closed(out, K.vertices + [b])
+    return SimplicialComplex._of_closed(out, K._vertices | {b})
 
 
 def barycentric_move(K, simplex):
@@ -85,7 +85,7 @@ def cone_over_star(K, simplex):
     out = set(K)
     out.add(apex)
     out.update(t | apex for t in K if t | fs in K)
-    return SimplicialComplex._of_closed(out, K.vertices + [c])
+    return SimplicialComplex._of_closed(out, K._vertices | {c})
 
 
 def dual_move(K, move):

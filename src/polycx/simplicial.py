@@ -3,19 +3,26 @@
 Vertices are hashable labels (ints or strings in practice); simplices are
 frozensets of vertices.  The simplex set is always closed under taking
 non-empty subsets.
+
+A complex is not changed after it is built, and it owns the one order of
+its simplices that every listing, boundary matrix and edge-path group
+reads: by dimension, then by their vertices in label order (`label_key`),
+compared as sequences.  The order is built once, on the first read that
+needs it, and kept on the instance, each simplex both as its vertex tuple
+in label order and as the frozenset the complex holds.  `vertices` sorts
+the labels alone and does not build it, so a caller that reads only the
+labels pays for no simplex order.
 """
 
 import itertools
 import json
+from functools import cached_property
+from operator import itemgetter
 
 
 def label_key(v):
     # stable order even when int and str labels are mixed
     return (v.__class__.__name__, v)
-
-
-def simplex_key(s):
-    return (len(s), sorted(label_key(v) for v in s))
 
 
 class SimplicialComplex:
@@ -52,16 +59,38 @@ class SimplicialComplex:
     def vertices(self):
         return sorted(self._vertices, key=label_key)
 
+    @cached_property
+    def _order(self):
+        """{k: (tuples, sets)}: the k-simplices in order, as vertex tuples
+        in label order and, in step, as the frozensets of the complex.  A
+        vertex's position in `vertices` is monotone in its label key, so
+        sorting the position lists sorts the simplices as their label keys."""
+        verts = self.vertices
+        position = {v: i for i, v in enumerate(verts)}
+        ranked = {}
+        for s in self._simplices:
+            ranked.setdefault(len(s) - 1, []).append((sorted(map(position.__getitem__, s)), s))
+        order = {}
+        for k in sorted(ranked):
+            pairs = sorted(ranked[k], key=itemgetter(0))
+            order[k] = (tuple(tuple(verts[i] for i in r) for r, _ in pairs),
+                        tuple(s for _, s in pairs))
+        return order
+
+    def ordered(self, dim):
+        """The dim-simplices in order, each as its vertex tuple in label order."""
+        return list(self._order.get(dim, ((), ()))[0])
+
     def simplices(self, dim=None):
         if dim is None:
-            return sorted(self._simplices, key=simplex_key)
-        return sorted((s for s in self._simplices if len(s) == dim + 1), key=simplex_key)
+            return [s for _, sets in self._order.values() for s in sets]
+        return list(self._order.get(dim, ((), ()))[1])
 
     def maximal_simplices(self):
         """The simplices that are no codimension-one face of a simplex: the
         simplex set is closed under faces, so these are the maximal ones."""
         faces = {t - {v} for t in self._simplices for v in t}
-        return sorted(self._simplices - faces, key=simplex_key)
+        return [s for s in self.simplices() if s not in faces]
 
     def __contains__(self, s):
         return frozenset(s) in self._simplices
@@ -99,24 +128,18 @@ class SimplicialComplex:
         return tuple(out)
 
     def is_connected(self):
-        verts = self.vertices
-        if not verts:
-            return True
-        seen = {verts[0]}
-        frontier = [verts[0]]
-        adj = {v: set() for v in verts}
-        for s in self._simplices:
-            if len(s) == 2:
-                a, b = tuple(s)
-                adj[a].add(b)
-                adj[b].add(a)
+        adj = {v: [] for v in self._vertices}
+        for a, b in self.ordered(1):
+            adj[a].append(b)
+            adj[b].append(a)
+        seen = set(itertools.islice(adj, 1))
+        frontier = list(seen)
         while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
+            for w in adj[frontier.pop()]:
                 if w not in seen:
                     seen.add(w)
                     frontier.append(w)
-        return len(seen) == len(verts)
+        return len(seen) == len(adj)
 
     # -- local structure -----------------------------------------------------
 

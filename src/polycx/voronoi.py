@@ -484,16 +484,12 @@ class PolyhedralRegion:
         return any(p.contains(point) for p in self.pieces)
 
     def bounding_box(self):
-        los = [None] * self.ambient_dim
-        his = [None] * self.ambient_dim
-        for p in self.pieces:
-            for v in p.vertices():
-                for i, c in enumerate(v):
-                    if los[i] is None or c < los[i]:
-                        los[i] = c
-                    if his[i] is None or c > his[i]:
-                        his[i] = c
-        return los, his
+        """The least box holding the region, as (lows, highs).  A piece is
+        non-empty and bounded, so its closure is the hull of the points of
+        its record, strict rows or not."""
+        points = [[QQ(x, den) for x in nums]
+                  for p in self.pieces for (nums, den), _ in p._record().points]
+        return [min(c) for c in zip(*points)], [max(c) for c in zip(*points)]
 
 
 def _faces_missing(cx, region):

@@ -961,6 +961,75 @@ def _label_key(v):
     return (v.__class__.__name__, v)
 
 
+def simplex_key(s):
+    """The order of simplices: by size, then by their sorted label keys."""
+    return (len(s), sorted(_label_key(v) for v in s))
+
+
+def boundary_matrices(simplices):
+    """{k: the k-th boundary matrix} of a closed simplex set, each simplex
+    ordered by its sorted label keys and each dimension by `simplex_key`;
+    the column of s has (-1)^i in the row of s without its i-th vertex."""
+    dim = max((len(s) for s in simplices), default=0) - 1
+    ordered = {k: [tuple(sorted(s, key=_label_key)) for s in
+                   sorted((s for s in simplices if len(s) == k + 1), key=simplex_key)]
+               for k in range(dim + 1)}
+    out = {}
+    for k in range(1, dim + 1):
+        rows = {s: i for i, s in enumerate(ordered[k - 1])}
+        M = [[0] * len(ordered[k]) for _ in ordered[k - 1]]
+        for j, s in enumerate(ordered[k]):
+            for i in range(len(s)):
+                M[rows[s[:i] + s[i + 1:]]][j] = (-1) ** i
+        out[k] = M
+    return out
+
+
+def edge_path_group(simplices, vertices):
+    """GRP/1 text of the edge-path presentation of a connected closed
+    simplex set: a breadth-first spanning tree from the least vertex, one
+    generator per other edge (in `simplex_key` order, oriented up the label
+    order), one freely reduced relator per triangle, empty ones dropped."""
+    verts = sorted(vertices, key=_label_key)
+    edges = [tuple(sorted(s, key=_label_key))
+             for s in sorted((s for s in simplices if len(s) == 2), key=simplex_key)]
+    adj = {v: [] for v in verts}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    tree, seen, frontier = set(), {verts[0]}, [verts[0]]
+    while frontier:
+        v = frontier.pop(0)
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                tree.add(tuple(sorted((v, w), key=_label_key)))
+                frontier.append(w)
+    gen_of = {}
+    for e in edges:
+        if e not in tree:
+            gen_of[e] = len(gen_of) + 1
+
+    def letter(a, b):
+        e = tuple(sorted((a, b), key=_label_key))
+        if e in tree:
+            return 0
+        return gen_of[e] if e == (a, b) else -gen_of[e]
+
+    lines = ["gens %d" % len(gen_of)]
+    for s in sorted((s for s in simplices if len(s) == 3), key=simplex_key):
+        u, v, w = sorted(s, key=_label_key)
+        word = []
+        for x in (letter(u, v), letter(v, w), letter(w, u)):
+            if x and word and word[-1] == -x:
+                word.pop()
+            elif x:
+                word.append(x)
+        if word:
+            lines.append(" ".join("x%d" % x if x > 0 else "x%d^-1" % -x for x in word))
+    return "\n".join(lines) + "\n"
+
+
 def _closure(simplices):
     """Every non-empty face of every simplex, as frozensets."""
     return {frozenset(f) for s in simplices for k in range(1, len(s) + 1)

@@ -2,8 +2,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polycx import SimplicialComplex, format_scx, parse_scx
-from polycx.moves import cone_over_star, stellar_subdivide
-from polycx.simplicial import simplex_key
+from polycx.groups import format_grp, fundamental_group
+from polycx.homology import ChainComplex
+from polycx.moves import DualComplexMove, cone_over_star, dual_move, stellar_subdivide
+from polycx.simplicial import label_key
+
+import oracles
+from oracles import simplex_key
 
 from _corpus import circle, sphere2, torus, projective_plane
 
@@ -74,3 +79,70 @@ def test_maximal_simplices_match_pairwise_definition(simplices, isolated, rng):
     for L in (stellar_subdivide(K, top), cone_over_star(K, top),
               SimplicialComplex._of_closed(set(K) - {top}, K.vertices)):
         assert L.maximal_simplices() == pairwise_maximal(L)
+
+
+# -- the order a complex owns ----------------------------------------------------
+
+MIXED = st.integers(0, 6) | st.sampled_from(["a", "b", "x", "b(0,1)", "c(a)"])
+
+
+@st.composite
+def moved_complexes(draw):
+    """A complex on mixed int and str labels and, when it has a simplex
+    and the new label is free, the complex a barycentric or cone move at
+    one of them returns."""
+    K = SimplicialComplex(draw(st.lists(st.sets(MIXED, min_size=1, max_size=4), max_size=6)),
+                          vertices=draw(st.lists(MIXED, max_size=2)))
+    if not len(K):
+        return [K]
+    target = draw(st.sampled_from(K.simplices()))
+    kind = draw(st.sampled_from(["barycentric", "cone-over-star"]))
+    try:
+        return [K, dual_move(K, DualComplexMove(kind, tuple(target)))]
+    except ValueError:  # the barycenter or apex label is a vertex already
+        return [K]
+
+
+@settings(max_examples=150, deadline=None)
+@given(moved_complexes())
+def test_the_order_equals_the_label_key_sorts(complexes):
+    for K in complexes:
+        raw = set(K)
+        verts = {v for s in raw for v in s}
+        assert K.vertices == sorted(verts, key=label_key)
+        assert K.simplices() == sorted(raw, key=simplex_key)
+        assert K.maximal_simplices() == pairwise_maximal(K)
+        for k in range(-1, K.dim() + 2):
+            by_key = sorted((s for s in raw if len(s) == k + 1), key=simplex_key)
+            assert K.simplices(k) == by_key
+            assert K.ordered(k) == [tuple(sorted(s, key=label_key)) for s in by_key]
+        assert ChainComplex.of_complex(K).boundaries == oracles.boundary_matrices(raw)
+        if verts and K.is_connected():
+            assert format_grp(fundamental_group(K)) == oracles.edge_path_group(raw, verts)
+        else:
+            with pytest.raises(ValueError):
+                fundamental_group(K)
+
+
+def test_returned_lists_leave_the_order_alone():
+    K = SimplicialComplex([(1, 2, "a"), (2, 3), ("a", "b")], vertices=["z", 0])
+    twin = SimplicialComplex(list(K), vertices=K.vertices)
+    h = hash(K)
+    assert K == twin and "_order" not in vars(K)
+    reads = {
+        "vertices": lambda: K.vertices,
+        "simplices(1)": lambda: K.simplices(1),
+        "maximal_simplices()": K.maximal_simplices,
+        "ordered(1)": lambda: K.ordered(1),
+        "ordered(2)": lambda: K.ordered(2),
+    }
+    first = {name: list(read()) for name, read in reads.items()}
+    for read in reads.values():
+        out = read()
+        out.reverse()
+        out.append(frozenset(["junk"]))
+        out[0] = ("junk",)
+    assert {name: read() for name, read in reads.items()} == first
+    assert K.simplices() == sorted(K, key=simplex_key)
+    assert "_order" in vars(K) and "_order" not in vars(twin)
+    assert hash(K) == h == hash(twin) and K == twin and twin == K

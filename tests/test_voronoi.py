@@ -304,6 +304,22 @@ class TestClipping:
         # every point of {-1,...,3}^2 is within 1 of the square
         assert len(Y) == 25
 
+    def test_bounding_box_of_an_open_interval(self):
+        # both vertices lie on strict rows: the box is that of the closure
+        region = parse_rgn("1\n1 2\n1 < 1\n-1 < 0\n")
+        assert region.bounding_box() == ([0], [1])
+        Y = dense_lattice_sites(region, 1, seed=0)
+        # the boxes [c - 1, c + 1] that meet (0, 1) are those of c = 0, 1
+        assert sorted(Y.sites) == [(0,), (1,)]
+
+    def test_bounding_box_of_a_half_open_square(self):
+        # [0, 1) x [0, 1]: the vertices at x = 1 lie on the strict row
+        region = parse_rgn("1\n2 4\n1 0 < 1\n-1 0 <= 0\n0 1 <= 1\n0 -1 <= 0\n")
+        assert region.bounding_box() == ([0, 0], [1, 1])
+        # the boxes of side 1 about (1/2)Z^2 that meet it: x in {-1/2, 0,
+        # 1/2, 1} (the column x = 1 meets it at x = 1/2) and y in {-1/2, ..., 3/2}
+        assert len(dense_lattice_sites(region, QQ(1, 2), seed=0)) == 20
+
 
 class TestFormats:
 
