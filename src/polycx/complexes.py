@@ -5,19 +5,28 @@ incidence relation (a, b) meaning "a is a proper face of b".  Everything
 downstream (facets, residues, nerves, simplicity, differences) is a poset
 computation on top of the exact polyhedron layer.
 
-Building a complex reads every face's dimension.  Faces are visited by
-increasing down-set, and each face's guess at a relative-interior point is
-the mean of those of the faces below it (a face with nothing below guesses
-the solution of its equalities).  A guess that passes the exact check of
-`RationalPolyhedron.relint_point` certifies the face's tight set,
-dimension and affine span without a face record; that is the usual case
-for a parsed CPLX/1, whose faces carry their equalities as row pairs.
-Where the faces below do not span a one-dimensional face (a half-line over
-its vertex, an open ray, an edge whose other end was cut off), the guess
-is retried at the middle of the face's line, under the same check.  A face
-whose guesses fail (forged incidences, unbounded or half-open faces of
-dimension two or more, equalities not written as pairs) builds its
-certified record, and an empty face is rejected.  The faces that
+The incidences may be given as generators only; the complex takes their
+transitive closure.  Face k of `sorted(faces)` is bit k of a Python int,
+and each face keeps one such bitset of the faces strictly below it and one
+of the faces strictly above.  One pass of Kahn's algorithm (Kahn,
+"Topological sorting of large networks", CACM 1962) puts the faces in an
+order in which every face comes after the faces given below it, or finds a
+cycle; the down-sets are ORed along that order and the up-sets along its
+reverse, so a chain of n faces holds n² bits, not n² ids in sets.
+
+Building a complex reads every face's dimension.  Faces are visited in
+that order, and each face's guess at a relative-interior point is the mean
+of those of its covers, the faces directly below it (a face with nothing
+below guesses the solution of its equalities).  A guess that passes the
+exact check of `RationalPolyhedron.relint_point` certifies the face's
+tight set, dimension and affine span without a face record; that is the
+usual case for a parsed CPLX/1, whose faces carry their equalities as row
+pairs.  Where the covers do not span a one-dimensional face (a half-line
+over its vertex, an open ray, an edge whose other end was cut off), the
+guess is retried at the middle of the face's line, under the same check.
+A face whose guesses fail (forged incidences, unbounded or half-open
+faces of dimension two or more, equalities not written as pairs) builds
+its certified record, and an empty face is rejected.  The faces that
 `difference` cuts keep their parent's record, with the cut rows appended.
 """
 
@@ -29,84 +38,107 @@ from .rationals import ratio_str
 from .polyhedra import _dot, _scaled, format_poly, parse_poly
 from .simplicial import SimplicialComplex
 
+# the digits of bin() as 0/1 selector bytes for itertools.compress
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
 
 class PolyhedralComplex:
 
     def __init__(self, ambient_dim, faces, above):
         self.ambient_dim = int(ambient_dim)
         self.faces = dict(faces)
-        succ = {}
+        ids = self._ids = tuple(sorted(self.faces))
+        at = self._at = {i: k for k, i in enumerate(ids)}
+        pred = [set() for _ in ids]  # the faces given directly below each face
+        succ = [[] for _ in ids]
         for a, b in above:
-            if a != b:
-                succ.setdefault(a, set()).add(b)
-        # transitive closure, so callers may pass generators only: a depth
-        # first walk on an explicit stack, so a long chain needs no deep
-        # recursion; a face's closure is None while it is open
-        reach = {}
-        for root in succ:
-            if root in reach:
-                continue
-            reach[root] = None
-            stack = [(root, iter(succ[root]))]
-            while stack:
-                a, rest = stack[-1]
-                for b in rest:
-                    if b not in reach:
-                        reach[b] = None
-                        stack.append((b, iter(succ.get(b, ()))))
-                        break
-                    if reach[b] is None:  # reached again while its closure is open
-                        raise ValueError("incidences form a cycle through face %r" % (b,))
-                else:
-                    stack.pop()
-                    out = reach[a] = set()
-                    for b in succ.get(a, ()):
-                        out.add(b)
-                        out |= reach[b]
-        if not reach.keys() <= self.faces.keys():
-            raise ValueError("incidence pair references unknown face id")
-        # the closure and its inverse: strict up-set and down-set of each face
-        self._above = {i: reach.get(i, set()) for i in self.faces}
-        self._below = {i: set() for i in self.faces}
-        for a, bs in self._above.items():
-            for b in bs:
-                self._below[b].add(a)
-        # the faces below a face lie in it: their points' mean is its guess
-        relint = {}
-        for i in sorted(self.faces, key=lambda i: len(self._below[i])):
-            relint[i] = self.faces[i].relint_point([relint[b] for b in self._below[i]])
-            if relint[i] is None:
-                raise ValueError("face %r is empty" % (i,))
+            if a not in at or b not in at:
+                raise ValueError("incidence pair references unknown face id")
+            if a != b and at[a] not in pred[at[b]]:
+                pred[at[b]].add(at[a])
+                succ[at[a]].append(at[b])
+        # Kahn: a face joins the order after every face given below it
+        indeg = [len(p) for p in pred]
+        order = [k for k, d in enumerate(indeg) if not d]
+        for k in order:
+            for m in succ[k]:
+                indeg[m] -= 1
+                if not indeg[m]:
+                    order.append(m)
+        if len(order) < len(ids):
+            # each face left over has one left over given below it, so
+            # a walk of len(ids) steps down such faces ends on a cycle
+            k = indeg.index(max(indeg))
+            for _ in ids:
+                k = next(j for j in pred[k] if indeg[j])
+            raise ValueError("incidences form a cycle through face %r" % (ids[k],))
+        # strict down-sets along the order; the covers of a face are the
+        # faces given below it that lie below no other such face, and every
+        # face below it lies in a cover: their points' mean is its guess
+        down = self._down = [0] * len(ids)
+        relint = [None] * len(ids)
+        for k in order:
+            under = 0
+            for j in pred[k]:
+                under |= down[j]
+            down[k] = under | sum(1 << j for j in pred[k])
+            relint[k] = self.faces[ids[k]].relint_point(
+                [relint[j] for j in pred[k] if not under >> j & 1])
+            if relint[k] is None:
+                raise ValueError("face %r is empty" % (ids[k],))
+        up = self._up = [0] * len(ids)
+        for k in reversed(order):
+            for m in succ[k]:
+                up[k] |= up[m] | 1 << m
         self._dim_of = {i: p.dimension() for i, p in self.faces.items()}
         self._key_to_id = None
 
     # -- poset ------------------------------------------------------------------
 
+    def _pos(self, c):
+        k = self._at.get(c)
+        if k is None:
+            raise KeyError("unknown face id: %r" % (c,))
+        return k
+
+    def _members(self, bits):
+        """The face ids on the set bits, in ascending id order."""
+        return itertools.compress(self._ids, bin(bits)[:1:-1].encode().translate(_DIGITS))
+
     def ids(self):
-        return sorted(self.faces)
+        return list(self._ids)
 
     def leq(self, a, b):
-        return a == b or b in self._above.get(a, ())
+        return a == b or (a in self._at and b in self._at
+                          and bool(self._up[self._at[a]] >> self._at[b] & 1))
 
+    def faces_above(self, c):
+        """The faces strictly above c, in ascending id order."""
+        return list(self._members(self._up[self._pos(c)]))
+
+    def faces_below(self, c):
+        """The faces strictly below c, in ascending id order."""
+        return list(self._members(self._down[self._pos(c)]))
+
+    # `difference` appends its cut rows in the iteration order of below_of,
+    # so the CPLX/1 bytes it writes depend on how these sets are built: {c}
+    # first, then the other faces in ascending id order, as the golden
+    # files were written.  Sorting the cut rows would change those bytes.
     def above_of(self, c):
-        if c not in self.faces:
-            raise KeyError("unknown face id: %r" % (c,))
-        return {c} | self._above[c]
+        return {c} | set(self.faces_above(c))
 
     def below_of(self, c):
-        if c not in self.faces:
-            raise KeyError("unknown face id: %r" % (c,))
-        return {c} | self._below[c]
+        return {c} | set(self.faces_below(c))
 
     def incidences(self):
         """Sorted strict incidence pairs (a, b): a is a proper face of b."""
-        return sorted((a, b) for a, bs in self._above.items() for b in bs)
+        return [(a, b) for a, up in zip(self._ids, self._up) for b in self._members(up)]
 
     def face_dim(self, c):
         return self._dim_of[c]
 
     def facets(self):
-        return sorted(i for i in self.faces if not self._above[i])
+        return [i for i, up in zip(self._ids, self._up) if not up]
 
     def dim(self):
         return max(self._dim_of.values()) if self.faces else -1
@@ -116,10 +148,11 @@ class PolyhedralComplex:
         return all(self._dim_of[f] == n for f in self.facets())
 
     def restricted(self, ids):
-        """Full sub-poset on the given face ids (no closure performed)."""
+        """Full sub-poset on the given face ids: the strict incidences of
+        this complex between them."""
         ids = set(ids)
         faces = {i: self.faces[i] for i in ids}
-        above = {(a, b) for a in ids for b in self._above[a] if b in ids}
+        above = {(a, b) for a in ids for b in self.faces_above(a) if b in ids}
         return PolyhedralComplex(self.ambient_dim, faces, above)
 
     def residue(self, c):
@@ -128,15 +161,18 @@ class PolyhedralComplex:
 
     def is_downward_closed(self, ids):
         ids = set(ids)
-        return all(ids.issuperset(self._below.get(b, ())) for b in ids)
+        return ids.issuperset(self.downward_closure(ids & self._at.keys()))
 
     def downward_closure(self, ids):
-        out = set(ids)
-        for i in set(ids):
-            out |= self.below_of(i)
-        return out
+        ids = set(ids)
+        return ids.union(*(self.faces_below(i) for i in ids))
 
     # -- nerve and simplicity -----------------------------------------------------
+
+    def _facets_over(self):
+        """Per face, in id order, the bits of the facets at or above it."""
+        tops = sum(1 << k for k, up in enumerate(self._up) if not up)
+        return [(up | 1 << k) & tops for k, up in enumerate(self._up)]
 
     def nerve(self):
         """Simplicial complex on the facets; a k-simplex for every k+1 facets
@@ -144,38 +180,30 @@ class PolyhedralComplex:
         if not self.is_pure():
             raise ValueError("nerve requires a pure complex")
         n = self.dim()
-        tops = self.facets()
-        top_set = set(tops)
-        simplices = [[f] for f in tops]
-        for c in self.ids():
+        simplices = [[f] for f in self.facets()]
+        for c, over in zip(self._ids, self._facets_over()):
             k = n - self._dim_of[c]
-            over = sorted(self.above_of(c) & top_set)
-            if k >= 1 and len(over) >= k + 1:
-                for s in itertools.combinations(over, k + 1):
-                    simplices.append(s)
+            if k >= 1 and over.bit_count() >= k + 1:
+                simplices.extend(itertools.combinations(self._members(over), k + 1))
         return SimplicialComplex(simplices)
 
     def is_simple(self):
         """(flag, witness): every residue's nerve is a full simplex boundary
         lattice, i.e. the facets above each face span a common simplex."""
-        if not self.faces:
-            return True, None
-        if not self.is_pure():
-            n = self.dim()
-            bad = min(f for f in self.facets() if self._dim_of[f] != n)
-            return False, bad
         n = self.dim()
-        top_set = set(self.facets())
-        for c in self.ids():
-            over = sorted(self.above_of(c) & top_set)
-            m = len(over) - 1
-            # the full facet set above c must be dual to a face of dim n-m
-            ok = any(
-                self._dim_of[d] == n - m and all(self.leq(d, f) for f in over)
-                for d in self.above_of(c))
-            if not ok:
-                return False, c
-        return True, None
+        if not self.is_pure():
+            return False, min(f for f in self.facets() if self._dim_of[f] != n)
+        # the m + 1 facets above c must be dual to a face d >= c of dim
+        # n - m below all of them; a face above c has no facet that c has
+        # not, so d has exactly c's facets
+        over = self._facets_over()
+        dual = {}
+        for k, (c, o) in enumerate(zip(self._ids, over)):
+            if self._dim_of[c] == n + 1 - o.bit_count():
+                dual[o] = dual.get(o, 0) | 1 << k
+        bad = next((c for k, (c, o) in enumerate(zip(self._ids, over))
+                    if not (self._up[k] | 1 << k) & dual.get(o, 0)), None)
+        return bad is None, bad
 
     # -- difference -------------------------------------------------------------
 
@@ -198,8 +226,7 @@ class PolyhedralComplex:
                 # a cut row is a sum of rows of poly, so it holds on poly
                 poly = poly.with_valid_rows(cuts)
             new_faces[c] = poly
-        above = {(a, b) for a, b in self.incidences()
-                 if a in new_faces and b in new_faces}
+        above = [p for p in self.incidences() if removed.isdisjoint(p)]
         return PolyhedralComplex(self.ambient_dim, new_faces, above)
 
     # -- triangulation -------------------------------------------------------------
@@ -215,8 +242,7 @@ class PolyhedralComplex:
 
         def extend(chain):
             simplices.append(tuple(chain))
-            top = chain[-1]
-            for b in sorted(self.above_of(top) - {top}):
+            for b in self.faces_above(chain[-1]):
                 extend(chain + [b])
 
         for c in ids:

@@ -169,7 +169,7 @@ def parasitic_intersections(C, spans):
     not realized as the span of a common incident face."""
     records = []
     for c in C.ids():
-        below = sorted(self_id for self_id in C.below_of(c) if self_id != c)
+        below = C.faces_below(c)
         if not below:
             continue
         lattice = _intersection_lattice({spans[b] for b in below})
@@ -189,12 +189,12 @@ def saturate(C, spans, records):
     while work:
         r = work.pop()
         b = r.ambient
-        for b2 in sorted(C.above_of(b) - {b}):
+        for b2 in C.faces_above(b):
             cand = ParasiticRecord(b2, r.tuple_ids, r.subspace, saturated=True)
             if cand.key() not in by_key:
                 by_key[cand.key()] = cand
                 work.append(cand)
-        for a in sorted(C.below_of(b) - {b}):
+        for a in C.faces_below(b):
             inter = r.subspace.intersect(spans[a])
             if inter is None or inter == spans[a]:
                 continue
@@ -221,7 +221,7 @@ def verify_proper(C, spans, records):
                 "subspace_dim": r.subspace.dim,
                 "bound": N - 2,
             })
-        for a in sorted(C.below_of(r.ambient)):
+        for a in sorted([r.ambient, *C.faces_below(r.ambient)]):
             if r.subspace.contains(spans[a]):
                 violations.append({
                     "check": "contains-face",
@@ -277,7 +277,7 @@ def blowup_plan(C, spans, records):
     # cross-incidence consistency: restrictions of centers are centers
     all_keys = {(r.ambient, r.subspace) for r in records}
     for r in records:
-        for a in sorted(C.below_of(r.ambient) - {r.ambient}):
+        for a in C.faces_below(r.ambient):
             inter = r.subspace.intersect(spans[a])
             if inter is None or inter == spans[a]:
                 continue
@@ -308,16 +308,16 @@ def format_ledger(ledger):
 
 def parse_ledger(text):
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("LEDGER/1: the top level must be a JSON object")
     if data.get("schema_version") != "LEDGER/1":
         raise ValueError("LEDGER/1: bad or missing schema_version")
-    stages = []
-    for stage in data["stages"]:
-        out = {}
-        for entry in stage:
-            centers = []
-            for gens in entry["centers"]:
-                n = len(gens[0]) - 1
-                centers.append(ProjectiveSubspace(n, gens))
-            out[entry["ambient"]] = centers
-        stages.append(out)
+    if not isinstance(data.get("certificates"), list):
+        raise ValueError("LEDGER/1: certificates must be a list")
+    try:
+        stages = [{entry["ambient"]: [ProjectiveSubspace(len(gens[0]) - 1, gens)
+                                      for gens in entry["centers"]] for entry in stage}
+                  for stage in data["stages"]]
+    except (LookupError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise ValueError("LEDGER/1: malformed stages (%s: %s)" % (type(e).__name__, e)) from None
     return BlowUpLedger(stages, data["certificates"])

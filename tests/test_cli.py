@@ -474,6 +474,19 @@ def test_cyclic_incidences_exit_2(tmp_path, capsys):
     assert not (tmp_path / "n.scx").exists() and not (tmp_path / "p.json").exists()
 
 
+def test_self_loop_on_unknown_face_exits_2(tmp_path, capsys):
+    # a morphism from an unknown face to itself names that face all the same
+    loop = dict(CPLX, morphisms=[{"src": 7, "dst": 7}])
+    cplx = write(tmp_path / "loop.cplx", json.dumps(loop))
+    for argv in (["nerve", "--complex", cplx, "--out", str(tmp_path / "n.scx")],
+                 ["parasites", "--complex", cplx, "--out", str(tmp_path / "p.json")],
+                 ["check-simple", "--complex", cplx]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "input error: incidence pair references unknown face id\n"
+    assert not (tmp_path / "n.scx").exists() and not (tmp_path / "p.json").exists()
+
+
 def test_empty_face_exits_2(tmp_path, capsys):
     # x < 0 and -x < 0: a face no point satisfies
     empty = dict(CPLX, faces=[{"id": 0, "poly": "1 2\n1 < 0\n-1 < 0\n"}])

@@ -1,4 +1,6 @@
 import itertools
+import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -277,7 +279,7 @@ class TestCplxFormat:
         assert set(D.ids()) == set(C.ids())
         for i in C.ids():
             assert D.faces[i].same_solution_set(C.faces[i])
-        assert D._above == C._above
+        assert D.incidences() == C.incidences()
 
     def test_byte_determinism(self):
         C = cube_tower(1)
@@ -373,3 +375,49 @@ def test_deep_incidence_chain_closes():
     assert C.above_of(0) == set(range(n)) and C.facets() == [n - 1]
     with pytest.raises(ValueError, match="cycle through face"):
         PolyhedralComplex(1, {i: seg for i in range(n)}, [(i, (i + 1) % n) for i in range(n)])
+
+
+def chain_cplx(n, closed):
+    """CPLX/1 text of the chain [0, 1] < [0, 2] < ... < [0, n], given by its
+    n - 1 generators or by all n(n - 1)/2 pairs of its closure."""
+    pairs = (itertools.combinations(range(n), 2) if closed
+             else zip(range(n - 1), range(1, n)))
+    return json.dumps({
+        "schema_version": "CPLX/1", "ambient_dim": 1,
+        "faces": [{"id": i, "poly": "1 2\n1 <= %d\n-1 <= 0\n" % (i + 1)} for i in range(n)],
+        "morphisms": [{"src": a, "dst": b} for a, b in pairs]})
+
+
+# the bitset closure of a 3,000-face chain holds about 9 million bits, and
+# parsing it peaks near 10 MB; the closure as sets of ids peaked at 466 MB
+CHAIN_PEAK_BOUND_MB = 32
+
+
+def test_long_chain_closes_in_linear_memory(monkeypatch):
+    text = chain_cplx(3000, closed=False)
+    tracemalloc.start()
+    try:
+        C = parse_cplx(text)
+        assert C.is_simple() == (True, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < CHAIN_PEAK_BOUND_MB * 2**20, "peak %.1f MB" % (peak / 2**20)
+    assert C.facets() == [2999] and C.below_of(2999) == set(range(3000))
+    # generators and their closure give the same complex, with the same
+    # number of face records built
+    built = []
+    build = FaceRecord.build
+
+    def counting(ambient_dim, rows, eq):
+        built.append(rows)
+        return build(ambient_dim, rows, eq)
+
+    monkeypatch.setattr(FaceRecord, "build", staticmethod(counting))
+    seen = []
+    for closed in (False, True):
+        del built[:]
+        D = parse_cplx(chain_cplx(40, closed))
+        seen.append((D.incidences(), [D.face_dim(i) for i in D.ids()], len(built)))
+    assert seen[0] == seen[1]
+    assert len(seen[0][0]) == 40 * 39 // 2

@@ -392,3 +392,13 @@ class TestBlowUpPlan:
         ledger = blowup_plan(C, spans, saturated)
         text = format_ledger(ledger)
         assert format_ledger(parse_ledger(text)) == text
+
+    @pytest.mark.parametrize("text", [
+        "[]",
+        '{"schema_version":"LEDGER/1"}',
+        '{"schema_version":"LEDGER/1","stages":[[{"ambient":0,"centers":[[]]}]],'
+        '"certificates":[]}',
+    ], ids=["top-level-array", "no-stages", "empty-center"])
+    def test_malformed_ledger_is_rejected(self, text):
+        with pytest.raises(ValueError, match="^LEDGER/1: "):
+            parse_ledger(text)
