@@ -7,7 +7,6 @@ Euler characteristic, balancedness, and Q-homology certificates of the
 simplicial model of the presentation complex.
 """
 
-import json
 import sys
 from dataclasses import dataclass
 
@@ -160,8 +159,6 @@ def fundamental_group(K):
     verts = K.vertices
     if not verts:
         raise ValueError("empty complex")
-    if not K.is_connected():
-        raise ValueError("complex must be connected")
     position = {v: i for i, v in enumerate(verts)}
     edges = K.ordered(1)
     adj = {v: [] for v in verts}
@@ -179,6 +176,8 @@ def fundamental_group(K):
                 seen.add(w)
                 tree.add((v, w) if position[v] < position[w] else (w, v))
                 frontier.append(w)
+    if len(seen) != len(verts):
+        raise ValueError("complex must be connected")
     gen_of = {}
     for e in edges:
         if e not in tree:

@@ -26,7 +26,7 @@ other faces against the region by the feasibility test of `polyhedra`.
 import itertools
 import random
 from functools import cache
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from operator import mul
 from dataclasses import dataclass
 
@@ -39,27 +39,26 @@ from .simplicial import SimplicialComplex
 
 
 class SiteSet:
+    """Rational sites y in Q^N, converted once to the integer points
+    z = L·y (`ints`), with L (`scale`) the lcm of their denominators: the
+    one form that the Voronoi cells, the genericity sweep and the Delaunay
+    certificate read."""
 
     def __init__(self, ambient_dim, sites):
-        self.ambient_dim = int(ambient_dim)
+        self.ambient_dim = N = int(ambient_dim)
         self.sites = tuple(vec(p) for p in sites)
         for p in self.sites:
-            if len(p) != self.ambient_dim:
+            if len(p) != N:
                 raise ValueError("site arity does not match ambient dimension")
         if len(set(self.sites)) != len(self.sites):
             raise ValueError("duplicate sites")
         if not self.sites:
             raise ValueError("need at least one site")
+        flat, self.scale = linalg.int_row([c for p in self.sites for c in p])
+        self.ints = tuple(tuple(flat[i * N:(i + 1) * N]) for i in range(len(self.sites)))
 
     def __len__(self):
-        return len(self.sites)
-
-
-def _integer_sites(Y):
-    """(Z, L): the sites times L, the lcm of their denominators, as integer rows."""
-    N = Y.ambient_dim
-    flat, L = linalg.int_row([c for p in Y.sites for c in p])
-    return [flat[i:i + N] for i in range(0, len(flat), N)], L
+        return len(self.ints)
 
 
 def _cell_inequalities(Y, i):
@@ -78,7 +77,7 @@ def _cell_inequalities(Y, i):
     P has a point beyond the new row.  Each drop is checked by
     `_voronoi_cells` on the cell's certified face record.
     """
-    Z, L = _integer_sites(Y)
+    Z, L = Y.ints, Y.scale
     z = Z[i]
     order = sorted((sum((a - b) ** 2 for a, b in zip(Z[j], z)), j)
                    for j in range(len(Y)) if j != i)
@@ -141,10 +140,9 @@ def voronoi_complex(Y):
 
 
 def _lifted_sites(Y):
-    """(P, L): the integer sites z = L·y, with L the lcm of the sites'
-    denominators, each lifted to the paraboloid as p = (z, |z|²)."""
-    Z, L = _integer_sites(Y)
-    return [z + [sum(x * x for x in z)] for z in Z], L
+    """The integer sites z = L·y of `SiteSet.ints`, each lifted to the
+    paraboloid as p = (z, |z|²)."""
+    return [z + (sum(x * x for x in z),) for z in Y.ints]
 
 
 @cache
@@ -180,12 +178,11 @@ def _expansion_plan(N):
     return tuple(plan)
 
 
-def _circumspheres(Y, lifted=None):
+def _circumspheres(Y):
     """(flag, witness, spheres): the genericity sweep.  flag and witness
     are those of `is_simple_configuration`; spheres maps the circumsphere
     of each (N+1)-subset W swept, under the key below, to W.  For a simple
-    set it holds every (N+1)-subset, each under its own key.  `lifted` is
-    `_lifted_sites(Y)` if the caller has it already.
+    set it holds every (N+1)-subset, each under its own key.
 
     Subsets larger than N+2 never need checking: a degenerate one always
     contains a degenerate subset of size at most N+2.  Subsets of size up
@@ -195,9 +192,9 @@ def _circumspheres(Y, lifted=None):
     a collision.  A collision is reported only when no subset fails the
     rank test.
 
-    The sites are scaled by their common denominator L to integer points
-    z, which keeps affine independence and spheres, and lifted to
-    p = (z, |z|²).  A sphere |z - c|² = r² becomes the hyperplane
+    The sweep reads the sites as the integer points z = L·y of
+    `SiteSet.ints`, a scaling that keeps affine independence and spheres,
+    lifted to p = (z, |z|²).  A sphere |z - c|² = r² becomes the hyperplane
     a·z + b|z|² = e with b > 0, a = -2bc and e = b(r² - |c|²), so sites
     are cospherical iff their lifts are co-hyperplanar (Edelsbrunner and
     Seidel, "Voronoi diagrams and arrangements", DCG 1986).  The normal
@@ -224,7 +221,7 @@ def _circumspheres(Y, lifted=None):
         raise ValueError("need at least two sites")
     N = Y.ambient_dim
     k = len(Y)
-    P = (lifted or _lifted_sites(Y))[0]
+    P = _lifted_sites(Y)
     for size in range(3, min(k, N) + 1):
         for W in itertools.combinations(range(k), size):
             p0 = P[W[0]]
@@ -290,6 +287,9 @@ def perturb_to_simple(Y, bound, seed, retries=8):
         scale = bound / (2 ** attempt)
         den = 2 ** (attempt + 10)
         lim = int(scale * den)
+        while not lim:  # a bound below 1/1024: finer steps, so that sites move
+            den *= 2
+            lim = int(scale * den)
         sites = []
         for p in Y.sites:
             sites.append(tuple(c + QQ(rng.randint(-lim, lim), den) for c in p))
@@ -334,8 +334,7 @@ def delaunay(Y):
     certificate shows that no top is missing.
     """
     N = Y.ambient_dim
-    P, L = lifted = _lifted_sites(Y)
-    ok, witness, spheres = _circumspheres(Y, lifted)
+    ok, witness, spheres = _circumspheres(Y)
     if not ok:
         raise ValueError(
             "site set is not simple (witness subset %r); run perturb_to_simple first"
@@ -345,27 +344,30 @@ def delaunay(Y):
     else:
         # key = (a, b, e): a·z + b|z|² is the key's dot with the lift p,
         # which stops before e
+        P = _lifted_sites(Y)
         tops = sorted(W for key, W in spheres.items()
                       if all(sum(map(mul, key, p)) >= key[-1] for p in P))
-    Z = [p[:N] for p in P]
+    Z = Y.ints
     pivots = linalg.int_rref([[a - b for a, b in zip(z, Z[0])] for z in Z[1:]])
     d = len(pivots)  # at least 1: a simple set has two distinct sites
     for top in tops:
         if len(top) != d + 1:
             raise ValueError("Delaunay facet %r has wrong dimension" % (list(top),))
-    # span coordinates: the reduced rows of the site differences have unit
-    # pivots, so a site's coordinates in their basis are its pivot offsets
-    params = {i: tuple(QQ(z[c] - Z[0][c], L) for c in pivots) for i, z in enumerate(Z)}
-    volumes = _certify_triangulation(params, tops)
+    # span coordinates times L: the reduced rows of the site differences
+    # have unit pivots, so a site's coordinates in their basis are its
+    # pivot offsets
+    pts = {i: [z[c] - Z[0][c] for c in pivots] for i, z in enumerate(Z)}
+    volumes = _certify_triangulation(pts, Y.scale, tops)
     eta = {i: Y.sites[i] for i in range(len(Y))}
     return DelaunayRealization(SimplicialComplex(tops), eta, d,
                                sum((v for _, v in volumes), ZERO), volumes)
 
 
-def _certify_triangulation(params, tops):
-    """Check that the d-simplices `tops` (tuples of keys of `params`, which
-    maps each key to a point of Q^d, d >= 1) triangulate the convex hull H
-    of all the points; [(top, volume)] if so, ValueError if not.
+def _certify_triangulation(pts, den, tops):
+    """Check that the d-simplices `tops` (tuples of keys of `pts`, which
+    maps each key to an integer point of Z^d, d >= 1, standing for the
+    point pts[key] / den of Q^d, den > 0) triangulate the convex hull H of
+    all the points; [(top, volume)] if so, ValueError if not.
 
     The local certificate of Mehlhorn, Näher, Seel, Seidel, Schilz,
     Schirra and Uhrig ("Checking geometric programs or verification of
@@ -376,6 +378,9 @@ def _certify_triangulation(params, tops):
     top's side: then the ridge lies on the boundary of H.  And their point
     location: the centroid c of the first top lies in no other closed top
     (T = R + v excludes c iff c and v lie strictly apart by a ridge R).
+    The checks run on the integer points: scaling every point by den > 0
+    keeps every side of every hyperplane, and a top's volume is its
+    integer determinant over den^d · d!.
 
     Why this suffices.  Walking through H in general position, one crosses
     only ridges between two tops, leaving one and entering the other, so
@@ -392,9 +397,6 @@ def _certify_triangulation(params, tops):
     """
     if not tops:
         raise ValueError("no Delaunay simplices")
-    # the points scaled to integers: sides of hyperplanes are unchanged
-    den = lcm(*(x.denominator for p in params.values() for x in p))
-    pts = {i: [x.numerator * (den // x.denominator) for x in p] for i, p in params.items()}
     d = len(pts[tops[0][0]])
     out = []
     for top in tops:

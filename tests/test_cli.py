@@ -17,6 +17,7 @@ from polycx import (
     parse_pts,
     parse_ledger,
     is_simple_configuration,
+    rat,
 )
 from test_fuzz import BOUND_S
 
@@ -61,6 +62,25 @@ def test_perturb_then_delaunay(tmp_path):
     data = json.loads((tmp_path / "d.json").read_text())
     assert data["schema_version"] == "REPORT/1"
     assert data["hull_dim"] == 2
+
+
+@pytest.mark.parametrize("bound", ["1/1025", "1/5000"])
+def test_perturb_below_one_over_1024(tmp_path, bound):
+    pts = write(tmp_path / "p.pts", SQUARE)
+    out = str(tmp_path / "f.pts")
+    assert run(["perturb", "--points", pts, "--bound", bound, "--out", out]) == 0
+    Y, Z = parse_pts(SQUARE), parse_pts((tmp_path / "f.pts").read_text())
+    assert is_simple_configuration(Z)[0]
+    assert Z.sites != Y.sites
+    assert all(abs(a - b) <= rat(bound)
+               for p, q in zip(Y.sites, Z.sites) for a, b in zip(p, q))
+
+
+def test_pi1_of_a_disconnected_complex_exits_2(tmp_path, capsys):
+    scx = write(tmp_path / "k.scx", json.dumps(dict(SCX, maximal_simplices=[[0], [1]])))
+    assert run(["pi1", "--scx", scx, "--out", str(tmp_path / "pi.grp")]) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: complex must be connected\n"
 
 
 def test_delaunay_degenerate_is_verification_failure(tmp_path):

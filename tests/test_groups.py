@@ -128,6 +128,11 @@ class TestFundamentalGroup:
         pres = simplify_presentation(fundamental_group(K))
         assert (pres.generators, pres.relators) == (2, ())
 
+    def test_disconnected_complex_is_rejected(self):
+        from polycx import SimplicialComplex
+        with pytest.raises(ValueError, match="complex must be connected"):
+            fundamental_group(SimplicialComplex([(0,), (1,)]))
+
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -172,6 +173,22 @@ class TestSimpleConfiguration:
         assert sorted(spheres.values()) == [(0, 1, 3)]
 
 
+class _Unreadable:
+    """Stands in for a site set's rational `sites`: any access raises."""
+
+    def _refuse(self, *args):
+        raise AssertionError("the rational sites were read")
+
+    __getattribute__ = __len__ = __iter__ = __getitem__ = __eq__ = __hash__ = _refuse
+
+
+def test_cells_and_sweep_read_only_the_integer_sites():
+    Y, twin = random_sites(2, 7, seed=4), random_sites(2, 7, seed=4)
+    Y.sites = _Unreadable()
+    assert is_simple_configuration(Y) == is_simple_configuration(twin)
+    assert format_cplx(voronoi_complex(Y)) == format_cplx(voronoi_complex(twin))
+
+
 class TestPerturb:
 
     def test_fixes_square_corners(self):
@@ -325,7 +342,9 @@ class TestFormats:
 
     def test_pts_round_trip(self):
         Y = random_sites(2, 4, seed=41)
-        assert parse_pts(format_pts(Y)).sites == Y.sites
+        back = parse_pts(format_pts(Y))
+        assert back.sites == Y.sites
+        assert (back.ints, back.scale) == (Y.ints, Y.scale)
 
     def test_pts_bad_arity(self):
         with pytest.raises(ValueError):
@@ -373,7 +392,7 @@ def nerve_oracle(Y):
 def cell_record_tops(Y):
     """The Delaunay tops as `delaunay` once read them: the sites nearest to
     each point of each certified Voronoi cell's record, compared exactly."""
-    Z, L = voronoi._integer_sites(Y)
+    Z, L = Y.ints, Y.scale
     tops = set()
     for cell in _voronoi_cells(Y):
         for (nums, den), _ in cell._record().points:
@@ -438,7 +457,7 @@ class TestNerveOracle:
         Y = random_sites(2, 7, seed=4)
         real = voronoi._circumspheres
         _, _, spheres = real(Y)
-        P, _ = voronoi._lifted_sites(Y)
+        P = voronoi._lifted_sites(Y)
 
         def holds_a_site(key):
             return any(sum(a * x for a, x in zip(key, p)) < key[-1] for p in P)
@@ -464,9 +483,18 @@ class TestNerveOracle:
                 delaunay(Y)
 
 
+def certify(points, tops):
+    """`_certify_triangulation` on rational points: each scaled to an
+    integer point by the lcm of all their denominators."""
+    den = lcm(*(x.denominator for p in points.values() for x in p))
+    return _certify_triangulation(
+        {k: [x.numerator * (den // x.denominator) for x in p] for k, p in points.items()},
+        den, tops)
+
+
 def certified(points, tops):
     try:
-        _certify_triangulation(points, tops)
+        certify(points, tops)
     except ValueError:
         return False
     return True
@@ -559,13 +587,13 @@ class TestLocalCertificates:
 
     def test_certificate_accepts_a_triangulation(self):
         points, tops, hull = self.square(self.FAN)
-        assert [v for _, v in _certify_triangulation(points, tops)] == [1, 1, 1, 1]
+        assert [v for _, v in certify(points, tops)] == [1, 1, 1, 1]
         assert pairwise_triangulation(points, tops, hull)
 
     def test_certificate_accepts_tops_in_any_vertex_order(self):
         points, _, hull = self.square([])
         tops = [("a", "b", "e"), ("e", "c", "b"), ("c", "d", "e"), ("a", "d", "e")]
-        assert [v for _, v in _certify_triangulation(points, tops)] == [1, 1, 1, 1]
+        assert [v for _, v in certify(points, tops)] == [1, 1, 1, 1]
         assert pairwise_triangulation(points, tops, hull)
 
     @pytest.mark.parametrize("tops, message", [
@@ -577,13 +605,13 @@ class TestLocalCertificates:
     def test_certificate_rejects_square(self, tops, message):
         points, tops, hull = self.square(tops)
         with pytest.raises(ValueError, match=message):
-            _certify_triangulation(points, tops)
+            certify(points, tops)
         assert not pairwise_triangulation(points, tops, hull)
 
     def test_certificate_rejects_no_tops(self):
         points, tops, hull = self.square([])
         with pytest.raises(ValueError, match="no Delaunay simplices"):
-            _certify_triangulation(points, tops)
+            certify(points, tops)
         assert not pairwise_triangulation(points, tops, hull)
 
     def test_certificate_rejects_a_flipped_triangle(self):
@@ -592,7 +620,7 @@ class TestLocalCertificates:
         points = {k: tuple(QQ(x) for x in p) for k, p in points.items()}
         tops = [("a", "b", "c"), ("a", "b", "d")]
         with pytest.raises(ValueError, match="lie on one side of their common ridge"):
-            _certify_triangulation(points, tops)
+            certify(points, tops)
         assert not pairwise_triangulation(points, tops, QQ(2))
 
     def test_certificate_rejects_an_overlapping_pair(self):
@@ -602,7 +630,7 @@ class TestLocalCertificates:
         points = {k: tuple(QQ(x) for x in p) for k, p in points.items()}
         tops = [("a", "b", "e"), ("a", "c", "d")]
         with pytest.raises(ValueError, match="lies beyond it"):
-            _certify_triangulation(points, tops)
+            certify(points, tops)
         assert not pairwise_triangulation(points, tops, QQ(8))
 
     def test_certificate_rejects_a_t_junction(self):
@@ -612,7 +640,7 @@ class TestLocalCertificates:
         points = {k: tuple(QQ(x) for x in p) for k, p in points.items()}
         tops = [("a", "c", "m"), ("b", "c", "m"), ("a", "b", "d")]
         with pytest.raises(ValueError, match="lies beyond it"):
-            _certify_triangulation(points, tops)
+            certify(points, tops)
         assert not pairwise_triangulation(points, tops, QQ(4))
 
     def test_certificate_rejects_a_double_cover(self):
@@ -627,7 +655,7 @@ class TestLocalCertificates:
         tops += [tuple(sorted((u, v, "f"))) for u, v in zip(ring, ring[1:] + ring[:1])]
         with pytest.raises(ValueError, match=r"the centroid of Delaunay simplex \['a', 'b', 'e'\] "
                                              r"lies in Delaunay simplex \['a', 'f', 'm1'\] too"):
-            _certify_triangulation(points, tops)
+            certify(points, tops)
         assert not pairwise_triangulation(points, tops, QQ(4))
 
     def test_certificate_rejects_a_degenerate_top(self):
@@ -635,7 +663,7 @@ class TestLocalCertificates:
         points = {"a": (0, 0), "b": (1, 1), "c": (2, 2), "d": (0, 2)}
         points = {k: tuple(QQ(x) for x in p) for k, p in points.items()}
         with pytest.raises(ValueError, match="degenerate top simplex"):
-            _certify_triangulation(points, [("a", "b", "c"), ("a", "c", "d")])
+            certify(points, [("a", "b", "c"), ("a", "c", "d")])
         assert not pairwise_triangulation(points, [("a", "b", "c"), ("a", "c", "d")], QQ(2))
 
     def test_dropped_bisector_check_rejects_a_cell_with_too_few_rows(self, monkeypatch):
