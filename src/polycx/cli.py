@@ -2,9 +2,12 @@
 
 One subcommand per pipeline stage.  Machine artifacts (CPLX/1, SCX/1,
 PTS/1, GRP/1, LEDGER/1, JSON reports) go to files named by --out; a short
-human summary goes to stdout.  Exit codes: 0 success, 1 verification
-failure, 2 input error, 3 internal error (a certificate of the program's
-own work failed an invariant check).  All randomness flows through --seed.
+human summary goes to stdout.  `run` alone maps failures to exit codes: 0
+success, 1 verification failure (`VerificationFailure`, raised where a
+verdict is decided), 2 input error (any other
+`ValueError`, a `KeyError` or an `OSError`), 3 internal error (an
+`AssertionError`: a certificate of the program's own work failed an
+invariant check).  All randomness flows through --seed.
 """
 
 import argparse
@@ -15,11 +18,8 @@ import sys
 from .rationals import rat, rat_str
 from . import complexes, groups, moves, nolimit, projective
 from . import simplicial, voronoi
+from .complexes import VerificationFailure
 from .homology import homology as homology_of
-
-
-class VerificationFailure(Exception):
-    """Computation finished but the certified property does not hold."""
 
 
 def _read(path):
@@ -56,6 +56,16 @@ def _parasite_input(args):
     spans = projective.span_assignment(C)
     records = projective.parasitic_intersections(C, spans)
     return C, spans, records
+
+
+def _bound(text):
+    """The text of `perturb --bound`, once it reads as a rational > 0."""
+    try:
+        if rat(text) > 0:
+            return text
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("expected an integer or p/q > 0, got %r" % text)
 
 
 def _label(token):
@@ -98,8 +108,7 @@ def cmd_check_simple(args):
 
 def cmd_perturb(args):
     Y = voronoi.parse_pts(_read(args.points))
-    out = voronoi.perturb_to_simple(Y, rat(args.bound), args.seed,
-                                    retries=args.retries)
+    out = voronoi.perturb_to_simple(Y, args.bound, args.seed)
     _write(args.out, voronoi.format_pts(out))
     moved = sum(1 for a, b in zip(Y.sites, out.sites) if a != b)
     print("perturb: %d/%d sites moved (bound %s, seed %d)"
@@ -108,12 +117,7 @@ def cmd_perturb(args):
 
 def cmd_delaunay(args):
     Y = voronoi.parse_pts(_read(args.points))
-    if len(Y) < 2:
-        raise ValueError("need at least two sites")
-    try:
-        D = voronoi.delaunay(Y)
-    except ValueError as e:
-        raise VerificationFailure(str(e))
+    D = voronoi.delaunay(Y)
     _write(args.out, simplicial.format_scx(D.complex))
     if args.report:
         _write(args.report, _report("delaunay", {
@@ -130,16 +134,8 @@ def cmd_delaunay(args):
 
 def cmd_clip(args):
     Y = voronoi.parse_pts(_read(args.points))
-    if len(Y) < 2:
-        raise ValueError("need at least two sites")
     region = voronoi.parse_rgn(_read(args.region))
-    if region.ambient_dim != Y.ambient_dim:
-        raise ValueError("clip: the region lies in dimension %d but the sites in dimension %d"
-                         % (region.ambient_dim, Y.ambient_dim))
-    try:
-        C = voronoi.clipped_complex(Y, region)
-    except ValueError as e:
-        raise VerificationFailure(str(e))
+    C = voronoi.clipped_complex(Y, region)
     _write(args.out, complexes.format_cplx(C))
     print("clip: %d faces survive against %d region pieces"
           % (len(C.ids()), len(region.pieces)))
@@ -175,10 +171,7 @@ def cmd_saturate(args):
 def cmd_verify_proper(args):
     C, spans, records = _parasite_input(args)
     saturated = projective.saturate(C, spans, records)
-    try:
-        report = projective.verify_proper(C, spans, saturated)
-    except ValueError as e:
-        raise VerificationFailure(str(e))
+    report = projective.verify_proper(C, spans, saturated)
     _write(args.out, _report("verify-proper", report))
     print("verify-proper: %s (%d records, %d violations)"
           % ("pass" if report["passed"] else "FAIL",
@@ -190,10 +183,7 @@ def cmd_verify_proper(args):
 def cmd_blowup_plan(args):
     C, spans, records = _parasite_input(args)
     saturated = projective.saturate(C, spans, records)
-    try:
-        ledger = projective.blowup_plan(C, spans, saturated)
-    except ValueError as e:
-        raise VerificationFailure(str(e))
+    ledger = projective.blowup_plan(C, spans, saturated)
     _write(args.out, projective.format_ledger(ledger))
     sizes = [sum(len(v) for v in stage.values()) for stage in ledger.stages]
     print("blowup-plan: stage sizes %s" % (sizes,))
@@ -323,9 +313,8 @@ def _build_parser():
 
     sp = add("perturb", cmd_perturb, help="perturb sites to general position")
     sp.add_argument("--points", required=True)
-    sp.add_argument("--bound", required=True)
+    sp.add_argument("--bound", type=_bound, required=True, help="an integer or p/q > 0")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--retries", type=int, default=8)
     sp.add_argument("--out", required=True)
 
     sp = add("delaunay", cmd_delaunay, help="certified Delaunay nerve")
@@ -399,7 +388,7 @@ def run(argv):
     except VerificationFailure as e:
         print("verification failure: %s" % e, file=sys.stderr)
         return 1
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, KeyError, OSError) as e:
         print("input error: %s" % e, file=sys.stderr)
         return 2
     except AssertionError as e:

@@ -38,6 +38,15 @@ from .rationals import ratio_str
 from .polyhedra import _dot, _scaled, format_poly, parse_poly
 from .simplicial import SimplicialComplex
 
+
+class VerificationFailure(ValueError):
+    """Well-formed input on which a certified property does not hold: a
+    site set not in general position, a complex that is not simple, a
+    Delaunay certificate or a properness check that fails.  Raised where
+    the verdict is decided; the command line maps it to exit 1 and every
+    other `ValueError` to exit 2."""
+
+
 # the digits of bin() as 0/1 selector bytes for itertools.compress
 _DIGITS = bytes.maketrans(b"01", b"\0\1")
 
@@ -120,10 +129,11 @@ class PolyhedralComplex:
         """The faces strictly below c, in ascending id order."""
         return list(self._members(self._down[self._pos(c)]))
 
-    # `difference` appends its cut rows in the iteration order of below_of,
-    # so the CPLX/1 bytes it writes depend on how these sets are built: {c}
-    # first, then the other faces in ascending id order, as the golden
-    # files were written.  Sorting the cut rows would change those bytes.
+    # `difference` appends its cut rows in the iteration order of the int
+    # set that below_of builds, which is CPython's set layout, not id order
+    # (face 23 of the golden lattice-clip.cplx is cut by faces 18, then 11).
+    # The CPLX/1 bytes it writes depend on that order, so sorting the cut
+    # rows, or building these sets another way, would change those bytes.
     def above_of(self, c):
         return {c} | set(self.faces_above(c))
 

@@ -80,9 +80,12 @@ def is_perfect(pres):
 
 
 def presentation_complex_stats(pres):
-    """(Euler characteristic, balanced?) of the one-vertex 2-complex."""
-    chi = 1 - pres.generators + len(pres.relators)
-    return chi, pres.generators == len(pres.relators)
+    """(Euler characteristic, balanced?) of the one-vertex 2-complex:
+    one vertex, an edge per generator and a disk per relator that
+    `presentation_complex` glues, that is per relator that does not
+    free-reduce to the empty word."""
+    disks = sum(1 for w in pres.relators if w)
+    return 1 - pres.generators + disks, pres.generators == disks
 
 
 def higman_presentation():

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .rationals import rat, ratio_str
 from . import linalg
+from .complexes import VerificationFailure
 
 
 class ProjectiveSubspace:
@@ -210,7 +211,7 @@ def verify_proper(C, spans, records):
     """Check the two decidable halves of the properness lemma."""
     flag, bad = C.is_simple()
     if not flag:
-        raise ValueError("complex is not simple (witness face %r)" % (bad,))
+        raise VerificationFailure("complex is not simple (witness face %r)" % (bad,))
     N = C.ambient_dim
     violations = []
     for r in records:
@@ -244,7 +245,7 @@ class BlowUpLedger:
 def blowup_plan(C, spans, records):
     report = verify_proper(C, spans, records)
     if not report["passed"]:
-        raise ValueError("properness verification failed: %r" % (report["violations"],))
+        raise VerificationFailure("properness verification failed: %r" % (report["violations"],))
     max_dim = max((r.subspace.dim for r in records), default=-1)
     stages = [dict() for _ in range(max_dim + 1)]
     for r in records:

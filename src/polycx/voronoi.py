@@ -34,7 +34,7 @@ from .rationals import QQ, ZERO, rat, rat_str, vec
 from . import linalg
 from .polyhedra import (RationalPolyhedron, _Cone, _dot, _row_text, _scaled, _solve_constraints,
                         format_poly, parse_poly)
-from .complexes import PolyhedralComplex
+from .complexes import PolyhedralComplex, VerificationFailure
 from .simplicial import SimplicialComplex
 
 
@@ -276,29 +276,30 @@ def is_simple_configuration(Y):
     return _circumspheres(Y)[:2]
 
 
-def perturb_to_simple(Y, bound, seed, retries=8):
+def perturb_to_simple(Y, bound, seed):
+    """Y if it is simple.  Otherwise up to 8 attempts k = 0, ..., 7, each
+    moving every coordinate by a random dyadic rational of absolute value
+    at most bound / 2^k; the first simple result is returned."""
     bound = rat(bound)
     if bound <= 0:
         raise ValueError("perturbation bound must be positive")
     if len(Y) >= 2 and is_simple_configuration(Y)[0]:
         return Y
     rng = random.Random(seed)
-    for attempt in range(retries):
+    for attempt in range(8):
         scale = bound / (2 ** attempt)
         den = 2 ** (attempt + 10)
         lim = int(scale * den)
         while not lim:  # a bound below 1/1024: finer steps, so that sites move
             den *= 2
             lim = int(scale * den)
-        sites = []
-        for p in Y.sites:
-            sites.append(tuple(c + QQ(rng.randint(-lim, lim), den) for c in p))
+        sites = [tuple(c + QQ(rng.randint(-lim, lim), den) for c in p) for p in Y.sites]
         if len(set(sites)) != len(sites):
             continue
         cand = SiteSet(Y.ambient_dim, sites)
         if is_simple_configuration(cand)[0]:
             return cand
-    raise ValueError("perturbation failed after %d retries" % retries)
+    raise ValueError("perturbation failed after 8 retries")
 
 
 @dataclass
@@ -312,8 +313,8 @@ class DelaunayRealization:
 
 def delaunay(Y):
     """The Delaunay nerve of a simple site set, certified to triangulate
-    the convex hull of the sites; ValueError if the set is not simple or
-    the certificate fails.
+    the convex hull of the sites; VerificationFailure if the set is not
+    simple or the certificate fails.
 
     Its top simplices are the (N+1)-subsets whose circumsphere, from the
     genericity sweep `_circumspheres`, holds no site strictly inside; a
@@ -336,7 +337,7 @@ def delaunay(Y):
     N = Y.ambient_dim
     ok, witness, spheres = _circumspheres(Y)
     if not ok:
-        raise ValueError(
+        raise VerificationFailure(
             "site set is not simple (witness subset %r); run perturb_to_simple first"
             % (witness,))
     if len(Y) <= N:
@@ -352,7 +353,7 @@ def delaunay(Y):
     d = len(pivots)  # at least 1: a simple set has two distinct sites
     for top in tops:
         if len(top) != d + 1:
-            raise ValueError("Delaunay facet %r has wrong dimension" % (list(top),))
+            raise VerificationFailure("Delaunay facet %r has wrong dimension" % (list(top),))
     # span coordinates times L: the reduced rows of the site differences
     # have unit pivots, so a site's coordinates in their basis are its
     # pivot offsets
@@ -367,7 +368,7 @@ def _certify_triangulation(pts, den, tops):
     """Check that the d-simplices `tops` (tuples of keys of `pts`, which
     maps each key to an integer point of Z^d, d >= 1, standing for the
     point pts[key] / den of Q^d, den > 0) triangulate the convex hull H of
-    all the points; [(top, volume)] if so, ValueError if not.
+    all the points; [(top, volume)] if so, VerificationFailure if not.
 
     The local certificate of Mehlhorn, Näher, Seel, Seidel, Schilz,
     Schirra and Uhrig ("Checking geometric programs or verification of
@@ -396,13 +397,13 @@ def _certify_triangulation(pts, den, tops):
     accepts exactly the top sets that volume additivity accepted.
     """
     if not tops:
-        raise ValueError("no Delaunay simplices")
+        raise VerificationFailure("no Delaunay simplices")
     d = len(pts[tops[0][0]])
     out = []
     for top in tops:
         det = linalg.int_det([[a - b for a, b in zip(pts[i], pts[top[0]])] for i in top[1:]])
         if not det:
-            raise ValueError("degenerate top simplex %r" % (list(top),))
+            raise VerificationFailure("degenerate top simplex %r" % (list(top),))
         out.append((top, QQ(abs(det), den ** d * factorial(d))))
     # d + 1 times the centroid of the first top, an integer point
     centroid = [sum(c) for c in zip(*(pts[i] for i in tops[0]))]
@@ -428,22 +429,25 @@ def _certify_triangulation(pts, den, tops):
 
         if len(vs) == 2:
             if side(vs[0]) * side(vs[1]) >= 0:
-                raise ValueError("Delaunay simplices %r and %r lie on one side of their "
-                                 "common ridge %r" % (sorted(ridge + (vs[0],)),
-                                                      sorted(ridge + (vs[1],)), list(ridge)))
+                raise VerificationFailure(
+                    "Delaunay simplices %r and %r lie on one side of their common ridge %r"
+                    % (sorted(ridge + (vs[0],)), sorted(ridge + (vs[1],)), list(ridge)))
         elif len(vs) == 1:
             inner = side(vs[0])
             beyond = next((i for i in pts if side(i) * inner < 0), None)
             if beyond is not None:
-                raise ValueError("ridge %r lies in the single Delaunay simplex %r but site %r "
-                                 "lies beyond it" % (list(ridge), sorted(ridge + (vs[0],)), beyond))
+                raise VerificationFailure(
+                    "ridge %r lies in the single Delaunay simplex %r but site %r lies beyond it"
+                    % (list(ridge), sorted(ridge + (vs[0],)), beyond))
         else:
-            raise ValueError("ridge %r lies in %d Delaunay simplices" % (list(ridge), len(vs)))
+            raise VerificationFailure("ridge %r lies in %d Delaunay simplices"
+                                      % (list(ridge), len(vs)))
         at = _dot(normal, centroid) - (d + 1) * level
         holding -= {t for t, v in tvs if at * side(v) < 0}
     if holding != {0}:
-        raise ValueError("the centroid of Delaunay simplex %r lies in Delaunay simplex %r too"
-                         % (sorted(tops[0]), sorted(tops[min(holding - {0})])))
+        raise VerificationFailure(
+            "the centroid of Delaunay simplex %r lies in Delaunay simplex %r too"
+            % (sorted(tops[0]), sorted(tops[min(holding - {0})])))
     return out
 
 
@@ -506,9 +510,14 @@ def _faces_missing(cx, region):
 
 
 def clipped_complex(Y, region):
+    """The faces of the Voronoi complex of a simple site set that meet the
+    region, each cut by the faces below it that do not."""
+    if region.ambient_dim != Y.ambient_dim:
+        raise ValueError("clip: the region lies in dimension %d but the sites in dimension %d"
+                         % (region.ambient_dim, Y.ambient_dim))
     ok, witness = is_simple_configuration(Y)
     if not ok:
-        raise ValueError("site set is not simple (witness subset %r)" % (witness,))
+        raise VerificationFailure("site set is not simple (witness subset %r)" % (witness,))
     cx = voronoi_complex(Y)
     # faces disjoint from the region form a subcomplex automatically
     clipped = cx.difference(_faces_missing(cx, region))
@@ -518,8 +527,9 @@ def clipped_complex(Y, region):
     return clipped
 
 
-def dense_lattice_sites(region, eps, seed, bound=None, retries=8):
-    """Sites (eps·Z)^N within eps of the region, perturbed to simplicity."""
+def dense_lattice_sites(region, eps, seed):
+    """Sites (eps·Z)^N within eps of the region, perturbed to simplicity
+    within eps / 4."""
     eps = rat(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -538,10 +548,7 @@ def dense_lattice_sites(region, eps, seed, bound=None, retries=8):
         box = RationalPolyhedron.from_box([c - eps for c in p], [c + eps for c in p])
         if region.meets(box):
             sites.append(p)
-    Y = SiteSet(N, sites)
-    if bound is None:
-        bound = eps / 4
-    return perturb_to_simple(Y, bound, seed, retries=retries)
+    return perturb_to_simple(SiteSet(N, sites), eps / 4, seed)
 
 
 # -- PTS/1 and RGN/1 -----------------------------------------------------------

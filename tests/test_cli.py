@@ -76,6 +76,30 @@ def test_perturb_below_one_over_1024(tmp_path, bound):
                for p, q in zip(Y.sites, Z.sites) for a, b in zip(p, q))
 
 
+@pytest.mark.parametrize("bound", ["0.001", "1e-3", "0", "-1/2", "1/0", "x"])
+def test_perturb_bound_outside_its_forms_names_the_option(tmp_path, capsys, bound):
+    pts = write(tmp_path / "p.pts", SQUARE)
+    out = tmp_path / "f.pts"
+    assert run(["perturb", "--points", pts, "--bound=" + bound, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "argument --bound: expected an integer or p/q > 0, got %r" % bound in err
+    assert not out.exists()
+
+
+def test_perturb_prints_the_bound_as_written(tmp_path, capsys):
+    pts = write(tmp_path / "p.pts", SQUARE)
+    assert run(["perturb", "--points", pts, "--bound", "2/200", "--seed", "7",
+                "--out", str(tmp_path / "f.pts")]) == 0
+    assert "(bound 2/200, seed 7)" in capsys.readouterr().out
+
+
+def test_perturb_has_no_retries_option(tmp_path, capsys):
+    pts = write(tmp_path / "p.pts", SQUARE)
+    assert run(["perturb", "--points", pts, "--bound", "1/100", "--retries", "3",
+                "--out", str(tmp_path / "f.pts")]) == 2
+    assert "unrecognized arguments: --retries 3" in capsys.readouterr().err
+
+
 def test_pi1_of_a_disconnected_complex_exits_2(tmp_path, capsys):
     scx = write(tmp_path / "k.scx", json.dumps(dict(SCX, maximal_simplices=[[0], [1]])))
     assert run(["pi1", "--scx", scx, "--out", str(tmp_path / "pi.grp")]) == 2
@@ -749,6 +773,48 @@ def test_rgn_fuzz_exits_by_contract(tmp_path_factory, text):
     pts = write(base / "fuzz.pts", "2 3\n0 0\n2 0\n1/2 3/2\n")
     rgn = write(base / "fuzz.rgn", text)
     run_by_contract(["clip", "--points", pts, "--region", rgn, "--out", str(base / "fuzz.out")])
+
+
+def superperfect_report(base, text):
+    """The exit code of `superperfect` on the text and its report, or
+    None where it wrote none."""
+    grp = write(base / "sp.grp", text)
+    rep = base / "sp.json"
+    rep.unlink(missing_ok=True)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run(["superperfect", "--presentation", grp, "--out", str(rep)])
+    return code, json.loads(rep.read_text()) if rep.exists() else None
+
+
+def chi_of_betti(data):
+    """The Euler characteristic of a connected 2-complex from its reduced
+    Betti numbers."""
+    b = data["reduced_betti"]
+    return 1 - b[1] + b[2]
+
+
+@pytest.mark.parametrize("text", GRP_FILES + [
+    "gens 1\nx1 x1^-1\n", "gens 2\nx1 x1^-1\nx2\n", "gens 3\n",
+    "gens 300\nx1 x2 x1^-1 x2^-1\n", "gens 1\nx1 x1 x1 x1 x1 x1\n"])
+def test_superperfect_chi_agrees_with_its_betti_numbers(tmp_path, text):
+    code, data = superperfect_report(tmp_path, text)
+    assert code in (0, 1)
+    assert data["chi"] == chi_of_betti(data)
+
+
+def test_a_relator_that_reduces_away_glues_no_disk(tmp_path):
+    # x1 x1^-1 free-reduces to the empty word: the complex is one circle
+    code, data = superperfect_report(tmp_path, "gens 1\nx1 x1^-1\n")
+    assert code == 1
+    assert (data["chi"], data["balanced"], data["reduced_betti"]) == (0, False, [0, 1, 0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated(GRP_FILES))
+def test_mutated_superperfect_chi_agrees_with_its_betti_numbers(tmp_path_factory, text):
+    _, data = superperfect_report(tmp_path_factory.getbasetemp(), text)
+    if data is not None:
+        assert data["chi"] == chi_of_betti(data)
 
 
 @settings(max_examples=80, deadline=None)
