@@ -251,7 +251,7 @@ def _is_label_list(value):
 
 
 def cmd_dual_complex(args):
-    data = json.loads(_read(args.strata))
+    data = simplicial.decode_json(_read(args.strata), "strata")
     if not (isinstance(data, dict) and _is_label_list(data.get("components"))):
         raise ValueError("strata: expected an object with a components list "
                          "of integers or strings")

@@ -36,7 +36,7 @@ from math import lcm
 
 from .rationals import ratio_str
 from .polyhedra import _dot, _scaled, format_poly, parse_poly
-from .simplicial import SimplicialComplex
+from .simplicial import SimplicialComplex, decode_json
 
 
 class VerificationFailure(ValueError):
@@ -383,7 +383,7 @@ def format_cplx(C):
 
 
 def parse_cplx(text):
-    data = json.loads(text)
+    data = decode_json(text, "CPLX/1")
     if not isinstance(data, dict):
         raise ValueError("CPLX/1: the top level must be a JSON object")
     if data.get("schema_version") != "CPLX/1":
@@ -400,7 +400,10 @@ def parse_cplx(text):
             raise ValueError("CPLX/1: a face needs an integer id and a POLY/1 string poly")
         if item["id"] in faces:
             raise ValueError("CPLX/1: duplicate face id %d" % item["id"])
-        poly = parse_poly(item["poly"])
+        try:
+            poly = parse_poly(item["poly"])
+        except ValueError as e:
+            raise ValueError("CPLX/1: face %d: %s" % (item["id"], e)) from None
         if poly.ambient_dim != n:
             raise ValueError("CPLX/1: face %d has wrong ambient dimension" % item["id"])
         faces[item["id"]] = poly

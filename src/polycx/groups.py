@@ -11,6 +11,7 @@ import sys
 from dataclasses import dataclass
 
 from .homology import smith_normal_form, homology
+from .rationals import numbered_lines
 from .simplicial import SimplicialComplex
 
 
@@ -264,23 +265,32 @@ def format_grp(pres):
 
 
 def parse_grp(text):
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines or not lines[0].startswith("gens "):
-        raise ValueError("GRP/1: first line must be 'gens g'")
-    g = int(lines[0].split()[1])
+    lines = numbered_lines(text)
+    lineno, header = lines[0] if lines else (1, "")
+    head = header.split()
+    if len(head) != 2 or head[0] != "gens":
+        raise ValueError("GRP/1: first line must be 'gens g' (line %d)" % lineno)
+    try:
+        g = int(head[1])
+    except ValueError:
+        raise ValueError("GRP/1: generator count %r is not an integer (line %d)"
+                         % (head[1], lineno)) from None
     if g < 0:
-        raise ValueError("GRP/1: generator count %d is negative (line 1)" % g)
+        raise ValueError("GRP/1: generator count %d is negative (line %d)" % (g, lineno))
     if g > sys.maxsize:  # no list of g exponents can be built
-        raise ValueError("GRP/1: generator count %d cannot index a list (line 1)" % g)
+        raise ValueError("GRP/1: generator count %d cannot index a list (line %d)" % (g, lineno))
     relators = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         word = []
         for tok in ln.split():
             inv = tok.endswith("^-1")
             core = tok[:-3] if inv else tok
             if not core.startswith("x"):
                 raise ValueError("GRP/1: bad token %r (line %d)" % (tok, lineno))
-            idx = int(core[1:])
+            try:
+                idx = int(core[1:])
+            except ValueError:
+                raise ValueError("GRP/1: bad token %r (line %d)" % (tok, lineno)) from None
             if not 1 <= idx <= g:
                 raise ValueError("GRP/1: generator %r out of range (line %d)" % (tok, lineno))
             word.append(-idx if inv else idx)

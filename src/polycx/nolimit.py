@@ -32,50 +32,37 @@ def _block_variables(D, w):
     return out
 
 
-def _block_equations(D, w, variables, shear):
-    """Rows of the compatibility system within one weight block."""
-    pos = {v: t for t, v in enumerate(variables)}
-    rows = []
-    for i in range(w + 1):
-        j = w - i
-        # both charts restrict to the same plane z=0 polynomial
-        if i + j <= D:
-            row = [0] * len(variables)
-            row[pos[("c", i, j, 0)]] += 1
-            row[pos[("d", i, j, 0)]] -= 1
-            rows.append(row)
-        # coefficient of x^i z^j of the pullback along the parabola chart
-        row = [0] * len(variables)
-        nonzero = False
-        for k in range(j // 2 + 1):
-            v = ("c", i, j - 2 * k, k)
-            if v in pos:
-                row[pos[v]] += 1
-                nonzero = True
-        if shear:
-            # (x,z) -> (x+z, z, z^2): binomial spread over the first slot
-            for p in range(i, w + 1):
-                for r in range((j - (p - i)) // 2 + 1) if p - i <= j else ():
-                    q = j - (p - i) - 2 * r
-                    v = ("d", p, q, r)
-                    if v in pos:
-                        row[pos[v]] -= comb(p, i)
-                        nonzero = True
+def _block_equations(variables, shear):
+    """Rows of the compatibility system within one weight block.  Each
+    variable adds its coefficient to the equations it appears in: the plane
+    row (i, j) for c(i, j, 0) and d(i, j, 0), where both charts restrict to
+    the same plane z=0 polynomial, and the parabola row (i, j) of the
+    x^i z^j coefficient of the pullback along (x,z) -> (x,z,z^2), where
+    c(i, j, k) lands at z^(j+2k).  Under the shear (x,z) -> (x+z,z,z^2),
+    d(p, q, r) spreads binomially over the parabola rows (s, p-s+q+2r)."""
+    rows = {}
+    for t, (tag, i, j, k) in enumerate(variables):
+        sign = 1 if tag == "c" else -1
+        terms = [(("plane", i, j), sign)] if k == 0 else []
+        if shear and tag == "d":
+            terms += [(("parabola", s, i - s + j + 2 * k), -comb(i, s)) for s in range(i + 1)]
         else:
-            # control: (x,z) -> (x, z, z^2), no shear
-            for k in range(j // 2 + 1):
-                v = ("d", i, j - 2 * k, k)
-                if v in pos:
-                    row[pos[v]] -= 1
-                    nonzero = True
-        if nonzero:
-            rows.append(row)
-    return rows
+            terms.append((("parabola", i, j + 2 * k), sign))
+        for key, coefficient in terms:
+            rows.setdefault(key, [0] * len(variables))[t] += coefficient
+    return list(rows.values())
 
 
 def no_limit_witness(max_degree, shear=True):
     """Restriction-image dimension of the compatibility system, plus the
-    two derived coefficient identity families, checked on a kernel basis."""
+    two derived coefficient identity families, checked on a kernel basis.
+
+    The first chart pulls back along the parabola to b(i, j) =
+    sum_k c(i, j-2k, k), and for j < 2 that sum has the one term c(i, j, 0).
+    The second chart's plane gives a(i, j) = d(i, j, 0).  So on a kernel
+    vector identity (3), a(i, j) = b(i, j) for j < 2, is two of its plane
+    equations, and identity (4), c(i, 1, 0) = b(i, 1) - (i+1) b(i+1, 0), is
+    (i+1) c(i+1, 0, 0) = 0."""
     D = int(max_degree)
     if D < 1:
         raise ValueError("max_degree must be >= 1")
@@ -88,30 +75,21 @@ def no_limit_witness(max_degree, shear=True):
         if not variables:
             continue
         pos = {v: t for t, v in enumerate(variables)}
-        rows = _block_equations(D, w, variables, shear)
-        kernel = linalg.annihilator(rows, len(variables))
-        axis_var = ("c", w, 0, 0) if w <= D else None
-        if axis_var is not None:
-            contributes = any(v[pos[axis_var]] != 0 for v in kernel)
+        kernel = linalg.annihilator(_block_equations(variables, shear), len(variables))
+        axis = pos.get(("c", w, 0, 0))
+        if axis is not None:
+            contributes = any(v[axis] != 0 for v in kernel)
             axis_coefficient_dims.append((w, 1 if contributes else 0))
             if contributes:
                 image_dim += 1
+        # (c(i, j, 0), d(i, j, 0)) for j < 2 with i + j = w
+        plane = [(pos[("c", w - j, j, 0)], pos[("d", w - j, j, 0)])
+                 for j in (0, 1) if ("c", w - j, j, 0) in pos]
         for v in kernel:
-            def coeff(tag, i, j, k):
-                key = (tag, i, j, k)
-                return v[pos[key]] if key in pos else 0
-
-            # b(i, j): pullback along (x,z) -> (x,z,z^2) of the first chart
-            b = [[sum(coeff("c", i, j - 2 * k, k) for k in range(j // 2 + 1))
-                  for j in (0, 1)] for i in range(w + 2)]
-            for i in range(w + 1):
-                # a(i,0) = b(i,0) and a(i,1) = b(i,1), with a read off the
-                # second chart's plane, a(i,j) = d(i,j,0)
-                if coeff("d", i, 0, 0) != b[i][0] or coeff("d", i, 1, 0) != b[i][1]:
-                    identities_3 = False
-                # a(i,1) = b(i,1) - (i+1) b(i+1,0)
-                if shear and coeff("c", i, 1, 0) != b[i][1] - (i + 1) * b[i + 1][0]:
-                    identities_4 = False
+            if any(v[c] != v[d] for c, d in plane):
+                identities_3 = False
+            if shear and axis is not None and w * v[axis] != 0:
+                identities_4 = False
     return {
         "max_degree": D,
         "shear": bool(shear),

@@ -51,7 +51,7 @@ from operator import mul
 from dataclasses import dataclass
 from functools import cached_property
 
-from .rationals import QQ, ZERO, rat, ratio, ratio_str
+from .rationals import QQ, ZERO, numbered_lines, rat, ratio, ratio_str
 from . import linalg
 
 
@@ -634,8 +634,14 @@ class RationalPolyhedron:
         return poly
 
     def contains(self, point):
+        """Whether the rational point satisfies every row, each compared as
+        a·nums against b·den with the point written as nums/den, den > 0."""
+        if len(point) != self.ambient_dim:
+            raise ValueError("a point of dimension %d tested against a polyhedron of "
+                             "dimension %d" % (len(point), self.ambient_dim))
+        nums, den = linalg.int_row(point)
         for i, (a, b) in enumerate(self.rows):
-            v = linalg.dot(a, point)
+            v, b = _dot(a, nums), b * den
             if v > b or (v == b and i in self._strict) or (v < b and i in self.tightened):
                 return False
         return True
@@ -1076,26 +1082,35 @@ def parse_poly(text):
     `rationals.ratio`, so they are accepted and rejected as `rat` accepts
     and rejects them, and the row is stored by `_scaled` over the lcm of
     their denominators."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    return _poly_of_lines(numbered_lines(text))
+
+
+def _poly_of_lines(lines):
+    """The polyhedron of POLY/1 lines, given as `numbered_lines` gives
+    them, so that an error names the line of the file they came from."""
     if not lines:
         raise ValueError("POLY/1: empty input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError("POLY/1: header must be 'N m' (line 1)")
-    n, m = int(head[0]), int(head[1])
+    (lineno, header), rows = lines[0], lines[1:]
+    try:
+        n, m = map(int, header.split())
+    except ValueError:
+        raise ValueError("POLY/1: header must be 'N m' (line %d)" % lineno) from None
     if n < 0:
-        raise ValueError("POLY/1: the dimension N must be non-negative (line 1)")
-    if len(lines) - 1 != m:
-        raise ValueError("POLY/1: expected %d constraint rows, got %d" % (m, len(lines) - 1))
+        raise ValueError("POLY/1: the dimension N must be non-negative (line %d)" % lineno)
+    if len(rows) != m:
+        raise ValueError("POLY/1: expected %d constraint rows, got %d" % (m, len(rows)))
     written, strict = [], []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in rows:
         parts = ln.split()
         if len(parts) != n + 2:
             raise ValueError("POLY/1: bad row arity (line %d)" % lineno)
         rel = parts[n]
         if rel not in ("<=", "<"):
             raise ValueError("POLY/1: relation must be <= or < (line %d)" % lineno)
-        fracs = [ratio(token) for token in parts[:n] + parts[n + 1:]]
+        try:
+            fracs = [ratio(token) for token in parts[:n] + parts[n + 1:]]
+        except ValueError as e:
+            raise ValueError("POLY/1: %s (line %d)" % (e, lineno)) from None
         den = lcm(*(q for _, q in fracs))
         if rel == "<":
             strict.append(len(written))

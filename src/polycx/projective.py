@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .rationals import rat, ratio_str
 from . import linalg
 from .complexes import VerificationFailure
+from .simplicial import decode_json
 
 
 class ProjectiveSubspace:
@@ -308,7 +309,7 @@ def format_ledger(ledger):
 
 
 def parse_ledger(text):
-    data = json.loads(text)
+    data = decode_json(text, "LEDGER/1")
     if not isinstance(data, dict):
         raise ValueError("LEDGER/1: the top level must be a JSON object")
     if data.get("schema_version") != "LEDGER/1":

@@ -31,12 +31,21 @@ def ratio(text):
     """(p, q) with q > 0 for the text 'p' or 'p/q', without building the
     rational: Python int syntax on each side of the slash, a negative
     denominator allowed."""
-    if "/" in text:
+    try:
+        if "/" not in text:
+            return int(text), 1
         p, q = map(int, text.split("/"))
-        if q == 0:
-            raise ValueError("zero denominator in %r" % text)
-        return (-p, -q) if q < 0 else (p, q)
-    return int(text), 1
+    except ValueError:
+        raise ValueError("%r is not an integer or p/q" % text) from None
+    if q == 0:
+        raise ValueError("zero denominator in %r" % text)
+    return (-p, -q) if q < 0 else (p, q)
+
+
+def numbered_lines(text):
+    """(line number, stripped line) of each non-blank line of a text
+    format, numbered over every line of the text from 1."""
+    return [(n, ln) for n, ln in enumerate((raw.strip() for raw in text.splitlines()), 1) if ln]
 
 
 def rat_str(q):

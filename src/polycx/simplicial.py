@@ -171,8 +171,20 @@ def format_scx(K):
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def decode_json(text, fmt):
+    """The JSON value of the text of a `fmt` artifact.  Text that is not
+    JSON, or JSON nested too deeply for the decoder, is a ValueError that
+    names the format, as any other malformed input is."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("%s: JSON nested too deeply" % fmt) from None
+    except ValueError as e:
+        raise ValueError("%s: not JSON (%s)" % (fmt, e)) from None
+
+
 def parse_scx(text):
-    data = json.loads(text)
+    data = decode_json(text, "SCX/1")
     if not isinstance(data, dict):
         raise ValueError("SCX/1: the top level must be a JSON object")
     if data.get("schema_version") != "SCX/1":

@@ -30,10 +30,10 @@ from math import factorial, gcd
 from operator import mul
 from dataclasses import dataclass
 
-from .rationals import QQ, ZERO, rat, rat_str, vec
+from .rationals import QQ, ZERO, numbered_lines, rat, rat_str, vec
 from . import linalg
-from .polyhedra import (RationalPolyhedron, _Cone, _dot, _row_text, _scaled, _solve_constraints,
-                        format_poly, parse_poly)
+from .polyhedra import (RationalPolyhedron, _Cone, _dot, _poly_of_lines, _row_text, _scaled,
+                        _solve_constraints, format_poly)
 from .complexes import PolyhedralComplex, VerificationFailure
 from .simplicial import SimplicialComplex
 
@@ -561,21 +561,25 @@ def format_pts(Y):
 
 
 def parse_pts(text):
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    lines = numbered_lines(text)
     if not lines:
         raise ValueError("PTS/1: empty input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError("PTS/1: header must be 'N k' (line 1)")
-    n, k = int(head[0]), int(head[1])
-    if len(lines) - 1 != k:
-        raise ValueError("PTS/1: expected %d points, got %d" % (k, len(lines) - 1))
+    (lineno, header), rows = lines[0], lines[1:]
+    try:
+        n, k = map(int, header.split())
+    except ValueError:
+        raise ValueError("PTS/1: header must be 'N k' (line %d)" % lineno) from None
+    if len(rows) != k:
+        raise ValueError("PTS/1: expected %d points, got %d" % (k, len(rows)))
     sites = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in rows:
         parts = ln.split()
         if len(parts) != n:
             raise ValueError("PTS/1: bad point arity (line %d)" % lineno)
-        sites.append(tuple(rat(p) for p in parts))
+        try:
+            sites.append(tuple(rat(p) for p in parts))
+        except ValueError as e:
+            raise ValueError("PTS/1: %s (line %d)" % (e, lineno)) from None
     return SiteSet(n, sites)
 
 
@@ -587,24 +591,29 @@ def format_rgn(region):
 
 
 def parse_rgn(text):
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    lines = numbered_lines(text)
     if not lines:
         raise ValueError("RGN/1: empty input")
-    count = int(lines[0])
+    try:
+        count = int(lines[0][1])
+    except ValueError:
+        raise ValueError("RGN/1: first line must be the piece count (line %d)"
+                         % lines[0][0]) from None
     pos = 1
     pieces = []
     for _ in range(count):
         if pos >= len(lines):
-            raise ValueError("RGN/1: truncated input (line %d)" % (pos + 1))
-        head = lines[pos].split()
-        if len(head) != 2:
-            raise ValueError("RGN/1: bad POLY/1 header (line %d)" % (pos + 1))
-        m = int(head[1])
+            raise ValueError("RGN/1: truncated input (line %d)" % (lines[-1][0] + 1))
+        lineno, header = lines[pos]
+        try:
+            _, m = map(int, header.split())
+        except ValueError:
+            raise ValueError("RGN/1: bad POLY/1 header (line %d)" % lineno) from None
         block = lines[pos:pos + m + 1]
         if len(block) != m + 1:
-            raise ValueError("RGN/1: truncated POLY/1 block (line %d)" % (pos + 1))
-        pieces.append(parse_poly("\n".join(block)))
+            raise ValueError("RGN/1: truncated POLY/1 block (line %d)" % lineno)
+        pieces.append(_poly_of_lines(block))
         pos += m + 1
     if pos != len(lines):
-        raise ValueError("RGN/1: trailing data (line %d)" % (pos + 1))
+        raise ValueError("RGN/1: trailing data (line %d)" % lines[pos][0])
     return PolyhedralRegion(pieces)

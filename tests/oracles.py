@@ -6,7 +6,7 @@ naive algorithms, sharing no code with the package under test.
 
 import itertools
 from fractions import Fraction
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 
 def feasible(eqs, ineqs, dim):
@@ -1121,6 +1121,62 @@ def simplify_presentation(generators, relators):
         g -= 1
 
 
+def polyhedron_contains(rows, strict, tightened, point):
+    """Whether a point lies in the system of integer rows (a, b), a·x <= b,
+    read a·x < b at the `strict` indices and a·x = b at the `tightened`
+    ones, each row dotted with the point in Fractions."""
+    for i, (a, b) in enumerate(rows):
+        v = sum((Fraction(c) * Fraction(x) for c, x in zip(a, point)), Fraction(0))
+        if v > b or (v == b and i in strict) or (v < b and i in tightened):
+            return False
+    return True
+
+
+def no_limit_rows(D, w, variables, shear):
+    """Rows of the no-limit compatibility system within the weight-w block,
+    gathered one equation at a time: for each (i, j) with i + j = w, the
+    plane row c(i, j, 0) - d(i, j, 0) when w <= D, and the x^i z^j
+    coefficient of the pullback along the parabola chart when some variable
+    of the block appears in it.  Variables are ('c'|'d', i, j, k)."""
+    pos = {v: t for t, v in enumerate(variables)}
+    rows = []
+    for i in range(w + 1):
+        j = w - i
+        # both charts restrict to the same plane z=0 polynomial
+        if i + j <= D:
+            row = [0] * len(variables)
+            row[pos[("c", i, j, 0)]] += 1
+            row[pos[("d", i, j, 0)]] -= 1
+            rows.append(row)
+        # coefficient of x^i z^j of the pullback along the parabola chart
+        row = [0] * len(variables)
+        nonzero = False
+        for k in range(j // 2 + 1):
+            v = ("c", i, j - 2 * k, k)
+            if v in pos:
+                row[pos[v]] += 1
+                nonzero = True
+        if shear:
+            # (x,z) -> (x+z, z, z^2): binomial spread over the first slot
+            for p in range(i, w + 1):
+                for r in range((j - (p - i)) // 2 + 1) if p - i <= j else ():
+                    q = j - (p - i) - 2 * r
+                    v = ("d", p, q, r)
+                    if v in pos:
+                        row[pos[v]] -= comb(p, i)
+                        nonzero = True
+        else:
+            # control: (x,z) -> (x, z, z^2), no shear
+            for k in range(j // 2 + 1):
+                v = ("d", i, j - 2 * k, k)
+                if v in pos:
+                    row[pos[v]] -= 1
+                    nonzero = True
+        if nonzero:
+            rows.append(row)
+    return rows
+
+
 def no_limit_identities(blocks, shear):
     """The coefficient identities of the no-limit oracle, on Fractions.
     blocks: (weight w, variables, kernel vectors) per weight block, with
@@ -1153,35 +1209,48 @@ def _rat(token):
     """A POLY/1 token as a Fraction, read as the package read it while its
     rows were Fractions: Python int syntax on each side of the slash."""
     token = token.strip()
-    if "/" in token:
-        p, q = map(int, token.split("/"))
-        if q == 0:
-            raise ValueError("zero denominator in %r" % token)
-        return Fraction(p, q)
-    return Fraction(int(token))
+    try:
+        p, q = map(int, token.split("/")) if "/" in token else (int(token), 1)
+    except ValueError:
+        raise ValueError("%r is not an integer or p/q" % token) from None
+    if q == 0:
+        raise ValueError("zero denominator in %r" % token)
+    return Fraction(p, q)
+
+
+def _is_int(token):
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
 
 
 def parse_poly(text):
     """POLY/1 read into Fractions, as the package read it while its rows
-    were Fractions: (N, rows), each row (normal, offset, strict)."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    were Fractions: (N, rows), each row (normal, offset, strict).  Errors
+    name the line of the text, counting blank lines."""
+    lines = [(k, ln.strip()) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError("POLY/1: empty input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError("POLY/1: header must be 'N m' (line 1)")
+    head = lines[0][1].split()
+    if len(head) != 2 or not all(_is_int(t) for t in head):
+        raise ValueError("POLY/1: header must be 'N m' (line %d)" % lines[0][0])
     n, m = int(head[0]), int(head[1])
     if len(lines) - 1 != m:
         raise ValueError("POLY/1: expected %d constraint rows, got %d" % (m, len(lines) - 1))
     rows = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != n + 2:
             raise ValueError("POLY/1: bad row arity (line %d)" % lineno)
         rel = parts[n]
         if rel not in ("<=", "<"):
             raise ValueError("POLY/1: relation must be <= or < (line %d)" % lineno)
-        rows.append((tuple(_rat(p) for p in parts[:n]), _rat(parts[n + 1]), rel == "<"))
+        try:
+            rows.append((tuple(_rat(p) for p in parts[:n]), _rat(parts[n + 1]), rel == "<"))
+        except ValueError as e:
+            raise ValueError("POLY/1: %s (line %d)" % (e, lineno)) from None
     return n, rows
 
 

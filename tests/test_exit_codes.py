@@ -25,7 +25,7 @@ from polycx import (
     span_assignment,
     verify_proper,
 )
-from polycx import voronoi
+from polycx import parse_cplx, parse_ledger, parse_scx, voronoi
 from polycx.cli import run
 from polycx.voronoi import _certify_triangulation
 
@@ -80,6 +80,44 @@ def test_the_check_sees_every_form_of_raise():
               "    raise json.JSONDecodeError('b', '', 0) from None\n")
     assert raised_names(source) == [(3, "RuntimeError"), (5, "KeyError"),
                                     (8, "json.JSONDecodeError")]
+
+
+def json_decode_sites(source):
+    """(enclosing function, line) of each use of the json module's
+    decoders in the source, `from json import ...` included; the function
+    is '' at module level."""
+    sites = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr in ("load", "loads", "JSONDecoder")
+                    and ast.unparse(child.value) == "json"
+                    or isinstance(child, ast.ImportFrom) and child.module == "json"):
+                sites.append((fn, child.lineno))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else fn)
+
+    visit(ast.parse(source), "")
+    return sites
+
+
+def test_the_json_check_sees_a_stray_call():
+    source = ("import json\n"
+              "from json import loads\n"
+              "def decode_json(text, fmt):\n"
+              "    return json.loads(text)\n"
+              "def parse(text):\n"
+              "    return json.loads(text)\n"
+              "DATA = json.load(open('f'))\n"
+              "TEXT = json.dumps(DATA)\n")
+    assert json_decode_sites(source) == [("", 2), ("decode_json", 4), ("parse", 6), ("", 7)]
+
+
+def test_json_is_decoded_only_by_the_guarded_function():
+    # decode_json turns every decoder failure, RecursionError included,
+    # into a ValueError naming the format, so no other call may decode
+    sites = [(path.name, fn) for path in sorted(SRC.glob("*.py"))
+             for fn, _ in json_decode_sites(path.read_text())]
+    assert sites == [("simplicial.py", "decode_json")]
 
 
 def test_every_raise_in_the_library_reaches_a_mapped_exit_code():
@@ -187,8 +225,8 @@ def test_a_single_site_is_an_input_error():
 
 
 def test_a_region_of_another_dimension_is_an_input_error():
-    # a region dots its rows with a point by zip (`linalg.dot`), so a point of
-    # another dimension must not reach it
+    # a point of another dimension is rejected by the region's pieces, so the
+    # dimensions are compared before any point reaches them
     region = PolyhedralRegion([box([-1, -1, -1], [1, 1, 1])])
     assert_input_error(lambda: clipped_complex(SiteSet(2, TRIANGLE), region),
                        r"^clip: the region lies in dimension 3 but the sites in dimension 2$")
@@ -217,3 +255,98 @@ def test_a_region_of_another_dimension_exits_2(tmp_path, capsys):
                 "--out", str(tmp_path / "c.cplx")]) == 2
     assert capsys.readouterr().err == \
         "input error: clip: the region lies in dimension 2 but the sites in dimension 1\n"
+
+
+# -- malformed text names its format and the line of the file --------------------------
+
+NESTED = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("fmt, argv", [
+    ("CPLX/1", ["check-simple", "--complex", "IN"]),
+    ("CPLX/1", ["nerve", "--complex", "IN", "--out", "OUT"]),
+    ("CPLX/1", ["parasites", "--complex", "IN", "--out", "OUT"]),
+    ("CPLX/1", ["saturate", "--complex", "IN", "--out", "OUT"]),
+    ("CPLX/1", ["verify-proper", "--complex", "IN", "--out", "OUT"]),
+    ("CPLX/1", ["blowup-plan", "--complex", "IN", "--out", "OUT"]),
+    ("SCX/1", ["homology", "--scx", "IN", "--out", "OUT"]),
+    ("SCX/1", ["pi1", "--scx", "IN", "--out", "OUT"]),
+    ("SCX/1", ["dual-move", "--scx", "IN", "--kind", "barycentric", "--target", "0",
+               "--out", "OUT"]),
+    ("strata", ["dual-complex", "--strata", "IN", "--out", "OUT"]),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_deeply_nested_json_exits_2(tmp_path, capsys, fmt, argv):
+    src, out = tmp_path / "nested.json", tmp_path / "out"
+    src.write_text(NESTED)
+    assert run([{"IN": str(src), "OUT": str(out)}.get(a, a) for a in argv]) == 2
+    assert capsys.readouterr().err == "input error: %s: JSON nested too deeply\n" % fmt
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("parse, fmt", [(parse_cplx, "CPLX/1"), (parse_scx, "SCX/1"),
+                                        (parse_ledger, "LEDGER/1")])
+def test_deeply_nested_json_is_a_value_error(parse, fmt):
+    assert_input_error(lambda: parse(NESTED), "^%s: JSON nested too deeply$" % fmt)
+    assert_input_error(lambda: parse("{"), r"^%s: not JSON \(Expecting " % fmt)
+
+
+GOOD_PTS = "2 3\n0 0\n2 0\n0 2\n"
+GOOD_RGN = "1\n2 4\n1 0 <= 2\n-1 0 <= 2\n0 1 <= 2\n0 -1 <= 2\n"
+FACE_7 = ('{"schema_version": "CPLX/1", "ambient_dim": 1, "morphisms": [], '
+          '"faces": [{"id": 7, "poly": "1 1\\n1 <= x\\n"}]}')
+
+
+def clip(points=GOOD_PTS, region=GOOD_RGN):
+    return ["clip", "--points", ("p.pts", points), "--region", ("r.rgn", region),
+            "--out", "OUT"]
+
+
+def superperfect(text):
+    return ["superperfect", "--presentation", ("g.grp", text), "--out", "OUT"]
+
+
+# (command, with (file name, text) for each input file; the one stderr line)
+PARSE_WITNESSES = {
+    # line numbers count every line of the file, blank lines too
+    "pts-after-blank-lines": (["check-simple", "--points", ("p.pts", "2 2\n\n\n0 0 0\n1 1\n")],
+                              "PTS/1: bad point arity (line 4)"),
+    "poly-after-blank-lines": (clip(region="1\n\n2 1\n\n1 0 0 <= 1\n"),
+                               "POLY/1: bad row arity (line 5)"),
+    "grp-after-blank-lines": (superperfect("gens 2\n\n\nx1 x3\n"),
+                              "GRP/1: generator 'x3' out of range (line 4)"),
+    # a row of an RGN/1 piece is named by its line in the file
+    "rgn-piece-row": (clip(region="1\n2 1\n1 0 0 <= 1\n"), "POLY/1: bad row arity (line 3)"),
+    # a POLY/1 error inside a CPLX/1 face names the face
+    "cplx-face": (["nerve", "--complex", ("c.cplx", FACE_7), "--out", "OUT"],
+                  "CPLX/1: face 7: POLY/1: 'x' is not an integer or p/q (line 2)"),
+    # a token that is not an integer or p/q, in either file of clip
+    "pts-row-token": (clip(points="2 3\n0 0\nx 0\n0 2\n"),
+                      "PTS/1: 'x' is not an integer or p/q (line 3)"),
+    "pts-header-token": (clip(points="2 x\n0 0\n"), "PTS/1: header must be 'N k' (line 1)"),
+    "rgn-count-token": (clip(region="x\n"),
+                        "RGN/1: first line must be the piece count (line 1)"),
+    "rgn-header-token": (clip(region="1\n2 x\n"), "RGN/1: bad POLY/1 header (line 2)"),
+    "poly-row-token": (clip(region="1\n2 1\n1 0 <= 1/x\n"),
+                       "POLY/1: '1/x' is not an integer or p/q (line 3)"),
+    "grp-header-token": (superperfect("gens x\n"),
+                         "GRP/1: generator count 'x' is not an integer (line 1)"),
+    "grp-relator-token": (superperfect("gens 2\nxa\n"), "GRP/1: bad token 'xa' (line 2)"),
+    # a GRP/1 header takes exactly one count
+    "grp-header-extra-token": (superperfect("gens 2 3\nx1\n"),
+                               "GRP/1: first line must be 'gens g' (line 1)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_WITNESSES))
+def test_parse_errors_name_the_format_and_the_line(tmp_path, capsys, case):
+    argv, message = PARSE_WITNESSES[case]
+    out = tmp_path / "out"
+    args = []
+    for a in argv:
+        if isinstance(a, tuple):
+            (tmp_path / a[0]).write_text(a[1])
+            a = str(tmp_path / a[0])
+        args.append(str(out) if a == "OUT" else a)
+    assert run(args) == 2
+    assert capsys.readouterr().err == "input error: %s\n" % message
+    assert not out.exists()

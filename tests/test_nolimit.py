@@ -18,7 +18,7 @@ def blocks(degree, shear, nullspace):
     out = []
     for w in range(2 * degree + 1):
         variables = _block_variables(degree, w)
-        rows = _block_equations(degree, w, variables, shear)
+        rows = _block_equations(variables, shear)
         assert variables and rows
         out.append((w, variables, nullspace(rows)))
     return out
@@ -58,6 +58,15 @@ def test_shear_is_what_kills_the_limit():
     report = no_limit_witness(4, shear=False)
     assert report["restriction_image_dim"] == 5  # all powers of x survive
     assert report["identities_4"] is None
+
+
+@pytest.mark.parametrize("shear", [True, False], ids=["shear", "control"])
+@pytest.mark.parametrize("degree", range(1, 10))
+def test_scattered_rows_match_the_gathered_rows(degree, shear):
+    for w in range(2 * degree + 1):
+        variables = _block_variables(degree, w)
+        assert sorted(map(tuple, _block_equations(variables, shear))) == sorted(
+            map(tuple, oracles.no_limit_rows(degree, w, variables, shear)))
 
 
 def test_degree_must_be_positive():

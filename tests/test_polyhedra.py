@@ -717,6 +717,42 @@ class TestIntegerRows:
         assert got.is_empty() == empty
 
 
+class TestContains:
+    """`contains` compares each integer row with the point in integers,
+    against the Fraction dot product it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(witness_systems(), st.data())
+    def test_matches_the_fraction_dot(self, system, data):
+        n, rows, tightened = system
+        P = make(n, rows, tightened)
+        nums, den = data.draw(int_points(n))
+        points = [tuple(QQ(x, den) for x in nums)]
+        relint = P.relint_point()
+        if relint is not None:
+            points.append(tuple(QQ(x, relint[1]) for x in relint[0]))
+        for point in points:
+            assert P.contains(point) == oracles.polyhedron_contains(
+                P.rows, P._strict, P.tightened, point)
+
+    @pytest.mark.parametrize("point, inside", [
+        ((1, 0), True), ((1, QQ(1, 2)), True), ((1, 1), False),  # on y = 1, y < 1 fails
+        ((QQ(1, 2), 0), False), ((QQ(2, 3), QQ(1, 3)), False),  # x = 1 is tightened
+        ((1, -1), False), ((QQ(3, 2), 0), False),
+    ])
+    def test_strict_and_tightened_rows(self, point, inside):
+        # x <= 1 tightened to x = 1, y < 1 strict, y >= 0
+        P = make(2, [([1, 0], 1, False), ([0, 1], 1, True), ([0, -1], 0, False)], (0,))
+        assert P.contains(point) is inside
+        assert oracles.polyhedron_contains(P.rows, P._strict, P.tightened, point) is inside
+
+    @pytest.mark.parametrize("point", [(QQ(1, 2),), (QQ(1, 2), QQ(1, 2), 9), ()])
+    def test_a_point_of_another_dimension_is_rejected(self, point):
+        # zip once cut the longer side short, so the unit square held (1/2,)
+        with pytest.raises(ValueError, match="point of dimension %d" % len(point)):
+            box([0, 0], [1, 1]).contains(point)
+
+
 class TestRelintWitness:
     """relint_point certifies the root and the dimension by a witness where
     the guess passes, and falls back to the record where it does not; the
