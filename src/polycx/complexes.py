@@ -51,6 +51,11 @@ class VerificationFailure(ValueError):
 _DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
+def _selectors(bits):
+    """One 0/1 selector byte per bit of `bits`, lowest bit first."""
+    return bin(bits)[:1:-1].encode().translate(_DIGITS)
+
+
 class PolyhedralComplex:
 
     def __init__(self, ambient_dim, faces, above):
@@ -112,7 +117,7 @@ class PolyhedralComplex:
 
     def _members(self, bits):
         """The face ids on the set bits, in ascending id order."""
-        return itertools.compress(self._ids, bin(bits)[:1:-1].encode().translate(_DIGITS))
+        return itertools.compress(self._ids, _selectors(bits))
 
     def ids(self):
         return list(self._ids)

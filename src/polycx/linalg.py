@@ -15,9 +15,10 @@ form and the QQ RREF determine each other, since dividing a canonical row
 by its pivot gives back the RREF row (`rational_rows`).  Containment is a
 check that the outer space's integer annihilator (`annihilator`) kills the
 inner rows (`annihilates`), and a meet is the kernel of the stacked
-annihilators (`int_meet`), since (A ∩ B)^⊥ = A^⊥ + B^⊥.
-`intersect_row_spaces`, `row_space_contained` and `in_row_space` are the
-same on QQ rows.
+annihilators (`int_meet`), since (A ∩ B)^⊥ = A^⊥ + B^⊥.  The meet takes one
+elimination: reduced with its columns reversed, the stack's kernel vectors
+are already the meet's canonical rows.  `intersect_row_spaces`,
+`row_space_contained` and `in_row_space` are the same on QQ rows.
 
 Linear systems have one integer solver, `int_solve`; `solve`, `nullspace`
 and affine spans read its answer over QQ (`rational_solution`).
@@ -28,10 +29,6 @@ from math import gcd, lcm
 from operator import mul
 
 from .rationals import QQ, ZERO, ONE
-
-
-def dot(u, v):
-    return sum((a * b for a, b in zip(u, v)), ZERO)
 
 
 def int_row(row):
@@ -257,11 +254,22 @@ def annihilates(kernel, rows):
 def int_meet(ann, ncols):
     """(canonical rows, pivot columns, reduced rows) of the subspace of
     Q^ncols that the integer rows `ann` annihilate; the reduced rows are
-    `ann` after `int_rref`, without its zero rows, and span the subspace's
-    annihilator.  Stacked annihilators give the meet of their spaces."""
-    m = [list(row) for row in ann]
+    `ann` reduced, without its zero rows, and span the subspace's
+    annihilator.  Stacked annihilators give the meet of their spaces.
+
+    One elimination: `ann` is reduced with its columns reversed.  A reduced
+    row is zero before its pivot, so the kernel vector of free column f
+    there is zero after f and in every other free column.  Read back in
+    column order it is zero before its own free column and in the other
+    free columns, and `int_kernel` makes it primitive with a positive entry
+    there: it is the canonical row whose pivot is that free column."""
+    m = [row[::-1] for row in ann]
     pivots = int_rref(m)
-    return (*int_row_space(int_kernel(m, pivots, ncols)), m[:len(pivots)])
+    kernel = int_kernel(m, pivots, ncols)
+    last = ncols - 1
+    return ([v[::-1] for v in reversed(kernel)],
+            [last - f for f in reversed(range(ncols)) if f not in pivots],
+            [row[::-1] for row in m[:len(pivots)]])
 
 
 def rank(rows):

@@ -1097,6 +1097,8 @@ def _poly_of_lines(lines):
         raise ValueError("POLY/1: header must be 'N m' (line %d)" % lineno) from None
     if n < 0:
         raise ValueError("POLY/1: the dimension N must be non-negative (line %d)" % lineno)
+    if m < 0:
+        raise ValueError("POLY/1: the row count m must be non-negative (line %d)" % lineno)
     if len(rows) != m:
         raise ValueError("POLY/1: expected %d constraint rows, got %d" % (m, len(rows)))
     written, strict = [], []

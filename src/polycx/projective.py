@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .rationals import rat, ratio_str
 from . import linalg
-from .complexes import VerificationFailure
+from .complexes import VerificationFailure, _selectors
 from .simplicial import decode_json
 
 
@@ -152,35 +152,80 @@ class ParasiticRecord:
         return (self.ambient, self.subspace)
 
 
-def _intersection_lattice(subspaces):
-    """Closure of a set of subspaces under pairwise intersection.  Each
-    element meets every earlier one once; new ones join the end."""
-    seen = set(subspaces)
-    lattice = list(seen)
-    for j, t in enumerate(lattice):
-        for s in lattice[:j]:
-            inter = s.intersect(t)
-            if inter is not None and inter not in seen:
-                seen.add(inter)
-                lattice.append(inter)
-    return seen
+def _bits(mask):
+    """The positions of the set bits of `mask`, ascending."""
+    return list(itertools.compress(itertools.count(), _selectors(mask)))
+
+
+def _lattices(C, span):
+    """At each face position c of C, the closure L(c) of the spans below c
+    under pairwise meets, as a list.  `span` lists the face spans by
+    position and must be functorial.
+
+    The faces are visited by down-set size: a strict down-set is a strict
+    subset of the down-set of any face above it, so each face comes after
+    every face below it.  L(c) grows from the blocks L(b) ∪ {span b} of
+    c's covers b, the faces below c that lie below no other face below c:
+    - c's down-set is the union of the covers' closed down-sets, so the
+      blocks hold every span below c;
+    - every block lies in L(c), since L(b) is the closure of some of the
+      spans below c;
+    - each block is closed: by functoriality every member of L(b) lies in
+      span b, so meeting it with span b gives it back.
+    So only members that share no block are met, and each new element
+    meets every other."""
+    down = C._down
+    order = sorted(range(len(down)), key=lambda k: down[k].bit_count())
+    lattices = [None] * len(down)
+    for c in order:
+        below = _bits(down[c])
+        under = 0
+        for b in below:
+            under |= down[b]
+        seen = {}  # member of L(c) -> bitmask of the cover blocks holding it
+        for i, b in enumerate(b for b in below if not under >> b & 1):
+            for s in (*lattices[b], span[b]):
+                seen[s] = seen.get(s, 0) | 1 << i
+        lattice = list(seen)
+        for j, t in enumerate(lattice):
+            held = seen[t]
+            for s in lattice[:j]:
+                if not seen[s] & held:
+                    inter = s.intersect(t)
+                    if inter is not None and inter not in seen:
+                        seen[inter] = 0
+                        lattice.append(inter)
+        lattices[c] = lattice
+    return lattices
 
 
 def parasitic_intersections(C, spans):
     """Span intersections over faces incident to each ambient face that are
-    not realized as the span of a common incident face."""
+    not realized as the span of a common incident face.
+
+    Precondition: `spans` is functorial, as `span_assignment` checks: the
+    span of a face lies in the span of every face above it.  The lattice
+    of each face grows from those of the faces below it (`_lattices`), and
+    for a lattice element S the faces U below c whose span holds S are read
+    in order of down-set size: a face with a member of U below it is in U
+    by functoriality, without a containment test.  S is realized iff some
+    b0 in U with span S has all of U in its closed up-set."""
+    ids, down, up = C._ids, C._down, C._up
+    span = [spans[i] for i in ids]
+    size = [d.bit_count() for d in down]
     records = []
-    for c in C.ids():
-        below = C.faces_below(c)
-        if not below:
+    for c, lattice in enumerate(_lattices(C, span)):
+        if not lattice:
             continue
-        lattice = _intersection_lattice({spans[b] for b in below})
+        below = sorted(_bits(down[c]), key=size.__getitem__)
         for S in sorted(lattice, key=lambda s: s.sort_token()):
-            U = [b for b in below if spans[b].contains(S)]
-            realized = any(spans[b0] == S and all(C.leq(b0, u) for u in U)
-                           for b0 in U)
-            if not realized:
-                records.append(ParasiticRecord(c, tuple(U), S))
+            U = 0
+            for b in below:
+                if down[b] & U or span[b].contains(S):
+                    U |= 1 << b
+            members = _bits(U)
+            if not any(span[b0] == S and not U & ~(up[b0] | 1 << b0) for b0 in members):
+                records.append(ParasiticRecord(ids[c], tuple(ids[b] for b in members), S))
     return records
 
 

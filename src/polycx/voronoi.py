@@ -609,6 +609,9 @@ def parse_rgn(text):
             _, m = map(int, header.split())
         except ValueError:
             raise ValueError("RGN/1: bad POLY/1 header (line %d)" % lineno) from None
+        if m < 0:
+            raise ValueError("RGN/1: the POLY/1 row count must be non-negative (line %d)"
+                             % lineno)
         block = lines[pos:pos + m + 1]
         if len(block) != m + 1:
             raise ValueError("RGN/1: truncated POLY/1 block (line %d)" % lineno)

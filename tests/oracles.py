@@ -1,7 +1,11 @@
 """Independent oracles used to freeze expected values in the tests.
 
 Everything here is deliberately written against fractions.Fraction and
-naive algorithms, sharing no code with the package under test.
+naive algorithms, sharing no code with the package under test.  The
+exceptions are algorithms the package replaced, kept as they ran there so
+that a differential test can hold the replacement to them: the parasite
+lattice and scan take the package's subspaces and complexes, and
+`int_meet_rref` runs the integer kernel's own steps.
 """
 
 import itertools
@@ -395,6 +399,56 @@ def rational_intersect_row_spaces(a_rows, b_rows):
         if any(v):
             vectors.append(v)
     return rational_rref(vectors)[0]
+
+
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def int_meet_rref(ann, ncols):
+    """`polycx.linalg.int_meet` as it ran before one reduction replaced
+    three: reduce the stacked annihilator `ann`, take one kernel vector per
+    free column, and reduce those again to canonical rows.  Returns
+    (canonical rows, pivot columns, `ann` reduced without its zero rows)."""
+    from polycx import linalg
+    m = [list(row) for row in ann]
+    pivots = linalg.int_rref(m)
+    return (*linalg.int_row_space(linalg.int_kernel(m, pivots, ncols)), m[:len(pivots)])
+
+
+def intersection_lattice(subspaces):
+    """Closure of a set of subspaces under pairwise intersection, built from
+    scratch as the parasite layer built it for each face before it grew the
+    lattice along the face poset.  Each element meets every earlier one
+    once; new ones join the end."""
+    seen = set(subspaces)
+    lattice = list(seen)
+    for j, t in enumerate(lattice):
+        for s in lattice[:j]:
+            inter = s.intersect(t)
+            if inter is not None and inter not in seen:
+                seen.add(inter)
+                lattice.append(inter)
+    return seen
+
+
+def parasite_scan(C, spans):
+    """(ambient, tuple_ids, subspace) of every parasitic intersection, by the
+    per-face scan the parasite layer ran before it read U and the realized
+    test off the poset's bitsets: U holds the faces below c whose span
+    contains S, and S is realized iff some b0 in U with span S lies below
+    every member of U."""
+    out = []
+    for c in C.ids():
+        below = C.faces_below(c)
+        if not below:
+            continue
+        for S in sorted(intersection_lattice({spans[b] for b in below}),
+                        key=lambda s: s.sort_token()):
+            U = [b for b in below if spans[b].contains(S)]
+            if not any(spans[b0] == S and all(C.leq(b0, u) for u in U) for b0 in U):
+                out.append((c, tuple(U), S))
+    return out
 
 
 def zassenhaus_intersect(a_rows, b_rows):

@@ -294,6 +294,8 @@ GOOD_PTS = "2 3\n0 0\n2 0\n0 2\n"
 GOOD_RGN = "1\n2 4\n1 0 <= 2\n-1 0 <= 2\n0 1 <= 2\n0 -1 <= 2\n"
 FACE_7 = ('{"schema_version": "CPLX/1", "ambient_dim": 1, "morphisms": [], '
           '"faces": [{"id": 7, "poly": "1 1\\n1 <= x\\n"}]}')
+FACE_7_NO_ROWS = ('{"schema_version": "CPLX/1", "ambient_dim": 1, "morphisms": [], '
+                  '"faces": [{"id": 7, "poly": "1 -1\\n"}]}')
 
 
 def clip(points=GOOD_PTS, region=GOOD_RGN):
@@ -319,6 +321,13 @@ PARSE_WITNESSES = {
     # a POLY/1 error inside a CPLX/1 face names the face
     "cplx-face": (["nerve", "--complex", ("c.cplx", FACE_7), "--out", "OUT"],
                   "CPLX/1: face 7: POLY/1: 'x' is not an integer or p/q (line 2)"),
+    # a negative row count is named at its header, in POLY/1 and in RGN/1
+    "poly-negative-row-count": (["nerve", "--complex", ("c.cplx", FACE_7_NO_ROWS),
+                                 "--out", "OUT"],
+                                "CPLX/1: face 7: POLY/1: the row count m must be "
+                                "non-negative (line 1)"),
+    "rgn-negative-row-count": (clip(region="1\n2 -1\n"),
+                               "RGN/1: the POLY/1 row count must be non-negative (line 2)"),
     # a token that is not an integer or p/q, in either file of clip
     "pts-row-token": (clip(points="2 3\n0 0\nx 0\n0 2\n"),
                       "PTS/1: 'x' is not an integer or p/q (line 3)"),

@@ -6,14 +6,14 @@ from hypothesis import example, given, settings, strategies as st
 from polycx import QQ, rat, rat_str
 from math import gcd
 
-from polycx.linalg import (rref, rank, nullspace, solve, det, dot, int_rank, int_det,
+from polycx.linalg import (rref, rank, nullspace, solve, det, int_rank, int_det,
                            in_row_space, row_space_contained, intersect_row_spaces,
                            int_row, int_row_space, rational_rows, int_kernel, annihilates,
                            int_meet)
 
-from oracles import (rational_rank, rational_rref, rational_det, _int_det,
+from oracles import (dot, rational_rank, rational_rref, rational_det, _int_det,
                      rational_in_row_space, rational_intersect_row_spaces, zassenhaus_intersect,
-                     rational_solve, rational_nullspace)
+                     rational_solve, rational_nullspace, int_meet_rref)
 
 entries = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 matrices = st.lists(st.lists(entries, min_size=3, max_size=3),
@@ -191,6 +191,26 @@ def test_integer_row_space_form(pair):
     # the reduced stack spans the meet's annihilator
     assert int_rank(reduced) == len(reduced) == w - len(meet)
     assert annihilates(reduced, meet)
+
+
+stack_rows = st.lists(st.integers(-3, 3), min_size=4, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(stack_rows, max_size=6), st.integers(0, 3))
+@example([], 0)  # no rows: the meet is all of Q^4
+@example([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 0)  # full rank
+@example([[2, 0, -1, 3], [0, 0, 0, 0], [1, 1, 0, 0]], 2)  # a zero row, repeated
+@example([[0, 0, 0, 2]], 1)  # one pivot in the last column
+def test_one_elimination_meet_matches_three(rows, repeats):
+    ann = rows + rows[:repeats]  # duplicate rows
+    meet, pivots, reduced = int_meet(ann, 4)
+    want_meet, want_pivots, want_reduced = int_meet_rref(ann, 4)
+    assert (meet, pivots) == (want_meet, want_pivots)
+    assert all(gcd(*row) == 1 and row[c] > 0 for row, c in zip(meet, pivots))
+    # the reduced stack spans the same annihilator, without zero rows
+    assert int_row_space(reduced) == int_row_space(want_reduced)
+    assert len(reduced) == len(want_reduced) == 4 - len(meet)
 
 
 def test_row_space_edge_cases():

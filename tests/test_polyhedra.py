@@ -18,7 +18,7 @@ from polycx import (
     parse_poly,
 )
 from polycx.complexes import PolyhedralComplex, _key_token
-from polycx import linalg, polyhedra
+from polycx import polyhedra
 from polycx.polyhedra import FaceRecord, _primitive, _solve_constraints
 
 import oracles
@@ -650,7 +650,7 @@ def assert_matches_record(P, point):
         x = tuple(QQ(c, den) for c in nums)
         assert oracle.contains(x)
         assert root == {i for i, q in enumerate(oracle.inequalities)
-                        if linalg.dot(q.normal, x) == q.offset}
+                        if oracles.dot(q.normal, x) == q.offset}
 
 
 def assert_intersect_matches_oracle(P, Q):
@@ -993,14 +993,20 @@ class TestPolyFormat:
     @example((1, "1 1\n0/0 <= 1\n"), set())
     @example((1, "1 1\n1/2/3 <= 1\n"), set())
     @example((1, "1 1\n1e3 <= 1\n"), set())
+    @example((2, "2 -1\n"), set())
     def test_matches_the_fraction_oracle(self, drawn, tighten):
         # the same written rows, strictness and output bytes (with the
         # non-strict rows of `tighten` tightened) as the reader and writer
-        # on Fractions, and the same error on every input with N >= 0; a
-        # negative N is an error
+        # on Fractions, and the same error on every input with N, m >= 0; a
+        # negative N or m is an error at the header
         n, text = drawn
         if n < 0:
             with pytest.raises(ValueError, match="N must be non-negative"):
+                parse_poly(text)
+            return
+        if int(text.split()[1]) < 0:
+            with pytest.raises(ValueError, match=r"^POLY/1: the row count m must be "
+                                                 r"non-negative \(line 1\)$"):
                 parse_poly(text)
             return
         try:

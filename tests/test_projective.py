@@ -20,12 +20,11 @@ from polycx import (
 )
 
 from polycx import format_cplx, linalg, parse_cplx, projective
-from polycx.cli import _records_payload
-from polycx.projective import _intersection_lattice
+from polycx.cli import _records_payload, run
 
-from _corpus import box, cube_tower, voronoi_fixture, clipped_fixture
-from oracles import (RationalSubspace, rational_in_row_space, rational_intersect_row_spaces,
-                     zassenhaus_intersect)
+from _corpus import box, cube_tower, voronoi_fixture, clipped_fixture, simple_polyhedral_corpus
+from oracles import (RationalSubspace, intersection_lattice, parasite_scan,
+                     rational_in_row_space, rational_intersect_row_spaces, zassenhaus_intersect)
 from test_polyhedra import make, witness_systems
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -85,7 +84,7 @@ class TestSubspaces:
             if new <= closure:
                 break
             closure |= new
-        assert _intersection_lattice(subs) == closure
+        assert intersection_lattice(subs) == closure
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), min_size=1, max_size=3),
@@ -249,14 +248,30 @@ class TestAnnihilatorForm:
         (box([3, 1], [3, 1]), box([0, 0], [1, 0])),
         # a segment declared a face of a point: larger, so not contained
         (box([0, 0], [1, 0]), box([0, 0], [0, 0])),
-    ], ids=["same-dimension", "smaller", "larger"])
-    def test_forged_cplx_incidence_is_rejected(self, face, over):
+        # two segments that cross: same dimension, different lines
+        (box([0, 0], [0, 1]), box([0, 0], [1, 0])),
+    ], ids=["same-dimension", "smaller", "larger", "crossing"])
+    def test_forged_cplx_incidence_is_rejected(self, face, over, tmp_path, capsys,
+                                               monkeypatch):
+        # the parasite lattice and its scan take nested spans for granted,
+        # so spans that are not nested must be rejected before any lattice
+        # is built, by the library and by the parasites command
+        def no_lattice(*args):
+            raise AssertionError("a lattice was built")
+        monkeypatch.setattr(projective, "_lattices", no_lattice)
+        monkeypatch.setattr(ProjectiveSubspace, "intersect", no_lattice)
         C = PolyhedralComplex(2, {0: face, 1: over}, {(0, 1)})
         text = format_cplx(C)
         assert json.loads(text)["morphisms"] == [{"dst": 1, "src": 0}]
         for D in (C, parse_cplx(text)):
             with pytest.raises(ValueError, match="not functorial at 0 <= 1"):
                 span_assignment(D)
+        path, out = tmp_path / "c.cplx", tmp_path / "out.json"
+        path.write_text(text)
+        assert run(["parasites", "--complex", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "input error: span assignment is not functorial at 0 <= 1")
+        assert not out.exists()
 
 
 def parasite_outputs(C):
@@ -291,6 +306,31 @@ class TestAgainstRationalOracle:
         assert got[0] and got[3] is not None
         monkeypatch.setattr(projective, "ProjectiveSubspace", RationalSubspace)
         assert parasite_outputs(C) == got
+
+
+class TestGrownLattice:
+    """The lattices grown along the face poset and the scan read off its
+    bitsets, against the per-face closure and scan they replaced."""
+
+    def test_every_lattice_and_record_matches_the_per_face_scan(self):
+        cases = simple_polyhedral_corpus()
+        cases += [(p.name, parse_cplx(p.read_text())) for p in sorted(GOLDEN.glob("*.cplx"))]
+        faces = records = 0
+        for name, C in cases:
+            spans = span_assignment(C)
+            lattices = projective._lattices(C, [spans[i] for i in C.ids()])
+            for c, lattice in zip(C.ids(), lattices):
+                assert len(set(lattice)) == len(lattice), (name, c)
+                want = intersection_lattice({spans[b] for b in C.faces_below(c)})
+                assert set(lattice) == want, (name, c)
+            got = parasitic_intersections(C, spans)
+            assert not any(r.saturated for r in got)
+            assert [(r.ambient, r.tuple_ids, r.subspace) for r in got] == \
+                parasite_scan(C, spans), name
+            faces += len(lattices)
+            records += len(got)
+        # a corpus that shrank would check less without failing
+        assert faces > 600 and records > 200
 
 
 class TestParasites:
