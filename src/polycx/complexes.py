@@ -6,22 +6,30 @@ downstream (facets, residues, nerves, simplicity, differences) is a poset
 computation on top of the exact polyhedron layer.
 
 The incidences may be given as generators only; the complex takes their
-transitive closure.  Face k of `sorted(faces)` is bit k of a Python int,
-and each face keeps one such bitset of the faces strictly below it and one
-of the faces strictly above.  One pass of Kahn's algorithm (Kahn,
-"Topological sorting of large networks", CACM 1962) puts the faces in an
-order in which every face comes after the faces given below it, or finds a
-cycle; the down-sets are ORed along that order and the up-sets along its
-reverse, so a chain of n faces holds n² bits, not n² ids in sets.
+transitive closure.  Face k of `sorted(faces)` is bit k of a Python int.
+One pass of Kahn's algorithm (Kahn, "Topological sorting of large
+networks", CACM 1962) puts the faces in an order in which every face comes
+after the faces given below it, or finds a cycle.  The poset keeps four
+facts from that pass, one list entry per face position:
+- `_down`: the bitset of the faces strictly below it;
+- `_up`: the bitset of the faces strictly above it;
+- `_covers`: the bitset of its covers, the faces directly below it, which
+  `_maximal` reads off the faces given below it;
+- `_order`: Kahn's order itself, a linear extension of the poset.
+The down-sets are ORed from the covers along the order and the up-sets
+along its reverse, so a chain of n faces holds n² bits, not n² ids in
+sets.  Every face below a face lies below or at one of its covers
+(Stanley, Enumerative Combinatorics 1, ch. 3), so a check that is
+transitive, such as the nesting of spans, needs only the covers.
 
 Building a complex reads every face's dimension.  Faces are visited in
-that order, and each face's guess at a relative-interior point is the mean
-of those of its covers, the faces directly below it (a face with nothing
-below guesses the solution of its equalities).  A guess that passes the
-exact check of `RationalPolyhedron.relint_point` certifies the face's
-tight set, dimension and affine span without a face record; that is the
-usual case for a parsed CPLX/1, whose faces carry their equalities as row
-pairs.  Where the covers do not span a one-dimensional face (a half-line
+Kahn's order, and each face's guess at a relative-interior point is the
+mean of those of its covers (a face with nothing below guesses the
+solution of its equalities).  A guess that passes the exact check of
+`RationalPolyhedron.relint_point` certifies the face's tight set,
+dimension and affine span without a face record; that is the usual case
+for a parsed CPLX/1, whose faces carry their equalities as row pairs.
+Where the covers do not span a one-dimensional face (a half-line
 over its vertex, an open ray, an edge whose other end was cut off), the
 guess is retried at the middle of the face's line, under the same check.
 A face whose guesses fail (forged incidences, unbounded or half-open
@@ -56,6 +64,11 @@ def _selectors(bits):
     return bin(bits)[:1:-1].encode().translate(_DIGITS)
 
 
+def _bits(mask):
+    """The positions of the set bits of `mask`, ascending."""
+    return list(itertools.compress(itertools.count(), _selectors(mask)))
+
+
 class PolyhedralComplex:
 
     def __init__(self, ambient_dim, faces, above):
@@ -73,7 +86,7 @@ class PolyhedralComplex:
                 succ[at[a]].append(at[b])
         # Kahn: a face joins the order after every face given below it
         indeg = [len(p) for p in pred]
-        order = [k for k, d in enumerate(indeg) if not d]
+        order = self._order = [k for k, d in enumerate(indeg) if not d]
         for k in order:
             for m in succ[k]:
                 indeg[m] -= 1
@@ -86,18 +99,18 @@ class PolyhedralComplex:
             for _ in ids:
                 k = next(j for j in pred[k] if indeg[j])
             raise ValueError("incidences form a cycle through face %r" % (ids[k],))
-        # strict down-sets along the order; the covers of a face are the
-        # faces given below it that lie below no other such face, and every
-        # face below it lies in a cover: their points' mean is its guess
+        # along the order, the covers of a face are the faces given below it
+        # that lie below no other such face; every face below it lies in a
+        # cover, and the mean of the covers' points is its guess
         down = self._down = [0] * len(ids)
+        covers = self._covers = [0] * len(ids)
         relint = [None] * len(ids)
         for k in order:
-            under = 0
-            for j in pred[k]:
-                under |= down[j]
-            down[k] = under | sum(1 << j for j in pred[k])
-            relint[k] = self.faces[ids[k]].relint_point(
-                [relint[j] for j in pred[k] if not under >> j & 1])
+            covers[k] = self._maximal(sum(1 << j for j in pred[k]))
+            below = _bits(covers[k])
+            for j in below:
+                down[k] |= down[j] | 1 << j
+            relint[k] = self.faces[ids[k]].relint_point([relint[j] for j in below])
             if relint[k] is None:
                 raise ValueError("face %r is empty" % (ids[k],))
         up = self._up = [0] * len(ids)
@@ -114,6 +127,14 @@ class PolyhedralComplex:
         if k is None:
             raise KeyError("unknown face id: %r" % (c,))
         return k
+
+    def _maximal(self, mask):
+        """The bits of `mask` on the faces that lie below no other face on
+        a bit of `mask`; each face's down-set must be built."""
+        under = 0
+        for j in _bits(mask):
+            under |= self._down[j]
+        return mask & ~under
 
     def _members(self, bits):
         """The face ids on the set bits, in ascending id order."""
@@ -174,10 +195,6 @@ class PolyhedralComplex:
         """All faces receiving an incidence map from c (the up-set of c)."""
         return self.restricted(self.above_of(c))
 
-    def is_downward_closed(self, ids):
-        ids = set(ids)
-        return ids.issuperset(self.downward_closure(ids & self._at.keys()))
-
     def downward_closure(self, ids):
         ids = set(ids)
         return ids.union(*(self.faces_below(i) for i in ids))
@@ -227,15 +244,16 @@ class PolyhedralComplex:
         removed = set(removed_ids)
         if not removed <= set(self.faces):
             raise ValueError("unknown face id in subcomplex")
-        if not self.is_downward_closed(removed):
+        at, down = self._at, self._down
+        gone = sum(1 << at[i] for i in removed)
+        if any(down[k] & ~gone for k in _bits(gone)):
             raise ValueError("not a subcomplex: the face set is not closed under taking faces")
         survivors = [i for i in self.ids() if i not in removed]
         new_faces = {}
         for c in survivors:
             poly = self.faces[c]
-            below = [b for b in self.below_of(c) if b in removed]
-            maximal = [b for b in below
-                       if not any(b != b2 and self.leq(b, b2) for b2 in below)]
+            top = self._maximal(down[at[c]] & gone)
+            maximal = [b for b in self.below_of(c) if top >> at[b] & 1]
             cuts = [_cut_inequality(poly, self.faces[b]) for b in maximal]
             if cuts:
                 # a cut row is a sum of rows of poly, so it holds on poly

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .rationals import rat, ratio_str
 from . import linalg
-from .complexes import VerificationFailure, _selectors
+from .complexes import VerificationFailure, _bits
 from .simplicial import decode_json
 
 
@@ -30,7 +30,7 @@ class ProjectiveSubspace:
     """Linear subspace of P^N, stored as the canonical integer rows of its
     homogeneous span in Q^{N+1} (see `linalg.int_row_space`)."""
 
-    __slots__ = ("ambient_dim", "rows", "pivots", "_generators", "_strings", "_ann")
+    __slots__ = ("ambient_dim", "rows", "pivots", "_generators", "_strings", "_ann", "_hash")
 
     def __init__(self, ambient_dim, generators):
         n = int(ambient_dim)
@@ -51,6 +51,7 @@ class ProjectiveSubspace:
         self.pivots = tuple(pivots)
         self._ann = ann  # integer rows spanning the annihilator in Q^{N+1}
         self._generators = self._strings = None
+        self._hash = hash((ambient_dim, self.rows))
 
     @property
     def dim(self):
@@ -76,7 +77,7 @@ class ProjectiveSubspace:
                 and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.rows))
+        return self._hash
 
     def __repr__(self):
         return "ProjectiveSubspace(dim=%d, %s)" % (
@@ -130,14 +131,19 @@ def span_assignment(C):
 
     A face lies in the affine span of every face above it, so an incidence
     whose spans are not nested is not geometric: malformed input, reported
-    as a ValueError naming both faces."""
+    as a ValueError naming both faces.  Only the covers are tested: a
+    strict pair a < b lies on a chain of covers from a to b, and since
+    containment is transitive, spans nested along every cover are nested
+    at a and b; a pair that is not nested has a cover on such a chain that
+    is not, so the same complexes are rejected."""
     spans = {}
     for i in C.ids():
         spans[i] = ProjectiveSubspace.of_polyhedron(C.faces[i])
-    for a, b in C.incidences():
-        if not spans[b].contains(spans[a]):
-            raise ValueError("span assignment is not functorial at %r <= %r: the span "
-                             "of face %r does not lie in the span of face %r" % (a, b, a, b))
+    for b, cov in zip(C.ids(), C._covers):
+        for a in C._members(cov):
+            if not spans[b].contains(spans[a]):
+                raise ValueError("span assignment is not functorial at %r <= %r: the span "
+                                 "of face %r does not lie in the span of face %r" % (a, b, a, b))
     return spans
 
 
@@ -152,38 +158,29 @@ class ParasiticRecord:
         return (self.ambient, self.subspace)
 
 
-def _bits(mask):
-    """The positions of the set bits of `mask`, ascending."""
-    return list(itertools.compress(itertools.count(), _selectors(mask)))
-
-
 def _lattices(C, span):
     """At each face position c of C, the closure L(c) of the spans below c
     under pairwise meets, as a list.  `span` lists the face spans by
     position and must be functorial.
 
-    The faces are visited by down-set size: a strict down-set is a strict
-    subset of the down-set of any face above it, so each face comes after
-    every face below it.  L(c) grows from the blocks L(b) ∪ {span b} of
-    c's covers b, the faces below c that lie below no other face below c:
-    - c's down-set is the union of the covers' closed down-sets, so the
-      blocks hold every span below c;
+    The faces are visited in the complex's Kahn order (`C._order`), a
+    linear extension, so each face comes after every face below it.  L(c)
+    grows from the blocks L(b) ∪ {span b} of c's covers b (`C._covers`),
+    the faces directly below c, in ascending position:
+    - every face below c lies on a chain of covers up to c, so below or at
+      one of c's covers: the blocks hold every span below c;
     - every block lies in L(c), since L(b) is the closure of some of the
       spans below c;
     - each block is closed: by functoriality every member of L(b) lies in
       span b, so meeting it with span b gives it back.
     So only members that share no block are met, and each new element
-    meets every other."""
-    down = C._down
-    order = sorted(range(len(down)), key=lambda k: down[k].bit_count())
-    lattices = [None] * len(down)
-    for c in order:
-        below = _bits(down[c])
-        under = 0
-        for b in below:
-            under |= down[b]
+    meets every other.  Each list depends only on c's covers, in
+    ascending position, and on their own lists, so it is the same list in
+    every linear extension."""
+    lattices = [None] * len(span)
+    for c in C._order:
         seen = {}  # member of L(c) -> bitmask of the cover blocks holding it
-        for i, b in enumerate(b for b in below if not under >> b & 1):
+        for i, b in enumerate(_bits(C._covers[c])):
             for s in (*lattices[b], span[b]):
                 seen[s] = seen.get(s, 0) | 1 << i
         lattice = list(seen)

@@ -478,10 +478,12 @@ class PolyhedralRegion:
         for p in self.pieces:
             if p.ambient_dim != self.ambient_dim:
                 raise ValueError("pieces live in different ambient spaces")
-            if p.is_empty():
-                raise ValueError("empty region piece")
+            # an empty piece is bounded, and the boundedness check builds
+            # the record that the emptiness check then reads
             if not p.is_bounded():
                 raise ValueError("region pieces must be bounded")
+            if p.is_empty():
+                raise ValueError("empty region piece")
 
     def meets(self, poly):
         return any(not poly.intersect(p).is_empty() for p in self.pieces)
@@ -569,6 +571,9 @@ def parse_pts(text):
         n, k = map(int, header.split())
     except ValueError:
         raise ValueError("PTS/1: header must be 'N k' (line %d)" % lineno) from None
+    if n < 0 or k < 0:
+        raise ValueError("PTS/1: the dimension N and the point count k must be "
+                         "non-negative (line %d)" % lineno)
     if len(rows) != k:
         raise ValueError("PTS/1: expected %d points, got %d" % (k, len(rows)))
     sites = []

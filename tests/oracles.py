@@ -4,7 +4,8 @@ Everything here is deliberately written against fractions.Fraction and
 naive algorithms, sharing no code with the package under test.  The
 exceptions are algorithms the package replaced, kept as they ran there so
 that a differential test can hold the replacement to them: the parasite
-lattice and scan take the package's subspaces and complexes, and
+lattice and scan and the face-poset derivations (covers, maximal removed
+faces, linear extensions) take the package's subspaces and complexes, and
 `int_meet_rref` runs the integer kernel's own steps.
 """
 
@@ -430,6 +431,69 @@ def intersection_lattice(subspaces):
                 seen.add(inter)
                 lattice.append(inter)
     return seen
+
+
+def lattices_by_popcount(C, span):
+    """`polycx.projective._lattices` as it ran before it read the complex's
+    covers and Kahn order: faces visited by down-set size, and each face's
+    covers found again as the faces below it under no other face below
+    it.  Returns the list L(c) at each face position."""
+    down = C._down
+    order = sorted(range(len(down)), key=lambda k: down[k].bit_count())
+    lattices = [None] * len(down)
+    for c in order:
+        below = [b for b in range(len(down)) if down[c] >> b & 1]
+        under = 0
+        for b in below:
+            under |= down[b]
+        seen = {}
+        for i, b in enumerate(b for b in below if not under >> b & 1):
+            for s in (*lattices[b], span[b]):
+                seen[s] = seen.get(s, 0) | 1 << i
+        lattice = list(seen)
+        for j, t in enumerate(lattice):
+            for s in lattice[:j]:
+                if not seen[s] & seen[t]:
+                    inter = s.intersect(t)
+                    if inter is not None and inter not in seen:
+                        seen[inter] = 0
+                        lattice.append(inter)
+        lattices[c] = lattice
+    return lattices
+
+
+def covers_by_leq(C):
+    """Face id -> the faces b < c with no face strictly between them, in
+    ascending id order, read off `leq` alone."""
+    ids = C.ids()
+    out = {}
+    for c in ids:
+        below = [b for b in ids if b != c and C.leq(b, c)]
+        out[c] = [b for b in below if not any(d != b and C.leq(b, d) for d in below)]
+    return out
+
+
+def is_linear_extension(C, order):
+    """Whether the face positions `order` list every face once, each after
+    every face below it."""
+    ids = C.ids()
+    if sorted(order) != list(range(len(ids))):
+        return False
+    place = {ids[k]: n for n, k in enumerate(order)}
+    return all(place[a] < place[b] for a, b in C.incidences())
+
+
+def is_downward_closed(C, removed):
+    """Whether every face below a face of `removed` is in it."""
+    return all(set(C.faces_below(i)) <= set(removed) for i in removed)
+
+
+def maximal_removed(C, removed, c):
+    """The faces of `removed` below c that lie below no other of them, by
+    the quadratic `leq` scan `difference` ran before it read them off the
+    down-set bitsets, in the iteration order of `below_of(c)`."""
+    below = [b for b in C.below_of(c) if b in removed]
+    return [b for b in below if not any(b != b2 and C.leq(b, b2) for b2 in below)]
 
 
 def parasite_scan(C, spans):

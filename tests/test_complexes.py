@@ -23,7 +23,7 @@ from polycx import complexes
 from polycx.polyhedra import FaceRecord
 import oracles
 from _corpus import (box, segment_chain, square_strip, cube_tower, voronoi_fixture,
-                     clipped_fixture)
+                     clipped_fixture, simple_polyhedral_corpus)
 from test_polyhedra import assert_matches_record
 from test_voronoi import annulus_case
 
@@ -260,6 +260,56 @@ class TestDifference:
             cone.with_row(((1, 0), 5))
         with pytest.raises(AssertionError, match="lineality"):
             cone.with_row(((-1, 1), 0))
+
+
+class TestPosetFacts:
+    """The covers and the order the complex keeps, and the maximal removed
+    faces `difference` reads off them, against the `leq` derivations they
+    replaced."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        cases = simple_polyhedral_corpus()
+        return cases + [(p.name, parse_cplx(p.read_text()))
+                        for p in sorted(GOLDEN.glob("*.cplx"))]
+
+    def test_covers_and_order_match_leq(self, cases):
+        covers = 0
+        for name, C in cases:
+            want = oracles.covers_by_leq(C)
+            for c, cov in zip(C.ids(), C._covers):
+                assert list(C._members(cov)) == want[c], (name, c)
+                assert C._maximal(C._down[C._pos(c)]) == cov, (name, c)
+                covers += cov.bit_count()
+            assert oracles.is_linear_extension(C, C._order), name
+        # a corpus that shrank would check less without failing
+        assert covers > 1000
+
+    def test_difference_cuts_match_the_leq_scan(self, cases, monkeypatch):
+        cut, calls = complexes._cut_inequality, []
+        monkeypatch.setattr(complexes, "_cut_inequality",
+                            lambda poly, face: calls.append((poly, face)) or cut(poly, face))
+        checked = 0
+        for name, C in cases[::3]:
+            face_of = {id(p): i for i, p in C.faces.items()}
+            facet = max(C.facets())
+            vertex = min(i for i in C.ids() if C.face_dim(i) == 0)
+            for removed in (C.downward_closure({vertex}), set(C.faces_below(facet)),
+                            {facet}, C.downward_closure({vertex}) | {facet}):
+                del calls[:]
+                if not oracles.is_downward_closed(C, removed):
+                    with pytest.raises(ValueError, match="not a subcomplex"):
+                        C.difference(removed)
+                    assert not calls
+                    continue
+                if len(removed) == len(C.ids()):
+                    continue
+                C.difference(removed)
+                want = [(c, b) for c in C.ids() if c not in removed
+                        for b in oracles.maximal_removed(C, removed, c)]
+                assert [(face_of[id(p)], face_of[id(f)]) for p, f in calls] == want, name
+                checked += len(want)
+        assert checked > 50
 
 
 class TestOrderComplex:

@@ -303,6 +303,10 @@ def clip(points=GOOD_PTS, region=GOOD_RGN):
             "--out", "OUT"]
 
 
+PTS_NEGATIVE = ("PTS/1: the dimension N and the point count k must be non-negative "
+                "(line 1)")
+
+
 def superperfect(text):
     return ["superperfect", "--presentation", ("g.grp", text), "--out", "OUT"]
 
@@ -328,6 +332,10 @@ PARSE_WITNESSES = {
                                 "non-negative (line 1)"),
     "rgn-negative-row-count": (clip(region="1\n2 -1\n"),
                                "RGN/1: the POLY/1 row count must be non-negative (line 2)"),
+    # and a negative N or k in PTS/1, with or without the rows it claims
+    "pts-negative-count": (clip(points="2 -1\n"), PTS_NEGATIVE),
+    "pts-negative-dimension": (clip(points="-1 0\n"), PTS_NEGATIVE),
+    "pts-negative-dimension-with-a-row": (clip(points="-1 1\n0\n"), PTS_NEGATIVE),
     # a token that is not an integer or p/q, in either file of clip
     "pts-row-token": (clip(points="2 3\n0 0\nx 0\n0 2\n"),
                       "PTS/1: 'x' is not an integer or p/q (line 3)"),
@@ -346,9 +354,9 @@ PARSE_WITNESSES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(PARSE_WITNESSES))
-def test_parse_errors_name_the_format_and_the_line(tmp_path, capsys, case):
-    argv, message = PARSE_WITNESSES[case]
+def assert_exits_2(tmp_path, capsys, argv, message):
+    """Run `argv`, each (file name, text) written to a file first, and
+    check exit 2, the one stderr line and no output file."""
     out = tmp_path / "out"
     args = []
     for a in argv:
@@ -359,3 +367,20 @@ def test_parse_errors_name_the_format_and_the_line(tmp_path, capsys, case):
     assert run(args) == 2
     assert capsys.readouterr().err == "input error: %s\n" % message
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_WITNESSES))
+def test_parse_errors_name_the_format_and_the_line(tmp_path, capsys, case):
+    assert_exits_2(tmp_path, capsys, *PARSE_WITNESSES[case])
+
+
+@pytest.mark.parametrize("region, message", [
+    ("1\n2 2\n1 0 <= 0\n-1 0 <= -1\n", "empty region piece"),
+    # a strict row tight on the whole closed piece
+    ("1\n2 4\n1 0 < 0\n-1 0 <= 0\n0 1 <= 1\n0 -1 <= 0\n", "empty region piece"),
+    ("1\n2 1\n1 0 <= 0\n", "region pieces must be bounded"),
+    # unbounded and half-open
+    ("1\n2 2\n1 0 < 0\n-1 0 <= 1\n", "region pieces must be bounded"),
+], ids=["closed-empty", "strict-empty", "unbounded", "unbounded-half-open"])
+def test_a_bad_region_piece_exits_2(tmp_path, capsys, region, message):
+    assert_exits_2(tmp_path, capsys, clip(region=region), message)

@@ -23,8 +23,9 @@ from polycx import format_cplx, linalg, parse_cplx, projective
 from polycx.cli import _records_payload, run
 
 from _corpus import box, cube_tower, voronoi_fixture, clipped_fixture, simple_polyhedral_corpus
-from oracles import (RationalSubspace, intersection_lattice, parasite_scan,
-                     rational_in_row_space, rational_intersect_row_spaces, zassenhaus_intersect)
+from oracles import (RationalSubspace, covers_by_leq, intersection_lattice, lattices_by_popcount,
+                     parasite_scan, rational_in_row_space, rational_intersect_row_spaces,
+                     zassenhaus_intersect)
 from test_polyhedra import make, witness_systems
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -63,6 +64,18 @@ class TestSubspaces:
         assert line.dim == 1 and pt.dim == 0
         assert line.contains(pt)
         assert not pt.contains(line)
+
+    def test_equal_subspaces_hash_alike_however_built(self):
+        # the line y = 0 of P^2 from generators, as the kernel of its
+        # annihilator, and read back from a ledger
+        made = ProjectiveSubspace(2, [(2, 0, 0), (1, 0, 3)])
+        kernel = ProjectiveSubspace._kernel(2, [(0, 5, 0)])
+        text = json.dumps({"schema_version": "LEDGER/1", "certificates": [], "stages": [
+            [], [{"ambient": 0, "centers": [[["1", "0", "0"], ["0", "0", "1"]]]}]]})
+        [parsed], = parse_ledger(text).stages[1].values()
+        assert made == kernel == parsed
+        assert hash(made) == hash(kernel) == hash(parsed) == hash((2, made.rows))
+        assert len({made, kernel, parsed}) == 1
 
     def test_disjoint_intersection_is_none(self):
         p = ProjectiveSubspace(2, [(1, 0, 0)])
@@ -241,6 +254,26 @@ class TestAnnihilatorForm:
             kernel = linalg.int_kernel(x.rows, x.pivots, 4)
             assert x.contains(y) == linalg.annihilates(kernel, y.rows)
 
+    def test_a_forged_cover_after_the_first_incidence_is_rejected(self, tmp_path, capsys):
+        # the chain point < vertical edge < horizontal edge: the first
+        # incidence (0, 1) and the closure pair (0, 2) are nested, but the
+        # cover (1, 2) is not; the library and the parasites command name it
+        point, up, right = box([0, 0], [0, 0]), box([0, 0], [0, 1]), box([0, 0], [1, 0])
+        C = PolyhedralComplex(2, {0: point, 1: up, 2: right}, {(0, 1), (1, 2)})
+        assert C.incidences() == [(0, 1), (0, 2), (1, 2)] and C._covers == [0, 0b1, 0b10]
+        message = ("span assignment is not functorial at 1 <= 2: the span of face 1 "
+                   "does not lie in the span of face 2")
+        text = format_cplx(C)
+        for D in (C, parse_cplx(text)):
+            with pytest.raises(ValueError) as err:
+                span_assignment(D)
+            assert str(err.value) == message
+        path, out = tmp_path / "c.cplx", tmp_path / "out.json"
+        path.write_text(text)
+        assert run(["parasites", "--complex", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "input error: %s\n" % message
+        assert not out.exists()
+
     @pytest.mark.parametrize("face, over", [
         # two points: same dimension, different rows
         (box([0, 0], [0, 0]), box([1, 1], [1, 1])),
@@ -331,6 +364,38 @@ class TestGrownLattice:
             records += len(got)
         # a corpus that shrank would check less without failing
         assert faces > 600 and records > 200
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        cases = simple_polyhedral_corpus()
+        return cases + [(p.name, parse_cplx(p.read_text()))
+                        for p in sorted(GOLDEN.glob("*.cplx"))]
+
+    def test_lattices_are_the_lists_the_popcount_order_built(self, cases):
+        # each L(c) depends only on c's covers and their lists, so the Kahn
+        # order gives the very lists, in the same order, as the down-set
+        # size order and the covers found again per face
+        for name, C in cases:
+            spans = span_assignment(C)
+            span = [spans[i] for i in C.ids()]
+            assert projective._lattices(C, span) == lattices_by_popcount(C, span), name
+
+    def test_span_assignment_tests_each_cover_once(self, cases, monkeypatch):
+        contains, calls = ProjectiveSubspace.contains, []
+        monkeypatch.setattr(ProjectiveSubspace, "contains",
+                            lambda s, o: calls.append((s, o)) or contains(s, o))
+        total = pairs = 0
+        for name, C in cases:
+            del calls[:]
+            spans = span_assignment(C)
+            want = [(spans[b], spans[a]) for b, below in covers_by_leq(C).items()
+                    for a in below]
+            assert [(id(s), id(o)) for s, o in calls] == \
+                [(id(s), id(o)) for s, o in want], name
+            total += len(calls)
+            pairs += len(C.incidences())
+        # fewer tests than strict incidences, on a corpus that did not shrink
+        assert 1000 < total < pairs
 
 
 class TestParasites:

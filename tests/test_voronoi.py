@@ -314,6 +314,16 @@ class TestClipping:
         with pytest.raises(ValueError):
             PolyhedralRegion([half])
 
+    def test_piece_checks_read_the_record_alone(self, monkeypatch):
+        # the boundedness check builds each piece's record, and the
+        # emptiness check reads it: no feasibility solve for either
+        solve, calls = polyhedra._solve_constraints, []
+        monkeypatch.setattr(polyhedra, "_solve_constraints",
+                            lambda eqs, ineqs: calls.append(ineqs) or solve(eqs, ineqs))
+        half_open = parse_rgn("1\n2 4\n1 0 < 1\n-1 0 <= 0\n0 1 <= 1\n0 -1 < 0\n")
+        region = PolyhedralRegion([box([0, 0], [1, 1]), *half_open.pieces])
+        assert not calls and len(region.pieces) == 2
+
     def test_dense_lattice_sites_cover_region(self):
         region = PolyhedralRegion([box([0, 0], [2, 2])])
         Y = dense_lattice_sites(region, 1, seed=0)
