@@ -16,11 +16,11 @@ facts from that pass, one list entry per face position:
 - `_covers`: the bitset of its covers, the faces directly below it, which
   `_maximal` reads off the faces given below it;
 - `_order`: Kahn's order itself, a linear extension of the poset.
-The down-sets are ORed from the covers along the order and the up-sets
-along its reverse, so a chain of n faces holds n² bits, not n² ids in
-sets.  Every face below a face lies below or at one of its covers
-(Stanley, Enumerative Combinatorics 1, ch. 3), so a check that is
-transitive, such as the nesting of spans, needs only the covers.
+The down-sets are ORed along the order and the up-sets along its reverse,
+so a chain of n faces holds n² bits, not n² ids in sets.  Every face below
+a face lies below or at one of its covers (Stanley, Enumerative
+Combinatorics 1, ch. 3), so a check that is transitive, such as the
+nesting of spans, needs only the covers.
 
 Building a complex reads every face's dimension.  Faces are visited in
 Kahn's order, and each face's guess at a relative-interior point is the
@@ -100,17 +100,17 @@ class PolyhedralComplex:
                 k = next(j for j in pred[k] if indeg[j])
             raise ValueError("incidences form a cycle through face %r" % (ids[k],))
         # along the order, the covers of a face are the faces given below it
-        # that lie below no other such face; every face below it lies in a
-        # cover, and the mean of the covers' points is its guess
+        # that lie below no other such face; every face below it lies at or
+        # below one of them, and the mean of their points is its guess
         down = self._down = [0] * len(ids)
         covers = self._covers = [0] * len(ids)
         relint = [None] * len(ids)
         for k in order:
-            covers[k] = self._maximal(sum(1 << j for j in pred[k]))
-            below = _bits(covers[k])
-            for j in below:
+            cov = covers[k] = self._maximal(pred[k])
+            for j in pred[k]:
                 down[k] |= down[j] | 1 << j
-            relint[k] = self.faces[ids[k]].relint_point([relint[j] for j in below])
+            relint[k] = self.faces[ids[k]].relint_point(
+                [relint[j] for j in pred[k] if cov >> j & 1])
             if relint[k] is None:
                 raise ValueError("face %r is empty" % (ids[k],))
         up = self._up = [0] * len(ids)
@@ -128,13 +128,13 @@ class PolyhedralComplex:
             raise KeyError("unknown face id: %r" % (c,))
         return k
 
-    def _maximal(self, mask):
-        """The bits of `mask` on the faces that lie below no other face on
-        a bit of `mask`; each face's down-set must be built."""
+    def _maximal(self, below):
+        """The bitset of the faces at the positions `below` that lie below
+        no other of them; their down-sets must be built."""
         under = 0
-        for j in _bits(mask):
+        for j in below:
             under |= self._down[j]
-        return mask & ~under
+        return sum(1 << j for j in below) & ~under
 
     def _members(self, bits):
         """The face ids on the set bits, in ascending id order."""
@@ -252,7 +252,7 @@ class PolyhedralComplex:
         new_faces = {}
         for c in survivors:
             poly = self.faces[c]
-            top = self._maximal(down[at[c]] & gone)
+            top = self._maximal(_bits(down[at[c]] & gone))
             maximal = [b for b in self.below_of(c) if top >> at[b] & 1]
             cuts = [_cut_inequality(poly, self.faces[b]) for b in maximal]
             if cuts:
