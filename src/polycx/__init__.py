@@ -50,6 +50,8 @@ from .groups import (
     higman_presentation,
     presentation_complex,
     presentation_complex_stats,
+    presentation_complex_betti,
+    hopf_certificate,
     q_superperfect_certificate,
     fundamental_group,
     simplify_presentation,

@@ -217,8 +217,7 @@ def cmd_superperfect(args):
     pres = groups.parse_grp(_read(args.presentation))
     free_rank, torsion = groups.abelianization(pres)
     chi, balanced = groups.presentation_complex_stats(pres)
-    K = groups.presentation_complex(pres)
-    cert = groups.q_superperfect_certificate(K)
+    cert = groups.hopf_certificate(groups.presentation_complex_betti(chi, free_rank))
     h1 = "trivial" if (free_rank == 0 and not torsion) else \
         "Z^%d + %s" % (free_rank, list(torsion))
     _write(args.out, _report("superperfect", {

@@ -253,9 +253,9 @@ class PolyhedralComplex:
         for c in survivors:
             poly = self.faces[c]
             top = self._maximal(_bits(down[at[c]] & gone))
-            maximal = [b for b in self.below_of(c) if top >> at[b] & 1]
-            cuts = [_cut_inequality(poly, self.faces[b]) for b in maximal]
-            if cuts:
+            if top:
+                cuts = [_cut_inequality(poly, self.faces[b]) for b in self.below_of(c)
+                        if top >> at[b] & 1]
                 # a cut row is a sum of rows of poly, so it holds on poly
                 poly = poly.with_valid_rows(cuts)
             new_faces[c] = poly

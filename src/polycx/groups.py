@@ -2,9 +2,12 @@
 
 Relators are words over signed 1-based generator indices (g means the
 generator, -g its inverse).  Nothing here decides isomorphism; all
-invariants are computable ones: abelianization via Smith normal form,
-Euler characteristic, balancedness, and Q-homology certificates of the
-simplicial model of the presentation complex.
+invariants are computable ones: abelianization via the certified Smith
+normal form of the exponent matrix, Euler characteristic, balancedness,
+the reduced Q-Betti numbers of the presentation complex read off those
+two, and Hopf's Q-superperfectness verdict on them or on the Q-homology
+of any connected complex, such as the simplicial model of a
+presentation complex.
 """
 
 import sys
@@ -52,27 +55,34 @@ class GroupPresentation:
         return GroupPresentation(g, tuple(reduced))
 
     def exponent_matrix(self):
+        """The exponent sums: a row per relator and a column per generator
+        that some relator uses, in ascending order of the generators.  The
+        full matrix, with a column per generator, adds only zero columns."""
+        column = {a: j for j, a in enumerate(sorted({abs(x) for w in self.relators for x in w}))}
         M = []
         for w in self.relators:
-            row = [0] * self.generators
+            row = [0] * len(column)
             for letter in w:
-                row[abs(letter) - 1] += 1 if letter > 0 else -1
+                row[column[abs(letter)]] += 1 if letter > 0 else -1
             M.append(row)
         return M
 
 
 def abelianization(pres):
-    """H1 of the group: (free rank, invariant factors > 1)."""
+    """H1 of the group: (free rank, invariant factors > 1), from the
+    certified Smith form of the exponent matrix E.  The full matrix is
+    [E | 0] up to a permutation of its columns; a permutation is
+    unimodular and a zero column changes no invariant factor, so the
+    factors are E's and the free rank is g - rank E."""
     M = pres.exponent_matrix()
-    if not M or pres.generators == 0:
+    if not M or not M[0]:
         return pres.generators, ()
     snf = smith_normal_form(M)
     if not snf.certify(M):
         raise AssertionError("Smith form of the %d x %d exponent matrix failed certification"
-                             % (len(M), pres.generators))
+                             % (len(M), len(M[0])))
     factors = snf.invariant_factors
-    free_rank = pres.generators - len(factors)
-    return free_rank, tuple(d for d in factors if d > 1)
+    return pres.generators - len(factors), tuple(d for d in factors if d > 1)
 
 
 def is_perfect(pres):
@@ -87,6 +97,20 @@ def presentation_complex_stats(pres):
     free-reduce to the empty word."""
     disks = sum(1 for w in pres.relators if w)
     return 1 - pres.generators + disks, pres.generators == disks
+
+
+def presentation_complex_betti(chi, free_rank):
+    """Reduced Q-Betti numbers [b0, b1, b2] of the presentation complex,
+    from its Euler characteristic and the free rank of H1.
+
+    `presentation_complex` is homotopy equivalent to the CW complex X with
+    one 0-cell, a 1-cell per generator and a 2-cell per relator that does
+    not free-reduce to the empty word, r' of them, so chi = 1 - g + r'.
+    The cellular chains of X have d1 = 0 and d2 = E^T (an empty relator's
+    row of E is zero), so b0 = 0, b1 = g - rank E = free_rank and
+    b2 = r' - rank E = chi - 1 + free_rank (Hatcher, Algebraic Topology,
+    2002, 2.2)."""
+    return [0, free_rank, chi - 1 + free_rank]
 
 
 def higman_presentation():
@@ -136,24 +160,22 @@ def presentation_complex(pres):
     return SimplicialComplex(simplices, vertices=[base])
 
 
+def hopf_certificate(reduced_betti):
+    """Hopf's verdict on the reduced Q-Betti numbers [b0, b1, b2] of a
+    connected complex: when all vanish, so do H1 and H2 of its fundamental
+    group over Q, since H2 of the group is a quotient of H2 of the complex.
+    An obstruction "b%d" names each nonzero number."""
+    obstructions = {"b%d" % i: b for i, b in enumerate(reduced_betti) if b}
+    return {"certified": not obstructions, "reduced_betti": list(reduced_betti),
+            "obstructions": obstructions}
+
+
 def q_superperfect_certificate(K):
-    """Hopf-style certificate: if the reduced Q-homology of a connected
-    complex vanishes in degrees <= 2 then its fundamental group is
-    Q-superperfect."""
+    """Hopf's verdict on the Q-homology of a connected complex."""
     if not K.is_connected():
         raise ValueError("complex must be connected")
-    prof = homology(K, "Q")
-    reduced = prof.reduced_betti()
-    obstructions = {}
-    for i in range(3):
-        b = reduced[i] if i < len(reduced) else 0
-        if b != 0:
-            obstructions["b%d" % i] = b
-    return {
-        "certified": not obstructions,
-        "reduced_betti": [reduced[i] if i < len(reduced) else 0 for i in range(3)],
-        "obstructions": obstructions,
-    }
+    reduced = homology(K, "Q").reduced_betti()
+    return hopf_certificate([reduced[i] if i < len(reduced) else 0 for i in range(3)])
 
 
 # -- edge-path fundamental group ------------------------------------------------------
@@ -277,7 +299,7 @@ def parse_grp(text):
                          % (head[1], lineno)) from None
     if g < 0:
         raise ValueError("GRP/1: generator count %d is negative (line %d)" % (g, lineno))
-    if g > sys.maxsize:  # no list of g exponents can be built
+    if g > sys.maxsize:  # a count that cannot index a list is not a usable input
         raise ValueError("GRP/1: generator count %d cannot index a list (line %d)" % (g, lineno))
     relators = []
     for lineno, ln in lines[1:]:

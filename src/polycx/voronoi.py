@@ -574,6 +574,8 @@ def parse_pts(text):
     if n < 0 or k < 0:
         raise ValueError("PTS/1: the dimension N and the point count k must be "
                          "non-negative (line %d)" % lineno)
+    if k == 0:
+        raise ValueError("PTS/1: a site set needs at least one point (line %d)" % lineno)
     if len(rows) != k:
         raise ValueError("PTS/1: expected %d points, got %d" % (k, len(rows)))
     sites = []

@@ -1190,6 +1190,19 @@ def cone_over_star(simplices, vertices, simplex):
     return simplices | {frozenset([v]) for v in vertices}, vertices
 
 
+def exponent_matrix(generators, relators):
+    """The exponent sums of each relator, a column for every generator, as
+    `GroupPresentation.exponent_matrix` built them before it kept only the
+    generators some relator uses."""
+    M = []
+    for w in relators:
+        row = [0] * generators
+        for letter in w:
+            row[abs(letter) - 1] += 1 if letter > 0 else -1
+        M.append(row)
+    return M
+
+
 def _cyclic_reduce(word):
     out = []
     for x in word:

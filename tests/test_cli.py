@@ -1,11 +1,12 @@
 import contextlib
+import importlib
 import io
 import json
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polycx import cli
 from polycx.cli import run
@@ -16,10 +17,15 @@ from polycx import (
     parse_scx,
     parse_pts,
     parse_ledger,
+    parse_grp,
+    presentation_complex,
+    q_superperfect_certificate,
     is_simple_configuration,
     rat,
 )
+import test_golden
 from test_fuzz import BOUND_S
+from test_groups import grp_texts
 
 
 def write(path, text):
@@ -793,6 +799,15 @@ def chi_of_betti(data):
     return 1 - b[1] + b[2]
 
 
+def check_against_the_simplicial_route(text, data):
+    """For a parsed g <= 50, the report's Hopf fields equal the verdict on
+    the Q-homology of the simplicial presentation complex."""
+    pres = parse_grp(text)
+    if pres.generators <= 50:
+        cert = q_superperfect_certificate(presentation_complex(pres))
+        assert {key: data[key] for key in cert} == cert
+
+
 @pytest.mark.parametrize("text", GRP_FILES + [
     "gens 1\nx1 x1^-1\n", "gens 2\nx1 x1^-1\nx2\n", "gens 3\n",
     "gens 300\nx1 x2 x1^-1 x2^-1\n", "gens 1\nx1 x1 x1 x1 x1 x1\n"])
@@ -800,6 +815,36 @@ def test_superperfect_chi_agrees_with_its_betti_numbers(tmp_path, text):
     code, data = superperfect_report(tmp_path, text)
     assert code in (0, 1)
     assert data["chi"] == chi_of_betti(data)
+    check_against_the_simplicial_route(text, data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grp_texts())
+@example("gens 3\nx1 x3 x1^-1 x3^-1\n")
+def test_superperfect_report_is_the_simplicial_routes(tmp_path_factory, text):
+    code, data = superperfect_report(tmp_path_factory.getbasetemp(), text)
+    assert code == (0 if data["certified"] else 1)
+    check_against_the_simplicial_route(text, data)
+
+
+def test_superperfect_builds_no_simplicial_model(tmp_path, monkeypatch):
+    # the report reads the Smith form and chi alone, so it stands when the
+    # simplicial presentation complex and its homology cannot be built
+    groups = importlib.import_module("polycx.groups")
+
+    def refuse(*args):
+        raise AssertionError("superperfect built the simplicial model")
+
+    monkeypatch.setattr(groups, "presentation_complex", refuse)
+    monkeypatch.setattr(groups, "homology", refuse)
+    commands = [c for c in test_golden.COMMANDS if c[0][0] == "superperfect"]
+    assert test_golden.produce(tmp_path, commands) == [code for _, code in commands]
+    for name in test_golden.outputs(commands):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    g = 10 ** 15
+    code, data = superperfect_report(tmp_path, "gens %d\nx1 x2 x1^-1 x2^-1\n" % g)
+    assert code == 1
+    assert (data["h1_free_rank"], data["reduced_betti"]) == (g, [0, g, 1])
 
 
 def test_a_relator_that_reduces_away_glues_no_disk(tmp_path):
@@ -815,6 +860,7 @@ def test_mutated_superperfect_chi_agrees_with_its_betti_numbers(tmp_path_factory
     _, data = superperfect_report(tmp_path_factory.getbasetemp(), text)
     if data is not None:
         assert data["chi"] == chi_of_betti(data)
+        check_against_the_simplicial_route(text, data)
 
 
 @settings(max_examples=80, deadline=None)

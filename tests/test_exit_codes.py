@@ -336,6 +336,9 @@ PARSE_WITNESSES = {
     "pts-negative-count": (clip(points="2 -1\n"), PTS_NEGATIVE),
     "pts-negative-dimension": (clip(points="-1 0\n"), PTS_NEGATIVE),
     "pts-negative-dimension-with-a-row": (clip(points="-1 1\n0\n"), PTS_NEGATIVE),
+    # and a site set with no point
+    "pts-no-point": (["check-simple", "--points", ("p.pts", "2 0\n")],
+                     "PTS/1: a site set needs at least one point (line 1)"),
     # a token that is not an integer or p/q, in either file of clip
     "pts-row-token": (clip(points="2 3\n0 0\nx 0\n0 2\n"),
                       "PTS/1: 'x' is not an integer or p/q (line 3)"),

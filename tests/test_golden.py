@@ -65,19 +65,19 @@ COMMANDS += [
 ]
 
 
-def outputs():
-    return [argv[i + 1] for argv, _ in COMMANDS
+def outputs(commands=COMMANDS):
+    return [argv[i + 1] for argv, _ in commands
             for i, a in enumerate(argv) if a in ("--out", "--report")]
 
 
-def produce(workdir):
-    """Copy the inputs into `workdir`, run every command there in order and
-    return their exit codes."""
+def produce(workdir, commands=COMMANDS):
+    """Copy the inputs into `workdir`, run each of `commands` there in
+    order and return their exit codes."""
     workdir = Path(workdir)
     for src in (GOLDEN / "inputs").iterdir():
         shutil.copyfile(src, workdir / src.name)
     codes = []
-    for argv, _ in COMMANDS:
+    for argv, _ in commands:
         argv = [str(workdir / a) if i and argv[i - 1] in FILE_FLAGS else a
                 for i, a in enumerate(argv)]
         codes.append(run(argv))

@@ -2,7 +2,7 @@ import dataclasses
 import importlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polycx import (
     GroupPresentation,
@@ -46,7 +46,41 @@ class TestWords:
         assert free_reduce(once) == once
 
 
+@st.composite
+def grp_texts(draw):
+    """GRP/1 texts with at most five generators and four relators, written
+    as drawn, before any reduction: empty relators and ones that reduce
+    away, repeated and inverse letters, generators that no relator uses,
+    and no generator at all."""
+    g = draw(st.integers(0, 5))
+    letters = ["x%d%s" % (a, inv) for a in range(1, g + 1) for inv in ("", "^-1")]
+    word = st.lists(st.sampled_from(letters), max_size=6) if g else st.just([])
+    words = draw(st.lists(word, max_size=4))
+    return "gens %d\n" % g + "".join(" ".join(w) + "\n" for w in words)
+
+
 class TestAbelianization:
+
+    def test_exponent_matrix_has_a_column_per_used_generator(self):
+        pres = parse_grp("gens 4\nx1 x3 x1^-1 x3^-1\nx3 x3\nx2 x2^-1\n")
+        assert pres.exponent_matrix() == [[0, 0], [0, 2], [0, 0]]
+        huge = GroupPresentation.make(10 ** 15, [(1, 2, -1, -2)])
+        assert huge.exponent_matrix() == [[0, 0]]
+        assert abelianization(huge) == (10 ** 15, ())
+
+    @settings(max_examples=150, deadline=None)
+    @given(grp_texts())
+    @example("gens 3\nx1 x3 x1^-1 x3^-1\n")
+    @example("gens 3\nx3 x3\nx1 x1^-1\n")
+    @example("gens 0\n")
+    def test_is_the_smith_form_of_a_column_per_generator(self, text):
+        # the columns of the generators no relator uses are zero, and
+        # change no invariant factor
+        pres = parse_grp(text)
+        factors = oracles.snf_invariant_factors(
+            oracles.exponent_matrix(pres.generators, pres.relators))
+        assert abelianization(pres) == (pres.generators - len(factors),
+                                        tuple(d for d in factors if d > 1))
 
     def test_cyclic(self):
         assert abelianization(cyclic_presentation(6)) == (0, (6,))
@@ -98,6 +132,13 @@ class TestPresentationComplex:
         cert = q_superperfect_certificate(K)
         assert not cert["certified"]
         assert cert["obstructions"] == {"b1": 1}
+
+    def test_a_spare_relator_is_a_b2_obstruction(self):
+        # <x | x, x> is trivial, but its complex holds a 2-sphere, so
+        # Hopf's argument certifies nothing
+        K = presentation_complex(GroupPresentation.make(1, [(1,), (1,)]))
+        assert q_superperfect_certificate(K) == {
+            "certified": False, "reduced_betti": [0, 0, 1], "obstructions": {"b2": 1}}
 
     def test_complex_h1_matches_abelianization_rank(self):
         pres = GroupPresentation.make(2, [(1, 1), (2, 2, 2)])
