@@ -5,9 +5,11 @@ PTS/1, GRP/1, LEDGER/1, JSON reports) go to files named by --out; a short
 human summary goes to stdout.  `run` alone maps failures to exit codes: 0
 success, 1 verification failure (`VerificationFailure`, raised where a
 verdict is decided), 2 input error (any other
-`ValueError`, a `KeyError` or an `OSError`), 3 internal error (an
+`ValueError`, a `KeyError`, an `OSError`, or a `MemoryError`: the input
+asks for more memory than there is), 3 internal error (an
 `AssertionError`: a certificate of the program's own work failed an
-invariant check).  All randomness flows through --seed.
+invariant check; or any other exception, a defect in polycx).  All
+randomness flows through --seed.
 """
 
 import argparse
@@ -250,10 +252,9 @@ def _is_label_list(value):
 
 
 def cmd_dual_complex(args):
-    data = simplicial.decode_json(_read(args.strata), "strata")
-    if not (isinstance(data, dict) and _is_label_list(data.get("components"))):
-        raise ValueError("strata: expected an object with a components list "
-                         "of integers or strings")
+    data = simplicial.decode_json(_read(args.strata), "strata", versioned=False)
+    if not _is_label_list(data.get("components")):
+        raise ValueError("strata: components must be a list of integers or strings")
     entries = data.get("strata")
     if not (isinstance(entries, list) and all(
             isinstance(e, dict) and _is_label_list(e.get("components"))
@@ -390,8 +391,14 @@ def run(argv):
     except (ValueError, KeyError, OSError) as e:
         print("input error: %s" % e, file=sys.stderr)
         return 2
+    except MemoryError:
+        print("input error: out of memory", file=sys.stderr)
+        return 2
     except AssertionError as e:
         print("internal error: %s" % e, file=sys.stderr)
+        return 3
+    except Exception as e:  # any other escape is a defect, never a verdict
+        print("internal error: %s: %s" % (type(e).__name__, e), file=sys.stderr)
         return 3
     return 0
 

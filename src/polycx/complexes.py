@@ -407,10 +407,6 @@ def format_cplx(C):
 
 def parse_cplx(text):
     data = decode_json(text, "CPLX/1")
-    if not isinstance(data, dict):
-        raise ValueError("CPLX/1: the top level must be a JSON object")
-    if data.get("schema_version") != "CPLX/1":
-        raise ValueError("CPLX/1: bad or missing schema_version")
     n = data.get("ambient_dim")
     if type(n) is not int or n < 0:
         raise ValueError("CPLX/1: ambient_dim must be a non-negative integer")

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from .homology import smith_normal_form, homology
-from .rationals import numbered_lines
+from .rationals import numbered_lines, read_header
 from .simplicial import SimplicialComplex
 
 
@@ -292,15 +292,13 @@ def parse_grp(text):
     head = header.split()
     if len(head) != 2 or head[0] != "gens":
         raise ValueError("GRP/1: first line must be 'gens g' (line %d)" % lineno)
-    try:
-        g = int(head[1])
-    except ValueError:
-        raise ValueError("GRP/1: generator count %r is not an integer (line %d)"
-                         % (head[1], lineno)) from None
+    # the count after the word 'gens' is the one integer field of the header
+    (g,), fail = read_header("GRP/1", [(lineno, head[1])],
+                             "generator count %r is not an integer" % head[1], 1)
     if g < 0:
-        raise ValueError("GRP/1: generator count %d is negative (line %d)" % (g, lineno))
+        fail("generator count %d is negative" % g)
     if g > sys.maxsize:  # a count that cannot index a list is not a usable input
-        raise ValueError("GRP/1: generator count %d cannot index a list (line %d)" % (g, lineno))
+        fail("generator count %d cannot index a list" % g)
     relators = []
     for lineno, ln in lines[1:]:
         word = []
@@ -308,13 +306,13 @@ def parse_grp(text):
             inv = tok.endswith("^-1")
             core = tok[:-3] if inv else tok
             if not core.startswith("x"):
-                raise ValueError("GRP/1: bad token %r (line %d)" % (tok, lineno))
+                fail("bad token %r" % tok, lineno)
             try:
                 idx = int(core[1:])
             except ValueError:
-                raise ValueError("GRP/1: bad token %r (line %d)" % (tok, lineno)) from None
+                fail("bad token %r" % tok, lineno)
             if not 1 <= idx <= g:
-                raise ValueError("GRP/1: generator %r out of range (line %d)" % (tok, lineno))
+                fail("generator %r out of range" % tok, lineno)
             word.append(-idx if inv else idx)
         relators.append(tuple(word))
     return GroupPresentation.make(g, relators)

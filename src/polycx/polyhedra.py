@@ -51,7 +51,7 @@ from operator import mul
 from dataclasses import dataclass
 from functools import cached_property
 
-from .rationals import QQ, ZERO, numbered_lines, rat, ratio, ratio_str
+from .rationals import QQ, ZERO, numbered_lines, rat, ratio, ratio_str, read_header
 from . import linalg
 
 
@@ -1088,31 +1088,26 @@ def parse_poly(text):
 def _poly_of_lines(lines):
     """The polyhedron of POLY/1 lines, given as `numbered_lines` gives
     them, so that an error names the line of the file they came from."""
-    if not lines:
-        raise ValueError("POLY/1: empty input")
-    (lineno, header), rows = lines[0], lines[1:]
-    try:
-        n, m = map(int, header.split())
-    except ValueError:
-        raise ValueError("POLY/1: header must be 'N m' (line %d)" % lineno) from None
+    (n, m), fail = read_header("POLY/1", lines, "header must be 'N m'", 2)
     if n < 0:
-        raise ValueError("POLY/1: the dimension N must be non-negative (line %d)" % lineno)
+        fail("the dimension N must be non-negative")
     if m < 0:
-        raise ValueError("POLY/1: the row count m must be non-negative (line %d)" % lineno)
+        fail("the row count m must be non-negative")
+    rows = lines[1:]
     if len(rows) != m:
         raise ValueError("POLY/1: expected %d constraint rows, got %d" % (m, len(rows)))
     written, strict = [], []
     for lineno, ln in rows:
         parts = ln.split()
         if len(parts) != n + 2:
-            raise ValueError("POLY/1: bad row arity (line %d)" % lineno)
+            fail("bad row arity", lineno)
         rel = parts[n]
         if rel not in ("<=", "<"):
-            raise ValueError("POLY/1: relation must be <= or < (line %d)" % lineno)
+            fail("relation must be <= or <", lineno)
         try:
             fracs = [ratio(token) for token in parts[:n] + parts[n + 1:]]
         except ValueError as e:
-            raise ValueError("POLY/1: %s (line %d)" % (e, lineno)) from None
+            fail(e, lineno)
         den = lcm(*(q for _, q in fracs))
         if rel == "<":
             strict.append(len(written))

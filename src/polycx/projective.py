@@ -352,10 +352,6 @@ def format_ledger(ledger):
 
 def parse_ledger(text):
     data = decode_json(text, "LEDGER/1")
-    if not isinstance(data, dict):
-        raise ValueError("LEDGER/1: the top level must be a JSON object")
-    if data.get("schema_version") != "LEDGER/1":
-        raise ValueError("LEDGER/1: bad or missing schema_version")
     if not isinstance(data.get("certificates"), list):
         raise ValueError("LEDGER/1: certificates must be a list")
     try:

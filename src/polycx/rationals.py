@@ -48,6 +48,29 @@ def numbered_lines(text):
     return [(n, ln) for n, ln in enumerate((raw.strip() for raw in text.splitlines()), 1) if ln]
 
 
+def read_header(fmt, lines, usage, size, at=0):
+    """(fields, fail) for the header `lines[at]` of a `fmt` text, `lines`
+    as `numbered_lines` gives them: its `size` integer fields, and
+    `fail(message, line)`, which raises the ValueError
+    "<fmt>: <message> (line <line>)", by default at the header's line.
+    No lines at all is "<fmt>: empty input"; a header that is not `size`
+    integers fails with `usage`."""
+    if not lines:
+        raise ValueError("%s: empty input" % fmt)
+    header_line, text = lines[at]
+
+    def fail(message, line=header_line):
+        raise ValueError("%s: %s (line %d)" % (fmt, message, line)) from None
+
+    try:
+        fields = [int(token) for token in text.split()]
+    except ValueError:
+        fields = []
+    if len(fields) != size:
+        fail(usage)
+    return fields, fail
+
+
 def rat_str(q):
     """Render as 'p' or 'p/q' (lowest terms, q > 0)."""
     q = QQ(q)

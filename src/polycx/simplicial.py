@@ -171,24 +171,27 @@ def format_scx(K):
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def decode_json(text, fmt):
-    """The JSON value of the text of a `fmt` artifact.  Text that is not
-    JSON, or JSON nested too deeply for the decoder, is a ValueError that
-    names the format, as any other malformed input is."""
+def decode_json(text, fmt, versioned=True):
+    """The JSON object of the text of a `fmt` artifact, whose
+    `schema_version` must be `fmt` when it is `versioned`.  Text that is
+    not JSON, JSON nested too deeply for the decoder, or a top level that
+    is not an object is a ValueError that names the format, as any other
+    malformed input is."""
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except RecursionError:
         raise ValueError("%s: JSON nested too deeply" % fmt) from None
     except ValueError as e:
         raise ValueError("%s: not JSON (%s)" % (fmt, e)) from None
+    if not isinstance(data, dict):
+        raise ValueError("%s: the top level must be a JSON object" % fmt)
+    if versioned and data.get("schema_version") != fmt:
+        raise ValueError("%s: bad or missing schema_version" % fmt)
+    return data
 
 
 def parse_scx(text):
     data = decode_json(text, "SCX/1")
-    if not isinstance(data, dict):
-        raise ValueError("SCX/1: the top level must be a JSON object")
-    if data.get("schema_version") != "SCX/1":
-        raise ValueError("SCX/1: bad or missing schema_version")
     labels = data.get("labels")
     if not (isinstance(labels, list)
             and all(type(v) is int or isinstance(v, str) for v in labels)):

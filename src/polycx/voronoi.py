@@ -30,7 +30,7 @@ from math import factorial, gcd
 from operator import mul
 from dataclasses import dataclass
 
-from .rationals import QQ, ZERO, numbered_lines, rat, rat_str, vec
+from .rationals import QQ, ZERO, numbered_lines, rat, rat_str, read_header, vec
 from . import linalg
 from .polyhedra import (RationalPolyhedron, _Cone, _dot, _poly_of_lines, _row_text, _scaled,
                         _solve_constraints, format_poly)
@@ -50,12 +50,13 @@ class SiteSet:
         for p in self.sites:
             if len(p) != N:
                 raise ValueError("site arity does not match ambient dimension")
-        if len(set(self.sites)) != len(self.sites):
-            raise ValueError("duplicate sites")
         if not self.sites:
             raise ValueError("need at least one site")
         flat, self.scale = linalg.int_row([c for p in self.sites for c in p])
         self.ints = tuple(tuple(flat[i * N:(i + 1) * N]) for i in range(len(self.sites)))
+        # y -> L·y is one to one, and integer points hash faster than rational ones
+        if len(set(self.ints)) != len(self.ints):
+            raise ValueError("duplicate sites")
 
     def __len__(self):
         return len(self.ints)
@@ -564,29 +565,28 @@ def format_pts(Y):
 
 def parse_pts(text):
     lines = numbered_lines(text)
-    if not lines:
-        raise ValueError("PTS/1: empty input")
-    (lineno, header), rows = lines[0], lines[1:]
-    try:
-        n, k = map(int, header.split())
-    except ValueError:
-        raise ValueError("PTS/1: header must be 'N k' (line %d)" % lineno) from None
+    (n, k), fail = read_header("PTS/1", lines, "header must be 'N k'", 2)
     if n < 0 or k < 0:
-        raise ValueError("PTS/1: the dimension N and the point count k must be "
-                         "non-negative (line %d)" % lineno)
+        fail("the dimension N and the point count k must be non-negative")
     if k == 0:
-        raise ValueError("PTS/1: a site set needs at least one point (line %d)" % lineno)
+        fail("a site set needs at least one point")
+    if n == 0:  # no point of Q^0 can be written: its blank line is skipped
+        fail("the dimension N must be at least 1")
+    rows = lines[1:]
     if len(rows) != k:
         raise ValueError("PTS/1: expected %d points, got %d" % (k, len(rows)))
-    sites = []
+    sites = {}
     for lineno, ln in rows:
         parts = ln.split()
         if len(parts) != n:
-            raise ValueError("PTS/1: bad point arity (line %d)" % lineno)
+            fail("bad point arity", lineno)
         try:
-            sites.append(tuple(rat(p) for p in parts))
+            site = tuple(rat(p) for p in parts)
         except ValueError as e:
-            raise ValueError("PTS/1: %s (line %d)" % (e, lineno)) from None
+            fail(e, lineno)
+        first = sites.setdefault(site, lineno)
+        if first != lineno:
+            fail("site repeats line %d" % first, lineno)
     return SiteSet(n, sites)
 
 
@@ -599,31 +599,22 @@ def format_rgn(region):
 
 def parse_rgn(text):
     lines = numbered_lines(text)
-    if not lines:
-        raise ValueError("RGN/1: empty input")
-    try:
-        count = int(lines[0][1])
-    except ValueError:
-        raise ValueError("RGN/1: first line must be the piece count (line %d)"
-                         % lines[0][0]) from None
+    (count,), fail = read_header("RGN/1", lines, "first line must be the piece count", 1)
+    if count < 1:
+        fail("a region needs at least one piece")
     pos = 1
     pieces = []
     for _ in range(count):
         if pos >= len(lines):
-            raise ValueError("RGN/1: truncated input (line %d)" % (lines[-1][0] + 1))
-        lineno, header = lines[pos]
-        try:
-            _, m = map(int, header.split())
-        except ValueError:
-            raise ValueError("RGN/1: bad POLY/1 header (line %d)" % lineno) from None
+            fail("truncated input", lines[-1][0] + 1)
+        (_, m), fail_piece = read_header("RGN/1", lines, "bad POLY/1 header", 2, pos)
         if m < 0:
-            raise ValueError("RGN/1: the POLY/1 row count must be non-negative (line %d)"
-                             % lineno)
+            fail_piece("the POLY/1 row count must be non-negative")
         block = lines[pos:pos + m + 1]
         if len(block) != m + 1:
-            raise ValueError("RGN/1: truncated POLY/1 block (line %d)" % lineno)
+            fail_piece("truncated POLY/1 block")
         pieces.append(_poly_of_lines(block))
         pos += m + 1
     if pos != len(lines):
-        raise ValueError("RGN/1: trailing data (line %d)" % lines[pos][0])
+        fail("trailing data", lines[pos][0])
     return PolyhedralRegion(pieces)

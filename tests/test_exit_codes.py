@@ -26,6 +26,7 @@ from polycx import (
     verify_proper,
 )
 from polycx import parse_cplx, parse_ledger, parse_scx, voronoi
+from polycx import cli
 from polycx.cli import run
 from polycx.voronoi import _certify_triangulation
 
@@ -66,7 +67,8 @@ def raised_names(source):
 
 def test_run_maps_exactly_the_contract_types():
     assert mapped_names((SRC / "cli.py").read_text()) == {
-        "VerificationFailure", "ValueError", "KeyError", "OSError", "AssertionError"}
+        "VerificationFailure", "ValueError", "KeyError", "OSError", "MemoryError",
+        "AssertionError", "Exception"}
 
 
 def test_the_check_sees_every_form_of_raise():
@@ -247,6 +249,20 @@ def test_a_plain_value_error_inside_delaunay_exits_2(tmp_path, monkeypatch, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("error, code, line", [
+    (MemoryError(), 2, "input error: out of memory"),
+    (RuntimeError("injected"), 3, "internal error: RuntimeError: injected"),
+], ids=["memory", "other"])
+def test_an_exception_outside_the_contract_types_is_not_a_verdict(
+        tmp_path, monkeypatch, capsys, error, code, line):
+    def broken(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_no_limit_check", broken)
+    assert run(["no-limit-check", "--degree", "1", "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == line + "\n"
+
+
 def test_a_region_of_another_dimension_exits_2(tmp_path, capsys):
     pts, rgn = tmp_path / "p.pts", tmp_path / "r.rgn"
     pts.write_text("1 2\n0\n1\n")
@@ -307,6 +323,9 @@ PTS_NEGATIVE = ("PTS/1: the dimension N and the point count k must be non-negati
                 "(line 1)")
 
 
+RGN_NO_PIECE = "RGN/1: a region needs at least one piece (line 1)"
+
+
 def superperfect(text):
     return ["superperfect", "--presentation", ("g.grp", text), "--out", "OUT"]
 
@@ -339,12 +358,22 @@ PARSE_WITNESSES = {
     # and a site set with no point
     "pts-no-point": (["check-simple", "--points", ("p.pts", "2 0\n")],
                      "PTS/1: a site set needs at least one point (line 1)"),
+    # no point of Q^0 can be written: format_pts(SiteSet(0, [()])) is "0 1\n\n"
+    "pts-dimension-zero": (["check-simple", "--points", ("p.pts", "0 1\n\n")],
+                           "PTS/1: the dimension N must be at least 1 (line 1)"),
+    # a repeated site is named at its second line
+    "pts-repeated-site": (["check-simple", "--points", ("p.pts", "2 3\n0 0\n1 0\n0/3 0\n")],
+                          "PTS/1: site repeats line 2 (line 4)"),
     # a token that is not an integer or p/q, in either file of clip
     "pts-row-token": (clip(points="2 3\n0 0\nx 0\n0 2\n"),
                       "PTS/1: 'x' is not an integer or p/q (line 3)"),
     "pts-header-token": (clip(points="2 x\n0 0\n"), "PTS/1: header must be 'N k' (line 1)"),
     "rgn-count-token": (clip(region="x\n"),
                         "RGN/1: first line must be the piece count (line 1)"),
+    # a region needs a piece, whatever follows the count
+    "rgn-zero-count": (clip(region="0\n"), RGN_NO_PIECE),
+    "rgn-negative-count": (clip(region="-1\n"), RGN_NO_PIECE),
+    "rgn-negative-count-with-a-piece": (clip(region="-2" + GOOD_RGN[1:]), RGN_NO_PIECE),
     "rgn-header-token": (clip(region="1\n2 x\n"), "RGN/1: bad POLY/1 header (line 2)"),
     "poly-row-token": (clip(region="1\n2 1\n1 0 <= 1/x\n"),
                        "POLY/1: '1/x' is not an integer or p/q (line 3)"),
