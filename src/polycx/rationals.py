@@ -48,8 +48,8 @@ def numbered_lines(text):
     return [(n, ln) for n, ln in enumerate((raw.strip() for raw in text.splitlines()), 1) if ln]
 
 
-def read_header(fmt, lines, usage, size, at=0):
-    """(fields, fail) for the header `lines[at]` of a `fmt` text, `lines`
+def read_header(fmt, lines, usage, size):
+    """(fields, fail) for the header `lines[0]` of a `fmt` text, `lines`
     as `numbered_lines` gives them: its `size` integer fields, and
     `fail(message, line)`, which raises the ValueError
     "<fmt>: <message> (line <line>)", by default at the header's line.
@@ -57,13 +57,13 @@ def read_header(fmt, lines, usage, size, at=0):
     integers fails with `usage`."""
     if not lines:
         raise ValueError("%s: empty input" % fmt)
-    header_line, text = lines[at]
+    header_line, text = lines[0]
 
     def fail(message, line=header_line):
         raise ValueError("%s: %s (line %d)" % (fmt, message, line)) from None
 
     try:
-        fields = [int(token) for token in text.split()]
+        fields = list(map(int, text.split()))
     except ValueError:
         fields = []
     if len(fields) != size:

@@ -607,7 +607,7 @@ def parse_rgn(text):
     for _ in range(count):
         if pos >= len(lines):
             fail("truncated input", lines[-1][0] + 1)
-        (_, m), fail_piece = read_header("RGN/1", lines, "bad POLY/1 header", 2, pos)
+        (_, m), fail_piece = read_header("RGN/1", lines[pos:pos + 1], "bad POLY/1 header", 2)
         if m < 0:
             fail_piece("the POLY/1 row count must be non-negative")
         block = lines[pos:pos + m + 1]

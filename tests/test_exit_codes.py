@@ -5,7 +5,8 @@ The library raises `VerificationFailure`, a `ValueError`, where a verdict
 on well-formed input is decided (exit 1), and a plain `ValueError` for
 malformed input (exit 2).  A stdlib `ast` check keeps every `raise` in
 `src/polycx` to a type that `cli.run` maps, so that no new exception type
-ends in a traceback.
+ends in a traceback; `run` maps a `MemoryError` to exit 2 and any other
+exception that escapes a command to exit 3, never to the verdict's 1.
 """
 
 import ast
@@ -25,8 +26,7 @@ from polycx import (
     span_assignment,
     verify_proper,
 )
-from polycx import parse_cplx, parse_ledger, parse_scx, voronoi
-from polycx import cli
+from polycx import cli, parse_cplx, parse_ledger, parse_scx, voronoi
 from polycx.cli import run
 from polycx.voronoi import _certify_triangulation
 
